@@ -20,7 +20,6 @@ Every literal the tool prints re-parses to an equal value.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import random
 import sys
@@ -47,7 +46,7 @@ from .ordered_group import (
     KIND_INT_LEX,
     KIND_P_INVERTED,
     KIND_QUADRATIC,
-    compare,
+    _is_prime,
     element,
     hull_element,
     int_lex,
@@ -89,10 +88,6 @@ from .swan import (
 
 class InputError(Exception):
     """Malformed user input; maps to exit code 2."""
-
-
-class CheckFailure(Exception):
-    """A verification that must hold failed; maps to exit code 1."""
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -168,15 +163,12 @@ def parse_group(text: str) -> GroupDescriptor:
         param = int(param_tok)
     except ValueError:
         raise InputError(f"expected an integer group parameter, found {param_tok!r}")
-    try:
-        if kind == KIND_INT_LEX:
-            return int_lex(param)
-        if kind == KIND_P_INVERTED:
-            return p_inverted(param)
-        if kind == KIND_QUADRATIC:
-            return quadratic(param)
-    except ValueError as e:
-        raise InputError(str(e))
+    if kind == KIND_INT_LEX:
+        return int_lex(param)
+    if kind == KIND_P_INVERTED:
+        return p_inverted(param)
+    if kind == KIND_QUADRATIC:
+        return quadratic(param)
     raise InputError(f"unknown group kind {kind!r} (use zlex:n, zp:p, quad:d)")
 
 
@@ -241,23 +233,22 @@ def parse_element(text: str, descriptor: GroupDescriptor, hull: bool = False):
     return out
 
 
-def _parse_surd_tokens(toks: _Tokens) -> Surd:
+def _parse_surd_tokens(toks: _Tokens, descriptor: GroupDescriptor) -> Surd:
     toks.expect("surd")
     vals = _parse_fraction_list(toks)
     if len(vals) != 3:
         raise InputError("surd(a,b,d) takes three arguments")
     if vals[2].denominator != 1:
         raise InputError("the radicand of surd(a,b,d) is an integer")
-    try:
-        return Surd(vals[0], vals[1], int(vals[2]))
-    except ValueError as e:
-        raise InputError(str(e))
+    if descriptor.kind == KIND_INT_LEX:
+        raise InputError(f"surd bounds live over dense groups, not {descriptor}")
+    return Surd(vals[0], vals[1], int(vals[2]))
 
 
 def parse_bound(text: str, descriptor: GroupDescriptor, hull: bool):
     toks = _Tokens(text)
     if toks.peek() == "surd":
-        out = _parse_surd_tokens(toks)
+        out = _parse_surd_tokens(toks, descriptor)
     else:
         out = _parse_element_tokens(toks, descriptor, hull)
     toks.done()
@@ -277,81 +268,53 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
         if wrapped:
             toks.next()
         bound = (
-            _parse_surd_tokens(toks)
+            _parse_surd_tokens(toks, descriptor)
             if toks.peek() == "surd"
             else _parse_element_tokens(toks, descriptor, hull)
         )
         if wrapped:
             toks.expect(")")
         toks.done()
-        try:
-            if head == "ge":
-                if isinstance(bound, Surd):
-                    raise InputError("a principal cut needs an element bound, not a surd")
-                return principal_cut(bound)
-            return open_cut(descriptor, bound, over_hull=hull)
-        except ValueError as e:
-            raise InputError(str(e))
+        if head == "ge":
+            if isinstance(bound, Surd):
+                raise InputError("a principal cut needs an element bound, not a surd")
+            return principal_cut(bound)
+        return open_cut(descriptor, bound, over_hull=hull)
     if head in ("frontier", "frontier_ge"):
         vals = _parse_fraction_list(toks)
         toks.done()
         if descriptor.kind != KIND_INT_LEX:
             raise InputError(f"frontier cuts live over lex groups, not {descriptor}")
-        try:
-            if head == "frontier":
-                return frontier_cut(descriptor, tuple(vals), over_hull=hull)
-            return frontier_cut(descriptor, tuple(vals), over_hull=hull, inclusive=True)
-        except ValueError as e:
-            raise InputError(str(e))
+        return frontier_cut(descriptor, tuple(vals), over_hull=hull, inclusive=head == "frontier_ge")
     raise InputError(f"unknown cut form {head!r} (use whole, ge, gt, frontier, frontier_ge)")
 
 
 # -- series parsing ---------------------------------------------------------------
 
 
-def _collect_series_names(text: str) -> Tuple[List[str], int]:
-    toks = _Tokens(text)
-    names = []
-    tags = 0
-    while toks.peek() is not None:
-        tok = toks.next()
-        if tok == "x" and toks.peek() == "[":
-            tags += 1
-        elif tok.isidentifier() and tok not in ("t", "x", "lex", "q", "quad", "surd"):
-            if tok not in names:
-                names.append(tok)
-    return names, tags
-
-
 def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[FieldElement, CoeffField]:
     """Parse a series literal; the coefficient field is built from the
     tagged values and unit names appearing in the text."""
-    unit_names, _ = _collect_series_names(text)
-
-    # first pass just collects the tag values so the field can exist
+    # first pass just collects the tags and unit names so the field can exist
     tag_values: List[GroupElement] = []
-
-    def scan_tags(toks: _Tokens) -> None:
-        while toks.peek() is not None:
-            tok = toks.next()
-            if tok == "x" and toks.peek() == "[":
-                toks.next()
-                g = _parse_element_tokens(toks, descriptor, hull=False)
-                toks.expect("]")
-                if g not in tag_values:
-                    tag_values.append(g)
-
-    scan_tags(_Tokens(text))
-    tag_values.sort(key=_element_sort_key, reverse=True)
+    unit_names = set()
+    toks = _Tokens(text)
+    while toks.peek() is not None:
+        tok = toks.next()
+        if tok == "x" and toks.peek() == "[":
+            toks.next()
+            g = _parse_element_tokens(toks, descriptor, hull=False)
+            toks.expect("]")
+            if g not in tag_values:
+                tag_values.append(g)
+        elif tok.isidentifier() and tok not in ("t", "x", "lex", "q", "quad", "surd"):
+            unit_names.add(tok)
     field = CoeffField(p, tags=tuple(tag_values), units=tuple(sorted(unit_names)))
 
     toks = _Tokens(text)
     result = _parse_series_sum(toks, field, descriptor)
     toks.done()
     return FieldElement(result), field
-
-
-_element_sort_key = functools.cmp_to_key(compare)
 
 
 def _parse_series_sum(toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor) -> SeriesElement:
@@ -427,24 +390,20 @@ def _maybe_power(toks: _Tokens, base: SeriesElement) -> SeriesElement:
 # -- serializers ------------------------------------------------------------------
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def format_element(g: Union[GroupElement, HullElement]) -> str:
     d = g.descriptor
     if d.kind == KIND_INT_LEX:
         if d.param == 1:
-            return format_fraction(Fraction(g.value[0]))
-        return "lex(" + ",".join(format_fraction(Fraction(c)) for c in g.value) + ")"
+            return str(g.value[0])
+        return "lex(" + ",".join(map(str, g.value)) + ")"
     if d.kind == KIND_P_INVERTED:
-        return f"q({format_fraction(g.value)})"
+        return f"q({g.value})"
     a, b = g.value
-    return f"quad({format_fraction(a)},{format_fraction(b)})"
+    return f"quad({a},{b})"
 
 
 def format_surd(s: Surd) -> str:
-    return f"surd({format_fraction(s.a)},{format_fraction(s.b)},{s.d})"
+    return f"surd({s.a},{s.b},{s.d})"
 
 
 def format_cut(cut: Cut) -> str:
@@ -455,7 +414,7 @@ def format_cut(cut: Cut) -> str:
     if d.kind == KIND_INT_LEX:
         b = cut.bound
         if kind in ("frontier", "frontier_ge"):
-            body = ",".join(format_fraction(c) for c in b.prefix)
+            body = ",".join(map(str, b.prefix))
             return f"{kind}({body})"
         make = hull_element if cut.over_hull else element
         raw = tuple(b.prefix) if cut.over_hull else tuple(int(c) for c in b.prefix)
@@ -547,11 +506,7 @@ def _cmd_classify(args) -> Tuple[Report, int]:
     if args.case is not None:
         c = parse_element(args.c, descriptor) if args.c else None
         desc = EqualCharSymbolic(args.p, args.case, c=c, unit_name=args.unit, descriptor=descriptor)
-        try:
-            data = classify_equal_char(desc)
-        except ValueError as e:
-            raise InputError(str(e))
-        _emit_swan(report, data, args.p)
+        _emit_swan(report, classify_equal_char(desc), args.p)
         return report, 0
     if args.kummer is not None:
         if args.e0 is None:
@@ -564,10 +519,7 @@ def _cmd_classify(args) -> Tuple[Report, int]:
             v_b=parse_element(args.vb, descriptor) if args.vb else None,
             unit_name=args.unit,
         )
-        try:
-            data = classify_kummer_symbolic(desc)
-        except ValueError as e:
-            raise InputError(str(e))
+        data = classify_kummer_symbolic(desc)
         _emit_swan(report, data, args.p)
         if data.rsw is not None:
             moves = plan_log_smooth(data.rsw, args.p)
@@ -583,10 +535,7 @@ def _cmd_eval(args) -> Tuple[Report, int]:
     descriptor = parse_group(args.group)
     H = parse_cut(args.conductor, descriptor, hull=False)
     I = parse_cut(args.ideal, descriptor, hull=True)
-    try:
-        image = galois_image(H, I)
-    except ValueError as e:
-        raise InputError(str(e))
+    image = galois_image(H, I)
     report = Report()
     report.section("eval")
     report.kv("H", format_cut(H))
@@ -601,10 +550,7 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
     report.section("break")
     if args.conductor is not None:
         H = parse_cut(args.conductor, descriptor, hull=False)
-        try:
-            br = break_of(H)
-        except ValueError as e:
-            raise InputError(str(e))
+        br = break_of(H)
         report.kv("H", format_cut(H))
         report.kv("break", format_cut(br))
         report.kv("principal", br.kind == "principal")
@@ -612,10 +558,7 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
     if args.bound is None or args.variant is None:
         raise InputError("breaks needs either --H or both --bound and --variant")
     bound = parse_bound(args.bound, descriptor, hull=False)
-    try:
-        witness = break_witness(descriptor, args.p, bound, args.variant, depth=args.depth)
-    except ValueError as e:
-        raise InputError(str(e))
+    witness = break_witness(descriptor, args.p, bound, args.variant, depth=args.depth)
     report.kv("variant", witness.variant)
     report.kv("H", format_cut(witness.swan.conductor))
     report.kv("break", format_cut(witness.break_cut))
@@ -627,10 +570,7 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
 def _cmd_construct_defect(args) -> Tuple[Report, int]:
     descriptor = parse_group(args.group)
     cut = parse_cut(args.cut, descriptor, hull=False)
-    try:
-        model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
-    except ValueError as e:
-        raise InputError(str(e))
+    model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
     report = Report()
     report.section("model")
     report.kv("group", str(descriptor))
@@ -645,7 +585,6 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     report.kv("break", format_cut(break_of(model.swan.conductor)))
 
     rng = random.Random(_seed_from(args))
-    failures = 0
     try:
         delta_report = verify_delta_bounds(model, samples=args.samples, rng=rng)
     except DeltaBoundError as e:
@@ -657,7 +596,7 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     report.kv("samples", delta_report.samples)
     report.kv("monomials", delta_report.monomials_checked)
     report.kv("sigma_fixed", delta_report.sigma_fixed)
-    report.kv("failures", failures)
+    report.kv("failures", 0)
 
     queries = _limit_queries(model, rng, count=50)
     limit = conductor_limit_check(model, queries)
@@ -680,10 +619,7 @@ def _limit_queries(model: DefectModel, rng: random.Random, count: int) -> List[G
 def _cmd_demo_br10(args) -> Tuple[Report, int]:
     descriptor = parse_group(args.group)
     b = parse_element(args.b, descriptor)
-    try:
-        pair = twin_pair(descriptor, args.p, b, depth=args.depth)
-    except ValueError as e:
-        raise InputError(str(e))
+    pair = twin_pair(descriptor, args.p, b, depth=args.depth)
     H1 = pair.ramified.swan.conductor
     H2 = pair.defect.swan.conductor
     rng = random.Random(_seed_from(args))
@@ -726,11 +662,7 @@ def _cmd_separation(args) -> Tuple[Report, int]:
         gaps = tuple(
             parse_element(g.strip(), descriptor, hull=args.hull) for g in args.gaps.split(",") if g.strip()
         )
-        try:
-            datum = GapDatum(args.degree, gaps)
-            bound = separation_bound(datum)
-        except ValueError as e:
-            raise InputError(str(e))
+        bound = separation_bound(GapDatum(args.degree, gaps))
         report.kv("degree", args.degree)
         report.kv("gaps", ",".join(format_element(g) for g in gaps))
         report.kv("bound", format_cut(bound))
@@ -738,10 +670,7 @@ def _cmd_separation(args) -> Tuple[Report, int]:
     if args.gap is None:
         raise InputError("separation needs --gap or --gaps")
     gap = parse_element(args.gap, descriptor, hull=args.hull)
-    try:
-        pair = connectivity_threshold(gap, args.p)
-    except ValueError as e:
-        raise InputError(str(e))
+    pair = connectivity_threshold(gap, args.p)
     report.kv("gap", format_element(gap))
     report.kv("p", args.p)
     report.kv("connected_at", format_cut(pair.connected_at))
@@ -775,7 +704,7 @@ def _suite_claim2(args, report: Report) -> int:
     try:
         model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
         delta_report = verify_delta_bounds(model, samples=args.samples, seed=_seed_from(args))
-    except (ValueError, DeltaBoundError) as e:
+    except DeltaBoundError as e:
         report.kv("failures", 1)
         report.kv("detail", str(e))
         return 1
@@ -892,8 +821,6 @@ def _cmd_verify(args) -> Tuple[Report, int]:
             report.kv("suite", name)
             code = max(code, fn(args, report))
         return report, code
-    if args.suite not in _SUITES:
-        raise InputError(f"unknown suite {args.suite!r} (choose from {', '.join(_SUITES)}, all)")
     report.section("verify")
     report.kv("suite", args.suite)
     code = _SUITES[args.suite](args, report)
@@ -903,6 +830,21 @@ def _cmd_verify(args) -> Tuple[Report, int]:
 # -- argument wiring -----------------------------------------------------------------
 
 
+def _prime(text: str) -> int:
+    try:
+        if text.isdecimal() and _is_prime(int(text)):
+            return int(text)
+    except ValueError as e:  # above the trial-division cap
+        raise argparse.ArgumentTypeError(str(e))
+    raise argparse.ArgumentTypeError(f"expected a prime, found {text!r}")
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, found {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramify",
@@ -910,10 +852,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, p_required=True):
-        sp.add_argument("--p", type=int, required=p_required, help="the residue characteristic")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (RAMIFY_SEED overrides)")
-        sp.add_argument("--format", choices=("plain", "kv"), default="plain")
+    def common(sp, seed=False, p_default=None):
+        sp.add_argument(
+            "--p", type=_prime, required=p_default is None, default=p_default, help="the residue characteristic"
+        )
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="RNG seed (RAMIFY_SEED overrides)")
 
     sp = sub.add_parser("classify", help="conductor data of one extension")
     sp.add_argument("--group", required=True)
@@ -931,7 +875,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--H", dest="conductor", required=True, help="conductor cut over the group")
     sp.add_argument("--I", dest="ideal", required=True, help="test ideal over the hull")
-    common(sp, p_required=False)
 
     sp = sub.add_parser("breaks", help="locate the ramification jump")
     sp.add_argument("--group", required=True)
@@ -939,23 +882,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", help="break bound (construction mode)")
     sp.add_argument("--variant", choices=(VARIANT_CLOSED, VARIANT_OPEN, VARIANT_OPEN_IRRATIONAL))
     sp.add_argument("--depth", type=int, default=4)
-    common(sp, p_required=False)
-    sp.set_defaults(p=2)
+    common(sp, p_default=2)
 
     sp = sub.add_parser("construct-defect", help="build and verify a defect model")
     sp.add_argument("--group", required=True)
     sp.add_argument("--cut", required=True, help="target conductor cut, e.g. 'gt(q(1))'")
     sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=50)
-    common(sp)
+    sp.add_argument("--samples", type=_count, default=50)
+    common(sp, seed=True)
 
     sp = sub.add_parser("demo-br10", help="principal ideals cannot tell the twin pair apart")
     sp.add_argument("--group", required=True)
     sp.add_argument("--b", required=True, help="half-conductor value; H1 = ge at p*b, H2 = gt at p*b")
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--table-rows", type=int, default=12)
+    sp.add_argument("--samples", type=_count, default=100)
+    sp.add_argument("--table-rows", type=_count, default=12)
     sp.add_argument("--depth", type=int, default=3)
-    common(sp)
+    sp.add_argument("--format", choices=("plain", "kv"), default="plain")
+    common(sp, seed=True)
 
     sp = sub.add_parser("separation", help="connectivity and separation thresholds")
     sp.add_argument("--group")
@@ -966,12 +909,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify", help="seeded verification suites")
-    sp.add_argument("--suite", required=True, help=f"one of: {', '.join(_SUITES)}, all")
+    sp.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     sp.add_argument("--group")
     sp.add_argument("--cut")
     sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=200)
-    common(sp)
+    sp.add_argument("--samples", type=_count, default=200)
+    common(sp, seed=True)
 
     return parser
 
@@ -991,14 +934,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "separation": _cmd_separation,
         "verify": _cmd_verify,
     }
+    # the one rule for bad input: every ValueError a handler lets through,
+    # library validation included, is malformed input and exits 2
     try:
         report, code = handlers[args.subcommand](args)
-    except InputError as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CheckFailure as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 1
     sys.stdout.write(report.text())
     return code
 

@@ -311,7 +311,7 @@ class Cut:
         if self.bound == other.bound:
             return True
         # same boundary, different inclusivity: the exclusive cut is smaller
-        return not _is_inclusive(self.bound) or _is_inclusive(other.bound)
+        return not self.bound.inclusive or other.bound.inclusive
 
     # -- ideal calculus ------------------------------------------------------
 
@@ -402,10 +402,6 @@ class Cut:
         # {x : trunc > c} over Z^n closes up to {h : trunc >= c + e_k} over Q^n
         succ = b.prefix[:-1] + (b.prefix[-1] + 1,)
         return Cut._vector(self.descriptor, True, succ, -1, True)
-
-
-def _is_inclusive(b: _Bound) -> bool:
-    return b.inclusive
 
 
 # -- public constructors -----------------------------------------------------

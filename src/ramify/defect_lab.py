@@ -19,6 +19,7 @@ by sample, that sigma moves the ring exactly as slowly as the cut demands.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,14 +110,13 @@ def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
 def _surd_floor(s: Surd) -> int:
     if s.is_rational:
         return s.a.numerator // s.a.denominator
-    import math
-
-    est = math.floor(float(s.a) + float(s.b) * math.sqrt(s.d))
-    while s.cmp(Surd(Fraction(est))) < 0:
-        est -= 1
-    while s.cmp(Surd(Fraction(est + 1))) >= 0:
-        est += 1
-    return est
+    # s = (A + B*sqrt(d)) / D over integers; B*sqrt(d) is irrational, so it
+    # lies strictly between consecutive integers and isqrt pins the floor
+    D = s.a.denominator * s.b.denominator
+    A = s.a.numerator * s.b.denominator
+    B = s.b.numerator * s.a.denominator
+    r = math.isqrt(B * B * s.d)
+    return (A + r) // D if B > 0 else (A - r - 1) // D
 
 
 def _grid_candidate(bound: Surd, q: int, j: int) -> Fraction:

@@ -30,12 +30,16 @@ KIND_INT_LEX = "zlex"
 KIND_P_INVERTED = "zp"
 KIND_QUADRATIC = "quad"
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# Largest value the trial-division tests below accept (at most about 46 000
+# divisions); a larger group parameter or radicand is refused, not a hang.
+TRIAL_DIVISION_CAP = 2 ** 31
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
+    if n > TRIAL_DIVISION_CAP:
+        raise ValueError(f"{n} exceeds the supported parameter cap 2**31")
     k = 2
     while k * k <= n:
         if n % k == 0:
@@ -47,6 +51,8 @@ def _is_prime(n: int) -> bool:
 def _is_squarefree_nonsquare(d: int) -> bool:
     if d < 2:
         return False
+    if d > TRIAL_DIVISION_CAP:
+        raise ValueError(f"{d} exceeds the supported parameter cap 2**31")
     k = 2
     while k * k <= d:
         if d % (k * k) == 0:
@@ -84,10 +90,6 @@ class GroupDescriptor:
     @property
     def is_dense(self) -> bool:
         return self.kind != KIND_INT_LEX
-
-    @property
-    def rank(self) -> int:
-        return self.param if self.kind == KIND_INT_LEX else 1
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.param}"

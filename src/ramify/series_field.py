@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 from sympy.polys.domains import GF
 from sympy.polys.rings import ring as _sympy_ring
 
-from .ordered_group import GroupDescriptor, GroupElement, compare, is_positive
+from .ordered_group import GroupDescriptor, GroupElement, _is_prime, compare, is_positive
 
 __all__ = [
     "CoeffField",
@@ -44,8 +44,6 @@ __all__ = [
     "is_pth_power",
     "norm",
     "trace",
-    "sigma_apply",
-    "sigma_delta",
 ]
 
 
@@ -58,7 +56,7 @@ class CoeffField:
     """
 
     def __init__(self, p: int, tags: Sequence[GroupElement] = (), units: Sequence[str] = ()):
-        if p < 2:
+        if not _is_prime(p):
             raise ValueError(f"coefficient characteristic must be prime, got {p}")
         tags = tuple(sorted(tags, key=cmp_to_key(compare), reverse=True))
         if len(set(tags)) != len(tags):
@@ -113,10 +111,6 @@ class Coeff:
         return self.num * other.den == other.num * self.den
 
 
-def _sort_key(descriptor: GroupDescriptor):
-    return cmp_to_key(compare)
-
-
 class SeriesElement:
     """Finite support map gamma -> nonzero coefficient polynomial."""
 
@@ -137,9 +131,6 @@ class SeriesElement:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coeff_at(self, gamma: GroupElement):
-        return self._terms.get(gamma, self.field.zero)
 
     def valuation(self) -> GroupElement:
         if not self._terms:
@@ -396,14 +387,6 @@ class SigmaSpec:
         for _ in range(k):
             out = self.apply(out)
         return out
-
-
-def sigma_apply(s: SigmaSpec, f):
-    return s.apply(f)
-
-
-def sigma_delta(s: SigmaSpec, f):
-    return s.delta(f)
 
 
 def norm(s: SigmaSpec, f):

@@ -41,7 +41,8 @@ def test_parse_group():
     assert parse_group("zlex:3") == int_lex(3)
     assert parse_group("zp:2") == ZP2
     assert parse_group("quad:5") == quadratic(5)
-    for bad in ["zlex:0", "zp:4", "quad:4", "zq:2", "zlex", "zlex:two"]:
+    huge = ["zp:1000000000000000003", "quad:1000000000000000003"]  # refused, not trial-divided
+    for bad in ["zlex:0", "zp:4", "quad:4", "zq:2", "zlex", "zlex:two"] + huge:
         with pytest.raises(Exception):
             parse_group(bad)
 
@@ -310,6 +311,37 @@ def test_exit_2_on_argparse_errors():
         assert run(["classify", "--p", "2", "--as", "t(-3)"]) == 2  # missing --group
         assert run(["no-such-command"]) == 2
         assert run(["verify", "--suite", "nope", "--p", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--group", "zlex:1", "--p", "1", "--as", "t(-3)"],
+        ["classify", "--group", "zlex:1", "--p", "4", "--as", "t(-3)"],
+        ["separation", "--gap", "1", "--p", "1"],
+        ["construct-defect", "--group", "zp:3", "--p", "2", "--cut", "gt q(1)"],
+        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "-3"],
+        ["verify", "--suite", "claim2", "--p", "2", "--cut", "ge(q(1))"],
+        ["verify", "--suite", "limits", "--p", "2", "--cut", "ge(q(1))"],
+        ["verify", "--suite", "series", "--p", "1", "--samples", "2"],
+        ["eval", "--group", "zlex:2", "--H", "gt(surd(0,1,2))", "--I", "ge(lex(1,0))"],
+        ["breaks", "--group", "zlex:2", "--bound", "surd(0,1,2)", "--variant", "open-irrational"],
+        ["eval", "--group", "zp:1000000000000000003", "--H", "ge q(1)", "--I", "ge q(1)"],
+        ["eval", "--group", "quad:1000000000000000003", "--H", "ge quad(1,0)", "--I", "ge quad(1,0)"],
+    ],
+)
+def test_exit_2_on_any_malformed_input(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_breaks_with_a_400_digit_surd_bound():
+    bound = f"surd({10 ** 400},1,2)"
+    code, out, err = run_cli(["breaks", "--group", "zp:2", "--bound", bound, "--variant", "open-irrational"])
+    assert (code, err) == (0, "")
+    assert "defect: true" in out.splitlines()
 
 
 def test_exit_2_on_kummer_validation():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import (
@@ -13,6 +15,7 @@ from ramify.defect_lab import (
     VARIANT_CLOSED,
     VARIANT_OPEN,
     VARIANT_OPEN_IRRATIONAL,
+    _surd_floor,
     break_witness,
     build_defect_model,
     build_principal_case,
@@ -99,6 +102,18 @@ def test_grid_golden_irrational():
     # every e(i) lies strictly above sqrt(2)/2
     for e in m.e_seq:
         assert Surd(e.value).cmp(Surd(0, Fraction(1, 2), 2)) > 0
+
+
+@given(
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([2, 3, 5, 6, 7, 2147483647]),
+)
+def test_surd_floor_brackets(a, b, d):
+    # exact: floor <= s < floor + 1, also far beyond float range
+    for s in (Surd(a, b, d), Surd(10**400, 1, 2), Surd(-(10**400), Fraction(1, 3), 7)):
+        f = _surd_floor(s)
+        assert s.cmp(Surd(f)) >= 0 and s.cmp(Surd(f + 1)) < 0
 
 
 def test_grid_base_follows_the_group():

@@ -14,8 +14,6 @@ from ramify.series_field import (
     constant_series,
     is_pth_power,
     norm,
-    sigma_apply,
-    sigma_delta,
     t_term,
     trace,
     variable_series,
@@ -84,8 +82,9 @@ def test_field_construction():
         CoeffField(2, tags=(element(ZP2, 0),))
     with pytest.raises(ValueError):
         CoeffField(2, tags=(element(ZP2, -1),))
-    with pytest.raises(ValueError):
-        CoeffField(1)
+    for not_prime in (1, 4, 6):
+        with pytest.raises(ValueError):
+            CoeffField(not_prime)
     # no variables at all is a legal (constant) coefficient field
     empty = CoeffField(5)
     assert empty.const(7).eq(empty.const(2)) if isinstance(empty.const(7), Coeff) else empty.const(7) == empty.const(2)
@@ -218,12 +217,12 @@ def test_sigma_images():
     s = SIGMAS[2]
     x0 = variable_series(F2, ZP2, F2.tagged_gen(0))
     x1 = variable_series(F2, ZP2, F2.tagged_gen(1))
-    assert sigma_apply(s, x0) == x0 + t_term(F2, ZP2, E0)
-    assert sigma_apply(s, x1) == x1 + t_term(F2, ZP2, E1)
+    assert s.apply(x0) == x0 + t_term(F2, ZP2, E0)
+    assert s.apply(x1) == x1 + t_term(F2, ZP2, E1)
     # units and constants are untouched
     u = variable_series(F2, ZP2, F2.unit_gen("u"))
-    assert sigma_apply(s, u) == u
-    assert sigma_delta(s, constant_series(F2, ZP2, 1)).is_zero()
+    assert s.apply(u) == u
+    assert s.delta(constant_series(F2, ZP2, 1)).is_zero()
 
 
 def test_sigma_delta_product_expansion():
@@ -231,7 +230,7 @@ def test_sigma_delta_product_expansion():
     s = SIGMAS[2]
     x0 = variable_series(F2, ZP2, F2.tagged_gen(0))
     x1 = variable_series(F2, ZP2, F2.tagged_gen(1))
-    d = sigma_delta(s, x0 * x1)
+    d = s.delta(x0 * x1)
     expect = (
         x0.shift(E1)
         + x1.shift(E0)
@@ -247,7 +246,7 @@ def test_sigma_fixed_combination():
     x0 = variable_series(F2, ZP2, F2.tagged_gen(0))
     x1 = variable_series(F2, ZP2, F2.tagged_gen(1))
     y = x0 - x1.shift(E0 - E1)
-    assert sigma_delta(s, y).is_zero()
+    assert s.delta(y).is_zero()
 
 
 # -- norm and trace -----------------------------------------------------------------
