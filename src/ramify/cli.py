@@ -28,16 +28,18 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from .defect_lab import (
-    DefectModel,
     DeltaBoundError,
     VARIANT_CLOSED,
     VARIANT_OPEN,
     VARIANT_OPEN_IRRATIONAL,
+    _random_model_series,
     break_witness,
     build_defect_model,
     conductor_limit_check,
+    limit_queries,
     twin_pair,
     verify_delta_bounds,
+    witness_persistence,
 )
 from .ordered_group import (
     GroupDescriptor,
@@ -50,7 +52,6 @@ from .ordered_group import (
     element,
     hull_element,
     int_lex,
-    int_scale,
     p_inverted,
     quadratic,
 )
@@ -66,9 +67,9 @@ from .series_field import (
     FieldElement,
     SeriesElement,
     constant_series,
-    norm,
+    norm_trace_laws,
     t_term,
-    trace,
+    valuation_laws,
     variable_series,
 )
 from .swan import (
@@ -83,6 +84,7 @@ from .swan import (
     classify_kummer_symbolic,
     galois_image,
     plan_log_smooth,
+    single_jump_violations,
 )
 
 
@@ -353,13 +355,8 @@ def _parse_series_factor(toks: _Tokens, field: CoeffField, descriptor: GroupDesc
         toks.expect("[")
         g = _parse_element_tokens(toks, descriptor, hull=False)
         toks.expect("]")
-        idx = None
-        for i, tag in enumerate(field.tags):
-            if tag == g:
-                idx = i
-        if idx is None:
-            raise InputError(f"tag {format_element(g)} missing from the field")
-        return _maybe_power(toks, variable_series(field, descriptor, field.gens[idx]))
+        # the pre-scan in parse_series put every x[...] tag into the field
+        return _maybe_power(toks, variable_series(field, descriptor, field.gens[field.tags.index(g)]))
     if tok.isidentifier() and tok not in ("lex", "q", "quad", "surd"):
         toks.next()
         try:
@@ -418,8 +415,7 @@ def format_cut(cut: Cut) -> str:
             return f"{kind}({body})"
         make = hull_element if cut.over_hull else element
         raw = tuple(b.prefix) if cut.over_hull else tuple(int(c) for c in b.prefix)
-        g = make(d, raw if d.param > 1 else raw)
-        return ("ge " if kind == "principal" else "gt ") + format_element(g)
+        return ("ge " if kind == "principal" else "gt ") + format_element(make(d, raw))
     b = cut.bound.value
     head = "ge " if kind == "principal" else "gt "
     if d.kind == KIND_QUADRATIC and b.d in (0, d.param):
@@ -598,7 +594,7 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     report.kv("sigma_fixed", delta_report.sigma_fixed)
     report.kv("failures", 0)
 
-    queries = _limit_queries(model, rng, count=50)
+    queries = limit_queries(model, rng)
     limit = conductor_limit_check(model, queries)
     report.section("limit")
     report.kv("queries", len(queries))
@@ -607,13 +603,6 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     report.kv("unresolved", limit.unresolved)
     report.kv("ok", limit.ok)
     return report, 0 if limit.ok else 1
-
-
-def _limit_queries(model: DefectModel, rng: random.Random, count: int) -> List[GroupElement]:
-    qs = [int_scale(model.p, e) for e in model.e_seq]
-    while len(qs) < count:
-        qs.append(random_positive_element(rng, model.descriptor, span=6))
-    return qs
 
 
 def _cmd_demo_br10(args) -> Tuple[Report, int]:
@@ -725,83 +714,46 @@ def _suite_limits(args, report: Report) -> int:
         if args.cut
         else open_cut(descriptor, random_positive_element(rng, descriptor, span=6))
     )
-    failures = 0
     shallow = build_defect_model(descriptor, args.p, cut, depth=2)
     deep = build_defect_model(descriptor, args.p, cut, depth=4)
-    queries = _limit_queries(deep, rng, count=50)
-    rep_s = conductor_limit_check(shallow, queries)
-    rep_d = conductor_limit_check(deep, queries)
-    if not (rep_s.ok and rep_d.ok):
-        failures += 1
-    for es, ed in zip(rep_s.entries, rep_d.entries):
-        if es.status == "witnessed" and ed.witness != es.witness:
-            failures += 1
-    if rep_d.unresolved > rep_s.unresolved:
-        failures += 1
+    queries = limit_queries(deep, rng)
+    rep_s, rep_d, failures = witness_persistence(shallow, deep, queries)
     report.kv("queries", len(queries))
     report.kv("unresolved_depth2", rep_s.unresolved)
     report.kv("unresolved_depth4", rep_d.unresolved)
-    report.kv("failures", failures)
-    return 0 if failures == 0 else 1
+    return _conclude(report, failures)
 
 
 def _suite_theorem1(args, report: Report) -> int:
     rng = random.Random(_seed_from(args))
     groups = [int_lex(1), int_lex(2), int_lex(3), p_inverted(2), p_inverted(3), quadratic(2)]
-    failures = 0
-    trials = 0
+    failures, trials = [], 0
     while trials < args.samples:
         descriptor = groups[rng.randrange(len(groups))]
         H = random_group_cut(rng, descriptor, allow_whole=False)
-        br = break_of(H)
-        ideals = [random_hull_ideal(rng, descriptor) for _ in range(6)] + [br]
-        images = {}
-        for ideal in ideals:
-            im = galois_image(H, ideal)
-            images[id(ideal)] = im
-            if (im == "full") != br.subset(ideal):
-                failures += 1
-        # monotone pairs and intersection = subset-minimum
-        for a in ideals:
-            for b in ideals:
-                if a.subset(b) and images[id(a)] == "full" and images[id(b)] != "full":
-                    failures += 1
-        meet = ideals[0]
-        for ideal in ideals[1:]:
-            if ideal.subset(meet):
-                meet = ideal
-        all_full = all(images[id(i)] == "full" for i in ideals)
-        if (galois_image(H, meet) == "full") != all_full:
-            failures += 1
-        trials += len(ideals)
+        ideals = [random_hull_ideal(rng, descriptor) for _ in range(6)]
+        failures += single_jump_violations(H, ideals)
+        trials += len(ideals) + 1  # the break ideal is evaluated too
     report.kv("pairs", trials)
-    report.kv("failures", failures)
-    return 0 if failures == 0 else 1
+    return _conclude(report, failures)
 
 
 def _suite_series(args, report: Report) -> int:
     rng = random.Random(_seed_from(args))
     descriptor = p_inverted(args.p)
-    from .defect_lab import _random_model_series, build_defect_model as _bdm
-
-    cut = open_cut(descriptor, element(descriptor, 1))
-    model = _bdm(descriptor, args.p, cut, depth=3)
-    failures = 0
+    model = build_defect_model(descriptor, args.p, open_cut(descriptor, element(descriptor, 1)), depth=3)
+    failures: List[str] = []
     for _ in range(args.samples):
         f = _random_model_series(model, rng)
         g = _random_model_series(model, rng)
-        if not f.is_zero() and not g.is_zero():
-            if (f * g).valuation() != f.valuation() + g.valuation():
-                failures += 1
-            if model.sigma.apply(f).valuation() != f.valuation():
-                failures += 1
-        nf = norm(model.sigma, f)
-        tf = trace(model.sigma, f)
-        if not (model.sigma.apply(nf) == nf and model.sigma.apply(tf) == tf):
-            failures += 1
+        failures += valuation_laws(model.sigma, f, g) + norm_trace_laws(model.sigma, f)
     report.kv("samples", args.samples)
-    report.kv("failures", failures)
-    return 0 if failures == 0 else 1
+    return _conclude(report, failures)
+
+
+def _conclude(report: Report, failures: List[str]) -> int:
+    report.kv("failures", len(failures))
+    return 1 if failures else 0
 
 
 _SUITES = {

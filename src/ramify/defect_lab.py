@@ -38,6 +38,7 @@ from .ordered_group import (
     neg,
     to_hull,
 )
+from .sampling import random_positive_element
 from .series_field import (
     CoeffField,
     FieldElement,
@@ -46,6 +47,9 @@ from .series_field import (
     t_term,
 )
 from .swan import RESIDUE_TRIVIAL, SwanData, classify_equal_char
+
+
+MAX_DEPTH = 256  # model cost grows steeply with the depth; deeper is refused
 
 
 class DeltaBoundError(Exception):
@@ -173,8 +177,8 @@ def build_defect_model(
     if not descriptor.is_dense:
         raise ValueError("defect extensions need a dense value group")
     root_set = conductor.pth_root_set(p)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     e_seq = _grid_sequence(descriptor, p, root_set.bound.value, depth)
     for e in e_seq:
         if not root_set.contains(e) or not conductor.contains(int_scale(p, e)):
@@ -355,6 +359,35 @@ def conductor_limit_check(model: DefectModel, queries: Sequence[GroupElement]) -
                 status = STATUS_BELOW_ALL
         entries.append(LimitEntry(gamma, member, status, witness))
     return LimitReport(ok, tuple(entries))
+
+
+def limit_queries(model: DefectModel, rng: random.Random, count: int = 50) -> List[GroupElement]:
+    """The thresholds p*e(i) of `model`, padded with random positive elements."""
+    qs = [int_scale(model.p, e) for e in model.e_seq]
+    while len(qs) < count:
+        qs.append(random_positive_element(rng, model.descriptor, span=6))
+    return qs
+
+
+def witness_persistence(
+    shallow: DefectModel, deep: DefectModel, queries: Sequence[GroupElement]
+) -> Tuple[LimitReport, LimitReport, List[str]]:
+    """Both limit reports and one label per violation of the limit law: both
+    consistent, membership depth-free, a witness and its index survive in
+    the deeper model, and deepening only resolves queries."""
+    rs = conductor_limit_check(shallow, queries)
+    rd = conductor_limit_check(deep, queries)
+    labels = [label for label, ok in (("shallow consistent", rs.ok), ("deep consistent", rd.ok)) if not ok]
+    for es, ed in zip(rs.entries, rd.entries):
+        if es.member != ed.member:
+            labels.append("membership is depth-free")
+        if es.status == STATUS_WITNESSED and ed.status != STATUS_WITNESSED:
+            labels.append("witness survives deepening")
+        if es.status == STATUS_WITNESSED and ed.witness != es.witness:
+            labels.append("witness index is stable")
+    if rd.unresolved > rs.unresolved:
+        labels.append("deepening only resolves")
+    return rs, rd, labels
 
 
 # -- twin constructions ---------------------------------------------------------

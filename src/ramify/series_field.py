@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from sympy.polys.domains import GF
 from sympy.polys.rings import ring as _sympy_ring
 
-from .ordered_group import GroupDescriptor, GroupElement, _is_prime, compare, is_positive
+from .ordered_group import GroupDescriptor, GroupElement, _is_prime, compare, int_scale, is_positive
 
 __all__ = [
     "CoeffField",
@@ -44,6 +44,8 @@ __all__ = [
     "is_pth_power",
     "norm",
     "trace",
+    "valuation_laws",
+    "norm_trace_laws",
 ]
 
 
@@ -407,6 +409,28 @@ def trace(s: SigmaSpec, f):
         cur = s.apply(cur)
         out = out + cur
     return out
+
+
+def valuation_laws(sigma: SigmaSpec, f: SeriesElement, g: SeriesElement) -> List[str]:
+    """One label per broken law v(fg) = v(f) + v(g), v(sigma f) = v(f); a
+    zero f or g has no valuation, so it breaks none."""
+    if f.is_zero() or g.is_zero():
+        return []
+    labels = []
+    if (f * g).valuation() != f.valuation() + g.valuation():
+        labels.append("valuation additivity")
+    if sigma.apply(f).valuation() != f.valuation():
+        labels.append("sigma preserves valuation")
+    return labels
+
+
+def norm_trace_laws(sigma: SigmaSpec, f: SeriesElement) -> List[str]:
+    """One label per broken law: sigma fixes N f and Tr f; v(N f) = p*v(f)."""
+    nf, tf = norm(sigma, f), trace(sigma, f)
+    labels = [label for label, x in (("norm is fixed", nf), ("trace is fixed", tf)) if sigma.apply(x) != x]
+    if not f.is_zero() and nf.valuation() != int_scale(sigma.p, f.valuation()):
+        labels.append("norm valuation")
+    return labels
 
 
 def is_pth_power(field: CoeffField, c, p: Optional[int] = None):

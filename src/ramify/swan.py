@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .cuts import Cut, open_cut, principal_cut, whole_cut
 from .ordered_group import (
@@ -391,6 +391,25 @@ def break_of(conductor: Cut) -> Cut:
     if conductor.is_whole:
         raise ValueError("an unramified extension has no jump")
     return conductor.hull_closure()
+
+
+def single_jump_violations(conductor: Cut, ideals: Sequence[Cut]) -> List[str]:
+    """One label per violation of the single-jump law on `ideals` and the
+    break: the image is full exactly on ideals containing the break, is
+    monotone, and is full at the least ideal (the meet) iff at all."""
+    brk = break_of(conductor)
+    ideals = list(ideals) + [brk]
+    full = [galois_image(conductor, ideal) == FULL_IMAGE for ideal in ideals]
+    labels = ["jump location" for ideal, f in zip(ideals, full) if f != brk.subset(ideal)]
+    for a, fa in zip(ideals, full):
+        labels += ["monotonicity" for b, fb in zip(ideals, full) if fa and not fb and a.subset(b)]
+    meet = ideals[0]
+    for ideal in ideals[1:]:
+        if ideal.subset(meet):
+            meet = ideal
+    if (galois_image(conductor, meet) == FULL_IMAGE) != all(full):
+        labels.append("intersection stability")
+    return labels
 
 
 def wild_inertia_check(data: SwanData) -> bool:

@@ -14,15 +14,15 @@ from ramify.defect_lab import (
     _random_model_series,
     build_defect_model,
     build_principal_case,
-    conductor_limit_check,
+    limit_queries,
     twin_pair,
     verify_delta_bounds,
+    witness_persistence,
 )
 from ramify.ordered_group import (
     element,
     hull_element,
     int_lex,
-    int_scale,
     p_inverted,
     quadratic,
 )
@@ -36,9 +36,9 @@ from ramify.series_field import (
     CoeffField,
     FieldElement,
     SeriesElement,
-    norm,
+    norm_trace_laws,
     t_term,
-    trace,
+    valuation_laws,
     variable_series,
 )
 from ramify.swan import (
@@ -55,6 +55,7 @@ from ramify.swan import (
     classify_kummer_symbolic,
     galois_image,
     plan_log_smooth,
+    single_jump_violations,
     transported_value_image,
     value_group_image,
 )
@@ -171,33 +172,9 @@ def test_criterion_03_single_jump_across_pairs():
         for descriptor in [Z1, Z2, ZP2, QD2]:
             for _ in range(32):
                 H = random_group_cut(rng, descriptor, allow_whole=False)
-                brk = break_of(H)
-                ideals = [random_hull_ideal(rng, descriptor) for _ in range(8)] + [brk]
-                images = []
-                for ideal in ideals:
-                    im = galois_image(H, ideal)
-                    pairs += 1
-                    images.append(im == FULL_IMAGE)
-                    # the jump sits exactly at break_of(H)
-                    c.check(
-                        (im == FULL_IMAGE) == brk.subset(ideal),
-                        f"jump location {descriptor} {H.kind}",
-                    )
-                # monotone in the ideal
-                for i, a in enumerate(ideals):
-                    for j, b in enumerate(ideals):
-                        if a.subset(b) and images[i] and not images[j]:
-                            c.check(False, "monotonicity")
-                # stable under intersections: cuts are totally ordered, the
-                # meet is the least sampled ideal
-                meet = ideals[0]
-                for ideal in ideals[1:]:
-                    if ideal.subset(meet):
-                        meet = ideal
-                c.check(
-                    (galois_image(H, meet) == FULL_IMAGE) == all(images),
-                    "intersection stability",
-                )
+                ideals = [random_hull_ideal(rng, descriptor) for _ in range(8)]
+                c.failures += [f"{v} {descriptor} {H.kind}" for v in single_jump_violations(H, ideals)]
+                pairs += len(ideals) + 1  # the break ideal is evaluated too
         c.check(pairs >= 1000, f"only {pairs} pairs")
     c.conclude()
 
@@ -222,19 +199,8 @@ def test_criterion_05_limit_witnesses_persist():
             cut = open_cut(descriptor, element(descriptor, bound))
             shallow = build_defect_model(descriptor, p, cut, depth=2)
             deep = build_defect_model(descriptor, p, cut, depth=4)
-            queries = [int_scale(p, e) for e in deep.e_seq]
-            while len(queries) < 50:
-                queries.append(random_positive_element(rng, descriptor, span=6))
-            r2 = conductor_limit_check(shallow, queries)
-            r4 = conductor_limit_check(deep, queries)
-            c.check(r2.ok, f"shallow consistent over {descriptor}")
-            c.check(r4.ok, f"deep consistent over {descriptor}")
-            for e2, e4 in zip(r2.entries, r4.entries):
-                c.check(e2.member == e4.member, "membership is depth-free")
-                if e2.status == "witnessed":
-                    c.check(e4.status == "witnessed", "witness survives deepening")
-                    c.check(e4.witness == e2.witness, "witness index is stable")
-            c.check(r4.unresolved <= r2.unresolved, "deepening only resolves")
+            _, _, violations = witness_persistence(shallow, deep, limit_queries(deep, rng))
+            c.failures += [f"{v} over {descriptor}" for v in violations]
     c.conclude()
 
 
@@ -374,14 +340,7 @@ def test_criterion_10_series_engine_laws():
             for _ in range(250):
                 f = nonzero_series()
                 g = nonzero_series()
-                c.check(
-                    (f * g).valuation() == f.valuation() + g.valuation(),
-                    "valuation additivity",
-                )
-                c.check(
-                    model.sigma.apply(f).valuation() == f.valuation(),
-                    "sigma preserves valuation",
-                )
+                c.failures += valuation_laws(model.sigma, f, g)
             # norm and trace are costlier; exercise them on single monomials
             for _ in range(250):
                 gamma = element(descriptor, Fraction(rng.randint(-8, 8), p ** rng.randint(0, 3)))
@@ -390,9 +349,5 @@ def test_criterion_10_series_engine_laws():
                 exps[i] = 1
                 coeff = model.field.ring.from_dict({tuple(exps): rng.randint(1, p - 1)})
                 f = SeriesElement(model.field, descriptor, {gamma: coeff})
-                nf = norm(model.sigma, f)
-                tf = trace(model.sigma, f)
-                c.check(model.sigma.apply(nf) == nf, "norm is fixed")
-                c.check(model.sigma.apply(tf) == tf, "trace is fixed")
-                c.check(nf.valuation() == int_scale(p, gamma), "norm valuation")
+                c.failures += norm_trace_laws(model.sigma, f)
     c.conclude()

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,67 @@ def test_verify_series_suite():
     assert "failures: 0" in out
 
 
+VERIFY_ALL_P2 = """\
+[verify]
+suite: claim2
+group: zp:2
+C: gt q(3/8)
+depth: 3
+samples: 60
+monomials: 157
+failures: 0
+[verify]
+suite: limits
+queries: 50
+unresolved_depth2: 2
+unresolved_depth4: 0
+failures: 0
+[verify]
+suite: theorem1
+pairs: 63
+failures: 0
+[verify]
+suite: series
+samples: 60
+failures: 0
+"""
+
+VERIFY_ALL_P3 = """\
+[verify]
+suite: claim2
+group: zp:3
+C: gt q(4/3)
+depth: 3
+samples: 20
+monomials: 65
+failures: 0
+[verify]
+suite: limits
+queries: 50
+unresolved_depth2: 2
+unresolved_depth4: 0
+failures: 0
+[verify]
+suite: theorem1
+pairs: 21
+failures: 0
+[verify]
+suite: series
+samples: 20
+failures: 0
+"""
+
+
+@pytest.mark.parametrize(
+    "p, samples, seed, expected",
+    [("2", "60", "5", VERIFY_ALL_P2), ("3", "20", "1", VERIFY_ALL_P3)],
+)
+def test_verify_all_golden(monkeypatch, p, samples, seed, expected):
+    monkeypatch.delenv("RAMIFY_SEED", raising=False)
+    code, out, err = run_cli(["verify", "--suite", "all", "--p", p, "--samples", samples, "--seed", seed])
+    assert (code, out, err) == (0, expected, "")
+
+
 # -- exit codes --------------------------------------------------------------------------
 
 
@@ -328,6 +390,8 @@ def test_exit_2_on_argparse_errors():
         ["breaks", "--group", "zlex:2", "--bound", "surd(0,1,2)", "--variant", "open-irrational"],
         ["eval", "--group", "zp:1000000000000000003", "--H", "ge q(1)", "--I", "ge q(1)"],
         ["eval", "--group", "quad:1000000000000000003", "--H", "ge quad(1,0)", "--I", "ge quad(1,0)"],
+        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--depth", "2000"],
+        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--depth", "5000"],
     ],
 )
 def test_exit_2_on_any_malformed_input(argv):
@@ -365,6 +429,19 @@ def test_exit_1_when_verification_fails(monkeypatch):
     assert code == 1
     assert "failures: 1" in out
     assert "forced failure" in out
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "limits", "series"])
+def test_exit_1_when_a_verify_law_fails(monkeypatch, suite):
+    import ramify.cli as cli_mod
+
+    persistence = cli_mod.witness_persistence
+    monkeypatch.setattr(cli_mod, "single_jump_violations", lambda conductor, ideals: ["forced"])
+    monkeypatch.setattr(cli_mod, "witness_persistence", lambda *args: persistence(*args)[:2] + (["forced"],))
+    monkeypatch.setattr(cli_mod, "norm_trace_laws", lambda sigma, f: ["forced"])
+    code, out, _ = run_cli(["verify", "--suite", suite, "--p", "2", "--samples", "5"])
+    assert code == 1
+    assert int(re.search(r"^failures: (\d+)$", out, re.M).group(1)) > 0
 
 
 # -- seeding -----------------------------------------------------------------------------

@@ -15,13 +15,16 @@ from ramify.defect_lab import (
     VARIANT_CLOSED,
     VARIANT_OPEN,
     VARIANT_OPEN_IRRATIONAL,
+    MAX_DEPTH,
     _surd_floor,
     break_witness,
     build_defect_model,
     build_principal_case,
     conductor_limit_check,
+    limit_queries,
     twin_pair,
     verify_delta_bounds,
+    witness_persistence,
 )
 from ramify.ordered_group import (
     divide_exact,
@@ -168,6 +171,8 @@ def test_build_refusals():
         build_defect_model(Z2, 2, frontier_cut(Z2, (1,)))
     with pytest.raises(ValueError, match="depth"):
         build_defect_model(ZP2, 2, open_cut(ZP2, element(ZP2, 1)), depth=0)
+    with pytest.raises(ValueError, match="depth"):
+        build_defect_model(ZP2, 2, open_cut(ZP2, element(ZP2, 1)), depth=MAX_DEPTH + 1)
 
 
 # -- sampled verification -----------------------------------------------------------
@@ -269,6 +274,19 @@ def test_limit_witnesses_persist_under_deepening():
     # something unresolved at depth 2 resolves by depth 5
     assert r1.unresolved > r2.unresolved
     assert r2.unresolved == 0
+
+
+def test_witness_persistence_labels_swapped_models():
+    shallow, deep = canonical_model(2), canonical_model(4)
+    queries = limit_queries(deep, random.Random(5))
+    assert len(queries) == 50
+    assert queries[:5] == [int_scale(2, e) for e in deep.e_seq]
+    rs, rd, labels = witness_persistence(shallow, deep, queries)
+    assert labels == [] and rd.unresolved < rs.unresolved
+    # deep first: the "deeper" model loses the witnesses at indices 3 and 4
+    _, _, swapped = witness_persistence(deep, shallow, queries)
+    assert "deepening only resolves" in swapped
+    assert "witness survives deepening" in swapped
 
 
 # -- twins -----------------------------------------------------------------------------

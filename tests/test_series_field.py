@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,10 @@ from ramify.series_field import (
     constant_series,
     is_pth_power,
     norm,
+    norm_trace_laws,
     t_term,
     trace,
+    valuation_laws,
     variable_series,
 )
 
@@ -270,6 +273,21 @@ def test_trace_of_constant():
     assert trace(s, c) == constant_series(F3, Z1, 3)  # = 0 mod 3
     assert trace(s, c).is_zero()
     assert norm(s, c) == c
+
+
+def test_series_law_labels_on_a_broken_sigma(monkeypatch):
+    s = SIGMAS[2]
+    f = t_term(F2, ZP2, E1) + variable_series(F2, ZP2, F2.tagged_gen(0))
+    g = t_term(F2, ZP2, element(ZP2, -1), F2.unit_gen("u"))
+    assert valuation_laws(s, f, g) == [] and norm_trace_laws(s, f) == []
+    shifting = SimpleNamespace(p=2, apply=lambda x: x.shift(element(ZP2, -1)))
+    assert valuation_laws(shifting, f, g) == ["sigma preserves valuation"]
+    assert norm_trace_laws(shifting, f) == ["norm is fixed", "trace is fixed", "norm valuation"]
+    # a product that lands one step low breaks additivity
+    mul = SeriesElement.__mul__
+    monkeypatch.setattr(SeriesElement, "__mul__", lambda a, b: mul(a, b).shift(element(ZP2, -1)))
+    identity = SimpleNamespace(p=2, apply=lambda x: x)
+    assert valuation_laws(identity, f, g) == ["valuation additivity"]
 
 
 # -- p-th power detection -----------------------------------------------------------

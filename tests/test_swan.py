@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ramify.swan as swan_mod
 from ramify.cuts import open_cut, principal_cut, whole_cut
 from ramify.ordered_group import element, hull_element, int_lex, p_inverted, quadratic
 from ramify.series_field import CoeffField, FieldElement, t_term, variable_series
@@ -29,6 +30,7 @@ from ramify.swan import (
     classify_kummer_symbolic,
     galois_image,
     plan_log_smooth,
+    single_jump_violations,
     transported_value_image,
     value_group_image,
     wild_inertia_check,
@@ -324,6 +326,23 @@ def test_image_monotone_in_the_ideal(data):
     # a full image at a deep ideal persists at every shallower one
     if galois_image(conductor, i1) == FULL_IMAGE:
         assert galois_image(conductor, i2) == FULL_IMAGE
+
+
+def test_single_jump_violations_label_a_broken_evaluator(monkeypatch):
+    conductor = principal_cut(element(Z1, 3))
+    at, above, deep = (
+        principal_cut(hull_element(Z1, 3)),
+        open_cut(Z1, hull_element(Z1, 3), over_hull=True),
+        principal_cut(hull_element(Z1, 5)),
+    )
+    assert single_jump_violations(conductor, [at, above, deep]) == []
+    # full everywhere: the two ideals above the break misplace the jump
+    monkeypatch.setattr(swan_mod, "galois_image", lambda conductor, ideal: FULL_IMAGE)
+    assert single_jump_violations(conductor, [at, above, deep]) == ["jump location"] * 2
+    # full only at the least ideal breaks all three parts of the law
+    monkeypatch.setattr(swan_mod, "galois_image", lambda c, ideal: FULL_IMAGE if ideal == deep else TRIVIAL_IMAGE)
+    labels = single_jump_violations(conductor, [at, above, deep])
+    assert set(labels) == {"jump location", "monotonicity", "intersection stability"}
 
 
 def test_break_of_whole_rejected():
