@@ -51,6 +51,7 @@ from .ordered_group import (
     _is_prime,
     element,
     hull_element,
+    in_group,
     int_lex,
     p_inverted,
     quadratic,
@@ -421,7 +422,9 @@ def format_cut(cut: Cut) -> str:
     if d.kind == KIND_QUADRATIC and b.d in (0, d.param):
         make = hull_element if cut.over_hull else element
         return head + format_element(make(d, (b.a, b.b)))
-    if b.is_rational:
+    # a rational bound that is not a group point (1/2 over Z[1/3]) can only
+    # be written as a surd
+    if b.is_rational and (cut.over_hull or in_group(hull_element(d, b.a))):
         make = hull_element if cut.over_hull else element
         return head + format_element(make(d, b.a))
     return head + format_surd(b)
@@ -714,13 +717,13 @@ def _suite_limits(args, report: Report) -> int:
         if args.cut
         else open_cut(descriptor, random_positive_element(rng, descriptor, span=6))
     )
-    shallow = build_defect_model(descriptor, args.p, cut, depth=2)
-    deep = build_defect_model(descriptor, args.p, cut, depth=4)
+    shallow = build_defect_model(descriptor, args.p, cut, depth=args.depth - 1)
+    deep = build_defect_model(descriptor, args.p, cut, depth=args.depth + 1)
     queries = limit_queries(deep, rng)
     rep_s, rep_d, failures = witness_persistence(shallow, deep, queries)
     report.kv("queries", len(queries))
-    report.kv("unresolved_depth2", rep_s.unresolved)
-    report.kv("unresolved_depth4", rep_d.unresolved)
+    report.kv(f"unresolved_depth{shallow.depth}", rep_s.unresolved)
+    report.kv(f"unresolved_depth{deep.depth}", rep_d.unresolved)
     return _conclude(report, failures)
 
 
@@ -741,7 +744,7 @@ def _suite_theorem1(args, report: Report) -> int:
 def _suite_series(args, report: Report) -> int:
     rng = random.Random(_seed_from(args))
     descriptor = p_inverted(args.p)
-    model = build_defect_model(descriptor, args.p, open_cut(descriptor, element(descriptor, 1)), depth=3)
+    model = build_defect_model(descriptor, args.p, open_cut(descriptor, element(descriptor, 1)), depth=args.depth)
     failures: List[str] = []
     for _ in range(args.samples):
         f = _random_model_series(model, rng)
@@ -763,19 +766,24 @@ _SUITES = {
     "series": _suite_series,
 }
 
+# the suites that read --group and --cut; a flag that no selected suite
+# reads is refused rather than dropped
+_GROUP_AND_CUT_SUITES = ("claim2", "limits")
+
 
 def _cmd_verify(args) -> Tuple[Report, int]:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    for flag in ("group", "cut"):
+        if getattr(args, flag) is not None and not any(n in _GROUP_AND_CUT_SUITES for n in names):
+            raise InputError(f"--{flag} is not read by suite {args.suite}")
+    if "limits" in names and args.depth < 2:
+        raise InputError("suite limits builds models at --depth - 1 and --depth + 1, so it needs --depth >= 2")
     report = Report()
-    if args.suite == "all":
-        code = 0
-        for name, fn in _SUITES.items():
-            report.section("verify")
-            report.kv("suite", name)
-            code = max(code, fn(args, report))
-        return report, code
-    report.section("verify")
-    report.kv("suite", args.suite)
-    code = _SUITES[args.suite](args, report)
+    code = 0
+    for name in names:
+        report.section("verify")
+        report.kv("suite", name)
+        code = max(code, _SUITES[name](args, report))
     return report, code
 
 
@@ -871,10 +879,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers are reusable, and building one costs more than most
+# commands, so it is built once
+_PARSER = _build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     handlers = {

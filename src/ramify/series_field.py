@@ -3,8 +3,8 @@
 The model field for a valued field with value group Gamma and residue
 characteristic p is built in three layers:
 
-* coefficients: multivariate polynomials over F_p (sympy ``PolyElement``
-  with domain GF(p) and graded-lex monomial order).  Some variables are
+* coefficients: multivariate polynomials over F_p (``Poly``, a sparse map
+  from exponent tuples to integers in 1..p-1).  Some variables are
   *tagged* by positive group elements and move under the automorphism
   below; the rest are plain unit variables and stay fixed.
 * ``SeriesElement``: a finite F_p[x..]-linear combination of monomials
@@ -13,6 +13,28 @@ characteristic p is built in three layers:
   in its support (coefficients are units, so no carrying occurs).
 * ``FieldElement``: a quotient num/den of two series.  Fractions are kept
   unreduced; equality is decided by cross-multiplication, which is exact.
+
+A series is stored flat, as one sparse dict ``{key: c}`` with c in 1..p-1,
+one entry per monomial t^gamma * x^e.  The key packs the whole monomial
+into one Python int (Kronecker substitution), laid out by a ``_Layout``:
+
+* the variable exponents sit in the low bits, ``w`` bits per variable,
+  tagged variables lowest;
+* above them sits the t-exponent as an integer T.  Over Z[1/q] it is the
+  numerator of gamma over a common q-power denominator ``den``; over Z^n
+  it is the n coordinates as balanced base-2^tw digits; over Q + Q*sqrt(d)
+  it is the pair (a*den, b*den) packed the same way.
+
+Each series carries bounds on its largest variable exponent and its largest
+lower t-coordinate, and every operation picks a layout whose fields hold
+the bounds of its result, so no field ever carries into the next; operands
+in different layouts are re-packed into a common one once per operation.
+Multiplying monomials is then adding keys, and over Z[1/q] and Z^n the
+integer order of keys refines the order of the t-exponents, so the
+valuation is read off ``min(keys)``; over Q + Q*sqrt(d) the distinct
+t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
+``GroupElement`` and ``Poly`` only at the API edge: ``terms``,
+``support``, ``valuation`` and ``leading_coeff``.
 
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It preserves
@@ -24,17 +46,29 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from sympy.polys.domains import GF
-from sympy.polys.rings import ring as _sympy_ring
-
-from .ordered_group import GroupDescriptor, GroupElement, _is_prime, compare, int_scale, is_positive
+from .ordered_group import (
+    KIND_INT_LEX,
+    KIND_P_INVERTED,
+    GroupDescriptor,
+    GroupElement,
+    _is_prime,
+    compare,
+    int_scale,
+    is_positive,
+    quad_sign,
+)
 
 __all__ = [
     "CoeffField",
     "Coeff",
+    "Poly",
+    "PolyRing",
     "SeriesElement",
     "FieldElement",
     "SigmaSpec",
@@ -49,12 +83,143 @@ __all__ = [
 ]
 
 
+# -- F_p polynomials ------------------------------------------------------------------
+
+
+class PrimeField:
+    """F_p as the coefficient domain of a ``PolyRing``: calling it reduces
+    an integer mod p."""
+
+    __slots__ = ("mod",)
+
+    def __init__(self, p: int):
+        self.mod = p
+
+    def __call__(self, k: int) -> int:
+        return int(k) % self.mod
+
+
+class PolyRing:
+    """F_p[names], graded by exponent tuples in the order of ``names``."""
+
+    def __init__(self, p: int, names: Sequence[str]):
+        self.p = p
+        self.names = tuple(names)
+        self.ngens = len(self.names)
+        self.domain = PrimeField(p)
+        self.zero = Poly(self, {})
+        self.one = self.from_dict({(0,) * self.ngens: 1})
+        self.gens = tuple(
+            Poly(self, {tuple(int(i == j) for j in range(self.ngens)): 1}) for i in range(self.ngens)
+        )
+
+    def from_dict(self, terms) -> "Poly":
+        """Polynomial from {exponent tuple: integer}, coefficients reduced mod p."""
+        out = {}
+        for exps, c in terms.items():
+            c = int(c) % self.p
+            if c:
+                out[tuple(exps)] = c
+        return Poly(self, out)
+
+
+class Poly:
+    """An element of a ``PolyRing``: {exponent tuple: c}, c in 1..p-1.
+
+    Immutable by convention; every operation returns a new polynomial.
+    """
+
+    __slots__ = ("ring", "_terms")
+
+    def __init__(self, ring: PolyRing, terms: Dict[Tuple[int, ...], int]):
+        self.ring = ring
+        self._terms = terms
+
+    def terms(self) -> List[Tuple[Tuple[int, ...], int]]:
+        return list(self._terms.items())
+
+    def _lift(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            return other
+        if isinstance(other, int):
+            return self.ring.from_dict({(0,) * self.ring.ngens: other})
+        raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self._lift(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._terms == other._terms and self.ring.p == other.ring.p
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other) -> "Poly":
+        other = self._lift(other)
+        p = self.ring.p
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = (out.get(e, 0) + c) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return Poly(self.ring, out)
+
+    def __neg__(self) -> "Poly":
+        p = self.ring.p
+        return Poly(self.ring, {e: p - c for e, c in self._terms.items()})
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-self._lift(other))
+
+    def __mul__(self, other) -> "Poly":
+        other = self._lift(other)
+        p = self.ring.p
+        acc: Dict[Tuple[int, ...], int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return Poly(self.ring, {e: c % p for e, c in acc.items() if c % p})
+
+    def __pow__(self, n: int) -> "Poly":
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial powers need an integer n >= 0")
+        out, base = self.ring.one, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        bits = []
+        for exps, c in sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+            factors = [str(c)] if c != 1 or not any(exps) else []
+            for name, e in zip(self.ring.names, exps):
+                if e:
+                    factors.append(name if e == 1 else f"{name}**{e}")
+            bits.append("*".join(factors))
+        return " + ".join(bits)
+
+    __repr__ = __str__
+
+
 class CoeffField:
     """Polynomial coefficients over F_p with group-tagged variables.
 
     ``tags`` lists the tagged variables by their group elements (kept in
     decreasing order); ``units`` names extra untagged variables.  Tagged
-    variables come first in the underlying sympy ring.
+    variables come first in the polynomial ring.
     """
 
     def __init__(self, p: int, tags: Sequence[GroupElement] = (), units: Sequence[str] = ()):
@@ -72,10 +237,12 @@ class CoeffField:
         self.p = p
         self.tags = tags
         self.units = tuple(units)
-        self.ring = _sympy_ring(names, GF(p), "grlex")[0]
+        self.ring = PolyRing(p, names)
         self.gens = self.ring.gens
         self.one = self.ring.one
         self.zero = self.ring.zero
+        # the first layout of series over this field, per group
+        self._layouts: Dict[GroupDescriptor, _Layout] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffField):
@@ -89,14 +256,14 @@ class CoeffField:
         tags = ", ".join(str(t.value) for t in self.tags)
         return f"CoeffField(p={self.p}, tags=({tags}), units={self.units})"
 
-    def tagged_gen(self, i: int):
+    def tagged_gen(self, i: int) -> Poly:
         return self.gens[i]
 
-    def unit_gen(self, name: str):
+    def unit_gen(self, name: str) -> Poly:
         return self.gens[len(self.tags) + self.units.index(name)]
 
-    def const(self, k: int):
-        return self.ring.from_dict({(0,) * self.ring.ngens: k % self.p})
+    def const(self, k: int) -> Poly:
+        return self.ring.from_dict({(0,) * self.ring.ngens: k})
 
 
 @dataclass(frozen=True)
@@ -113,79 +280,330 @@ class Coeff:
         return self.num * other.den == other.num * self.den
 
 
+# -- packed monomial keys ---------------------------------------------------------------
+
+# least field widths, in bits, so that small series share one layout and
+# growing products are re-packed rarely
+_MIN_EXP_BITS = 4
+_MIN_T_BITS = 12
+
+
+class _Layout:
+    """How a monomial t^T * x^e packs into one int key.
+
+    key = T * 2^shift + sum_i e_i * 2^(w*i).  T is a scaled t-exponent:
+    ``nlow`` lower coordinates below a top one, as balanced base-2^tw
+    digits, all over the denominator ``den``.  A key is valid when every
+    exponent is below 2^w and every lower coordinate is below 2^(tw-1) in
+    absolute value.  Layouts are interned, so equal layouts are identical.
+    """
+
+    __slots__ = (
+        "nlow", "nvars", "ntags", "den", "w", "tw",
+        "shift", "mono_mask", "tag_mask", "emask", "offsets", "tmask", "half", "ecap", "tcap", "zeros",
+    )
+
+    def __init__(self, nlow: int, nvars: int, ntags: int, den: int, w: int, tw: int):
+        self.nlow, self.nvars, self.ntags, self.den, self.w, self.tw = nlow, nvars, ntags, den, w, tw
+        self.shift = w * nvars
+        self.mono_mask = (1 << self.shift) - 1
+        self.tag_mask = (1 << (w * ntags)) - 1
+        self.emask = (1 << w) - 1
+        self.offsets = tuple(range(0, self.shift, w))
+        self.tmask = (1 << tw) - 1
+        self.half = 1 << (tw - 1)
+        self.ecap = 1 << w
+        self.tcap = self.half if nlow else None
+        self.zeros = (0,) * nvars
+
+    def fits(self, emax: int, tb: int) -> bool:
+        return emax < self.ecap and (not self.nlow or tb < self.tcap)
+
+    def t_code(self, coords: Sequence[int]) -> int:
+        T = coords[0]
+        for c in coords[1:]:
+            T = (T << self.tw) + c
+        return T
+
+    def t_coords(self, T: int) -> Tuple[int, ...]:
+        if not self.nlow:
+            return (T,)
+        lows = []
+        for _ in range(self.nlow):
+            c = ((T + self.half) & self.tmask) - self.half
+            lows.append(c)
+            T = (T - c) >> self.tw
+        return (T,) + tuple(reversed(lows))
+
+    def mono_code(self, exps: Sequence[int]) -> int:
+        return sum(e << off for e, off in zip(exps, self.offsets))
+
+    def mono_exps(self, m: int) -> Tuple[int, ...]:
+        emask = self.emask
+        return tuple((m >> off) & emask for off in self.offsets)
+
+
+_LAYOUTS: Dict[tuple, _Layout] = {}
+
+
+def _layout(nlow: int, nvars: int, ntags: int, den: int, w: int, tw: int) -> _Layout:
+    key = (nlow, nvars, ntags, den, w, tw)
+    got = _LAYOUTS.get(key)
+    if got is None:
+        got = _LAYOUTS[key] = _Layout(*key)
+    return got
+
+
+def _nlow(descriptor: GroupDescriptor) -> int:
+    if descriptor.kind == KIND_P_INVERTED:
+        return 0
+    if descriptor.kind == KIND_INT_LEX:
+        return descriptor.param - 1
+    return 1
+
+
+def _den_of(gamma: GroupElement) -> int:
+    """Least denominator that makes gamma's coordinates integers."""
+    kind, v = gamma.descriptor.kind, gamma.value
+    if kind == KIND_P_INVERTED:
+        return v.denominator
+    if kind == KIND_INT_LEX:
+        return 1
+    return lcm(v[0].denominator, v[1].denominator)
+
+
+def _coords(gamma: GroupElement, den: int) -> Tuple[int, ...]:
+    """gamma's coordinates times den (den a multiple of ``_den_of(gamma)``)."""
+    kind, v = gamma.descriptor.kind, gamma.value
+    if kind == KIND_P_INVERTED:
+        return (v.numerator * (den // v.denominator),)
+    if kind == KIND_INT_LEX:
+        return v
+    return tuple(c.numerator * (den // c.denominator) for c in v)
+
+
+def _low_bound(coords: Sequence[int]) -> int:
+    return max((abs(c) for c in coords[1:]), default=0)
+
+
+def _element(descriptor: GroupDescriptor, coords: Tuple[int, ...], den: int) -> GroupElement:
+    kind = descriptor.kind
+    if kind == KIND_P_INVERTED:
+        return GroupElement(descriptor, Fraction(coords[0], den))
+    if kind == KIND_INT_LEX:
+        return GroupElement(descriptor, coords)
+    return GroupElement(descriptor, (Fraction(coords[0], den), Fraction(coords[1], den)))
+
+
+def _base_layout(field: CoeffField, descriptor: GroupDescriptor) -> _Layout:
+    """The narrowest layout over (field, descriptor): tag denominators
+    included, so that sigma needs no re-pack."""
+    got = field._layouts.get(descriptor)
+    if got is None:
+        den = lcm(1, *(_den_of(tag) for tag in field.tags if tag.descriptor == descriptor))
+        got = field._layouts[descriptor] = _layout(
+            _nlow(descriptor), field.ring.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
+        )
+    return got
+
+
+def _widen(lay: _Layout, den: int, emax: int, tb: int) -> _Layout:
+    """``lay`` itself when it already holds den, emax and tb, else the
+    least layout at least as wide that does."""
+    if lay.den % den == 0 and lay.fits(emax, tb):
+        return lay
+    w = lay.w if emax < lay.ecap else emax.bit_length() + 1
+    tw = lay.tw if not lay.nlow or tb < lay.tcap else tb.bit_length() + 3
+    return _layout(lay.nlow, lay.nvars, lay.ntags, lcm(lay.den, den), w, tw)
+
+
+def _repack(data: Dict[int, int], src: _Layout, dst: _Layout) -> Dict[int, int]:
+    """The same monomials with keys in layout ``dst``; the caller ensures
+    that they fit there."""
+    if src is dst or not data:
+        return data
+    factor = dst.den // src.den
+    S, mask = src.shift, src.mono_mask
+    S2 = dst.shift
+    if src.w == dst.w and not src.nlow:
+        return {(((k >> S) * factor) << S2) + (k & mask): c for k, c in data.items()}
+    out = {}
+    for k, c in data.items():
+        coords = src.t_coords(k >> S)
+        if factor != 1:
+            coords = tuple(x * factor for x in coords)
+        m = k & mask
+        if src.w != dst.w:
+            m = dst.mono_code(src.mono_exps(m))
+        out[(dst.t_code(coords) << S2) + m] = c
+    return out
+
+
+# -- series -----------------------------------------------------------------------------
+
+
 class SeriesElement:
-    """Finite support map gamma -> nonzero coefficient polynomial."""
+    """Finite support map gamma -> nonzero coefficient polynomial, stored
+    as packed monomial keys (see the module docstring)."""
 
-    __slots__ = ("field", "descriptor", "_terms")
+    # _eb bounds each variable's exponent and _tb the lower t-coordinates
+    # (scaled by the layout's den); both hold for every key in _data
+    __slots__ = ("field", "descriptor", "_data", "_lay", "_eb", "_tb")
 
-    def __init__(self, field: CoeffField, descriptor: GroupDescriptor, terms: Dict[GroupElement, object]):
+    def __init__(self, field: CoeffField, descriptor: GroupDescriptor, terms: Dict[GroupElement, Poly]):
         self.field = field
         self.descriptor = descriptor
-        self._terms = {g: c for g, c in terms.items() if c}
+        terms = [(g, c) for g, c in terms.items() if c]
+        den = lcm(1, *(_den_of(g) for g, _ in terms))
+        exps = [e for _, c in terms for e in c._terms]
+        eb = tuple(map(max, zip(*exps))) if exps else field.ring.ngens * (0,)
+        coords = [(_coords(g, den), c) for g, c in terms]
+        tb = max((_low_bound(x) for x, _ in coords), default=0)
+        lay = _base_layout(field, descriptor)
+        lay = _widen(lay, den, max(eb, default=0), tb * (lcm(lay.den, den) // den))
+        factor = lay.den // den
+        data = {}
+        for x, c in coords:
+            base = lay.t_code([v * factor for v in x]) << lay.shift
+            for e, k in c._terms.items():
+                data[base + lay.mono_code(e)] = k
+        self._data, self._lay, self._eb, self._tb = data, lay, eb, tb * factor
 
     # -- basic views ---------------------------------------------------------
 
-    def terms(self) -> Iterable[Tuple[GroupElement, object]]:
-        return self._terms.items()
+    def _t_element(self, T: int) -> GroupElement:
+        return _element(self.descriptor, self._lay.t_coords(T), self._lay.den)
+
+    def _poly(self, monos: Dict[int, int]) -> Poly:
+        lay = self._lay
+        return Poly(self.field.ring, {lay.mono_exps(m): c for m, c in monos.items()})
+
+    def terms(self) -> Iterable[Tuple[GroupElement, Poly]]:
+        lay = self._lay
+        S, mask = lay.shift, lay.mono_mask
+        groups: Dict[int, Dict[int, int]] = {}
+        for k, c in self._data.items():
+            groups.setdefault(k >> S, {})[k & mask] = c
+        return {self._t_element(T): self._poly(monos) for T, monos in groups.items()}.items()
+
+    def _t_codes(self) -> List[int]:
+        """The distinct t-parts of the keys, in increasing group order."""
+        S = self._lay.shift
+        codes = sorted({k >> S for k in self._data})
+        if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
+            return codes
+        d, t_coords = self.descriptor.param, self._lay.t_coords
+
+        def cmp(x, y):
+            (a1, b1), (a2, b2) = t_coords(x), t_coords(y)
+            return quad_sign(a1 - a2, b1 - b2, d)
+
+        return sorted(codes, key=cmp_to_key(cmp))
+
+    def _lead_t(self) -> int:
+        if not self._data:
+            raise ValueError("the zero series has no valuation")
+        if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
+            return min(self._data) >> self._lay.shift
+        return self._t_codes()[0]
 
     def support(self) -> Tuple[GroupElement, ...]:
-        return tuple(sorted(self._terms, key=cmp_to_key(compare)))
+        return tuple(self._t_element(T) for T in self._t_codes())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._data
 
     def valuation(self) -> GroupElement:
-        if not self._terms:
-            raise ValueError("the zero series has no valuation")
-        return min(self._terms, key=cmp_to_key(compare))
+        return self._t_element(self._lead_t())
 
-    def leading_coeff(self):
-        return self._terms[self.valuation()]
+    def leading_coeff(self) -> Poly:
+        S = self._lay.shift
+        lo = self._lead_t() << S
+        hi = lo + (1 << S)
+        return self._poly({k - lo: c for k, c in self._data.items() if lo <= k < hi})
 
     def _check_peer(self, other: "SeriesElement") -> None:
         if not isinstance(other, SeriesElement):
             raise TypeError(f"expected SeriesElement, got {type(other).__name__}")
-        if other.field != self.field or other.descriptor != self.descriptor:
+        if (other.field is not self.field and other.field != self.field) or (
+            other.descriptor is not self.descriptor and other.descriptor != self.descriptor
+        ):
             raise ValueError("series live over different fields")
+
+    def _aligned(self, other: "SeriesElement", product: bool):
+        """Both operands' keys in one layout that holds the result: bounds
+        add for a product and take the maximum for a sum."""
+        la, lb = self._lay, other._lay
+        if la is lb:
+            ta, tb = self._tb, other._tb
+            lay = la
+        else:
+            den = lcm(la.den, lb.den)
+            ta, tb = self._tb * (den // la.den), other._tb * (den // lb.den)
+            lay = _layout(la.nlow, la.nvars, la.ntags, den, max(la.w, lb.w), max(la.tw, lb.tw))
+        if product:
+            eb, tbound = tuple(map(add, self._eb, other._eb)), ta + tb
+        else:
+            eb, tbound = tuple(map(max, self._eb, other._eb)), max(ta, tb)
+        emax = max(eb, default=0)
+        if not lay.fits(emax, tbound):
+            lay = _widen(lay, 1, emax, tbound)
+        a = self._data if la is lay else _repack(self._data, la, lay)
+        b = other._data if lb is lay else _repack(other._data, lb, lay)
+        return lay, a, b, eb, tbound
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         self._check_peer(other)
-        out = dict(self._terms)
-        for g, c in other._terms.items():
-            s = out.get(g, self.field.zero) + c
+        lay, a, b, eb, tb = self._aligned(other, product=False)
+        p = self.field.p
+        out = dict(a)
+        for k, c in b.items():
+            s = (out.get(k, 0) + c) % p
             if s:
-                out[g] = s
+                out[k] = s
             else:
-                out.pop(g, None)
-        return SeriesElement(self.field, self.descriptor, out)
+                del out[k]
+        return _packed(self.field, self.descriptor, out, lay, eb, tb)
 
     def __neg__(self) -> "SeriesElement":
-        return SeriesElement(self.field, self.descriptor, {g: -c for g, c in self._terms.items()})
+        p = self.field.p
+        data = {k: p - c for k, c in self._data.items()}
+        return _packed(self.field, self.descriptor, data, self._lay, self._eb, self._tb)
 
     def __sub__(self, other: "SeriesElement") -> "SeriesElement":
         return self + (-other)
 
+    def _times(self, other: "SeriesElement") -> "SeriesElement":
+        lay, a, b, eb, tb = self._aligned(other, product=True)
+        if len(a) > len(b):
+            a, b = b, a
+        acc: Dict[int, int] = {}
+        get = acc.get
+        inner = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in inner:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        p = self.field.p
+        out = {}
+        for k, c in acc.items():
+            c %= p
+            if c:
+                out[k] = c
+        return _packed(self.field, self.descriptor, out, lay, eb, tb)
+
     def __mul__(self, other: "SeriesElement") -> "SeriesElement":
         self._check_peer(other)
-        out: Dict[GroupElement, object] = {}
-        for g1, c1 in self._terms.items():
-            for g2, c2 in other._terms.items():
-                g = g1 + g2
-                s = out.get(g, self.field.zero) + c1 * c2
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
-        return SeriesElement(self.field, self.descriptor, out)
+        return self._times(other)
 
-    def scale(self, coeff) -> "SeriesElement":
-        return SeriesElement(self.field, self.descriptor, {g: c * coeff for g, c in self._terms.items()})
+    def scale(self, coeff: Poly) -> "SeriesElement":
+        return self._times(constant_series(self.field, self.descriptor, coeff))
 
     def shift(self, gamma: GroupElement) -> "SeriesElement":
         """Multiply by the monomial t^gamma."""
-        return SeriesElement(self.field, self.descriptor, {g + gamma: c for g, c in self._terms.items()})
+        return self._times(t_term(self.field, self.descriptor, gamma))
 
     def power(self, n: int) -> "SeriesElement":
         if n < 0:
@@ -202,19 +620,31 @@ class SeriesElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesElement):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.descriptor == other.descriptor
-            and self._terms == other._terms
-        )
+        if self.field != other.field or self.descriptor != other.descriptor:
+            return False
+        if self._lay is other._lay:
+            return self._data == other._data
+        if len(self._data) != len(other._data):
+            return False
+        _, a, b, _, _ = self._aligned(other, product=False)
+        return a == b
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._data:
             return "0"
-        bits = [f"({c})*t^{g.value}" for g, c in sorted(self._terms.items(), key=lambda kv: cmp_to_key(compare)(kv[0]))]
-        return " + ".join(bits)
+        terms = dict(self.terms())
+        return " + ".join(f"({terms[g]})*t^{g.value}" for g in self.support())
+
+
+def _packed(field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], lay: _Layout,
+            eb: Tuple[int, ...], tb: int) -> SeriesElement:
+    """A series from keys already packed in ``lay``, with their bounds."""
+    out = object.__new__(SeriesElement)
+    out.field, out.descriptor = field, descriptor
+    out._data, out._lay, out._eb, out._tb = data, lay, eb, tb
+    return out
 
 
 def t_term(field: CoeffField, descriptor: GroupDescriptor, gamma: GroupElement, coeff=1) -> SeriesElement:
@@ -227,7 +657,10 @@ def constant_series(field: CoeffField, descriptor: GroupDescriptor, coeff) -> Se
     from .ordered_group import zero as group_zero
 
     if isinstance(coeff, int):
-        coeff = field.const(coeff)
+        # the key of the monomial t^0 * x^0 is 0 in every layout
+        k = coeff % field.p
+        lay = _base_layout(field, descriptor)
+        return _packed(field, descriptor, {0: k} if k else {}, lay, lay.zeros, 0)
     return SeriesElement(field, descriptor, {group_zero(descriptor): coeff})
 
 
@@ -309,10 +742,10 @@ class FieldElement:
         if len(terms) != 1:
             raise ValueError("denominator is not a monomial")
         gamma, c = terms[0]
-        cterms = list(c.terms())
+        cterms = c.terms()
         if len(cterms) != 1 or any(e for e in cterms[0][0]):
             raise ValueError("denominator coefficient is not a constant")
-        inv = pow(int(cterms[0][1]) % self.field.p, -1, self.field.p)
+        inv = pow(cterms[0][1], -1, self.field.p)
         return self.num.scale(self.field.const(inv)).shift(-gamma)
 
     def __repr__(self) -> str:
@@ -346,6 +779,12 @@ class SigmaSpec:
         # expansions of tagged monomials recur constantly (conjugates share
         # exponent patterns), so they are cached per exponent tuple
         self._expansions: Dict[Tuple[int, ...], SeriesElement] = {}
+        # the layout sigma works in; it only grows, so that series of
+        # different scales share one table of rows
+        self._lay = _base_layout(field, descriptor)
+        # per packed tagged exponents, in self._lay: the (key delta,
+        # coefficient) pairs that turn a monomial's key into its image's
+        self._rows: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     def _tagged_expansion(self, tagged: Tuple[int, ...]) -> SeriesElement:
         got = self._expansions.get(tagged)
@@ -357,23 +796,45 @@ class SigmaSpec:
             self._expansions[tagged] = got
         return got
 
+    def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
+        tagged = lay.mono_exps(tc)[: lay.ntags]
+        expansion = self._tagged_expansion(tagged)
+        return tuple((k - tc, c) for k, c in _repack(expansion._data, expansion._lay, lay).items())
+
     def _apply_series(self, f: SeriesElement) -> SeriesElement:
-        ntags = len(self.field.tags)
-        acc: Dict[GroupElement, object] = {}
-        zero_poly = self.field.ring.zero
-        for gamma, c in f.terms():
-            for exps, coeff in c.terms():
-                unit_part = self.field.ring.from_dict(
-                    {(0,) * ntags + exps[ntags:]: coeff}
-                )
-                tagged = exps[:ntags]
-                if not any(tagged):
-                    acc[gamma] = acc.get(gamma, zero_poly) + unit_part
-                    continue
-                for g2, c2 in self._tagged_expansion(tagged).terms():
-                    key = gamma + g2
-                    acc[key] = acc.get(key, zero_poly) + c2 * unit_part
-        return SeriesElement(self.field, self.descriptor, acc)
+        # the image of x_i^e moves the lower t-coordinates of a monomial by
+        # at most e times those of sigma(x_i), so widen once up front
+        la, lay = f._lay, self._lay
+        den = lcm(lay.den, la.den, *(img._lay.den for img in self._images))
+        tb = f._tb * (den // la.den)
+        tb += sum(e * img._tb * (den // img._lay.den) for e, img in zip(f._eb, self._images))
+        lay = _layout(lay.nlow, lay.nvars, lay.ntags, den, max(lay.w, la.w), max(lay.tw, la.tw))
+        lay = _widen(lay, 1, max(f._eb, default=0), tb)
+        if lay is not self._lay:
+            self._lay, self._rows = lay, {}
+        rows = self._rows
+        data = _repack(f._data, la, lay)
+        tag_mask = lay.tag_mask
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for key, c in data.items():
+            tc = key & tag_mask
+            if not tc:
+                acc[key] = get(key, 0) + c
+                continue
+            row = rows.get(tc)
+            if row is None:
+                row = rows[tc] = self._row(lay, tc)
+            for delta, c2 in row:
+                k = key + delta
+                acc[k] = get(k, 0) + c * c2
+        p = self.p
+        out = {}
+        for k, c in acc.items():
+            c %= p
+            if c:
+                out[k] = c
+        return _packed(f.field, f.descriptor, out, lay, f._eb, tb)
 
     def apply(self, f: Union[SeriesElement, FieldElement]):
         if isinstance(f, FieldElement):

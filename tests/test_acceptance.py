@@ -36,6 +36,7 @@ from ramify.series_field import (
     CoeffField,
     FieldElement,
     SeriesElement,
+    SigmaSpec,
     norm_trace_laws,
     t_term,
     valuation_laws,
@@ -350,4 +351,41 @@ def test_criterion_10_series_engine_laws():
                 coeff = model.field.ring.from_dict({tuple(exps): rng.randint(1, p - 1)})
                 f = SeriesElement(model.field, descriptor, {gamma: coeff})
                 c.failures += norm_trace_laws(model.sigma, f)
+        # norm and trace on multi-term series: drawn as `verify --suite
+        # series` draws them at p = 5 and 7, and built by hand over quad:2
+        # and zlex:2
+        for p, draws in ((5, 30), (7, 8)):
+            descriptor = p_inverted(p)
+            model = build_defect_model(descriptor, p, open_cut(descriptor, element(descriptor, 1)), depth=3)
+            rng = random.Random(200 + p)
+            for _ in range(draws):
+                f = _random_model_series(model, rng)
+                g = _random_model_series(model, rng)
+                c.failures += valuation_laws(model.sigma, f, g) + norm_trace_laws(model.sigma, f)
+        hand_tags = {
+            QD2: (element(QD2, (1, 0)), element(QD2, (Fraction(-1, 2), 1))),
+            Z2: (element(Z2, (1, -2)), element(Z2, (0, 3))),
+        }
+        for descriptor, tags in hand_tags.items():
+            field = CoeffField(3, tags=tags, units=("u",))
+            sigma = SigmaSpec(field, descriptor)
+            rng = random.Random(300)
+            for _ in range(40):
+                f = _hand_built_series(field, descriptor, rng)
+                g = _hand_built_series(field, descriptor, rng)
+                c.failures += valuation_laws(sigma, f, g) + norm_trace_laws(sigma, f)
     c.conclude()
+
+
+def _hand_built_series(field, descriptor, rng):
+    """Two or three terms t^gamma times a monomial in every variable."""
+    terms = {}
+    for _ in range(rng.randint(2, 3)):
+        if descriptor == Z2:
+            gamma = element(Z2, (rng.randint(-3, 3), rng.randint(-9, 9)))
+        else:
+            a = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))
+            gamma = element(descriptor, (a, Fraction(rng.randint(-3, 3), rng.choice((1, 3)))))
+        exps = tuple(rng.randint(0, 2) for _ in range(field.ring.ngens))
+        terms[gamma] = terms.get(gamma, field.zero) + field.ring.from_dict({exps: rng.randint(1, field.p - 1)})
+    return SeriesElement(field, descriptor, terms)

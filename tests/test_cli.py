@@ -17,9 +17,10 @@ from ramify.cli import (
     run,
 )
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut
-from ramify.defect_lab import DeltaBoundError
+from ramify.defect_lab import DeltaBoundError, build_defect_model
 from ramify.ordered_group import element, hull_element, int_lex, p_inverted, quadratic
 from ramify.series_field import CoeffField, FieldElement, t_term, variable_series
+from ramify.swan import break_of
 
 from .strategies import descriptors, elements, group_cuts, hull_ideals
 
@@ -381,7 +382,7 @@ def test_exit_2_on_argparse_errors():
         ["classify", "--group", "zlex:1", "--p", "1", "--as", "t(-3)"],
         ["classify", "--group", "zlex:1", "--p", "4", "--as", "t(-3)"],
         ["separation", "--gap", "1", "--p", "1"],
-        ["construct-defect", "--group", "zp:3", "--p", "2", "--cut", "gt q(1)"],
+        ["verify", "--suite", "limits", "--p", "2", "--depth", "1"],
         ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "-3"],
         ["verify", "--suite", "claim2", "--p", "2", "--cut", "ge(q(1))"],
         ["verify", "--suite", "limits", "--p", "2", "--cut", "ge(q(1))"],
@@ -392,6 +393,9 @@ def test_exit_2_on_argparse_errors():
         ["eval", "--group", "quad:1000000000000000003", "--H", "ge quad(1,0)", "--I", "ge quad(1,0)"],
         ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--depth", "2000"],
         ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--depth", "5000"],
+        ["verify", "--suite", "series", "--p", "2", "--samples", "1", "--depth", "0"],
+        ["verify", "--suite", "series", "--p", "2", "--group", "zlex:1"],
+        ["verify", "--suite", "theorem1", "--p", "2", "--cut", "gt q(1)"],
     ],
 )
 def test_exit_2_on_any_malformed_input(argv):
@@ -399,6 +403,49 @@ def test_exit_2_on_any_malformed_input(argv):
     assert code == 2
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+def test_verify_refuses_flags_no_suite_reads():
+    assert run_cli(["verify", "--suite", "series", "--p", "2", "--group", "zp:2"]) == (
+        2, "", "error: --group is not read by suite series\n"
+    )
+    assert run_cli(["verify", "--suite", "theorem1", "--p", "2", "--cut", "gt q(1)"]) == (
+        2, "", "error: --cut is not read by suite theorem1\n"
+    )
+    code, _, _ = run_cli(["verify", "--suite", "all", "--p", "2", "--samples", "2", "--cut", "gt q(1)"])
+    assert code == 0  # claim2 and limits read it
+
+
+def test_verify_builds_models_at_the_given_depth(monkeypatch):
+    import ramify.cli as cli_mod
+
+    build = cli_mod.build_defect_model
+    depths = []
+
+    def recording(*args, depth):
+        depths.append(depth)
+        return build(*args, depth=depth)
+
+    monkeypatch.setattr(cli_mod, "build_defect_model", recording)
+    code, out, _ = run_cli(["verify", "--suite", "limits", "--p", "2", "--depth", "4"])
+    assert code == 0 and depths == [3, 5]
+    assert "unresolved_depth3: " in out and "unresolved_depth5: " in out
+    depths.clear()
+    code, _, _ = run_cli(["verify", "--suite", "series", "--p", "2", "--samples", "2", "--depth", "2"])
+    assert code == 0 and depths == [2]
+
+
+def test_construct_defect_prints_a_root_set_off_the_group():
+    # over Z[1/3] at p = 2 the root set is gt 1/2, and 1/2 is no group point
+    code, out, err = run_cli(["construct-defect", "--group", "zp:3", "--p", "2", "--cut", "gt q(1)"])
+    assert (code, err) == (0, "")
+    printed = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert printed["D"] == "gt surd(1/2,0,0)"
+    d = parse_group("zp:3")
+    model = build_defect_model(d, 2, open_cut(d, element(d, 1)), depth=3)
+    cuts = {"C": model.conductor, "D": model.root_set, "H": model.swan.conductor, "break": break_of(model.conductor)}
+    for key, cut in cuts.items():
+        assert parse_cut(printed[key], d, hull=cut.over_hull) == cut
 
 
 def test_breaks_with_a_400_digit_surd_bound():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.ordered_group import element, int_lex, int_scale, p_inverted
+from ramify.ordered_group import element, int_lex, int_scale, p_inverted, quadratic
 from ramify.series_field import (
     Coeff,
     CoeffField,
@@ -31,10 +34,30 @@ F2 = CoeffField(2, tags=(E1, E0), units=("u",))  # sorted to (E0, E1)
 F3 = CoeffField(3, tags=(element(Z1, 3), element(Z1, 1)), units=())
 SIGMAS = {2: SigmaSpec(F2, ZP2), 3: SigmaSpec(F3, Z1)}
 
+# larger p, and the two groups the specs above leave out
+ZP5, ZP7, Z2, Q2 = p_inverted(5), p_inverted(7), int_lex(2), quadratic(2)
+WIDE_SIGMAS = [
+    SigmaSpec(CoeffField(5, tags=(element(ZP5, 1), element(ZP5, Fraction(6, 25)))), ZP5),
+    SigmaSpec(CoeffField(7, tags=(element(ZP7, 1), element(ZP7, Fraction(8, 49)))), ZP7),
+    SigmaSpec(CoeffField(3, tags=(element(Z2, (1, -2)), element(Z2, (0, 3))), units=("u",)), Z2),
+    SigmaSpec(CoeffField(2, tags=(element(Q2, (1, 0)), element(Q2, (Fraction(-1, 2), 1))), units=("u",)), Q2),
+]
+
 
 def _exps(descriptor):
     if descriptor == Z1:
         return st.integers(min_value=-4, max_value=4).map(lambda n: element(Z1, n))
+    if descriptor == Z2:
+        return st.tuples(st.integers(-3, 3), st.integers(-9, 9)).map(lambda ab: element(Z2, ab))
+    if descriptor == Q2:
+        return st.tuples(st.integers(-6, 6), st.integers(-2, 2), st.sampled_from([1, 2, 3])).map(
+            lambda abk: element(Q2, (Fraction(abk[0], abk[2]), Fraction(abk[1], abk[2])))
+        )
+    if descriptor in (ZP5, ZP7):
+        q = descriptor.param
+        return st.tuples(st.integers(-12, 12), st.integers(0, 2)).map(
+            lambda nk: element(descriptor, Fraction(nk[0], q ** nk[1]))
+        )
     return st.tuples(
         st.integers(min_value=-12, max_value=12), st.integers(min_value=0, max_value=2)
     ).map(lambda nk: element(ZP2, Fraction(nk[0], 2 ** nk[1])))
@@ -91,6 +114,14 @@ def test_field_construction():
     # no variables at all is a legal (constant) coefficient field
     empty = CoeffField(5)
     assert empty.const(7).eq(empty.const(2)) if isinstance(empty.const(7), Coeff) else empty.const(7) == empty.const(2)
+
+
+def test_import_leaves_sympy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ramify, ramify.cli; print('sympy' in sys.modules)"
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (got.returncode, got.stdout) == (0, "False\n"), got.stderr
 
 
 def test_generators():
@@ -265,6 +296,24 @@ def test_norm_trace_sigma_fixed(p, data):
     assert s.apply(n) == n
     assert s.apply(tr) == tr
     assert n.valuation() == int_scale(p, f.valuation())
+
+
+@st.composite
+def multi_term_series(draw, field, descriptor):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        gamma = draw(_exps(descriptor))
+        terms[gamma] = terms.get(gamma, field.zero) + draw(polys(field, max_deg=1))
+    return SeriesElement(field, descriptor, terms)
+
+
+@given(st.sampled_from(WIDE_SIGMAS), st.data())
+@settings(deadline=None, max_examples=40)
+def test_norm_trace_laws_on_multi_term_series(s, data):
+    f = data.draw(multi_term_series(s.field, s.descriptor))
+    g = data.draw(multi_term_series(s.field, s.descriptor))
+    assert valuation_laws(s, f, g) == []
+    assert norm_trace_laws(s, f) == []
 
 
 def test_trace_of_constant():

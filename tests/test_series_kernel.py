@@ -1,0 +1,164 @@
+"""Property tests of the packed-key series kernel against the plain
+reference in ``series_reference``.
+
+The strategies aim at the packing's edges: negative t-exponents, variable
+exponents on both sides of the 2^4 field width, lower t-coordinates on both
+sides of the balanced 2^11 bound, and operands whose denominators differ,
+so that binary operations must re-pack.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from ramify.ordered_group import element, int_lex, p_inverted, quadratic
+from ramify.series_field import (
+    CoeffField,
+    SeriesElement,
+    SigmaSpec,
+    _layout,
+    _packed,
+    _repack,
+    norm,
+    t_term,
+    trace,
+    variable_series,
+)
+
+from . import series_reference as ref
+
+ZP3 = p_inverted(3)
+Z2 = int_lex(2)
+Q2 = quadratic(2)
+
+# positive tags per group
+TAGS = {
+    ZP3: (element(ZP3, 1), element(ZP3, Fraction(1, 3))),
+    Z2: (element(Z2, (1, -5)), element(Z2, (0, 3))),
+    Q2: (element(Q2, (1, 0)), element(Q2, (Fraction(-1, 2), 1))),
+}
+
+# exponents on both sides of the least field width, 2^4
+EDGE_EXPONENTS = (0, 1, 2, 3, 14, 15, 16, 17)
+# lower t-coordinates on both sides of the least balanced bound, 2^11
+EDGE_LOWS = (-4097, -2049, -2048, -2047, 2047, 2048, 2049, 4097)
+
+
+def _field(p, descriptor):
+    return CoeffField(p, tags=TAGS[descriptor], units=("u",))
+
+
+def gammas(descriptor):
+    small = st.integers(min_value=-9, max_value=9)
+    low = st.one_of(small, st.sampled_from(EDGE_LOWS))
+    if descriptor == ZP3:
+        return st.builds(lambda n, j: element(ZP3, Fraction(n, 3 ** j)), st.integers(-40, 40), st.integers(0, 5))
+    if descriptor == Z2:
+        return st.builds(lambda a, b: element(Z2, (a, b)), small, low)
+    dens = st.sampled_from([1, 2, 3, 4, 6, 12])
+    return st.builds(
+        lambda a, da, b, db: element(Q2, (Fraction(a, da), Fraction(b, db))), small, dens, low, dens
+    )
+
+
+@st.composite
+def reference_series(draw, field, descriptor, exponents=EDGE_EXPONENTS, max_terms=3, max_monos=3):
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        gamma = draw(gammas(descriptor))
+        for _ in range(draw(st.integers(1, max_monos))):
+            exps = tuple(draw(st.sampled_from(exponents)) for _ in range(field.ring.ngens))
+            out.setdefault(gamma, {})[exps] = draw(st.integers(1, field.p - 1))
+    return ref.normalize(out, field.p)
+
+
+def _series(field, descriptor, r):
+    return SeriesElement(field, descriptor, {g: field.ring.from_dict(poly) for g, poly in r.items()})
+
+
+cases = st.sampled_from([(2, ZP3), (3, ZP3), (2, Z2), (3, Z2), (2, Q2), (3, Q2)])
+
+
+# -- packing ------------------------------------------------------------------------------
+
+
+@given(cases, st.data())
+def test_pack_unpack_round_trip(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    r = data.draw(reference_series(field, descriptor))
+    s = _series(field, descriptor, r)
+    assert ref.decode(s) == r
+    assert set(s.support()) == set(r)
+    if r:
+        assert s.valuation() == ref.valuation(r)
+        assert dict(s.leading_coeff().terms()) == r[ref.valuation(r)]
+
+
+@given(cases, st.data())
+def test_repack_to_a_wider_layout_and_back(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    s = _series(field, descriptor, data.draw(reference_series(field, descriptor)))
+    lay = s._lay
+    scale = data.draw(st.sampled_from([1, 3, 12])) if descriptor != Z2 else 1
+    wide = _layout(lay.nlow, lay.nvars, lay.ntags, lay.den * scale, lay.w + data.draw(st.integers(0, 3)), lay.tw + 5)
+    packed = _repack(s._data, lay, wide)
+    assert ref.decode(_packed(field, descriptor, packed, wide, s._eb, s._tb * scale)) == ref.decode(s)
+    if scale == 1:  # denominators only ever grow, so only widths go back
+        assert _repack(packed, wide, lay) == s._data
+
+
+# -- arithmetic against the reference ------------------------------------------------------
+
+
+@given(cases, st.data())
+def test_sum_and_product_match_the_reference(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    rf = data.draw(reference_series(field, descriptor))
+    rg = data.draw(reference_series(field, descriptor))
+    f, g = _series(field, descriptor, rf), _series(field, descriptor, rg)
+    assert ref.decode(f + g) == ref.add(rf, rg, p)
+    minus_g = {gamma: {e: p - c for e, c in poly.items()} for gamma, poly in rg.items()}
+    assert ref.decode(f - g) == ref.add(rf, minus_g, p)
+    product = ref.mul(rf, rg, p)
+    assert ref.decode(f * g) == product
+    assert f * g == _series(field, descriptor, product)
+
+
+@given(cases, st.data())
+@settings(deadline=None)
+def test_sigma_norm_trace_match_the_reference(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    sigma = SigmaSpec(field, descriptor)
+    rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2), max_terms=2, max_monos=2))
+    f = _series(field, descriptor, rf)
+    assert ref.decode(sigma.apply(f)) == ref.sigma(rf, field.tags, p)
+    assert ref.decode(norm(sigma, f)) == ref.norm(rf, field.tags, p)
+    assert ref.decode(trace(sigma, f)) == ref.trace(rf, field.tags, p)
+
+
+# -- growth past the initial field widths --------------------------------------------------
+
+
+def test_products_outgrow_the_initial_widths():
+    for descriptor in (ZP3, Z2, Q2):
+        field = _field(3, descriptor)
+        x0, u = field.tagged_gen(0), field.unit_gen("u")
+        # a lower t-coordinate of 2000 (1000 over the tags' denominator 2
+        # of quad:2) fits the least balanced bound 2^11, and twice it does not
+        low = {ZP3: element(ZP3, Fraction(-7, 27)), Z2: element(Z2, (-1, 2000)), Q2: element(Q2, (0, 1000))}
+        f = t_term(field, descriptor, low[descriptor], x0 ** 15 * u ** 9) + variable_series(field, descriptor, x0)
+        rf = ref.decode(f)
+        square = f * f
+        assert ref.decode(square) == ref.mul(rf, rf, 3)
+        # x0^30 needs a wider exponent field than x0^15
+        assert square._lay.w > f._lay.w
+        if descriptor != ZP3:
+            assert square._lay.tw > f._lay.tw
+        cube = square * f
+        assert ref.decode(cube) == ref.mul(ref.mul(rf, rf, 3), rf, 3)
+        assert cube.valuation() == ref.valuation(ref.decode(cube))
