@@ -41,8 +41,8 @@ from .ordered_group import (
     GroupElement,
     HullElement,
     _Element,
+    _group_value,
     _is_squarefree_nonsquare,
-    _p_power_denominator,
     element,
     hull_element,
     quad_sign,
@@ -132,11 +132,7 @@ def _element_to_surd(x: _Element) -> Surd:
 def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> bool:
     if descriptor.kind == KIND_QUADRATIC:
         return value.is_rational or value.d == descriptor.param
-    if not value.is_rational:
-        return False
-    if over_hull:
-        return True
-    return _p_power_denominator(value.a, descriptor.param)
+    return value.is_rational and (over_hull or _group_value(descriptor, value.a) is not None)
 
 
 def _surd_to_element(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> _Element:

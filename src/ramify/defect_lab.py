@@ -214,10 +214,10 @@ def _random_poly(field: CoeffField, rng: random.Random):
     n = len(field.tags)
     poly = field.ring.zero
     for _ in range(rng.randint(1, 2)):
-        exps = [0] * len(field.ring.gens)
+        exps = [0] * field.ring.ngens
         for i in rng.sample(range(n), rng.randint(1, min(2, n))):
             exps[i] = rng.randint(1, 2)
-        poly += field.ring.from_dict({tuple(exps): field.ring.domain(rng.randint(1, field.p - 1) if field.p > 2 else 1)})
+        poly += field.ring.from_dict({tuple(exps): rng.randint(1, field.p - 1) if field.p > 2 else 1})
     return poly
 
 
@@ -228,19 +228,6 @@ def _random_model_series(model: DefectModel, rng: random.Random) -> SeriesElemen
         poly = _random_poly(model.field, rng)
         terms[gamma] = terms.get(gamma, model.field.ring.zero) + poly
     return SeriesElement(model.field, model.descriptor, terms)
-
-
-def _min_occurring_tag(model: DefectModel, s: SeriesElement) -> Optional[GroupElement]:
-    best: Optional[GroupElement] = None
-    ntags = len(model.field.tags)
-    for _, poly in s.terms():
-        for exps, _ in poly.terms():
-            for i in range(ntags):
-                if exps[i]:
-                    tag = model.field.tags[i]
-                    if best is None or compare(tag, best) < 0:
-                        best = tag
-    return best
 
 
 @dataclass(frozen=True)
@@ -264,12 +251,16 @@ def verify_delta_bounds(
     """
     if rng is None:
         rng = random.Random(seed)
+    # tags are stored in decreasing order, so the least tag occurring in a
+    # monomial is the one with the largest index among its tagged variables
+    tags = model.field.tags
     checked = 0
     fixed = 0
     for _ in range(samples):
         f = _random_model_series(model, rng)
         if f.is_zero():
             continue
+        least = -1  # index of the least tag occurring in f
         for gamma, poly in f.terms():
             for exps, coeff in poly.terms():
                 mono = SeriesElement(
@@ -277,28 +268,27 @@ def verify_delta_bounds(
                     model.descriptor,
                     {gamma: model.field.ring.from_dict({exps: coeff})},
                 )
-                tag = _min_occurring_tag(model, mono)
-                if tag is None:
-                    if not model.sigma.delta(mono).is_zero():
+                i = max((j for j in range(len(tags)) if exps[j]), default=-1)
+                delta = model.sigma.delta(mono)
+                if i < 0:
+                    if not delta.is_zero():
                         raise DeltaBoundError("sigma moved a tag-free monomial")
                     continue
-                floor = gamma + tag
-                delta = model.sigma.delta(mono)
-                for gp in delta.support():
-                    if compare(gp, floor) < 0:
-                        raise DeltaBoundError(
-                            f"monomial at value {gamma.value} moved by {gp.value}, "
-                            f"below the floor {floor.value}"
-                        )
+                least = max(least, i)
+                floor = gamma + tags[i]
+                if not delta.is_zero() and compare(delta.valuation(), floor) < 0:
+                    raise DeltaBoundError(
+                        f"monomial at value {gamma.value} moved by {delta.valuation().value}, "
+                        f"below the floor {floor.value}"
+                    )
                 checked += 1
         delta_f = model.sigma.delta(f)
         if delta_f.is_zero():
             fixed += 1
             continue
-        tag = _min_occurring_tag(model, f)
-        if tag is None:
+        if least < 0:
             raise DeltaBoundError("sigma moved an element with no tagged variable")
-        if compare(delta_f.valuation(), f.valuation() + tag) < 0:
+        if compare(delta_f.valuation(), f.valuation() + tags[least]) < 0:
             raise DeltaBoundError(
                 f"element with value {f.valuation().value} moved by "
                 f"{delta_f.valuation().value}"

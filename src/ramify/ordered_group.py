@@ -18,12 +18,17 @@ Hull points get their own type: a ``HullElement`` never compares equal to a
 ``GroupElement``, so confusing the two spaces is a type error rather than a
 silent coercion.  Membership of a hull point in the group is decidable
 (integrality, p-power denominator, or always for the quadratic case).
+
+Values are checked once, where they enter: ``element``, ``hull_element`` and
+the ``GroupDescriptor`` constructor.  The group and its hull are closed under
+``add``, ``neg`` and ``int_scale``, so those build their results unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 KIND_INT_LEX = "zlex"
@@ -35,6 +40,8 @@ KIND_QUADRATIC = "quad"
 TRIAL_DIVISION_CAP = 2 ** 31
 
 
+# both tests are cached, so each distinct parameter is trial-divided once
+@lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -48,6 +55,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def _is_squarefree_nonsquare(d: int) -> bool:
     if d < 2:
         return False
@@ -123,13 +131,6 @@ def quad_sign(a: Fraction, b: Fraction, d: int) -> int:
     return sa if lhs > rhs else sb
 
 
-def _p_power_denominator(q: Fraction, p: int) -> bool:
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 def _coerce_rational(raw) -> Fraction:
     if isinstance(raw, Fraction):
         return raw
@@ -138,31 +139,47 @@ def _coerce_rational(raw) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(raw).__name__}")
 
 
+def _group_value(descriptor: GroupDescriptor, value):
+    """The group's own form of a hull value (integer coordinates for
+    ``zlex``), or None when the value is not a point of the group."""
+    kind = descriptor.kind
+    if kind == KIND_INT_LEX:
+        if any(c.denominator != 1 for c in value):
+            return None
+        return tuple(int(c) for c in value)
+    if kind == KIND_P_INVERTED:
+        den = value.denominator
+        while den % descriptor.param == 0:
+            den //= descriptor.param
+        return value if den == 1 else None
+    return value
+
+
 def _coerce_value(descriptor: GroupDescriptor, raw, hull: bool):
     kind = descriptor.kind
     if kind == KIND_INT_LEX:
         if isinstance(raw, (int, Fraction)):
             raw = (raw,)
-        coords = tuple(_coerce_rational(c) for c in raw)
-        if len(coords) != descriptor.param:
+        value = tuple(_coerce_rational(c) for c in raw)
+        if len(value) != descriptor.param:
             raise ValueError(
-                f"expected {descriptor.param} coordinates, got {len(coords)}"
+                f"expected {descriptor.param} coordinates, got {len(value)}"
             )
-        if hull:
-            return coords
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError(f"coordinates {coords} do not lie in Z^{descriptor.param}")
-        return tuple(int(c) for c in coords)
-    if kind == KIND_P_INVERTED:
-        q = _coerce_rational(raw)
-        if not hull and not _p_power_denominator(q, descriptor.param):
-            raise ValueError(f"{q} has a denominator prime to {descriptor.param}")
-        return q
-    # quadratic: the group equals its hull
-    if isinstance(raw, (int, Fraction)):
-        raw = (raw, 0)
-    a, b = raw
-    return (_coerce_rational(a), _coerce_rational(b))
+    elif kind == KIND_P_INVERTED:
+        value = _coerce_rational(raw)
+    else:
+        if isinstance(raw, (int, Fraction)):
+            raw = (raw, 0)
+        a, b = raw
+        value = (_coerce_rational(a), _coerce_rational(b))
+    if hull:
+        return value
+    group_value = _group_value(descriptor, value)
+    if group_value is not None:
+        return group_value
+    if kind == KIND_INT_LEX:
+        raise ValueError(f"coordinates {value} do not lie in Z^{descriptor.param}")
+    raise ValueError(f"{value} has a denominator prime to {descriptor.param}")
 
 
 @dataclass(frozen=True)
@@ -245,20 +262,15 @@ def compare(x: _Element, y: _Element) -> int:
 
 def add(x: _Element, y: _Element) -> _Element:
     x._check_peer(y)
-    kind = x.descriptor.kind
-    if kind == KIND_P_INVERTED:
+    if x.descriptor.kind == KIND_P_INVERTED:
         value = x.value + y.value
     else:
         value = tuple(a + b for a, b in zip(x.value, y.value))
-    return type(x)(x.descriptor, _coerce_value(x.descriptor, value, hull=isinstance(x, HullElement)))
+    return type(x)(x.descriptor, value)
 
 
 def neg(x: _Element) -> _Element:
-    if x.descriptor.kind == KIND_P_INVERTED:
-        value = -x.value
-    else:
-        value = tuple(-a for a in x.value)
-    return type(x)(x.descriptor, _coerce_value(x.descriptor, value, hull=isinstance(x, HullElement)))
+    return int_scale(-1, x)
 
 
 def int_scale(n: int, x: _Element) -> _Element:
@@ -268,7 +280,7 @@ def int_scale(n: int, x: _Element) -> _Element:
         value = n * x.value
     else:
         value = tuple(n * a for a in x.value)
-    return type(x)(x.descriptor, _coerce_value(x.descriptor, value, hull=isinstance(x, HullElement)))
+    return type(x)(x.descriptor, value)
 
 
 def divide_exact(x: _Element, n: int):
@@ -280,21 +292,14 @@ def divide_exact(x: _Element, n: int):
     """
     if not isinstance(n, int) or n == 0:
         raise ValueError(f"divisor must be a nonzero integer, got {n!r}")
-    hull = isinstance(x, HullElement)
-    kind = x.descriptor.kind
-    if kind == KIND_P_INVERTED:
-        q = x.value / n
-        if not hull and not _p_power_denominator(q, x.descriptor.param):
-            return None
-        return type(x)(x.descriptor, q)
-    if kind == KIND_QUADRATIC:
-        return type(x)(x.descriptor, (x.value[0] / n, x.value[1] / n))
-    coords = tuple(Fraction(a, n) for a in x.value)
-    if not hull and any(c.denominator != 1 for c in coords):
-        return None
-    if not hull:
-        coords = tuple(int(c) for c in coords)
-    return type(x)(x.descriptor, coords)
+    if x.descriptor.kind == KIND_P_INVERTED:
+        value = x.value / n
+    else:
+        value = tuple(Fraction(a, n) for a in x.value)
+    if isinstance(x, HullElement):
+        return HullElement(x.descriptor, value)
+    value = _group_value(x.descriptor, value)
+    return None if value is None else GroupElement(x.descriptor, value)
 
 
 def min_positive(descriptor: GroupDescriptor) -> Optional[GroupElement]:
@@ -314,23 +319,24 @@ def in_group(h: HullElement) -> bool:
     """Whether a hull point lies in the group itself."""
     if not isinstance(h, HullElement):
         raise TypeError(f"expected a HullElement, got {type(h).__name__}")
-    kind = h.descriptor.kind
-    if kind == KIND_INT_LEX:
-        return all(c.denominator == 1 for c in h.value)
-    if kind == KIND_P_INVERTED:
-        return _p_power_denominator(h.value, h.descriptor.param)
-    return True
+    return _group_value(h.descriptor, h.value) is not None
 
 
 def from_hull(h: HullElement) -> GroupElement:
     if not in_group(h):
         raise ValueError(f"{h.value} is not a group point of {h.descriptor}")
-    return element(h.descriptor, h.value)
-
-
-def is_positive(x: _Element) -> bool:
-    return compare(x, zero(x.descriptor, hull=isinstance(x, HullElement))) > 0
+    return GroupElement(h.descriptor, _group_value(h.descriptor, h.value))
 
 
 def sign(x: _Element) -> int:
-    return compare(x, zero(x.descriptor, hull=isinstance(x, HullElement)))
+    kind = x.descriptor.kind
+    if kind == KIND_QUADRATIC:
+        return quad_sign(x.value[0], x.value[1], x.descriptor.param)
+    if kind == KIND_P_INVERTED:
+        return (x.value > 0) - (x.value < 0)
+    # lexicographic: the first nonzero coordinate decides
+    return next(((c > 0) - (c < 0) for c in x.value if c), 0)
+
+
+def is_positive(x: _Element) -> bool:
+    return sign(x) > 0

@@ -86,19 +86,6 @@ __all__ = [
 # -- F_p polynomials ------------------------------------------------------------------
 
 
-class PrimeField:
-    """F_p as the coefficient domain of a ``PolyRing``: calling it reduces
-    an integer mod p."""
-
-    __slots__ = ("mod",)
-
-    def __init__(self, p: int):
-        self.mod = p
-
-    def __call__(self, k: int) -> int:
-        return int(k) % self.mod
-
-
 class PolyRing:
     """F_p[names], graded by exponent tuples in the order of ``names``."""
 
@@ -106,12 +93,15 @@ class PolyRing:
         self.p = p
         self.names = tuple(names)
         self.ngens = len(self.names)
-        self.domain = PrimeField(p)
         self.zero = Poly(self, {})
         self.one = self.from_dict({(0,) * self.ngens: 1})
         self.gens = tuple(
             Poly(self, {tuple(int(i == j) for j in range(self.ngens)): 1}) for i in range(self.ngens)
         )
+
+    def domain(self, k: int) -> int:
+        """The coefficient domain F_p: an integer reduced mod p."""
+        return int(k) % self.p
 
     def from_dict(self, terms) -> "Poly":
         """Polynomial from {exponent tuple: integer}, coefficients reduced mod p."""
@@ -203,11 +193,11 @@ class Poly:
         if not self._terms:
             return "0"
         bits = []
-        for exps, c in sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        for exps, c in sorted(self._terms.items()):
             factors = [str(c)] if c != 1 or not any(exps) else []
             for name, e in zip(self.ring.names, exps):
                 if e:
-                    factors.append(name if e == 1 else f"{name}**{e}")
+                    factors.append(name if e == 1 else f"{name}^{e}")
             bits.append("*".join(factors))
         return " + ".join(bits)
 
@@ -894,14 +884,14 @@ def norm_trace_laws(sigma: SigmaSpec, f: SeriesElement) -> List[str]:
     return labels
 
 
-def is_pth_power(field: CoeffField, c, p: Optional[int] = None):
+def is_pth_power(field: CoeffField, c):
     """Decide whether a coefficient (polynomial or Coeff fraction) is a p-th
     power, returning (flag, root).  Over F_p the coefficients themselves are
     always roots of themselves, so only the exponents matter.
     """
-    p = p or field.p
+    p = field.p
     if isinstance(c, Coeff):
-        flag, root = is_pth_power(field, c.num * c.den ** (p - 1), p)
+        flag, root = is_pth_power(field, c.num * c.den ** (p - 1))
         if not flag:
             return False, None
         return True, Coeff(root, c.den)

@@ -40,7 +40,6 @@ from .ordered_group import (
     zero,
 )
 from .series_field import (
-    CoeffField,
     FieldElement,
     SeriesElement,
     is_pth_power,
@@ -184,23 +183,10 @@ def artin_schreier_reduce(f: Union[FieldElement, SeriesElement], max_iters: int 
     return ReduceResult("exhausted", f, None, max_iters)
 
 
-def _poly_label(poly) -> str:
-    out = []
-    for exps, c in sorted(poly.terms()):
-        factors = [str(int(c) % poly.ring.domain.mod)] if int(c) % poly.ring.domain.mod != 1 or not any(exps) else []
-        for g, e in zip(poly.ring.gens, exps):
-            if e == 1:
-                factors.append(str(g))
-            elif e > 1:
-                factors.append(f"{g}^{e}")
-        out.append("*".join(factors))
-    return " + ".join(out) if out else "0"
-
-
-def _coeff_label(field: CoeffField, coeff) -> str:
+def _coeff_label(coeff) -> str:
     if _poly_is_constant(coeff.den):
-        return _poly_label(coeff.num)
-    return f"({_poly_label(coeff.num)})/({_poly_label(coeff.den)})"
+        return str(coeff.num)
+    return f"({coeff.num})/({coeff.den})"
 
 
 def _poly_is_constant(poly) -> bool:
@@ -262,7 +248,7 @@ def classify_equal_char(
     lead = f.leading_coeff()
     unit_terms: Tuple[DlogTerm, ...] = ()
     if not _is_constant_coeff(lead):
-        unit_terms = ((1, UnitSymbol(_coeff_label(f.field, lead))),)
+        unit_terms = ((1, UnitSymbol(_coeff_label(lead))),)
     if datum.case == "i":
         rsw = RswSymbol(c, unit_terms + ((1, ValueClass(v)),))
         return SwanData(principal_cut(c), rsw, False, f.field.p, RESIDUE_TRIVIAL, False, "i")

@@ -4,9 +4,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ramify.cli as cli_mod
 from ramify.cli import (
     format_cut,
     format_element,
@@ -147,6 +148,20 @@ def test_classify_unit_golden():
         "unramified: false\n"
         "rsw: dlog(u)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "p, literal, rsw",
+    [
+        ("2", "u^3*t(-3)", "dlog(u^3) + dlog(t(-3))"),
+        ("3", "2*u*t(-2)", "dlog(2*u) + dlog(t(-2))"),
+        ("3", "u^3*v*t(-2) + (u+2*v)^2*t(-2)", "dlog(v^2 + u*v + u^2 + u^3*v) + dlog(t(-2))"),
+    ],
+)
+def test_classify_unit_labels(p, literal, rsw):
+    code, out, _ = run_cli(["classify", "--group", "zlex:1", "--p", p, "--as", literal])
+    assert code == 0
+    assert f"rsw: {rsw}\n" in out
 
 
 def test_classify_kummer_plan_golden():
@@ -417,8 +432,6 @@ def test_verify_refuses_flags_no_suite_reads():
 
 
 def test_verify_builds_models_at_the_given_depth(monkeypatch):
-    import ramify.cli as cli_mod
-
     build = cli_mod.build_defect_model
     depths = []
 
@@ -464,8 +477,6 @@ def test_exit_2_on_kummer_validation():
 
 
 def test_exit_1_when_verification_fails(monkeypatch):
-    import ramify.cli as cli_mod
-
     def boom(model, samples=0, seed=0, rng=None):
         raise DeltaBoundError("forced failure for the exit-code contract")
 
@@ -480,8 +491,6 @@ def test_exit_1_when_verification_fails(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["theorem1", "limits", "series"])
 def test_exit_1_when_a_verify_law_fails(monkeypatch, suite):
-    import ramify.cli as cli_mod
-
     persistence = cli_mod.witness_persistence
     monkeypatch.setattr(cli_mod, "single_jump_violations", lambda conductor, ideals: ["forced"])
     monkeypatch.setattr(cli_mod, "witness_persistence", lambda *args: persistence(*args)[:2] + (["forced"],))
@@ -489,6 +498,141 @@ def test_exit_1_when_a_verify_law_fails(monkeypatch, suite):
     code, out, _ = run_cli(["verify", "--suite", suite, "--p", "2", "--samples", "5"])
     assert code == 1
     assert int(re.search(r"^failures: (\d+)$", out, re.M).group(1)) > 0
+
+
+# -- argv fuzzing ------------------------------------------------------------------------
+
+# keys whose printed value is a cut over the group, and over its hull
+GROUP_CUT_KEYS = ("H", "H1", "H2", "C", "D")
+HULL_CUT_KEYS = ("I", "break", "divergence_at", "bound", "connected_at", "separated_at")
+
+_primes = st.sampled_from(["2", "3", "5"])
+_groups = st.sampled_from(["zlex:1", "zlex:2", "zp:2", "zp:3", "zp:5", "quad:2", "quad:3"])
+_rationals = st.builds(
+    lambda a, b: str(Fraction(a, b)), st.integers(min_value=-3, max_value=4), st.integers(min_value=1, max_value=4)
+)
+_depths = st.integers(min_value=0, max_value=4).map(str)
+_samples = st.integers(min_value=0, max_value=5).map(str)
+_seeds = st.integers(min_value=0, max_value=9).map(str)
+
+
+@st.composite
+def _element_text(draw, group):
+    kind, param = group.split(":")
+    r = draw(st.lists(_rationals, min_size=2, max_size=2))
+    if kind == "zlex":
+        return r[0] if param == "1" and draw(st.booleans()) else f"lex({','.join(r[: int(param)])})"
+    if kind == "zp":
+        return f"q({r[0]})"
+    return f"quad({r[0]},{r[1]})"
+
+
+@st.composite
+def _cut_text(draw, group):
+    forms = ["whole", "ge", "gt", "surd"] + (["frontier", "frontier_ge"] if group.startswith("zlex") else [])
+    form = draw(st.sampled_from(forms))
+    if form == "whole":
+        return form
+    if form == "surd":
+        return f"gt surd({draw(_rationals)},{draw(_rationals)},{draw(st.sampled_from([2, 3]))})"
+    if form.startswith("frontier"):
+        return f"{form}({','.join(draw(st.lists(_rationals, min_size=1, max_size=2)))})"
+    return f"{form} {draw(_element_text(group))}"
+
+
+@st.composite
+def _series_text(draw, group):
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        factors = [str(draw(st.integers(min_value=1, max_value=3)))]
+        for unit in draw(st.lists(st.sampled_from(["u", "v", "(u+1)"]), max_size=2)):
+            factors.append(f"{unit}^{draw(st.integers(min_value=1, max_value=3))}")
+        if draw(st.booleans()):
+            factors.append(f"x[{draw(_element_text(group))}]^{draw(st.integers(min_value=1, max_value=3))}")
+        factors.append(f"t({draw(_element_text(group))})")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["classify", "eval", "breaks", "construct-defect", "demo-br10", "separation", "verify"]
+    ))
+    group = draw(_groups)
+    p = draw(_primes)
+    element_of = _element_text(group)
+    opt = lambda flag, strategy: [flag, draw(strategy)] if draw(st.booleans()) else []
+    if command == "classify":
+        mode = draw(st.sampled_from(["as", "case", "kummer"]))
+        argv = [command, "--group", group, "--p", p]
+        if mode == "as":
+            return argv + ["--as", draw(_series_text(group))]
+        if mode == "case":
+            return argv + ["--case", draw(st.sampled_from(["i", "ii", "iii"]))] + opt("--c", element_of) + opt(
+                "--unit", st.just("u")
+            )
+        return (
+            argv
+            + ["--kummer", draw(st.sampled_from(["i", "ii", "iii", "iv", "v"])), "--e0", draw(element_of)]
+            + opt("--va", element_of)
+            + opt("--vb", element_of)
+            + opt("--unit", st.just("w"))
+        )
+    if command == "eval":
+        return [command, "--group", group, "--H", draw(_cut_text(group)), "--I", draw(_cut_text(group))]
+    if command == "breaks":
+        if draw(st.booleans()):
+            return [command, "--group", group, "--H", draw(_cut_text(group))]
+        bound = draw(st.one_of(element_of, st.builds("surd({},{},2)".format, _rationals, _rationals)))
+        variant = draw(st.sampled_from(["closed", "open", "open-irrational"]))
+        return [command, "--group", group, "--p", p, "--bound", bound, "--variant", variant, "--depth", draw(_depths)]
+    if command == "construct-defect":
+        return [command, "--group", group, "--p", p, "--cut", draw(_cut_text(group))] + [
+            "--depth", draw(_depths), "--samples", draw(_samples), "--seed", draw(_seeds)
+        ]
+    if command == "demo-br10":
+        return [command, "--group", group, "--p", p, "--b", draw(element_of), "--depth", draw(_depths)] + [
+            "--samples", draw(_samples), "--table-rows", draw(_samples), "--seed", draw(_seeds)
+        ] + opt("--format", st.sampled_from(["plain", "kv"]))
+    if command == "separation":
+        argv = [command, "--p", p] + (["--group", group] if draw(st.booleans()) else [])
+        if draw(st.booleans()):
+            argv += ["--hull"]
+        if draw(st.booleans()):
+            return argv + ["--gap", draw(element_of)]
+        gaps = ",".join(draw(st.lists(element_of, min_size=1, max_size=3)))
+        return argv + ["--gaps", gaps, "--degree", draw(st.sampled_from(["1", "2", "3"]))]
+    suite = draw(st.sampled_from(["claim2", "limits", "theorem1", "series", "all"]))
+    argv = [command, "--suite", suite, "--p", p, "--samples", draw(_samples), "--seed", draw(_seeds)]
+    return argv + ["--depth", draw(_depths)] + opt("--group", st.just(group)) + opt("--cut", _cut_text(group))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_any_argv_keeps_the_exit_contract_and_prints_reparseable_cuts(argv):
+    printed = []
+
+    def recording_format_cut(cut):
+        text = format_cut(cut)
+        printed.append((text, cut))
+        return text
+
+    cli_mod.format_cut = recording_format_cut
+    try:
+        code, out, err = run_cli(argv)  # an exception escaping run fails the test
+    finally:
+        cli_mod.format_cut = format_cut
+    assert code in (0, 1, 2)
+    assert (out == "", "error:" in err) == (code == 2, code == 2)
+    assert "Traceback" not in err
+    for text, cut in printed:
+        assert parse_cut(text, cut.descriptor, hull=cut.over_hull) == cut
+    spaces = {(text, cut.over_hull) for text, cut in printed}
+    for line in out.splitlines():
+        key, _, text = line.partition(": ")
+        if key in GROUP_CUT_KEYS + HULL_CUT_KEYS:
+            assert (text, key in HULL_CUT_KEYS) in spaces
 
 
 # -- seeding -----------------------------------------------------------------------------

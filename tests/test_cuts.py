@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.ordered_group import (
+    _is_squarefree_nonsquare,
     compare,
     element,
     hull_element,
@@ -300,6 +301,21 @@ def test_hull_ideal_restriction_is_group_cut(ideal):
 
 
 # -- realizability -------------------------------------------------------------------
+
+
+def test_cut_arithmetic_trial_divides_a_radicand_once():
+    qd = quadratic(2147483647)
+    bounds = [element(qd, (a, b)) for a in (1, 2, Fraction(1, 3)) for b in (0, Fraction(1, 2), 1)]
+    cuts = [principal_cut(g) for g in bounds] + [open_cut(qd, g) for g in bounds]
+    points = [element(qd, (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
+    misses = _is_squarefree_nonsquare.cache_info().misses
+    for c1 in cuts:
+        for c2 in cuts:
+            c1.subset(c2)
+            c1.multiply(c2).pth_root_set(2)
+        for x in points:
+            c1.contains(x)
+    assert _is_squarefree_nonsquare.cache_info().misses == misses
 
 
 def test_realizability():

@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ramify.ordered_group import (
+    HullElement,
     add,
     compare,
     divide_exact,
@@ -197,3 +198,45 @@ def test_sign_consistency(x):
     assert (s == 0) == (x == zero(x.descriptor))
     assert (s > 0) == is_positive(x)
     assert sign(neg(x)) == -s
+
+
+def _checked(like, raw):
+    """What the validating constructor makes of a raw value in the space of
+    ``like``, or None where it refuses the value."""
+    make = hull_element if isinstance(like, HullElement) else element
+    try:
+        return make(like.descriptor, raw)
+    except ValueError:
+        return None
+
+
+def _coordinate_types(value):
+    return tuple(map(type, value)) if isinstance(value, tuple) else type(value)
+
+
+@given(
+    st.booleans().flatmap(lambda hull: element_pairs(hull=hull)),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-7, max_value=7).filter(bool),
+)
+def test_closed_operations_match_the_validating_constructor(pair, n, m):
+    x, y = pair
+
+    def each(f, *values):
+        if isinstance(values[0], tuple):
+            return tuple(map(f, *values))
+        return f(*values)
+
+    results = [
+        (add(x, y), each(lambda a, b: a + b, x.value, y.value)),
+        (neg(x), each(lambda a: -a, x.value)),
+        (int_scale(n, x), each(lambda a: n * a, x.value)),
+        (divide_exact(x, m), each(lambda a: Fraction(a) / m, x.value)),
+    ]
+    for got, raw in results:
+        want = _checked(x, raw)
+        assert got == want
+        if want is not None:
+            assert type(got) is type(want)
+            assert _coordinate_types(got.value) == _coordinate_types(want.value)
+    assert sign(x) == compare(x, zero(x.descriptor, hull=isinstance(x, HullElement)))
