@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -876,6 +877,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_count, default=200)
     common(sp, seed=True)
 
+    # argparse counts only integers and decimals as negative numbers, so it
+    # reads `--va -1/2` as two options; no option here starts with a digit,
+    # so a token that starts with a minus and a digit is always a value
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

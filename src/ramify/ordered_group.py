@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 KIND_INT_LEX = "zlex"
 KIND_P_INVERTED = "zp"
@@ -300,6 +300,25 @@ def divide_exact(x: _Element, n: int):
         return HullElement(x.descriptor, value)
     value = _group_value(x.descriptor, value)
     return None if value is None else GroupElement(x.descriptor, value)
+
+
+def mod_p_image(x: GroupElement, p: int) -> List[int]:
+    """Coordinates of x in the F_p-vector space Gamma/p*Gamma.
+
+    Z^n/pZ^n is F_p^n; Z[1/q]/pZ[1/q] is F_p when q != p, with a/q^m
+    mapping to a * q^-m; Z[1/p] and the quadratic groups are p-divisible,
+    so their quotient is zero and the image is the empty vector.
+    """
+    if not isinstance(x, GroupElement):
+        raise ValueError(f"expected a group point, got {type(x).__name__}")
+    if not _is_prime(p):
+        raise ValueError(f"Gamma/p*Gamma is an F_p-space only for prime p, got {p}")
+    kind = x.descriptor.kind
+    if kind == KIND_INT_LEX:
+        return [c % p for c in x.value]
+    if kind == KIND_P_INVERTED and x.descriptor.param != p:
+        return [x.value.numerator * pow(x.value.denominator, -1, p) % p]
+    return []
 
 
 def min_positive(descriptor: GroupDescriptor) -> Optional[GroupElement]:

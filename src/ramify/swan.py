@@ -20,7 +20,6 @@ enlargements that kill the ramification detected by the conductor form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -35,6 +34,7 @@ from .ordered_group import (
     element,
     int_scale,
     is_positive,
+    mod_p_image,
     neg,
     sign,
     zero,
@@ -449,22 +449,37 @@ class Type2Move:
 
 @dataclass(frozen=True)
 class EnlargedGroup:
-    """The value group after type-2 moves: Gamma plus the targets' e-th
-    divisions.  Only membership in p times the enlarged group is ever
-    needed, and that reduces to a finite search."""
+    """The value group after type-2 moves: Gamma plus the targets' p-th
+    divisions, Gamma' = Gamma + sum Z*t/p.  Only membership in p*Gamma' =
+    p*Gamma + sum Z*t is ever needed, and Gamma/p*Gamma is an F_p-vector
+    space, so gamma lies in p*Gamma' exactly when its image there lies in
+    the F_p-span of the targets' images."""
 
     base: GroupDescriptor
     p: int
     targets: Tuple[GroupElement, ...]
 
     def in_p_multiples(self, gamma: GroupElement) -> bool:
-        for combo in itertools.product(range(self.p), repeat=len(self.targets)):
-            shifted = gamma
-            for cj, tj in zip(combo, self.targets):
-                shifted = shifted - int_scale(cj, tj)
-            if divide_exact(shifted, self.p) is not None:
-                return True
-        return False
+        p = self.p
+        # echelon rows: each has a 1 at its pivot and 0 at every earlier pivot
+        echelon: List[Tuple[int, List[int]]] = []
+
+        def reduce(row: List[int]) -> List[int]:
+            for pivot, basis_row in echelon:
+                c = row[pivot]
+                if c:
+                    row = [(a - c * b) % p for a, b in zip(row, basis_row)]
+            return row
+
+        for t in self.targets:
+            if t.descriptor != gamma.descriptor:
+                raise ValueError(f"group mismatch: {gamma.descriptor} vs {t.descriptor}")
+            row = reduce(mod_p_image(t, p))
+            pivot = next((i for i, c in enumerate(row) if c), None)
+            if pivot is not None:
+                inverse = pow(row[pivot], -1, p)
+                echelon.append((pivot, [c * inverse % p for c in row]))
+        return not any(reduce(mod_p_image(gamma, p)))
 
 
 def plan_log_smooth(rsw: RswSymbol, p: int) -> Tuple[Type2Move, ...]:

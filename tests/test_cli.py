@@ -295,6 +295,18 @@ def test_separation_golden():
     assert out == "[separation]\ndegree: 3\ngaps: 1,2\nbound: gt 6\n"
 
 
+def test_a_bare_negative_rational_is_an_option_value():
+    argv = ["classify", "--group", "zp:2", "--p", "3", "--kummer", "i", "--e0", "1"]
+    bare = run_cli(argv + ["--va", "-1/2"])
+    assert bare == run_cli(argv + ["--va=-1/2"])
+    assert bare[0] == 0
+    assert "rsw: dlog(t(q(-1/2)))\n" in bare[1]
+    code, out, err = run_cli(["separation", "--p", "2", "--gap", "-1/2"])
+    assert (code, out) == (2, "")
+    assert "expected one argument" not in err
+    assert "do not lie in Z^1" in err
+
+
 def test_verify_series_suite():
     code, out, _ = run_cli(["verify", "--suite", "series", "--p", "2", "--samples", "30"])
     assert code == 0
@@ -520,8 +532,12 @@ _seeds = st.integers(min_value=0, max_value=9).map(str)
 def _element_text(draw, group):
     kind, param = group.split(":")
     r = draw(st.lists(_rationals, min_size=2, max_size=2))
+    # a bare rational names a rational point; a negative one must still be
+    # read as the option's value
+    if (kind != "zlex" or param == "1") and draw(st.booleans()):
+        return r[0]
     if kind == "zlex":
-        return r[0] if param == "1" and draw(st.booleans()) else f"lex({','.join(r[: int(param)])})"
+        return f"lex({','.join(r[: int(param)])})"
     if kind == "zp":
         return f"q({r[0]})"
     return f"quad({r[0]},{r[1]})"
@@ -626,6 +642,7 @@ def test_any_argv_keeps_the_exit_contract_and_prints_reparseable_cuts(argv):
     assert code in (0, 1, 2)
     assert (out == "", "error:" in err) == (code == 2, code == 2)
     assert "Traceback" not in err
+    assert "expected one argument" not in err  # every drawn option has its value
     for text, cut in printed:
         assert parse_cut(text, cut.descriptor, hull=cut.over_hull) == cut
     spaces = {(text, cut.over_hull) for text, cut in printed}

@@ -18,6 +18,7 @@ from ramify.ordered_group import (
     int_scale,
     is_positive,
     min_positive,
+    mod_p_image,
     neg,
     p_inverted,
     quad_sign,
@@ -198,6 +199,30 @@ def test_sign_consistency(x):
     assert (s == 0) == (x == zero(x.descriptor))
     assert (s > 0) == is_positive(x)
     assert sign(neg(x)) == -s
+
+
+def test_mod_p_image_per_family():
+    assert mod_p_image(element(int_lex(3), (5, -1, 7)), 3) == [2, 2, 1]
+    assert mod_p_image(element(int_lex(1), 4), 2) == [0]
+    # Z[1/q]/pZ[1/q] = F_p for q != p: -1/4 -> -1 * 4^-1 = 2 mod 3, 3/8 -> 3 * 8^-1 = 1 mod 5
+    assert mod_p_image(element(p_inverted(2), Fraction(-1, 4)), 3) == [2]
+    assert mod_p_image(element(p_inverted(2), Fraction(3, 8)), 5) == [1]
+    # p-divisible groups have the zero quotient
+    assert mod_p_image(element(p_inverted(5), Fraction(1, 25)), 5) == []
+    assert mod_p_image(element(quadratic(2), (Fraction(1, 3), 1)), 2) == []
+    with pytest.raises(ValueError):
+        mod_p_image(hull_element(int_lex(1), 1), 2)
+    with pytest.raises(ValueError):
+        mod_p_image(element(int_lex(1), 1), 4)
+
+
+@given(element_pairs(), st.sampled_from([2, 3, 5, 7]))
+def test_mod_p_image_is_the_quotient_map(pair, p):
+    x, y = pair
+    # additive, with kernel exactly p*Gamma
+    image = lambda v: mod_p_image(v, p)
+    assert image(add(x, y)) == [(a + b) % p for a, b in zip(image(x), image(y))]
+    assert (not any(image(x))) == (divide_exact(x, p) is not None)
 
 
 def _checked(like, raw):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 
 import ramify.swan as swan_mod
 from ramify.cuts import open_cut, principal_cut, whole_cut
-from ramify.ordered_group import element, hull_element, int_lex, p_inverted, quadratic
+from ramify.ordered_group import divide_exact, element, hull_element, int_lex, int_scale, p_inverted, quadratic
 from ramify.series_field import CoeffField, FieldElement, t_term, variable_series
 from ramify.swan import (
     ArtinSchreierDatum,
@@ -36,7 +37,7 @@ from ramify.swan import (
     wild_inertia_check,
 )
 
-from .strategies import descriptors, group_cuts, hull_ideals
+from .strategies import descriptors, elements, group_cuts, hull_ideals
 
 Z1 = int_lex(1)
 Z2 = int_lex(2)
@@ -434,3 +435,37 @@ def test_enlarged_group_membership():
     assert transported_value_image(
         RswSymbol(element(Z1, 3), ((1, ValueClass(element(Z1, -3))),)), 2, ()
     ) == ((1, element(Z1, -3)),)
+
+
+def _searched_in_p_multiples(group, gamma):
+    """The p^k search the planner once ran: gamma is in p*Gamma' exactly
+    when some shift by 0..p-1 copies of each target is p-divisible in Gamma."""
+    for combo in itertools.product(range(group.p), repeat=len(group.targets)):
+        shifted = gamma
+        for c, t in zip(combo, group.targets):
+            shifted = shifted - int_scale(c, t)
+        if divide_exact(shifted, group.p) is not None:
+            return True
+    return False
+
+
+@st.composite
+def _enlarged_groups(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.sampled_from([p, 3 if p == 2 else 2]))
+    descriptor = draw(st.sampled_from([Z1, Z2, int_lex(3), p_inverted(q), QD2]))
+    targets = tuple(draw(st.lists(elements(descriptor), max_size=3)))
+    return EnlargedGroup(descriptor, p, targets), draw(elements(descriptor))
+
+
+@settings(max_examples=300)
+@given(_enlarged_groups())
+def test_linear_solve_matches_the_search(case):
+    group, gamma = case
+    assert group.in_p_multiples(gamma) == _searched_in_p_multiples(group, gamma)
+
+
+def test_enlarged_group_refuses_mixed_groups():
+    # images of different groups live in different F_p-spaces
+    with pytest.raises(ValueError):
+        EnlargedGroup(Z1, 2, (element(Z2, (1, 0)),)).in_p_multiples(element(Z1, 1))
