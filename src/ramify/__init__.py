@@ -25,7 +25,6 @@ from .series_field import (
     trace,
 )
 from .swan import (
-    ArtinSchreierDatum,
     EqualCharSymbolic,
     KummerSymbolic,
     RswSymbol,

@@ -66,7 +66,6 @@ from .sampling import (
 from .separation import GapDatum, connectivity_threshold, separation_bound
 from .series_field import (
     CoeffField,
-    FieldElement,
     SeriesElement,
     constant_series,
     norm_trace_laws,
@@ -296,7 +295,7 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
 # -- series parsing ---------------------------------------------------------------
 
 
-def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[FieldElement, CoeffField]:
+def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[SeriesElement, CoeffField]:
     """Parse a series literal; the coefficient field is built from the
     tagged values and unit names appearing in the text."""
     # first pass just collects the tags and unit names so the field can exist
@@ -318,7 +317,7 @@ def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[FieldE
     toks = _Tokens(text)
     result = _parse_series_sum(toks, field, descriptor)
     toks.done()
-    return FieldElement(result), field
+    return result, field
 
 
 def _parse_series_sum(toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor) -> SeriesElement:
@@ -767,16 +766,22 @@ _SUITES = {
     "series": _suite_series,
 }
 
-# the suites that read --group and --cut; a flag that no selected suite
+# the suites that read each optional flag; a flag that no selected suite
 # reads is refused rather than dropped
-_GROUP_AND_CUT_SUITES = ("claim2", "limits")
+_FLAG_READERS = {
+    "group": ("claim2", "limits"),
+    "cut": ("claim2", "limits"),
+    "depth": ("claim2", "limits", "series"),
+}
 
 
 def _cmd_verify(args) -> Tuple[Report, int]:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    for flag in ("group", "cut"):
-        if getattr(args, flag) is not None and not any(n in _GROUP_AND_CUT_SUITES for n in names):
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag) is not None and not any(n in readers for n in names):
             raise InputError(f"--{flag} is not read by suite {args.suite}")
+    if args.depth is None:
+        args.depth = 3
     if "limits" in names and args.depth < 2:
         raise InputError("suite limits builds models at --depth - 1 and --depth + 1, so it needs --depth >= 2")
     report = Report()
@@ -873,7 +878,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     sp.add_argument("--group")
     sp.add_argument("--cut")
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--depth", type=int)
     sp.add_argument("--samples", type=_count, default=200)
     common(sp, seed=True)
 

@@ -41,7 +41,6 @@ from .ordered_group import (
 from .sampling import random_positive_element
 from .series_field import (
     CoeffField,
-    FieldElement,
     SeriesElement,
     SigmaSpec,
     t_term,
@@ -75,7 +74,7 @@ class DefectModel:
 class PrincipalCase:
     """A concrete datum realizing a principal conductor cut."""
 
-    f: FieldElement
+    f: SeriesElement
     swan: SwanData
     field: CoeffField
 
@@ -92,10 +91,10 @@ def build_principal_case(descriptor: GroupDescriptor, p: int, c: GroupElement) -
         raise ValueError("conductor value must be positive")
     if divide_exact(c, p) is None:
         field = CoeffField(p)
-        f = FieldElement(t_term(field, descriptor, neg(c)))
+        f = t_term(field, descriptor, neg(c))
     else:
         field = CoeffField(p, units=("u",))
-        f = FieldElement(t_term(field, descriptor, neg(c), field.unit_gen("u")))
+        f = t_term(field, descriptor, neg(c), field.unit_gen("u"))
     swan = classify_equal_char(f)
     if swan.conductor != principal_cut(c):
         raise RuntimeError("classification disagrees with the construction")

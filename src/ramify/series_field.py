@@ -11,7 +11,10 @@ characteristic p is built in three layers:
   t^gamma, gamma a ``GroupElement``.  This is the group ring; t^gamma is
   invertible, and the valuation of a nonzero series is the least exponent
   in its support (coefficients are units, so no carrying occurs).
-* ``FieldElement``: a quotient num/den of two series.  Fractions are kept
+  Every element the tool computes on (a parsed literal, an Artin-Schreier
+  right-hand side, a defect model's samples) is a ``SeriesElement``.
+* ``FieldElement``: a quotient num/den of two series, the library's exact
+  quotient type; no pipeline module uses it.  Fractions are kept
   unreduced; equality is decided by cross-multiplication, which is exact.
 
 A series is stored flat, as one sparse dict ``{key: c}`` with c in 1..p-1,
@@ -45,12 +48,11 @@ than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordered_group import (
     KIND_INT_LEX,
@@ -62,11 +64,11 @@ from .ordered_group import (
     int_scale,
     is_positive,
     quad_sign,
+    zero,
 )
 
 __all__ = [
     "CoeffField",
-    "Coeff",
     "Poly",
     "PolyRing",
     "SeriesElement",
@@ -254,20 +256,6 @@ class CoeffField:
 
     def const(self, k: int) -> Poly:
         return self.ring.from_dict({(0,) * self.ring.ngens: k})
-
-
-@dataclass(frozen=True)
-class Coeff:
-    """A fraction of coefficient polynomials, kept unreduced."""
-
-    num: object
-    den: object
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def eq(self, other: "Coeff") -> bool:
-        return self.num * other.den == other.num * self.den
 
 
 # -- packed monomial keys ---------------------------------------------------------------
@@ -644,14 +632,12 @@ def t_term(field: CoeffField, descriptor: GroupDescriptor, gamma: GroupElement, 
 
 
 def constant_series(field: CoeffField, descriptor: GroupDescriptor, coeff) -> SeriesElement:
-    from .ordered_group import zero as group_zero
-
     if isinstance(coeff, int):
         # the key of the monomial t^0 * x^0 is 0 in every layout
         k = coeff % field.p
         lay = _base_layout(field, descriptor)
         return _packed(field, descriptor, {0: k} if k else {}, lay, lay.zeros, 0)
-    return SeriesElement(field, descriptor, {group_zero(descriptor): coeff})
+    return SeriesElement(field, descriptor, {zero(descriptor): coeff})
 
 
 def variable_series(field: CoeffField, descriptor: GroupDescriptor, gen) -> SeriesElement:
@@ -685,9 +671,6 @@ class FieldElement:
 
     def valuation(self) -> GroupElement:
         return self.num.valuation() - self.den.valuation()
-
-    def leading_coeff(self) -> Coeff:
-        return Coeff(self.num.leading_coeff(), self.den.leading_coeff())
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         other = as_field_element(other, self)
@@ -791,7 +774,7 @@ class SigmaSpec:
         expansion = self._tagged_expansion(tagged)
         return tuple((k - tc, c) for k, c in _repack(expansion._data, expansion._lay, lay).items())
 
-    def _apply_series(self, f: SeriesElement) -> SeriesElement:
+    def apply(self, f: SeriesElement) -> SeriesElement:
         # the image of x_i^e moves the lower t-coordinates of a monomial by
         # at most e times those of sigma(x_i), so widen once up front
         la, lay = f._lay, self._lay
@@ -826,12 +809,7 @@ class SigmaSpec:
                 out[k] = c
         return _packed(f.field, f.descriptor, out, lay, f._eb, tb)
 
-    def apply(self, f: Union[SeriesElement, FieldElement]):
-        if isinstance(f, FieldElement):
-            return FieldElement(self._apply_series(f.num), self._apply_series(f.den))
-        return self._apply_series(f)
-
-    def delta(self, f: Union[SeriesElement, FieldElement]):
+    def delta(self, f: SeriesElement) -> SeriesElement:
         """sigma(f) - f."""
         return self.apply(f) - f
 
@@ -884,17 +862,12 @@ def norm_trace_laws(sigma: SigmaSpec, f: SeriesElement) -> List[str]:
     return labels
 
 
-def is_pth_power(field: CoeffField, c):
-    """Decide whether a coefficient (polynomial or Coeff fraction) is a p-th
-    power, returning (flag, root).  Over F_p the coefficients themselves are
-    always roots of themselves, so only the exponents matter.
+def is_pth_power(field: CoeffField, c: Poly):
+    """Decide whether a coefficient polynomial is a p-th power, returning
+    (flag, root).  Over F_p the coefficients themselves are always roots of
+    themselves, so only the exponents matter.
     """
     p = field.p
-    if isinstance(c, Coeff):
-        flag, root = is_pth_power(field, c.num * c.den ** (p - 1))
-        if not flag:
-            return False, None
-        return True, Coeff(root, c.den)
     if not c:
         return True, field.zero
     out = {}

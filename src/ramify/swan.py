@@ -40,7 +40,6 @@ from .ordered_group import (
     zero,
 )
 from .series_field import (
-    FieldElement,
     SeriesElement,
     is_pth_power,
     t_term,
@@ -98,17 +97,6 @@ class SwanData:
 
 
 @dataclass(frozen=True)
-class ArtinSchreierDatum:
-    """alpha^p - alpha = f with f in the model field."""
-
-    f: FieldElement
-
-    @property
-    def p(self) -> int:
-        return self.f.field.p
-
-
-@dataclass(frozen=True)
 class EqualCharSymbolic:
     """Symbolic equal-characteristic descriptor.
 
@@ -146,12 +134,12 @@ class KummerSymbolic:
 @dataclass(frozen=True)
 class ReduceResult:
     status: str  # "reduced" or "exhausted"
-    f: FieldElement
+    f: SeriesElement
     case: Optional[str]
     iterations: int
 
 
-def artin_schreier_reduce(f: Union[FieldElement, SeriesElement], max_iters: int = 64) -> ReduceResult:
+def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult:
     """Normalize an Artin-Schreier right-hand side by substitutions
     f -> f - (g^p - g).
 
@@ -160,8 +148,6 @@ def artin_schreier_reduce(f: Union[FieldElement, SeriesElement], max_iters: int 
     stops at a case-"i"/"ii"/"iii" normal form, or reports exhaustion
     (which over a dense group signals a defect extension).
     """
-    if isinstance(f, SeriesElement):
-        f = FieldElement(f)
     p = f.field.p
     for it in range(max_iters):
         if f.is_zero():
@@ -175,44 +161,29 @@ def artin_schreier_reduce(f: Union[FieldElement, SeriesElement], max_iters: int 
         flag, root = is_pth_power(f.field, f.leading_coeff())
         if not flag:
             return ReduceResult("reduced", f, "ii", it)
-        g = FieldElement(
-            t_term(f.field, f.descriptor, w, root.num),
-            t_term(f.field, f.descriptor, zero(f.descriptor), root.den),
-        )
-        f = f - (g ** p - g)
+        g = t_term(f.field, f.descriptor, w, root)
+        f = f - (g.power(p) - g)
     return ReduceResult("exhausted", f, None, max_iters)
-
-
-def _coeff_label(coeff) -> str:
-    if _poly_is_constant(coeff.den):
-        return str(coeff.num)
-    return f"({coeff.num})/({coeff.den})"
 
 
 def _poly_is_constant(poly) -> bool:
     return all(not any(e) for e, _ in poly.terms())
 
 
-def _is_constant_coeff(coeff) -> bool:
-    return _poly_is_constant(coeff.num) and _poly_is_constant(coeff.den)
-
-
 def classify_equal_char(
-    datum: Union[ArtinSchreierDatum, FieldElement, SeriesElement, ReduceResult, EqualCharSymbolic],
+    datum: Union[SeriesElement, ReduceResult, EqualCharSymbolic],
     provenance=None,
 ) -> SwanData:
     """Conductor data of alpha^p - alpha = f.
 
-    Accepts a concrete datum (reduced on the fly), a finished
+    Accepts a series f (reduced on the fly), a finished
     ``ReduceResult`` or a symbolic case descriptor.  An exhausted reduction
     is only accepted when a defect-model provenance explains it; otherwise
     it raises ``UndeterminedError``.
     """
     if isinstance(datum, EqualCharSymbolic):
         return _classify_equal_char_symbolic(datum)
-    if isinstance(datum, ArtinSchreierDatum):
-        datum = datum.f
-    if isinstance(datum, (FieldElement, SeriesElement)):
+    if isinstance(datum, SeriesElement):
         datum = artin_schreier_reduce(datum)
     if not isinstance(datum, ReduceResult):
         raise TypeError(f"cannot classify {type(datum).__name__}")
@@ -247,8 +218,8 @@ def classify_equal_char(
     c = neg(v)
     lead = f.leading_coeff()
     unit_terms: Tuple[DlogTerm, ...] = ()
-    if not _is_constant_coeff(lead):
-        unit_terms = ((1, UnitSymbol(_coeff_label(lead))),)
+    if not _poly_is_constant(lead):
+        unit_terms = ((1, UnitSymbol(str(lead))),)
     if datum.case == "i":
         rsw = RswSymbol(c, unit_terms + ((1, ValueClass(v)),))
         return SwanData(principal_cut(c), rsw, False, f.field.p, RESIDUE_TRIVIAL, False, "i")

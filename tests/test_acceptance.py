@@ -34,7 +34,6 @@ from ramify.sampling import (
 )
 from ramify.series_field import (
     CoeffField,
-    FieldElement,
     SeriesElement,
     SigmaSpec,
     norm_trace_laws,
@@ -102,8 +101,8 @@ class Criterion:
 def test_criterion_01_equal_char_table():
     with Criterion(1, "equal-characteristic table", 1.0) as c:
         f2 = CoeffField(2, units=("u",))
-        u = FieldElement(variable_series(f2, Z1, f2.unit_gen("u")))
-        t = lambda n, f=f2: FieldElement(t_term(f, Z1, element(Z1, n)))
+        u = variable_series(f2, Z1, f2.unit_gen("u"))
+        t = lambda n, f=f2: t_term(f, Z1, element(Z1, n))
 
         d = classify_equal_char(t(-3))
         c.check(d.conductor == principal_cut(element(Z1, 3)), "case i conductor")

@@ -18,10 +18,10 @@ from ramify.cli import (
     run,
 )
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut
-from ramify.defect_lab import DeltaBoundError, build_defect_model
+from ramify.defect_lab import DeltaBoundError, build_defect_model, build_principal_case
 from ramify.ordered_group import element, hull_element, int_lex, p_inverted, quadratic
-from ramify.series_field import CoeffField, FieldElement, t_term, variable_series
-from ramify.swan import break_of
+from ramify.series_field import CoeffField, SeriesElement, t_term, variable_series
+from ramify.swan import artin_schreier_reduce, break_of
 
 from .strategies import descriptors, elements, group_cuts, hull_ideals
 
@@ -84,10 +84,18 @@ def test_parse_series_matches_manual():
     x = variable_series(manual_field, ZP2, manual_field.tagged_gen(0))
     u = variable_series(manual_field, ZP2, manual_field.unit_gen("u"))
     expect = t_term(manual_field, ZP2, element(ZP2, -3)) + (x * x * u)
-    assert f == FieldElement(expect)
+    assert f == expect
     g, _ = parse_series("2*t(1)^3", Z1, 3)
     h, _ = parse_series("t(3) + t(3)", Z1, 3)
     assert g == h
+
+
+def test_the_artin_schreier_pipeline_runs_on_series():
+    # a parsed literal, its reduction and a built datum are plain series
+    f, _ = parse_series("u*t(-4) + t(-3)", Z1, 2)
+    assert isinstance(f, SeriesElement)
+    assert isinstance(artin_schreier_reduce(f).f, SeriesElement)
+    assert isinstance(build_principal_case(ZP2, 2, element(ZP2, 3)).f, SeriesElement)
 
 
 # -- format/parse round-trips ----------------------------------------------------------
@@ -438,6 +446,9 @@ def test_verify_refuses_flags_no_suite_reads():
     )
     assert run_cli(["verify", "--suite", "theorem1", "--p", "2", "--cut", "gt q(1)"]) == (
         2, "", "error: --cut is not read by suite theorem1\n"
+    )
+    assert run_cli(["verify", "--suite", "theorem1", "--p", "2", "--depth", "9"]) == (
+        2, "", "error: --depth is not read by suite theorem1\n"
     )
     code, _, _ = run_cli(["verify", "--suite", "all", "--p", "2", "--samples", "2", "--cut", "gt q(1)"])
     assert code == 0  # claim2 and limits read it
