@@ -489,9 +489,13 @@ def _emit_swan(report: Report, data: SwanData, p: int) -> None:
 
 
 def _cmd_classify(args) -> Tuple[Report, int]:
+    mode = "as" if args.artin_schreier is not None else "case" if args.case is not None else "kummer"
+    kummer = ("kummer",)
+    readers = {"c": ("case",), "e0": kummer, "va": kummer, "vb": kummer, "unit": ("case", "kummer")}
+    _refuse_unread(args, readers, [mode], f"--{mode}")
     descriptor = parse_group(args.group)
     report = Report()
-    if args.artin_schreier is not None:
+    if mode == "as":
         f, _ = parse_series(args.artin_schreier, descriptor, args.p)
         try:
             data = classify_equal_char(f)
@@ -502,32 +506,30 @@ def _cmd_classify(args) -> Tuple[Report, int]:
             return report, 0
         _emit_swan(report, data, args.p)
         return report, 0
-    if args.case is not None:
+    if mode == "case":
         c = parse_element(args.c, descriptor) if args.c else None
         desc = EqualCharSymbolic(args.p, args.case, c=c, unit_name=args.unit, descriptor=descriptor)
         _emit_swan(report, classify_equal_char(desc), args.p)
         return report, 0
-    if args.kummer is not None:
-        if args.e0 is None:
-            raise InputError("--kummer needs --e0, the value of zeta_p - 1")
-        desc = KummerSymbolic(
-            args.p,
-            args.kummer,
-            e0=parse_element(args.e0, descriptor),
-            v_a=parse_element(args.va, descriptor) if args.va else None,
-            v_b=parse_element(args.vb, descriptor) if args.vb else None,
-            unit_name=args.unit,
-        )
-        data = classify_kummer_symbolic(desc)
-        _emit_swan(report, data, args.p)
-        if data.rsw is not None:
-            moves = plan_log_smooth(data.rsw, args.p)
-            report.section("plan")
-            report.kv("moves", len(moves))
-            for i, mv in enumerate(moves):
-                report.kv(f"move{i}", f"adjoin degree-{mv.e} root at {format_element(mv.target)}")
-        return report, 0
-    raise InputError("classify needs one of --as, --case, --kummer")
+    if args.e0 is None:
+        raise InputError("--kummer needs --e0, the value of zeta_p - 1")
+    desc = KummerSymbolic(
+        args.p,
+        args.kummer,
+        e0=parse_element(args.e0, descriptor),
+        v_a=parse_element(args.va, descriptor) if args.va else None,
+        v_b=parse_element(args.vb, descriptor) if args.vb else None,
+        unit_name=args.unit,
+    )
+    data = classify_kummer_symbolic(desc)
+    _emit_swan(report, data, args.p)
+    if data.rsw is not None:
+        moves = plan_log_smooth(data.rsw, args.p)
+        report.section("plan")
+        report.kv("moves", len(moves))
+        for i, mv in enumerate(moves):
+            report.kv(f"move{i}", f"adjoin degree-{mv.e} root at {format_element(mv.target)}")
+    return report, 0
 
 
 def _cmd_eval(args) -> Tuple[Report, int]:
@@ -544,18 +546,20 @@ def _cmd_eval(args) -> Tuple[Report, int]:
 
 
 def _cmd_breaks(args) -> Tuple[Report, int]:
+    mode = "H" if args.conductor is not None else "bound"
+    _refuse_unread(args, {"variant": ("bound",)}, [mode], f"--{mode}")
     descriptor = parse_group(args.group)
     report = Report()
     report.section("break")
-    if args.conductor is not None:
+    if mode == "H":
         H = parse_cut(args.conductor, descriptor, hull=False)
         br = break_of(H)
         report.kv("H", format_cut(H))
         report.kv("break", format_cut(br))
         report.kv("principal", br.kind == "principal")
         return report, 0
-    if args.bound is None or args.variant is None:
-        raise InputError("breaks needs either --H or both --bound and --variant")
+    if args.variant is None:
+        raise InputError("--bound needs --variant")
     bound = parse_bound(args.bound, descriptor, hull=False)
     witness = break_witness(descriptor, args.p, bound, args.variant, depth=args.depth)
     report.kv("variant", witness.variant)
@@ -647,6 +651,8 @@ def _cmd_demo_br10(args) -> Tuple[Report, int]:
 
 
 def _cmd_separation(args) -> Tuple[Report, int]:
+    mode = "gaps" if args.gaps is not None else "gap"
+    _refuse_unread(args, {"degree": ("gaps",)}, [mode], f"--{mode}")
     descriptor = _group_for_separation(args)
     report = Report()
     report.section("separation")
@@ -654,13 +660,12 @@ def _cmd_separation(args) -> Tuple[Report, int]:
         gaps = tuple(
             parse_element(g.strip(), descriptor, hull=args.hull) for g in args.gaps.split(",") if g.strip()
         )
-        bound = separation_bound(GapDatum(args.degree, gaps))
-        report.kv("degree", args.degree)
+        degree = 2 if args.degree is None else args.degree
+        bound = separation_bound(GapDatum(degree, gaps))
+        report.kv("degree", degree)
         report.kv("gaps", ",".join(format_element(g) for g in gaps))
         report.kv("bound", format_cut(bound))
         return report, 0
-    if args.gap is None:
-        raise InputError("separation needs --gap or --gaps")
     gap = parse_element(args.gap, descriptor, hull=args.hull)
     pair = connectivity_threshold(gap, args.p)
     report.kv("gap", format_element(gap))
@@ -766,8 +771,7 @@ _SUITES = {
     "series": _suite_series,
 }
 
-# the suites that read each optional flag; a flag that no selected suite
-# reads is refused rather than dropped
+# the suites that read each optional flag
 _FLAG_READERS = {
     "group": ("claim2", "limits"),
     "cut": ("claim2", "limits"),
@@ -775,11 +779,17 @@ _FLAG_READERS = {
 }
 
 
+def _refuse_unread(args, readers, modes: Sequence[str], selected: str) -> None:
+    """Refuse a flag that none of the selected modes reads, rather than
+    drop it; ``readers`` maps each optional flag to the modes that read it."""
+    for flag, flag_readers in readers.items():
+        if getattr(args, flag) is not None and not any(m in flag_readers for m in modes):
+            raise InputError(f"--{flag} is not read by {selected}")
+
+
 def _cmd_verify(args) -> Tuple[Report, int]:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    for flag, readers in _FLAG_READERS.items():
-        if getattr(args, flag) is not None and not any(n in readers for n in names):
-            raise InputError(f"--{flag} is not read by suite {args.suite}")
+    _refuse_unread(args, _FLAG_READERS, names, f"suite {args.suite}")
     if args.depth is None:
         args.depth = 3
     if "limits" in names and args.depth < 2:
@@ -827,9 +837,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="conductor data of one extension")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--as", dest="artin_schreier", help="Artin-Schreier right-hand side, as a series literal")
-    sp.add_argument("--case", choices=("i", "ii", "iii"), help="symbolic equal-characteristic case")
-    sp.add_argument("--kummer", choices=("i", "ii", "iii", "iv", "v"), help="symbolic Kummer case")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--as", dest="artin_schreier", help="Artin-Schreier right-hand side, as a series literal")
+    mode.add_argument("--case", choices=("i", "ii", "iii"), help="symbolic equal-characteristic case")
+    mode.add_argument("--kummer", choices=("i", "ii", "iii", "iv", "v"), help="symbolic Kummer case")
     sp.add_argument("--c", help="conductor value for --case")
     sp.add_argument("--e0", help="value of zeta_p - 1 for --kummer")
     sp.add_argument("--va", help="value of a for Kummer case i")
@@ -844,8 +855,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("breaks", help="locate the ramification jump")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--H", dest="conductor", help="conductor cut (direct mode)")
-    sp.add_argument("--bound", help="break bound (construction mode)")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--H", dest="conductor", help="conductor cut (direct mode)")
+    mode.add_argument("--bound", help="break bound (construction mode)")
     sp.add_argument("--variant", choices=(VARIANT_CLOSED, VARIANT_OPEN, VARIANT_OPEN_IRRATIONAL))
     sp.add_argument("--depth", type=int, default=4)
     common(sp, p_default=2)
@@ -868,9 +880,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("separation", help="connectivity and separation thresholds")
     sp.add_argument("--group")
-    sp.add_argument("--gap", help="generator gap value")
-    sp.add_argument("--gaps", help="comma-separated gap values for the degree-n bound")
-    sp.add_argument("--degree", type=int, default=2)
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--gap", help="generator gap value")
+    mode.add_argument("--gaps", help="comma-separated gap values for the degree-n bound")
+    sp.add_argument("--degree", type=int, help="degree for --gaps (default 2)")
     sp.add_argument("--hull", action="store_true", help="read gaps as hull elements")
     common(sp)
 

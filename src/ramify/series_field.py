@@ -40,18 +40,20 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``support``, ``valuation`` and ``leading_coeff``.
 
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
-tagged variables and sigma = id on everything else.  It preserves
-valuations and satisfies sigma^p = id, and norm/trace along it produce
-sigma-fixed elements; all three facts are checked by the test suite rather
-than assumed.
+tagged variables and sigma = id on everything else.  It maps each key
+through a row of (key delta, coefficient) pairs written down from binomial
+coefficients mod p, one cached row per tagged exponent pattern.  It
+preserves valuations and satisfies sigma^p = id, and norm/trace along it
+produce sigma-fixed elements; all three facts are checked by the test suite
+rather than assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
-from operator import add
+from math import comb, lcm
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordered_group import (
@@ -744,43 +746,38 @@ class SigmaSpec:
         self.field = field
         self.descriptor = descriptor
         self.p = field.p
-        # sigma(x_i) as a two-term series, one per tagged variable
-        self._images = [
-            t_term(field, descriptor, tag) + variable_series(field, descriptor, field.gens[i])
-            for i, tag in enumerate(field.tags)
-        ]
-        # expansions of tagged monomials recur constantly (conjugates share
-        # exponent patterns), so they are cached per exponent tuple
-        self._expansions: Dict[Tuple[int, ...], SeriesElement] = {}
         # the layout sigma works in; it only grows, so that series of
         # different scales share one table of rows
         self._lay = _base_layout(field, descriptor)
+        # each tag's largest lower t-coordinate at the base layout's den,
+        # which holds every tag's denominator
+        self._den0 = self._lay.den
+        self._tag_bounds = tuple(_low_bound(_coords(tag, self._den0)) for tag in field.tags)
         # per packed tagged exponents, in self._lay: the (key delta,
-        # coefficient) pairs that turn a monomial's key into its image's
+        # coefficient) pairs that turn a monomial's key into its image's;
+        # tagged exponent patterns recur constantly, so rows are cached
         self._rows: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
-    def _tagged_expansion(self, tagged: Tuple[int, ...]) -> SeriesElement:
-        got = self._expansions.get(tagged)
-        if got is None:
-            got = constant_series(self.field, self.descriptor, 1)
-            for i, e in enumerate(tagged):
-                if e:
-                    got = got * self._images[i].power(e)
-            self._expansions[tagged] = got
-        return got
-
     def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
-        tagged = lay.mono_exps(tc)[: lay.ntags]
-        expansion = self._tagged_expansion(tagged)
-        return tuple((k - tc, c) for k, c in _repack(expansion._data, expansion._lay, lay).items())
+        """The row of tagged monomial ``tc`` by the binomial theorem:
+        sigma(x_i^e) = sum_j C(e, j) x_i^(e-j) t^(j*d_i), and a product of
+        tagged variables takes the product of their sums."""
+        p, row = self.p, [(0, 1)]
+        for i, e in enumerate(lay.mono_exps(tc)[: lay.ntags]):
+            if not e:
+                continue
+            # t_code is linear in the coordinates, so step j adds j * step
+            step = (lay.t_code(_coords(self.field.tags[i], lay.den)) << lay.shift) - (1 << lay.offsets[i])
+            terms = [(j * step, c) for j in range(e + 1) if (c := comb(e, j) % p)]
+            row = [(d1 + d2, c1 * c2 % p) for d1, c1 in row for d2, c2 in terms]
+        return tuple(row)
 
     def apply(self, f: SeriesElement) -> SeriesElement:
         # the image of x_i^e moves the lower t-coordinates of a monomial by
-        # at most e times those of sigma(x_i), so widen once up front
+        # at most e times those of t^d_i, so widen once up front
         la, lay = f._lay, self._lay
-        den = lcm(lay.den, la.den, *(img._lay.den for img in self._images))
-        tb = f._tb * (den // la.den)
-        tb += sum(e * img._tb * (den // img._lay.den) for e, img in zip(f._eb, self._images))
+        den = lcm(lay.den, la.den)
+        tb = f._tb * (den // la.den) + sum(map(mul, f._eb, self._tag_bounds)) * (den // self._den0)
         lay = _layout(lay.nlow, lay.nvars, lay.ntags, den, max(lay.w, la.w), max(lay.tw, la.tw))
         lay = _widen(lay, 1, max(f._eb, default=0), tb)
         if lay is not self._lay:

@@ -3,14 +3,17 @@
 For a degree-p cyclic extension L/K of Henselian valued fields of residue
 characteristic p, the wild ramification of L/K is measured by an ideal of
 the base ring (a `Cut` over the value group) together with a symbolic
-differential form, the refined Swan conductor.  This module computes both
-from either of two inputs:
+differential form, the refined Swan conductor.  Both are read off one case
+table, from a symbolic descriptor (equal characteristic or Kummer, naming
+the shape of the extension without a series model) or from a concrete
+Artin-Schreier datum alpha^p - alpha = f, which `artin_schreier_reduce`
+normalizes and `classify_equal_char` reads as an equal-characteristic
+descriptor:
 
-* a concrete Artin-Schreier datum f (equal characteristic, alpha^p - alpha
-  = f), normalized by `artin_schreier_reduce`;
-* a symbolic case descriptor (equal-characteristic or Kummer/mixed
-  characteristic), which names the shape of the extension without a series
-  model.
+    conductor       form names       e   residue   cases
+    Principal(gen)  a value class    p   trivial   equal char i, Kummer i, iii
+    Principal(gen)  units only       1   insep-p   equal char ii, Kummer ii, iv
+    whole ring      nothing          1   trivial   equal char iii, Kummer v
 
 From the conductor cut everything else follows: `galois_image` evaluates
 which upper ramification groups surject onto the Galois group, `break_of`
@@ -166,76 +169,48 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     return ReduceResult("exhausted", f, None, max_iters)
 
 
-def _poly_is_constant(poly) -> bool:
-    return all(not any(e) for e, _ in poly.terms())
+def _principal(case: str, gen: GroupElement, p: int, dlog_terms: Tuple[DlogTerm, ...]) -> SwanData:
+    """Conductor Principal(gen) with form gen -> dlog_terms.  A value class
+    in the form makes L/K totally ramified (e = p, trivial residue
+    extension); a unit alone makes the residue extension inseparable."""
+    ramified = any(isinstance(term, ValueClass) for _, term in dlog_terms)
+    e, residue = (p, RESIDUE_TRIVIAL) if ramified else (1, RESIDUE_INSEP)
+    return SwanData(principal_cut(gen), RswSymbol(gen, dlog_terms), False, e, residue, False, case)
 
 
-def classify_equal_char(
-    datum: Union[SeriesElement, ReduceResult, EqualCharSymbolic],
-    provenance=None,
-) -> SwanData:
+def _unramified(case: str, descriptor: GroupDescriptor) -> SwanData:
+    return SwanData(whole_cut(descriptor), None, False, 1, RESIDUE_TRIVIAL, True, case)
+
+
+def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanData:
     """Conductor data of alpha^p - alpha = f.
 
-    Accepts a series f (reduced on the fly), a finished
-    ``ReduceResult`` or a symbolic case descriptor.  An exhausted reduction
-    is only accepted when a defect-model provenance explains it; otherwise
-    it raises ``UndeterminedError``.
+    Accepts a series f or a symbolic case descriptor.  A series is reduced
+    to its normal form, which is read as a descriptor, so both run through
+    the same case table.  An exhausted reduction raises
+    ``UndeterminedError``: no single datum explains it.
     """
-    if isinstance(datum, EqualCharSymbolic):
-        return _classify_equal_char_symbolic(datum)
     if isinstance(datum, SeriesElement):
-        datum = artin_schreier_reduce(datum)
-    if not isinstance(datum, ReduceResult):
+        red = artin_schreier_reduce(datum)
+        if red.status == "exhausted":
+            raise UndeterminedError("reduction exhausted its budget with no defect model attached")
+        f = red.f
+        if red.case == "iii":
+            datum = EqualCharSymbolic(f.field.p, "iii", descriptor=f.descriptor)
+        else:
+            lead = f.leading_coeff()
+            unit = str(lead) if any(any(e) for e, _ in lead.terms()) else None
+            datum = EqualCharSymbolic(f.field.p, red.case, c=neg(f.valuation()), unit_name=unit)
+    if not isinstance(datum, EqualCharSymbolic):
         raise TypeError(f"cannot classify {type(datum).__name__}")
-
-    if datum.status == "exhausted":
-        if provenance is None:
-            raise UndeterminedError(
-                "reduction exhausted its budget with no defect model attached"
-            )
-        return SwanData(
-            conductor=provenance.conductor,
-            rsw=None,
-            defect=True,
-            e_pred=1,
-            residue_pred=RESIDUE_TRIVIAL,
-            unramified=False,
-            case=None,
-        )
-
-    f = datum.f
-    if datum.case == "iii":
-        return SwanData(
-            conductor=whole_cut(f.descriptor),
-            rsw=None,
-            defect=False,
-            e_pred=1,
-            residue_pred=RESIDUE_TRIVIAL,
-            unramified=True,
-            case="iii",
-        )
-    v = f.valuation()
-    c = neg(v)
-    lead = f.leading_coeff()
-    unit_terms: Tuple[DlogTerm, ...] = ()
-    if not _poly_is_constant(lead):
-        unit_terms = ((1, UnitSymbol(str(lead))),)
-    if datum.case == "i":
-        rsw = RswSymbol(c, unit_terms + ((1, ValueClass(v)),))
-        return SwanData(principal_cut(c), rsw, False, f.field.p, RESIDUE_TRIVIAL, False, "i")
-    # case "ii": the value part of dlog(f) is p-divisible, hence invisible
-    rsw = RswSymbol(c, unit_terms)
-    return SwanData(principal_cut(c), rsw, False, 1, RESIDUE_INSEP, False, "ii")
-
-
-def _classify_equal_char_symbolic(desc: EqualCharSymbolic) -> SwanData:
+    desc = datum
     if desc.case == "iii":
         descriptor = desc.descriptor if desc.descriptor is not None else (
             desc.c.descriptor if desc.c is not None else None
         )
         if descriptor is None:
             raise ValueError("case iii needs a group descriptor")
-        return SwanData(whole_cut(descriptor), None, False, 1, RESIDUE_TRIVIAL, True, "iii")
+        return _unramified("iii", descriptor)
     if desc.c is None or not is_positive(desc.c):
         raise ValueError(f"case {desc.case} needs a positive conductor value")
     c = desc.c
@@ -245,14 +220,14 @@ def _classify_equal_char_symbolic(desc: EqualCharSymbolic) -> SwanData:
     if desc.case == "i":
         if divide_exact(c, desc.p) is not None:
             raise ValueError(f"case i needs a non-p-divisible value, got {c.value}")
-        rsw = RswSymbol(c, unit_terms + ((1, ValueClass(neg(c))),))
-        return SwanData(principal_cut(c), rsw, False, desc.p, RESIDUE_TRIVIAL, False, "i")
+        return _principal("i", c, desc.p, unit_terms + ((1, ValueClass(neg(c))),))
     if desc.case == "ii":
+        # the value part of dlog(f) is p-divisible, hence invisible
         if divide_exact(c, desc.p) is None:
             raise ValueError(f"case ii needs a p-divisible value, got {c.value}")
         if not desc.unit_name:
             raise ValueError("case ii needs the residue unit's name")
-        return SwanData(principal_cut(c), RswSymbol(c, unit_terms), False, 1, RESIDUE_INSEP, False, "ii")
+        return _principal("ii", c, desc.p, unit_terms)
     raise ValueError(f"unknown equal-characteristic case {desc.case!r}")
 
 
@@ -264,31 +239,26 @@ def classify_kummer_symbolic(desc: KummerSymbolic) -> SwanData:
     if desc.case == "i":
         if desc.v_a is None or divide_exact(desc.v_a, desc.p) is not None:
             raise ValueError("case i needs v(a) outside p times the value group")
-        rsw = RswSymbol(pe0, ((1, ValueClass(desc.v_a)),))
-        return SwanData(principal_cut(pe0), rsw, False, desc.p, RESIDUE_TRIVIAL, False, "i")
+        return _principal("i", pe0, desc.p, ((1, ValueClass(desc.v_a)),))
     if desc.case == "ii":
         if not desc.unit_name:
             raise ValueError("case ii needs the residue unit's name")
-        rsw = RswSymbol(pe0, ((1, UnitSymbol(desc.unit_name)),))
-        return SwanData(principal_cut(pe0), rsw, False, 1, RESIDUE_INSEP, False, "ii")
+        return _principal("ii", pe0, desc.p, ((1, UnitSymbol(desc.unit_name)),))
     if desc.case in ("iii", "iv"):
         v_b = desc.v_b
         if v_b is None or not is_positive(v_b) or not is_positive(pe0 - v_b):
             raise ValueError("cases iii/iv need 0 < v(b) < p*v(zeta_p - 1)")
-        gen = pe0 - v_b
         if desc.case == "iii":
             if divide_exact(v_b, desc.p) is not None:
                 raise ValueError("case iii needs v(b) outside p times the value group")
-            rsw = RswSymbol(gen, ((1, ValueClass(v_b)),))
-            return SwanData(principal_cut(gen), rsw, False, desc.p, RESIDUE_TRIVIAL, False, "iii")
+            return _principal("iii", pe0 - v_b, desc.p, ((1, ValueClass(v_b)),))
         if divide_exact(v_b, desc.p) is None:
             raise ValueError("case iv needs v(b) in p times the value group")
         if not desc.unit_name:
             raise ValueError("case iv needs the residue unit's name")
-        rsw = RswSymbol(gen, ((1, UnitSymbol(desc.unit_name)),))
-        return SwanData(principal_cut(gen), rsw, False, 1, RESIDUE_INSEP, False, "iv")
+        return _principal("iv", pe0 - v_b, desc.p, ((1, UnitSymbol(desc.unit_name)),))
     if desc.case == "v":
-        return SwanData(whole_cut(desc.e0.descriptor), None, False, 1, RESIDUE_TRIVIAL, True, "v")
+        return _unramified("v", desc.e0.descriptor)
     raise ValueError(f"unknown Kummer case {desc.case!r}")
 
 
@@ -426,7 +396,6 @@ class EnlargedGroup:
     space, so gamma lies in p*Gamma' exactly when its image there lies in
     the F_p-span of the targets' images."""
 
-    base: GroupDescriptor
     p: int
     targets: Tuple[GroupElement, ...]
 
@@ -467,6 +436,5 @@ def transported_value_image(
     """The conductor form's value classes after enlarging the group."""
     if not moves:
         return value_group_image(rsw, p)
-    base = moves[0].target.descriptor
-    enlarged = EnlargedGroup(base, p, tuple(m.target for m in moves))
+    enlarged = EnlargedGroup(p, tuple(m.target for m in moves))
     return value_group_image(rsw, p, enlarged.in_p_multiples)

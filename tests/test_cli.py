@@ -401,7 +401,7 @@ def test_exit_2_on_whole_break():
 def test_exit_2_on_missing_mode():
     code, _, err = run_cli(["classify", "--group", "zlex:1", "--p", "2"])
     assert code == 2
-    assert "one of --as, --case, --kummer" in err
+    assert "one of the arguments --as --case --kummer is required" in err
 
 
 def test_exit_2_on_argparse_errors():
@@ -431,6 +431,12 @@ def test_exit_2_on_argparse_errors():
         ["verify", "--suite", "series", "--p", "2", "--samples", "1", "--depth", "0"],
         ["verify", "--suite", "series", "--p", "2", "--group", "zlex:1"],
         ["verify", "--suite", "theorem1", "--p", "2", "--cut", "gt q(1)"],
+        ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-3)", "--case", "i", "--c", "3"],
+        ["classify", "--group", "zlex:1", "--p", "2", "--case", "i", "--c", "3", "--e0", "5", "--va", "7"],
+        ["separation", "--p", "2", "--gap", "1", "--gaps", "2,3"],
+        ["separation", "--p", "2", "--gap", "1", "--degree", "3"],
+        ["breaks", "--group", "zp:2", "--H", "ge q(1)", "--bound", "q(1)", "--variant", "open"],
+        ["breaks", "--group", "zlex:1", "--H", "ge 3", "--variant", "open"],
     ],
 )
 def test_exit_2_on_any_malformed_input(argv):
@@ -452,6 +458,12 @@ def test_verify_refuses_flags_no_suite_reads():
     )
     code, _, _ = run_cli(["verify", "--suite", "all", "--p", "2", "--samples", "2", "--cut", "gt q(1)"])
     assert code == 0  # claim2 and limits read it
+
+
+def test_modes_refuse_flags_they_do_not_read():
+    assert run_cli(["classify", "--group", "zlex:1", "--p", "2", "--case", "i", "--c", "3", "--e0", "5"]) == (
+        2, "", "error: --e0 is not read by --case\n"
+    )
 
 
 def test_verify_builds_models_at_the_given_depth(monkeypatch):

@@ -35,7 +35,7 @@ from ramify.ordered_group import (
     p_inverted,
     quadratic,
 )
-from ramify.series_field import t_term, variable_series
+from ramify.series_field import CoeffField, SigmaSpec
 from ramify.swan import FULL_IMAGE, TRIVIAL_IMAGE, break_of, galois_image
 
 Z1 = int_lex(1)
@@ -202,11 +202,8 @@ def test_delta_bounds_deterministic_by_seed():
 
 def test_delta_bounds_catch_a_fast_automorphism():
     m = canonical_model(3)
-    for i, tag in enumerate(m.field.tags):
-        half = divide_exact(tag, 2)
-        m.sigma._images[i] = variable_series(m.field, ZP2, m.field.gens[i]) + t_term(
-            m.field, ZP2, half
-        )
+    # sigma(x_i) = x_i + t^(d_i / 2) moves every tagged variable too fast
+    m.sigma = SigmaSpec(CoeffField(2, tags=[divide_exact(t, 2) for t in m.field.tags]), ZP2)
     with pytest.raises(DeltaBoundError, match="below the floor"):
         verify_delta_bounds(m, samples=50)
 

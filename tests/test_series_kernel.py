@@ -77,6 +77,19 @@ def _series(field, descriptor, r):
     return SeriesElement(field, descriptor, {g: field.ring.from_dict(poly) for g, poly in r.items()})
 
 
+def _bounds_hold(s):
+    """Every key of s lies within the exponent and lower t-coordinate
+    bounds that s carries, so that later operations size their layouts
+    correctly."""
+    lay = s._lay
+    for k in s._data:
+        if any(e > b for e, b in zip(lay.mono_exps(k & lay.mono_mask), s._eb)):
+            return False
+        if any(abs(c) > s._tb for c in lay.t_coords(k >> lay.shift)[1:]):
+            return False
+    return True
+
+
 cases = st.sampled_from([(2, ZP3), (3, ZP3), (2, Z2), (3, Z2), (2, Q2), (3, Q2)])
 
 
@@ -132,11 +145,20 @@ def test_sum_and_product_match_the_reference(case, data):
 @settings(deadline=None)
 def test_sigma_norm_trace_match_the_reference(case, data):
     p, descriptor = case
+    # sigma alone is cheap, so it runs at p up to 7, on exponents p and p + 1
+    # (where some C(e, j) vanish mod p) and across the 2^4 field width
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    field = _field(q, descriptor)
+    exponents = (0, 1, 2, q, q + 1, 15, 16, 17)
+    rf = data.draw(reference_series(field, descriptor, exponents=exponents))
+    image = SigmaSpec(field, descriptor).apply(_series(field, descriptor, rf))
+    assert ref.decode(image) == ref.sigma(rf, field.tags, q)
+    assert _bounds_hold(image)
+    # norm and trace cost grows fast with p and the exponents
     field = _field(p, descriptor)
     sigma = SigmaSpec(field, descriptor)
     rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2), max_terms=2, max_monos=2))
     f = _series(field, descriptor, rf)
-    assert ref.decode(sigma.apply(f)) == ref.sigma(rf, field.tags, p)
     assert ref.decode(norm(sigma, f)) == ref.norm(rf, field.tags, p)
     assert ref.decode(trace(sigma, f)) == ref.trace(rf, field.tags, p)
 

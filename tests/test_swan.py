@@ -1,6 +1,5 @@
 import itertools
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -189,18 +188,11 @@ def test_classification_invariant_under_reduction_moves(c, data):
     assert moved.rsw.conductor_generator == base.rsw.conductor_generator
 
 
-def test_exhausted_needs_provenance():
+def test_exhausted_reduction_is_undetermined():
     f2 = CoeffField(2)
     f = t_term(f2, ZP2, element(ZP2, -1))
     with pytest.raises(UndeterminedError):
         classify_equal_char(f)
-    cut = open_cut(ZP2, element(ZP2, 1))
-    data = classify_equal_char(f, provenance=SimpleNamespace(conductor=cut))
-    assert data.defect
-    assert data.conductor == cut
-    assert data.rsw is None
-    assert data.e_pred == 1 and data.residue_pred == RESIDUE_TRIVIAL
-    assert not data.unramified
 
 
 # -- Kummer classification ------------------------------------------------------------
@@ -424,11 +416,11 @@ def test_planner_kummer_case_iii():
 
 def test_enlarged_group_membership():
     # adjoining 3/2 makes 2Gamma' = 2Z + 3Z = Z
-    g = EnlargedGroup(Z1, 2, (element(Z1, 3),))
+    g = EnlargedGroup(2, (element(Z1, 3),))
     assert g.in_p_multiples(element(Z1, 1))
     assert g.in_p_multiples(element(Z1, 3))
     # adjoining 2/2 = 1 changes nothing: 2Gamma' = 2Z
-    g2 = EnlargedGroup(Z1, 2, (element(Z1, 2),))
+    g2 = EnlargedGroup(2, (element(Z1, 2),))
     assert not g2.in_p_multiples(element(Z1, 1))
     assert g2.in_p_multiples(element(Z1, 4))
     assert transported_value_image(
@@ -454,7 +446,7 @@ def _enlarged_groups(draw):
     q = draw(st.sampled_from([p, 3 if p == 2 else 2]))
     descriptor = draw(st.sampled_from([Z1, Z2, int_lex(3), p_inverted(q), QD2]))
     targets = tuple(draw(st.lists(elements(descriptor), max_size=3)))
-    return EnlargedGroup(descriptor, p, targets), draw(elements(descriptor))
+    return EnlargedGroup(p, targets), draw(elements(descriptor))
 
 
 @settings(max_examples=300)
@@ -467,4 +459,4 @@ def test_linear_solve_matches_the_search(case):
 def test_enlarged_group_refuses_mixed_groups():
     # images of different groups live in different F_p-spaces
     with pytest.raises(ValueError):
-        EnlargedGroup(Z1, 2, (element(Z2, (1, 0)),)).in_p_multiples(element(Z1, 1))
+        EnlargedGroup(2, (element(Z2, (1, 0)),)).in_p_multiples(element(Z1, 1))
