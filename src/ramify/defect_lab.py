@@ -397,6 +397,8 @@ class TwinPair:
 
 
 def twin_pair(descriptor: GroupDescriptor, p: int, b: GroupElement, depth: int = 4) -> TwinPair:
+    if not descriptor.is_dense:
+        raise ValueError("the twin pair needs a dense value group: its defect side is a defect extension")
     if not is_positive(b):
         raise ValueError("b must be positive")
     pb = int_scale(p, b)

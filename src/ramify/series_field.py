@@ -37,7 +37,7 @@ integer order of keys refines the order of the t-exponents, so the
 valuation is read off ``min(keys)``; over Q + Q*sqrt(d) the distinct
 t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``GroupElement`` and ``Poly`` only at the API edge: ``terms``,
-``support``, ``valuation`` and ``leading_coeff``.
+``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.
 
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It maps each key
@@ -466,26 +466,31 @@ class SeriesElement:
             groups.setdefault(k >> S, {})[k & mask] = c
         return {self._t_element(T): self._poly(monos) for T, monos in groups.items()}.items()
 
-    def _t_codes(self) -> List[int]:
-        """The distinct t-parts of the keys, in increasing group order."""
-        S = self._lay.shift
-        codes = sorted({k >> S for k in self._data})
-        if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
-            return codes
+    def _quad_order(self):
+        """Sort key on t-codes over Q + Q*sqrt(d), in increasing group order."""
         d, t_coords = self.descriptor.param, self._lay.t_coords
 
         def cmp(x, y):
             (a1, b1), (a2, b2) = t_coords(x), t_coords(y)
             return quad_sign(a1 - a2, b1 - b2, d)
 
-        return sorted(codes, key=cmp_to_key(cmp))
+        return cmp_to_key(cmp)
+
+    def _t_codes(self) -> List[int]:
+        """The distinct t-parts of the keys, in increasing group order."""
+        S = self._lay.shift
+        codes = sorted({k >> S for k in self._data})
+        if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
+            return codes
+        return sorted(codes, key=self._quad_order())
 
     def _lead_t(self) -> int:
         if not self._data:
             raise ValueError("the zero series has no valuation")
+        S = self._lay.shift
         if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
-            return min(self._data) >> self._lay.shift
-        return self._t_codes()[0]
+            return min(self._data) >> S
+        return min({k >> S for k in self._data}, key=self._quad_order())
 
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(self._t_element(T) for T in self._t_codes())
@@ -497,10 +502,46 @@ class SeriesElement:
         return self._t_element(self._lead_t())
 
     def leading_coeff(self) -> Poly:
-        S = self._lay.shift
-        lo = self._lead_t() << S
-        hi = lo + (1 << S)
-        return self._poly({k - lo: c for k, c in self._data.items() if lo <= k < hi})
+        return self.split_lead()[1]
+
+    def split_lead(self) -> Tuple[GroupElement, Poly, "SeriesElement"]:
+        """(valuation, leading coefficient, the series without its leading
+        term) from one pass over the keys."""
+        T, S = self._lead_t(), self._lay.shift
+        lo, hi = T << S, (T + 1) << S
+        lead, rest = {}, {}
+        for k, c in self._data.items():
+            if lo <= k < hi:
+                lead[k - lo] = c
+            else:
+                rest[k] = c
+        tail = _packed(self.field, self.descriptor, rest, self._lay, self._eb, self._tb)
+        return self._t_element(T), self._poly(lead), tail
+
+    def plus_term(self, gamma: GroupElement, coeff: Poly) -> "SeriesElement":
+        """self + coeff * t^gamma, added straight into the packed keys; the
+        layout widens only when the new term does not fit it."""
+        if gamma.descriptor is not self.descriptor and gamma.descriptor != self.descriptor:
+            raise ValueError("the term lives over a different group")
+        if not coeff:
+            return self
+        la = self._lay
+        den = lcm(la.den, _den_of(gamma))
+        coords = _coords(gamma, den)
+        eb = tuple(map(max, self._eb, *coeff._terms))
+        tb = max(self._tb * (den // la.den), _low_bound(coords))
+        lay = _widen(la, den, max(eb, default=0), tb)
+        data = dict(self._data) if lay is la or not self._data else _repack(self._data, la, lay)
+        p = self.field.p
+        base = lay.t_code(coords) << lay.shift
+        for e, c in coeff._terms.items():
+            k = base + lay.mono_code(e)
+            s = (data.get(k, 0) + c) % p
+            if s:
+                data[k] = s
+            else:
+                del data[k]
+        return _packed(self.field, self.descriptor, data, lay, eb, tb)
 
     def _check_peer(self, other: "SeriesElement") -> None:
         if not isinstance(other, SeriesElement):

@@ -8,7 +8,9 @@ table, from a symbolic descriptor (equal characteristic or Kummer, naming
 the shape of the extension without a series model) or from a concrete
 Artin-Schreier datum alpha^p - alpha = f, which `artin_schreier_reduce`
 normalizes and `classify_equal_char` reads as an equal-characteristic
-descriptor:
+descriptor.  A normalizing step drops the leading term of f and adds its
+p-th root g: Frobenius is additive and fixes F_p, so g^p is exactly that
+term and f - (g^p - g) needs no power.  The case table:
 
     conductor       form names       e   residue   cases
     Principal(gen)  a value class    p   trivial   equal char i, Kummer i, iii
@@ -42,11 +44,7 @@ from .ordered_group import (
     sign,
     zero,
 )
-from .series_field import (
-    SeriesElement,
-    is_pth_power,
-    t_term,
-)
+from .series_field import SeriesElement, is_pth_power
 
 RESIDUE_TRIVIAL = "trivial"
 RESIDUE_INSEP = "insep-p"
@@ -155,17 +153,17 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     for it in range(max_iters):
         if f.is_zero():
             return ReduceResult("reduced", f, "iii", it)
-        v = f.valuation()
+        v, lead, rest = f.split_lead()
         if sign(v) >= 0:
             return ReduceResult("reduced", f, "iii", it)
         w = divide_exact(v, p)
         if w is None:
             return ReduceResult("reduced", f, "i", it)
-        flag, root = is_pth_power(f.field, f.leading_coeff())
+        flag, root = is_pth_power(f.field, lead)
         if not flag:
             return ReduceResult("reduced", f, "ii", it)
-        g = t_term(f.field, f.descriptor, w, root)
-        f = f - (g.power(p) - g)
+        # g = root*t^w: Frobenius is additive and c^p = c on F_p, so g^p = lead*t^v and f - (g^p - g) = rest + g
+        f = rest.plus_term(w, root)
     return ReduceResult("exhausted", f, None, max_iters)
 
 
@@ -198,9 +196,9 @@ def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanD
         if red.case == "iii":
             datum = EqualCharSymbolic(f.field.p, "iii", descriptor=f.descriptor)
         else:
-            lead = f.leading_coeff()
+            v, lead, _ = f.split_lead()
             unit = str(lead) if any(any(e) for e, _ in lead.terms()) else None
-            datum = EqualCharSymbolic(f.field.p, red.case, c=neg(f.valuation()), unit_name=unit)
+            datum = EqualCharSymbolic(f.field.p, red.case, c=neg(v), unit_name=unit)
     if not isinstance(datum, EqualCharSymbolic):
         raise TypeError(f"cannot classify {type(datum).__name__}")
     desc = datum

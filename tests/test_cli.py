@@ -398,6 +398,14 @@ def test_exit_2_on_whole_break():
     assert "no jump" in err
 
 
+def test_exit_2_on_demo_br10_over_a_discrete_group():
+    # over Z the twin cut gt p*b has a least element, so no defect twin exists
+    code, out, err = run_cli(["demo-br10", "--group", "zlex:1", "--p", "2", "--b", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: the twin pair needs a dense value group: its defect side is a defect extension\n"
+
+
 def test_exit_2_on_missing_mode():
     code, _, err = run_cli(["classify", "--group", "zlex:1", "--p", "2"])
     assert code == 2

@@ -9,6 +9,7 @@ so that binary operations must re-pack.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -71,6 +72,12 @@ def reference_series(draw, field, descriptor, exponents=EDGE_EXPONENTS, max_term
             exps = tuple(draw(st.sampled_from(exponents)) for _ in range(field.ring.ngens))
             out.setdefault(gamma, {})[exps] = draw(st.integers(1, field.p - 1))
     return ref.normalize(out, field.p)
+
+
+def polys(field, max_monos=3):
+    mono = st.tuples(*[st.sampled_from(EDGE_EXPONENTS)] * field.ring.ngens)
+    coeffs = st.dictionaries(mono, st.integers(1, field.p - 1), min_size=1, max_size=max_monos)
+    return coeffs.map(field.ring.from_dict)
 
 
 def _series(field, descriptor, r):
@@ -161,6 +168,84 @@ def test_sigma_norm_trace_match_the_reference(case, data):
     f = _series(field, descriptor, rf)
     assert ref.decode(norm(sigma, f)) == ref.norm(rf, field.tags, p)
     assert ref.decode(trace(sigma, f)) == ref.trace(rf, field.tags, p)
+
+
+# -- the Artin-Schreier step's primitives --------------------------------------------------
+
+
+@given(cases, st.data())
+def test_split_lead_matches_valuation_and_leading_coeff(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    rf = data.draw(reference_series(field, descriptor))
+    f = _series(field, descriptor, rf)
+    if not rf:
+        with pytest.raises(ValueError):
+            f.split_lead()
+        return
+    v, lead, rest = f.split_lead()
+    assert v == f.valuation() == ref.valuation(rf)
+    assert lead == f.leading_coeff()
+    assert rest == f - t_term(field, descriptor, v, lead)
+    assert ref.decode(rest) == {g: c for g, c in rf.items() if g != v}
+    assert _bounds_hold(rest)
+    assert rest.plus_term(v, lead) == f
+
+
+@given(cases, st.data())
+def test_plus_term_matches_adding_a_monomial(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    rf = data.draw(reference_series(field, descriptor))
+    f = _series(field, descriptor, rf)
+    if rf and data.draw(st.booleans()):
+        # cancel some or all of one of f's terms
+        gamma = data.draw(st.sampled_from(sorted(rf, key=str)))
+        poly = rf[gamma]
+        keep = data.draw(st.sets(st.sampled_from(sorted(poly))))
+        coeff = field.ring.from_dict({e: -c for e, c in poly.items() if e not in keep})
+    else:
+        gamma, coeff = data.draw(gammas(descriptor)), data.draw(polys(field))
+    got = f.plus_term(gamma, coeff)
+    want = f + t_term(field, descriptor, gamma, coeff)
+    assert got == want
+    assert ref.decode(got) == ref.decode(want)
+    assert _bounds_hold(got)
+    assert ref.decode(f) == rf  # f itself is untouched
+
+
+def test_plus_term_edges():
+    for descriptor in (ZP3, Z2, Q2):
+        field = _field(3, descriptor)
+        x0, u = field.tagged_gen(0), field.unit_gen("u")
+        zero = _series(field, descriptor, {})
+        one = element(descriptor, 1) if descriptor != Z2 else element(Z2, (1, 0))
+        # the zero series takes a term, and gives it back under split_lead
+        f = zero.plus_term(one, u)
+        assert ref.decode(f) == ref.decode(t_term(field, descriptor, one, u))
+        assert f.split_lead()[:2] == (one, u)
+        assert zero.is_zero() and zero.plus_term(one, field.zero).is_zero()
+        # x0^16 outgrows the 2^4 exponent field
+        wide = f.plus_term(one, x0 ** 16)
+        assert wide._lay.w > f._lay.w
+        assert wide == f + t_term(field, descriptor, one, x0 ** 16)
+        # full cancellation removes every key
+        assert wide.plus_term(one, -(u + x0 ** 16)).is_zero()
+    # Z[1/3]: a deeper denominator widens den
+    field = _field(3, ZP3)
+    f = t_term(field, ZP3, element(ZP3, -1), field.one)
+    deep = element(ZP3, Fraction(-1, 3 ** 7))
+    g = f.plus_term(deep, field.unit_gen("u"))
+    assert g._lay.den % 3 ** 7 == 0 and f._lay.den % 3 ** 7 != 0
+    assert g == f + t_term(field, ZP3, deep, field.unit_gen("u"))
+    # Z^2 and Q + Q*sqrt(2): a lower coordinate past the balanced 2^11 bound widens tw
+    for descriptor, far in ((Z2, element(Z2, (0, 5000))), (Q2, element(Q2, (0, 3000)))):
+        field = _field(3, descriptor)
+        f = t_term(field, descriptor, element(descriptor, (1, 0)), field.one)
+        g = f.plus_term(far, field.one)
+        assert g._lay.tw > f._lay.tw
+        assert g == f + t_term(field, descriptor, far, field.one)
+        assert _bounds_hold(g)
 
 
 # -- growth past the initial field widths --------------------------------------------------

@@ -7,8 +7,17 @@ import hypothesis.strategies as st
 
 import ramify.swan as swan_mod
 from ramify.cuts import open_cut, principal_cut, whole_cut
-from ramify.ordered_group import divide_exact, element, hull_element, int_lex, int_scale, p_inverted, quadratic
-from ramify.series_field import CoeffField, t_term, variable_series
+from ramify.ordered_group import (
+    divide_exact,
+    element,
+    hull_element,
+    int_lex,
+    int_scale,
+    p_inverted,
+    quadratic,
+    sign,
+)
+from ramify.series_field import CoeffField, constant_series, is_pth_power, t_term, variable_series
 from ramify.swan import (
     EnlargedGroup,
     EqualCharSymbolic,
@@ -16,6 +25,7 @@ from ramify.swan import (
     KummerSymbolic,
     RESIDUE_INSEP,
     RESIDUE_TRIVIAL,
+    ReduceResult,
     RswSymbol,
     TRIVIAL_IMAGE,
     Type2Move,
@@ -80,6 +90,58 @@ def test_reduce_exhausts_over_dense_group():
     assert res.iterations == 64
     # valuation has been pushed up to -1/2^64 without reaching 0
     assert res.f.valuation() == element(ZP2, Fraction(-1, 2 ** 64))
+
+
+def _powering_reduce(f, max_iters=64):
+    """The reduction loop as it once ran, subtracting g^p - g with g^p
+    computed by series powering."""
+    p = f.field.p
+    for it in range(max_iters):
+        if f.is_zero():
+            return ReduceResult("reduced", f, "iii", it)
+        v = f.valuation()
+        if sign(v) >= 0:
+            return ReduceResult("reduced", f, "iii", it)
+        w = divide_exact(v, p)
+        if w is None:
+            return ReduceResult("reduced", f, "i", it)
+        flag, root = is_pth_power(f.field, f.leading_coeff())
+        if not flag:
+            return ReduceResult("reduced", f, "ii", it)
+        g = t_term(f.field, f.descriptor, w, root)
+        f = f - (g.power(p) - g)
+    return ReduceResult("exhausted", f, None, max_iters)
+
+
+@st.composite
+def _as_right_hand_sides(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = 3 if p == 2 else 2
+    descriptor = draw(st.sampled_from([Z1, Z2, p_inverted(p), p_inverted(q), QD2]))
+    field = CoeffField(p, units=("x", "y"))
+    x, y, c = field.unit_gen("x"), field.unit_gen("y"), field.const
+    # the p-th powers of the last two are multi-monomial, such as x^p*y^(2p) + 2*x^(2p)
+    roots = st.sampled_from([field.one, c(p - 1), x, x ** 3 * y, x * y ** 2 + c(2) * x ** 2, y + c(p - 1)])
+    f = constant_series(field, descriptor, 0)
+    for i in range(draw(st.integers(1, 3))):
+        # the first term is polar, so that most series need a substitution
+        w = draw(elements(descriptor).filter(lambda g: sign(g) < 0) if i == 0 else elements(descriptor))
+        root, k = draw(roots), draw(st.integers(0, 2))
+        # a lead at p^k * w whose coefficient is a p^k-th power, unless spoiled by a cofactor
+        lead = root ** p ** k * (draw(roots) if draw(st.booleans()) else field.one)
+        f = f + t_term(field, descriptor, int_scale(p ** k, w), lead)
+        if k and draw(st.booleans()):
+            # a term at v/p that the first substitution's g cancels
+            f = f - t_term(field, descriptor, int_scale(p ** (k - 1), w), root ** p ** (k - 1))
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(_as_right_hand_sides())
+def test_reduction_matches_the_powering_loop(f):
+    got, want = artin_schreier_reduce(f), _powering_reduce(f)
+    assert (got.status, got.case, got.iterations) == (want.status, want.case, want.iterations)
+    assert got.f == want.f
 
 
 # -- equal characteristic classification ---------------------------------------------
