@@ -314,75 +314,104 @@ def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[Series
             unit_names.add(tok)
     field = CoeffField(p, tags=tuple(tag_values), units=tuple(sorted(unit_names)))
 
-    toks = _Tokens(text)
-    result = _parse_series_sum(toks, field, descriptor)
-    toks.done()
+    reader = _SeriesReader(_Tokens(text), field, descriptor)
+    result = reader.sum()
+    reader.toks.done()
     return result, field
 
 
-def _parse_series_sum(toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor) -> SeriesElement:
-    out = _parse_series_term(toks, field, descriptor)
-    while toks.peek() == "+":
-        toks.next()
-        out = out + _parse_series_term(toks, field, descriptor)
-    return out
+# Most coefficient-term pairs the products of one series literal may touch
+# (a product of series with m and n terms touches m*n pairs).  The test
+# suite's literals touch at most 16 and the benchmark's at most 10; past the
+# budget a literal such as (t(-1)+u+t(-2))^2000 is refused, not multiplied
+# for hours.
+PARSE_PAIR_BUDGET = 10 ** 6
 
 
-def _parse_series_term(toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor) -> SeriesElement:
-    out = _parse_series_factor(toks, field, descriptor)
-    while toks.peek() == "*":
-        toks.next()
-        out = out * _parse_series_factor(toks, field, descriptor)
-    return out
+class _SeriesReader:
+    """Recursive descent over a series literal, charging every product
+    against ``PARSE_PAIR_BUDGET``."""
 
+    def __init__(self, toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor):
+        self.toks, self.field, self.descriptor = toks, field, descriptor
+        self.pairs_left = PARSE_PAIR_BUDGET
 
-def _parse_series_factor(toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor) -> SeriesElement:
-    tok = toks.peek()
-    if tok is None:
-        raise InputError(f"expected a series factor in {toks.text!r}")
-    if tok == "(":
+    def times(self, a: SeriesElement, b: SeriesElement) -> SeriesElement:
+        self.pairs_left -= a.num_terms() * b.num_terms()
+        if self.pairs_left < 0:
+            raise ValueError(f"series literal needs more than {PARSE_PAIR_BUDGET} coefficient-term products (the parse budget)")
+        return a * b
+
+    def sum(self) -> SeriesElement:
+        out = self.term()
+        while self.toks.peek() == "+":
+            self.toks.next()
+            out = out + self.term()
+        return out
+
+    def term(self) -> SeriesElement:
+        out = self.factor()
+        while self.toks.peek() == "*":
+            self.toks.next()
+            out = self.times(out, self.factor())
+        return out
+
+    def factor(self) -> SeriesElement:
+        toks, field, descriptor = self.toks, self.field, self.descriptor
+        tok = toks.peek()
+        if tok is None:
+            raise InputError(f"expected a series factor in {toks.text!r}")
+        if tok == "(":
+            toks.next()
+            inner = self.sum()
+            toks.expect(")")
+            return self.maybe_power(inner)
+        if tok == "t":
+            toks.next()
+            toks.expect("(")
+            g = _parse_element_tokens(toks, descriptor, hull=False)
+            toks.expect(")")
+            return self.maybe_power(t_term(field, descriptor, g))
+        if tok == "x":
+            toks.next()
+            toks.expect("[")
+            g = _parse_element_tokens(toks, descriptor, hull=False)
+            toks.expect("]")
+            # the pre-scan in parse_series put every x[...] tag into the field
+            return self.maybe_power(variable_series(field, descriptor, field.gens[field.tags.index(g)]))
+        if tok.isidentifier() and tok not in ("lex", "q", "quad", "surd"):
+            toks.next()
+            try:
+                gen = field.unit_gen(tok)
+            except (KeyError, ValueError) as e:
+                raise InputError(f"unknown unit name {tok!r}")
+            return self.maybe_power(variable_series(field, descriptor, gen))
+        value = _parse_fraction(toks.next(), toks.text)
+        if value.denominator != 1:
+            raise InputError(f"series coefficients are integers mod p, found {value}")
+        return self.maybe_power(constant_series(field, descriptor, int(value)))
+
+    def maybe_power(self, base: SeriesElement) -> SeriesElement:
+        toks = self.toks
+        if toks.peek() != "^":
+            return base
         toks.next()
-        inner = _parse_series_sum(toks, field, descriptor)
-        toks.expect(")")
-        return _maybe_power(toks, inner)
-    if tok == "t":
-        toks.next()
-        toks.expect("(")
-        g = _parse_element_tokens(toks, descriptor, hull=False)
-        toks.expect(")")
-        return _maybe_power(toks, t_term(field, descriptor, g))
-    if tok == "x":
-        toks.next()
-        toks.expect("[")
-        g = _parse_element_tokens(toks, descriptor, hull=False)
-        toks.expect("]")
-        # the pre-scan in parse_series put every x[...] tag into the field
-        return _maybe_power(toks, variable_series(field, descriptor, field.gens[field.tags.index(g)]))
-    if tok.isidentifier() and tok not in ("lex", "q", "quad", "surd"):
-        toks.next()
+        tok = toks.next()
         try:
-            gen = field.unit_gen(tok)
-        except (KeyError, ValueError) as e:
-            raise InputError(f"unknown unit name {tok!r}")
-        return _maybe_power(toks, variable_series(field, descriptor, gen))
-    value = _parse_fraction(toks.next(), toks.text)
-    if value.denominator != 1:
-        raise InputError(f"series coefficients are integers mod p, found {value}")
-    return _maybe_power(toks, constant_series(field, descriptor, int(value)))
-
-
-def _maybe_power(toks: _Tokens, base: SeriesElement) -> SeriesElement:
-    if toks.peek() != "^":
-        return base
-    toks.next()
-    tok = toks.next()
-    try:
-        n = int(tok)
-    except ValueError:
-        raise InputError(f"expected an integer exponent, found {tok!r}")
-    if n < 0:
-        raise InputError("negative exponents are not series")
-    return base.power(n)
+            n = int(tok)
+        except ValueError:
+            raise InputError(f"expected an integer exponent, found {tok!r}")
+        if n < 0:
+            raise InputError("negative exponents are not series")
+        # square and multiply, as SeriesElement.power does, with each
+        # product charged
+        out = constant_series(self.field, self.descriptor, 1)
+        while n:
+            if n & 1:
+                out = self.times(out, base)
+            base = self.times(base, base) if n > 1 else base
+            n >>= 1
+        return out
 
 
 # -- serializers ------------------------------------------------------------------
@@ -415,7 +444,7 @@ def format_cut(cut: Cut) -> str:
             body = ",".join(map(str, b.prefix))
             return f"{kind}({body})"
         make = hull_element if cut.over_hull else element
-        raw = tuple(b.prefix) if cut.over_hull else tuple(int(c) for c in b.prefix)
+        raw = b.prefix if cut.over_hull else b.nums
         return ("ge " if kind == "principal" else "gt ") + format_element(make(d, raw))
     b = cut.bound.value
     head = "ge " if kind == "principal" else "gt "

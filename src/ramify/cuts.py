@@ -6,10 +6,12 @@ module represents those sets exactly and implements the ideal calculus on
 them (membership, containment, products, p-th root sets).
 
 Every cut is encoded by a single boundary together with an inclusivity
-flag.  For the rank-one dense groups the boundary is an exact real of the
-form a + b*sqrt(d) (`Surd`), which accommodates bounds outside the group
-and even irrational bounds.  For ``int_lex(n)`` the boundary is a rational
-prefix padded with +infinity or -infinity:
+flag.  Every boundary is stored as integers over one positive denominator,
+in lowest terms, so comparisons and products are integer arithmetic.  For
+the rank-one dense groups the boundary is an exact real
+(A + B*sqrt(d)) / den (`Surd`), which accommodates bounds outside the
+group and even irrational bounds.  For ``int_lex(n)`` the boundary is a
+rational prefix (n_1..n_k) / den padded with +infinity or -infinity:
 
 * full-length inclusive bound gamma      -> { x : x >= gamma }  (principal)
 * full-length exclusive bound beta       -> { x : x > beta }    (open)
@@ -18,9 +20,10 @@ prefix padded with +infinity or -infinity:
 
 The padded shapes are the cuts with no least element that a lexicographic
 order produces; the -inf pad only survives over the divisible hull (over
-Z^n it collapses to a +inf pad one step lower).  Cuts are normalized on
-construction, so equal sets have equal representations and the total order
-by inclusion is a boundary comparison.
+Z^n it collapses to a +inf pad one step lower).  Over the group itself a
+lexicographic prefix is integral, so its denominator is 1.  Cuts are
+normalized on construction, so equal sets have equal representations and
+the total order by inclusion is a boundary comparison.
 
 A cut knows whether it lives over the group or over its divisible hull
 (``over_hull``); membership expects a ``GroupElement`` or ``HullElement``
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from math import gcd, lcm
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .ordered_group import (
     KIND_INT_LEX,
@@ -41,7 +45,7 @@ from .ordered_group import (
     GroupElement,
     HullElement,
     _Element,
-    _group_value,
+    _is_power_of,
     _is_squarefree_nonsquare,
     element,
     hull_element,
@@ -49,90 +53,154 @@ from .ordered_group import (
 )
 
 
-@dataclass(frozen=True)
 class Surd:
-    """Exact real a + b*sqrt(d); canonical form has d = 0 when b = 0."""
+    """Exact real (A + B*sqrt(d)) / den.
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int = 0
+    The canonical form has den > 0, gcd(A, B, den) = 1 and d = 0 when
+    B = 0, so equal reals are equal objects.  ``a`` and ``b`` read the
+    rational parts as Fractions.  Immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == 0:
-            object.__setattr__(self, "d", 0)
-        elif not _is_squarefree_nonsquare(self.d):
-            raise ValueError(f"radicand must be a squarefree non-square, got {self.d}")
+    __slots__ = ("A", "B", "den", "d")
+
+    def __init__(self, a, b=0, d=0) -> None:
+        a, b = Fraction(a), Fraction(b)
+        if b == 0:
+            d = 0
+        elif not _is_squarefree_nonsquare(d):
+            raise ValueError(f"radicand must be a squarefree non-square, got {d}")
+        _fill(self, a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, d)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("Surd is immutable")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError("Surd is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return self.A == other.A and self.B == other.B and self.den == other.den and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.A, self.B, self.den, self.d))
+
+    def __repr__(self) -> str:
+        return f"Surd(a={self.a!r}, b={self.b!r}, d={self.d!r})"
+
+    def __reduce__(self):
+        return Surd, (self.a, self.b, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.den)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.B
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        return quad_sign(self.a, self.b, self.d)
+        return quad_sign(self.A, self.B, self.d)
 
     def cmp(self, other: "Surd") -> int:
-        if self.d == other.d or other.b == 0:
-            return Surd(self.a - other.a, self.b - other.b, self.d or other.d).sign()
-        if self.b == 0:
-            return -other.cmp(self)
-        # sign of (a + b*sqrt(d)) - c*sqrt(d') with b, c nonzero, d != d'
-        u = Surd(self.a - other.a, self.b, self.d)
-        su, sw = u.sign(), (other.b > 0) - (other.b < 0)
-        if su == 0:
-            return -sw
+        D1, D2 = self.den, other.den
+        a = self.A * D2 - other.A * D1
+        if self.d == other.d or not self.B or not other.B:
+            return quad_sign(a, self.B * D2 - other.B * D1, self.d or other.d)
+        # times D1*D2 > 0: the sign of u - w with u = a + b*sqrt(d) and
+        # w = c*sqrt(d'), where b, c are nonzero and d != d'
+        b, c = self.B * D2, other.B * D1
+        su, sw = quad_sign(a, b, self.d), (c > 0) - (c < 0)
         if su != sw:
             return su
-        # same nonzero sign: compare squares, u^2 - w^2 is a single surd
-        lead = u.a * u.a + u.b * u.b * self.d - other.b * other.b * other.d
-        return su * quad_sign(lead, 2 * u.a * u.b, self.d)
+        # same sign: compare squares, u^2 - w^2 is a single surd
+        return su * quad_sign(a * a + b * b * self.d - c * c * other.d, 2 * a * b, self.d)
 
     def add(self, other: "Surd") -> "Surd":
-        if self.d == other.d or other.b == 0:
-            return Surd(self.a + other.a, self.b + other.b, self.d or other.d)
-        if self.b == 0:
-            return other.add(self)
+        if self.d == other.d or not self.B or not other.B:
+            D1, D2 = self.den, other.den
+            return _surd(self.A * D2 + other.A * D1, self.B * D2 + other.B * D1, D1 * D2, self.d or other.d)
         raise ValueError(f"cannot add surds over sqrt({self.d}) and sqrt({other.d})")
 
     def scale(self, n: int) -> "Surd":
-        return Surd(self.a * n, self.b * n, self.d)
+        return _surd(self.A * n, self.B * n, self.den, self.d)
 
     def divide(self, n: int) -> "Surd":
-        return Surd(self.a / n, self.b / n, self.d)
+        if n == 0:
+            raise ZeroDivisionError("Surd divided by zero")
+        return _surd(self.A, self.B, self.den * n, self.d)
 
 
-@dataclass(frozen=True)
-class _ScalarBound:
+_set = object.__setattr__
+
+
+def _fill(s: Surd, A: int, B: int, den: int, d: int) -> None:
+    """Store (A + B*sqrt(d)) / den in s, in lowest terms; den != 0."""
+    if den < 0:
+        A, B, den = -A, -B, -den
+    g = gcd(A, B, den)
+    if g != 1:
+        A, B, den = A // g, B // g, den // g
+    _set(s, "A", A)
+    _set(s, "B", B)
+    _set(s, "den", den)
+    _set(s, "d", d if B else 0)
+
+
+def _surd(A: int, B: int, den: int, d: int) -> Surd:
+    s = object.__new__(Surd)
+    _fill(s, A, B, den, d)
+    return s
+
+
+class _ScalarBound(NamedTuple):
     value: Surd
     inclusive: bool
 
 
-@dataclass(frozen=True)
-class _VecBound:
-    prefix: Tuple[Fraction, ...]
+class _VecBound(NamedTuple):
+    nums: Tuple[int, ...]  # the prefix is nums / den
+    den: int  # positive; 1 for every cut over the group
     pad: int  # +1, -1, or 0 for a full-length bound
     inclusive: bool
+
+    @property
+    def prefix(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
 
 _Bound = Union[_ScalarBound, _VecBound]
 
 
+def _over_one_den(values) -> Tuple[Tuple[int, ...], int]:
+    """Rational coordinates as integer numerators over their least common
+    denominator."""
+    values = tuple(values)
+    if all(type(c) is int for c in values):
+        return values, 1
+    fracs = [Fraction(c) for c in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
 def _element_to_surd(x: _Element) -> Surd:
     kind = x.descriptor.kind
     if kind == KIND_P_INVERTED:
-        return Surd(x.value)
+        return _surd(x.value.numerator, 0, x.value.denominator, 0)
     if kind == KIND_QUADRATIC:
-        return Surd(x.value[0], x.value[1], x.descriptor.param)
+        a, b = x.value
+        return _surd(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, x.descriptor.param)
     raise TypeError("lexicographic elements have vector bounds")
 
 
 def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> bool:
     if descriptor.kind == KIND_QUADRATIC:
-        return value.is_rational or value.d == descriptor.param
-    return value.is_rational and (over_hull or _group_value(descriptor, value.a) is not None)
+        return not value.B or value.d == descriptor.param
+    return not value.B and (over_hull or _is_power_of(value.den, descriptor.param))
 
 
 def _surd_to_element(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> _Element:
@@ -143,29 +211,30 @@ def _surd_to_element(value: Surd, descriptor: GroupDescriptor, over_hull: bool) 
     return hull_element(descriptor, raw) if over_hull else element(descriptor, raw)
 
 
-def _normalize_scalar(descriptor: GroupDescriptor, over_hull: bool, bound: _ScalarBound) -> _ScalarBound:
-    if bound.inclusive and not _surd_in_space(bound.value, descriptor, over_hull):
-        bound = _ScalarBound(bound.value, False)
-    ok = bound.value.sign() > 0 or (bound.value.sign() == 0)
-    if not ok:
+def _normalize_scalar(descriptor: GroupDescriptor, over_hull: bool, value: Surd, inclusive: bool) -> _ScalarBound:
+    if value.sign() < 0:
         raise ValueError("cut boundary must be >= 0")
-    return bound
+    if inclusive and not _surd_in_space(value, descriptor, over_hull):
+        inclusive = False
+    return _ScalarBound(value, inclusive)
 
 
-def _lex_cmp_prefix(xs, ys) -> int:
-    for a, b in zip(xs, ys):
-        if a != b:
-            return 1 if a > b else -1
-    return 0
+def _lex_cmp_prefix(xs, xden: int, ys, yden: int) -> int:
+    """Lexicographic order of xs / xden against ys / yden on their common
+    length; both denominators are positive."""
+    m = min(len(xs), len(ys))
+    xs, ys = xs[:m], ys[:m]
+    if xden != yden:
+        xs = tuple(c * yden for c in xs)
+        ys = tuple(c * xden for c in ys)
+    return (xs > ys) - (xs < ys)
 
 
-def _normalize_vec(descriptor: GroupDescriptor, over_hull: bool, bound: _VecBound) -> _VecBound:
+def _normalize_vec(descriptor: GroupDescriptor, over_hull: bool, nums, den: int, pad: int, inclusive: bool) -> _VecBound:
     n = descriptor.param
-    prefix = tuple(Fraction(c) for c in bound.prefix)
-    pad, inclusive = bound.pad, bound.inclusive
-    if not 1 <= len(prefix) <= n:
-        raise ValueError(f"bound length {len(prefix)} out of range for rank {n}")
-    if len(prefix) == n:
+    if not 1 <= len(nums) <= n:
+        raise ValueError(f"bound length {len(nums)} out of range for rank {n}")
+    if len(nums) == n:
         pad = 0
     elif pad == 0:
         raise ValueError("short bounds need a pad direction")
@@ -175,36 +244,38 @@ def _normalize_vec(descriptor: GroupDescriptor, over_hull: bool, bound: _VecBoun
     elif pad == -1:
         inclusive = True
 
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(c // g for c in nums), den // g
+
     if not over_hull:
         if pad == -1:
             # over Z^n either drop to the grid point below or strictness is free
-            if all(c.denominator == 1 for c in prefix):
-                prefix = prefix[:-1] + (prefix[-1] - 1,)
+            if den == 1:
+                nums = nums[:-1] + (nums[-1] - 1,)
             pad, inclusive = 1, False
-        if pad == 0 and inclusive and any(c.denominator != 1 for c in prefix):
+        if pad == 0 and inclusive and den != 1:
             inclusive = False
         if pad == 0 and not inclusive or pad == 1:
             # exclusive over the integers: cut at the first fractional entry,
             # floor it, then a full-length integral bound gains its successor
-            idx = next((i for i, c in enumerate(prefix) if c.denominator != 1), None)
-            if idx is not None:
-                prefix = prefix[: idx + 1]
-                prefix = prefix[:-1] + (Fraction(prefix[-1].numerator // prefix[-1].denominator),)
-            if len(prefix) == n:
-                prefix = prefix[:-1] + (prefix[-1] + 1,)
+            if den != 1:
+                idx = next(i for i, c in enumerate(nums) if c % den)
+                nums, den = tuple(c // den for c in nums[: idx + 1]), 1
+            if len(nums) == n:
+                nums = nums[:-1] + (nums[-1] + 1,)
                 pad, inclusive = 0, True
             else:
                 pad, inclusive = 1, False
 
-    k = len(prefix)
-    zeros = (Fraction(0),) * k
-    rel = _lex_cmp_prefix(prefix, zeros)
-    if rel < 0 or (rel == 0 and pad == -1):
+    lead = next((c for c in nums if c), 0)
+    if lead < 0 or (lead == 0 and pad == -1):
         raise ValueError("cut boundary must be >= 0")
-    return _VecBound(prefix, pad, inclusive)
+    return _VecBound(tuple(nums), den, pad, inclusive)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     descriptor: GroupDescriptor
     over_hull: bool
@@ -214,11 +285,11 @@ class Cut:
 
     @staticmethod
     def _scalar(descriptor, over_hull, value, inclusive) -> "Cut":
-        return Cut(descriptor, over_hull, _normalize_scalar(descriptor, over_hull, _ScalarBound(value, inclusive)))
+        return Cut(descriptor, over_hull, _normalize_scalar(descriptor, over_hull, value, inclusive))
 
     @staticmethod
-    def _vector(descriptor, over_hull, prefix, pad, inclusive) -> "Cut":
-        return Cut(descriptor, over_hull, _normalize_vec(descriptor, over_hull, _VecBound(tuple(prefix), pad, inclusive)))
+    def _vector(descriptor, over_hull, nums, den, pad, inclusive) -> "Cut":
+        return Cut(descriptor, over_hull, _normalize_vec(descriptor, over_hull, nums, den, pad, inclusive))
 
     # -- shape -------------------------------------------------------------
 
@@ -234,7 +305,7 @@ class Cut:
         if b.pad == -1:
             return "frontier_ge"
         if b.inclusive:
-            return "whole" if all(c == 0 for c in b.prefix) else "principal"
+            return "whole" if not any(b.nums) else "principal"
         return "open"
 
     @property
@@ -250,8 +321,7 @@ class Cut:
             return _surd_to_element(b.value, self.descriptor, self.over_hull)
         if b.pad != 0 or not b.inclusive:
             return None
-        raw = b.prefix
-        return hull_element(self.descriptor, raw) if self.over_hull else element(self.descriptor, raw)
+        return hull_element(self.descriptor, b.prefix) if self.over_hull else element(self.descriptor, b.nums)
 
     # -- membership and order ----------------------------------------------
 
@@ -268,8 +338,9 @@ class Cut:
         if isinstance(b, _ScalarBound):
             rel = _element_to_surd(x).cmp(b.value)
             return rel > 0 or (rel == 0 and b.inclusive)
-        coords = tuple(Fraction(c) for c in x.value)
-        rel = _lex_cmp_prefix(coords, b.prefix)
+        # group points have integer coordinates
+        xs, xden = _over_one_den(x.value) if self.over_hull else (x.value, 1)
+        rel = _lex_cmp_prefix(xs, xden, b.nums, b.den)
         if rel != 0:
             return rel > 0
         if b.pad == 1:
@@ -283,20 +354,19 @@ class Cut:
         b1, b2 = self.bound, other.bound
         if isinstance(b1, _ScalarBound):
             return b1.value.cmp(b2.value)
-        rel = _lex_cmp_prefix(b1.prefix, b2.prefix)
+        rel = _lex_cmp_prefix(b1.nums, b1.den, b2.nums, b2.den)
         if rel != 0:
             return rel
-        k1, k2 = len(b1.prefix), len(b2.prefix)
+        k1, k2 = len(b1.nums), len(b2.nums)
         if k1 == k2:
             return (b1.pad > b2.pad) - (b1.pad < b2.pad)
-        short, long_, flip = (b1, b2, 1) if k1 < k2 else (b2, b1, -1)
         # the shorter bound continues with its pad against real entries
-        return flip * short.pad
+        return b1.pad if k1 < k2 else -b2.pad
 
     def _check_peer(self, other: "Cut") -> None:
         if not isinstance(other, Cut):
             raise TypeError(f"expected a Cut, got {type(other).__name__}")
-        if other.descriptor != self.descriptor or other.over_hull != self.over_hull:
+        if (other.descriptor is not self.descriptor and other.descriptor != self.descriptor) or other.over_hull != self.over_hull:
             raise ValueError("cuts live over different spaces")
 
     def subset(self, other: "Cut") -> bool:
@@ -321,18 +391,18 @@ class Cut:
                 b1.value.add(b2.value),
                 b1.inclusive and b2.inclusive,
             )
-        n = self.descriptor.param
-        s1 = len(b1.prefix) if b1.pad else n
-        s2 = len(b2.prefix) if b2.pad else n
+        # a bound is full length exactly when it has no pad
+        s1, s2 = len(b1.nums), len(b2.nums)
         m = min(s1, s2)
-        prefix = tuple(a + b for a, b in zip(b1.prefix[:m], b2.prefix[:m]))
-        if m == n:
-            return Cut._vector(self.descriptor, self.over_hull, prefix, 0, b1.inclusive and b2.inclusive)
+        D1, D2 = b1.den, b2.den
+        nums = tuple(x * D2 + y * D1 for x, y in zip(b1.nums[:m], b2.nums[:m]))
+        if m == self.descriptor.param:
+            return Cut._vector(self.descriptor, self.over_hull, nums, D1 * D2, 0, b1.inclusive and b2.inclusive)
         if s1 == s2:
             pad = -1 if (b1.pad == -1 and b2.pad == -1) else 1
         else:
             pad = b1.pad if s1 < s2 else b2.pad
-        return Cut._vector(self.descriptor, self.over_hull, prefix, pad, pad == -1)
+        return Cut._vector(self.descriptor, self.over_hull, nums, D1 * D2, pad, pad == -1)
 
     def __mul__(self, other: "Cut") -> "Cut":
         return self.multiply(other)
@@ -352,8 +422,7 @@ class Cut:
         b = self.bound
         if isinstance(b, _ScalarBound):
             return Cut._scalar(self.descriptor, self.over_hull, b.value.divide(p), b.inclusive)
-        prefix = tuple(c / p for c in b.prefix)
-        return Cut._vector(self.descriptor, self.over_hull, prefix, b.pad, b.inclusive)
+        return Cut._vector(self.descriptor, self.over_hull, b.nums, b.den * p, b.pad, b.inclusive)
 
     def is_realizable_conductor(self, p: int) -> bool:
         """Whether the cut can occur as the conductor ideal of a degree-p
@@ -370,8 +439,8 @@ class Cut:
             return True
         if self.descriptor.kind != KIND_INT_LEX:
             return True
-        b = self.bound
-        succ = b.prefix[:-1] + (b.prefix[-1] + 1,)
+        nums = self.bound.nums  # integral over the group
+        succ = nums[:-1] + (nums[-1] + 1,)
         return all(c % p == 0 for c in succ)
 
     # -- hull passage --------------------------------------------------------
@@ -383,7 +452,7 @@ class Cut:
         b = self.bound
         if isinstance(b, _ScalarBound):
             return Cut._scalar(self.descriptor, False, b.value, b.inclusive)
-        return Cut._vector(self.descriptor, False, b.prefix, b.pad, b.inclusive)
+        return Cut._vector(self.descriptor, False, b.nums, b.den, b.pad, b.inclusive)
 
     def hull_closure(self) -> "Cut":
         """Upward closure inside the divisible hull; the least ideal of the
@@ -394,10 +463,10 @@ class Cut:
         if isinstance(b, _ScalarBound):
             return Cut._scalar(self.descriptor, True, b.value, b.inclusive)
         if b.pad == 0:
-            return Cut._vector(self.descriptor, True, b.prefix, 0, b.inclusive)
+            return Cut._vector(self.descriptor, True, b.nums, 1, 0, b.inclusive)
         # {x : trunc > c} over Z^n closes up to {h : trunc >= c + e_k} over Q^n
-        succ = b.prefix[:-1] + (b.prefix[-1] + 1,)
-        return Cut._vector(self.descriptor, True, succ, -1, True)
+        succ = b.nums[:-1] + (b.nums[-1] + 1,)
+        return Cut._vector(self.descriptor, True, succ, 1, -1, True)
 
 
 # -- public constructors -----------------------------------------------------
@@ -405,15 +474,15 @@ class Cut:
 
 def whole_cut(descriptor: GroupDescriptor, over_hull: bool = False) -> Cut:
     if descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(descriptor, over_hull, (Fraction(0),) * descriptor.param, 0, True)
-    return Cut._scalar(descriptor, over_hull, Surd(Fraction(0)), True)
+        return Cut._vector(descriptor, over_hull, (0,) * descriptor.param, 1, 0, True)
+    return Cut._scalar(descriptor, over_hull, _surd(0, 0, 1, 0), True)
 
 
 def principal_cut(gamma: _Element) -> Cut:
     """The cut { x : x >= gamma }; gamma fixes group-vs-hull."""
     over_hull = isinstance(gamma, HullElement)
     if gamma.descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(gamma.descriptor, over_hull, tuple(Fraction(c) for c in gamma.value), 0, True)
+        return Cut._vector(gamma.descriptor, over_hull, *_over_one_den(gamma.value), 0, True)
     return Cut._scalar(gamma.descriptor, over_hull, _element_to_surd(gamma), True)
 
 
@@ -425,15 +494,15 @@ def open_cut(descriptor: GroupDescriptor, bound, over_hull: bool = False) -> Cut
         if bound.descriptor != descriptor:
             raise ValueError(f"group mismatch: {descriptor} vs {bound.descriptor}")
         if descriptor.kind == KIND_INT_LEX:
-            return Cut._vector(descriptor, over_hull, tuple(Fraction(c) for c in bound.value), 0, False)
+            return Cut._vector(descriptor, over_hull, *_over_one_den(bound.value), 0, False)
         return Cut._scalar(descriptor, over_hull, _element_to_surd(bound), False)
     if isinstance(bound, Surd):
         if descriptor.kind == KIND_INT_LEX:
             raise TypeError("lexicographic cuts take coordinate bounds")
         return Cut._scalar(descriptor, over_hull, bound, False)
     if descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(descriptor, over_hull, tuple(Fraction(c) for c in bound), 0, False)
-    return Cut._scalar(descriptor, over_hull, Surd(Fraction(bound)), False)
+        return Cut._vector(descriptor, over_hull, *_over_one_den(bound), 0, False)
+    return Cut._scalar(descriptor, over_hull, Surd(bound), False)
 
 
 def frontier_cut(descriptor: GroupDescriptor, prefix, over_hull: bool = False, inclusive: bool = False) -> Cut:
@@ -441,8 +510,8 @@ def frontier_cut(descriptor: GroupDescriptor, prefix, over_hull: bool = False, i
     inclusive=True, which only survives over the hull)."""
     if descriptor.kind != KIND_INT_LEX:
         raise TypeError("frontier cuts only exist over lexicographic groups")
-    prefix = tuple(Fraction(c) for c in prefix)
+    nums, den = _over_one_den(prefix)
     pad = -1 if inclusive else 1
-    if len(prefix) == descriptor.param:
+    if len(nums) == descriptor.param:
         pad = 0
-    return Cut._vector(descriptor, over_hull, prefix, pad, inclusive)
+    return Cut._vector(descriptor, over_hull, nums, den, pad, inclusive)

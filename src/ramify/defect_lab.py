@@ -112,14 +112,11 @@ def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
 
 def _surd_floor(s: Surd) -> int:
     if s.is_rational:
-        return s.a.numerator // s.a.denominator
-    # s = (A + B*sqrt(d)) / D over integers; B*sqrt(d) is irrational, so it
-    # lies strictly between consecutive integers and isqrt pins the floor
-    D = s.a.denominator * s.b.denominator
-    A = s.a.numerator * s.b.denominator
-    B = s.b.numerator * s.a.denominator
-    r = math.isqrt(B * B * s.d)
-    return (A + r) // D if B > 0 else (A - r - 1) // D
+        return s.A // s.den
+    # B*sqrt(d) is irrational, so it lies strictly between consecutive
+    # integers and isqrt pins the floor
+    r = math.isqrt(s.B * s.B * s.d)
+    return (s.A + r) // s.den if s.B > 0 else (s.A - r - 1) // s.den
 
 
 def _grid_candidate(bound: Surd, q: int, j: int) -> Fraction:

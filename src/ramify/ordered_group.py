@@ -115,8 +115,9 @@ def quadratic(d: int) -> GroupDescriptor:
     return GroupDescriptor(KIND_QUADRATIC, d)
 
 
-def quad_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for squarefree non-square d."""
+def quad_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and squarefree
+    non-square d (any d when b = 0)."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -129,6 +130,11 @@ def quad_sign(a: Fraction, b: Fraction, d: int) -> int:
     if lhs == rhs:  # would force sqrt(d) rational
         raise ArithmeticError(f"sqrt({d}) behaved rationally; invalid radicand")
     return sa if lhs > rhs else sb
+
+
+def _quad_value_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rationals, by clearing both denominators."""
+    return quad_sign(a.numerator * b.denominator, b.numerator * a.denominator, d)
 
 
 def _coerce_rational(raw) -> Fraction:
@@ -148,11 +154,15 @@ def _group_value(descriptor: GroupDescriptor, value):
             return None
         return tuple(int(c) for c in value)
     if kind == KIND_P_INVERTED:
-        den = value.denominator
-        while den % descriptor.param == 0:
-            den //= descriptor.param
-        return value if den == 1 else None
+        return value if _is_power_of(value.denominator, descriptor.param) else None
     return value
+
+
+def _is_power_of(den: int, p: int) -> bool:
+    """Whether den is p^k for some k >= 0."""
+    while den % p == 0:
+        den //= p
+    return den == 1
 
 
 def _coerce_value(descriptor: GroupDescriptor, raw, hull: bool):
@@ -254,7 +264,7 @@ def compare(x: _Element, y: _Element) -> int:
     if kind == KIND_QUADRATIC:
         a = x.value[0] - y.value[0]
         b = x.value[1] - y.value[1]
-        return quad_sign(a, b, x.descriptor.param)
+        return _quad_value_sign(a, b, x.descriptor.param)
     if x.value == y.value:
         return 0
     return 1 if x.value > y.value else -1
@@ -350,7 +360,7 @@ def from_hull(h: HullElement) -> GroupElement:
 def sign(x: _Element) -> int:
     kind = x.descriptor.kind
     if kind == KIND_QUADRATIC:
-        return quad_sign(x.value[0], x.value[1], x.descriptor.param)
+        return _quad_value_sign(x.value[0], x.value[1], x.descriptor.param)
     if kind == KIND_P_INVERTED:
         return (x.value > 0) - (x.value < 0)
     # lexicographic: the first nonzero coordinate decides

@@ -433,6 +433,8 @@ class SeriesElement:
     def __init__(self, field: CoeffField, descriptor: GroupDescriptor, terms: Dict[GroupElement, Poly]):
         self.field = field
         self.descriptor = descriptor
+        for c in terms.values():
+            _check_ring(field, c)
         terms = [(g, c) for g, c in terms.items() if c]
         den = lcm(1, *(_den_of(g) for g, _ in terms))
         exps = [e for _, c in terms for e in c._terms]
@@ -498,6 +500,11 @@ class SeriesElement:
     def is_zero(self) -> bool:
         return not self._data
 
+    def num_terms(self) -> int:
+        """Number of nonzero terms c * x^e * t^gamma; a product of series
+        with m and n terms makes m * n coefficient products."""
+        return len(self._data)
+
     def valuation(self) -> GroupElement:
         return self._t_element(self._lead_t())
 
@@ -523,6 +530,7 @@ class SeriesElement:
         layout widens only when the new term does not fit it."""
         if gamma.descriptor is not self.descriptor and gamma.descriptor != self.descriptor:
             raise ValueError("the term lives over a different group")
+        _check_ring(self.field, coeff)
         if not coeff:
             return self
         la = self._lay
@@ -657,6 +665,16 @@ class SeriesElement:
             return "0"
         terms = dict(self.terms())
         return " + ".join(f"({terms[g]})*t^{g.value}" for g in self.support())
+
+
+def _check_ring(field: CoeffField, coeff: Poly) -> None:
+    """Refuse a polynomial from a ring with another p or other variable
+    names: its exponents would be misread against the field's variables."""
+    ring = coeff.ring
+    if ring is not field.ring and (ring.p != field.p or ring.names != field.ring.names):
+        raise ValueError(
+            f"coefficient from F_{ring.p}[{', '.join(ring.names)}] used over F_{field.p}[{', '.join(field.ring.names)}]"
+        )
 
 
 def _packed(field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], lay: _Layout,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -406,6 +407,25 @@ def test_exit_2_on_demo_br10_over_a_discrete_group():
     assert err == "error: the twin pair needs a dense value group: its defect side is a defect extension\n"
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["(t(-1)+u+t(-2))^2000", "((t(-1)+u+t(-2))^100)^100", "(u+t(1))^10000*(t(-1)+v)^9999"],
+)
+def test_exit_2_when_a_literal_outgrows_the_parse_budget(literal):
+    start = time.perf_counter()
+    code, out, err = run_cli(["classify", "--group", "zlex:1", "--p", "7", "--as", literal])
+    assert time.perf_counter() - start < ARGV_SECONDS
+    assert (code, out) == (2, "")
+    assert err == f"error: series literal needs more than {cli_mod.PARSE_PAIR_BUDGET} coefficient-term products (the parse budget)\n"
+
+
+def test_parse_budget_leaves_powers_below_it_unchanged():
+    # the parser's own square-and-multiply gives SeriesElement.power's series
+    f, field = parse_series("(t(-1)+u+t(-2))^300", Z1, 7)
+    base = t_term(field, Z1, element(Z1, -1)) + variable_series(field, Z1, field.unit_gen("u")) + t_term(field, Z1, element(Z1, -2))
+    assert f == base.power(300)
+
+
 def test_exit_2_on_missing_mode():
     code, _, err = run_cli(["classify", "--group", "zlex:1", "--p", "2"])
     assert code == 2
@@ -587,17 +607,26 @@ def _cut_text(draw, group):
     return f"{form} {draw(_element_text(group))}"
 
 
+# small exponents mostly, and up to 10^4, where products of several-term
+# bases outgrow the parse budget
+_exponents = st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=10**4)).map(str)
+
+
 @st.composite
 def _series_text(draw, group):
     terms = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         factors = [str(draw(st.integers(min_value=1, max_value=3)))]
         for unit in draw(st.lists(st.sampled_from(["u", "v", "(u+1)"]), max_size=2)):
-            factors.append(f"{unit}^{draw(st.integers(min_value=1, max_value=3))}")
+            factors.append(f"{unit}^{draw(_exponents)}")
         if draw(st.booleans()):
-            factors.append(f"x[{draw(_element_text(group))}]^{draw(st.integers(min_value=1, max_value=3))}")
+            factors.append(f"x[{draw(_element_text(group))}]^{draw(_exponents)}")
         factors.append(f"t({draw(_element_text(group))})")
-        terms.append("*".join(factors))
+        term = "*".join(factors)
+        # nested powers of a sum, such as ((t(-1)+u+t(-2))^50)^40
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            term = f"({term}+u+t({draw(_element_text(group))}))^{draw(_exponents)}"
+        terms.append(term)
     return " + ".join(terms)
 
 
@@ -655,6 +684,11 @@ def _argv(draw):
     return argv + ["--depth", draw(_depths)] + opt("--group", st.just(group)) + opt("--cut", _cut_text(group))
 
 
+# wall-time bound of one fuzzed argv; hostile literals must be refused
+# within it rather than computed
+ARGV_SECONDS = 5
+
+
 @settings(max_examples=100, deadline=None)
 @given(_argv())
 def test_any_argv_keeps_the_exit_contract_and_prints_reparseable_cuts(argv):
@@ -666,10 +700,12 @@ def test_any_argv_keeps_the_exit_contract_and_prints_reparseable_cuts(argv):
         return text
 
     cli_mod.format_cut = recording_format_cut
+    start = time.perf_counter()
     try:
         code, out, err = run_cli(argv)  # an exception escaping run fails the test
     finally:
         cli_mod.format_cut = format_cut
+    assert time.perf_counter() - start < ARGV_SECONDS, argv
     assert code in (0, 1, 2)
     assert (out == "", "error:" in err) == (code == 2, code == 2)
     assert "Traceback" not in err

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
+from ramify.cuts import Cut, Surd, _over_one_den, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.ordered_group import (
     _is_squarefree_nonsquare,
     compare,
@@ -20,6 +20,8 @@ from ramify.ordered_group import (
     zero,
 )
 
+from . import cut_reference as ref
+from .cut_reference import FracSurd
 from .strategies import descriptors, elements, group_cuts, hull_ideals
 
 Z1 = int_lex(1)
@@ -85,6 +87,190 @@ def test_surd_arithmetic():
     with pytest.raises(ValueError):
         Surd(0, 1, 4)  # square radicand
     assert Surd(5, 0, 7).is_rational and Surd(5, 0, 7).d == 0
+
+
+# -- the integer form against the Fraction oracle -----------------------------------
+
+_BIG = 10 ** 400
+# small rationals, 10^400-sized ones of either sign, and ones 10^-400 from zero
+_rationals = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(
+        lambda s, k, q: Fraction(s * (_BIG + k), q),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([1, 2, 3, 9, 4, _BIG + 1]),
+    ),
+    st.builds(lambda k, q: Fraction(k, _BIG + q), st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=3)),
+)
+
+
+@st.composite
+def _surd_args(draw, radicands=(2, 3, 5, 6)):
+    b = draw(st.one_of(st.just(Fraction(0)), _rationals))
+    return draw(_rationals), b, draw(st.sampled_from(radicands))
+
+
+def _parts(s):
+    return s.a, s.b, s.d
+
+
+@settings(max_examples=300)
+@given(_surd_args(), _surd_args(), st.integers(min_value=-6, max_value=6))
+def test_surd_integer_form_matches_the_fraction_oracle(x, y, n):
+    s, t, fs, ft = Surd(*x), Surd(*y), FracSurd(*x), FracSurd(*y)
+    assert _parts(s) == _parts(fs)
+    assert s.sign() == fs.sign()
+    assert (s.cmp(t), t.cmp(s), s.cmp(s)) == (fs.cmp(ft), ft.cmp(fs), 0)
+    if fs.d == ft.d or fs.b == 0 or ft.b == 0:
+        assert _parts(s.add(t)) == _parts(fs.add(ft))
+    else:
+        with pytest.raises(ValueError, match="cannot add surds"):
+            s.add(t)
+    assert _parts(s.scale(n)) == _parts(fs.scale(n))
+    if n:
+        q = s.divide(n)
+        assert _parts(q) == _parts(fs.divide(n)) and q.den > 0
+        # one value, one object: a round trip lands on the same form
+        assert s.scale(n).divide(n) == s and hash(s.scale(n).divide(n)) == hash(s)
+        assert math.gcd(q.A, q.B, q.den) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            s.divide(0)
+
+
+def test_surd_canonical_form():
+    assert Surd(Fraction(2, 4)) == Surd(Fraction(1, 2), 0, 7)
+    assert hash(Surd(Fraction(2, 4))) == hash(Surd(Fraction(1, 2), 0, 7))
+    s = Surd(Fraction(1, 2), Fraction(3, 4), 2)
+    assert (s.A, s.B, s.den, s.d) == (2, 3, 4, 2)
+    assert Surd(1, 1, 2).add(Surd(0, -1, 2)) == Surd(1) and Surd(1, 1, 2).add(Surd(0, -1, 2)).d == 0
+    q = s.divide(-3)
+    assert q.den > 0 and q == Surd(Fraction(-1, 6), Fraction(-1, 4), 2)
+    with pytest.raises(ZeroDivisionError):
+        s.divide(0)
+    with pytest.raises(AttributeError):
+        s.A = 5
+    assert repr(Surd(Fraction(1, 2))) == "Surd(a=Fraction(1, 2), b=Fraction(0, 1), d=0)"
+    # equal sets are equal cuts with equal hashes
+    c1, c2 = open_cut(ZP2, Surd(Fraction(2, 4))), open_cut(ZP2, element(ZP2, Fraction(1, 2)))
+    assert c1 == c2 and hash(c1) == hash(c2)
+    f1 = frontier_cut(Z2, (Fraction(6, 4),), over_hull=True)
+    f2 = frontier_cut(Z2, (Fraction(3, 2),), over_hull=True)
+    assert f1 == f2 and hash(f1) == hash(f2) and f1.bound.den == 2
+    g1 = open_cut(Z2, (Fraction(5, 3), 7))
+    assert g1 == frontier_cut(Z2, (1,)) and hash(g1) == hash(frontier_cut(Z2, (1,))) and g1.bound.den == 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+_SCALAR_GROUPS = [p_inverted(2), p_inverted(3), quadratic(2), quadratic(3)]
+
+
+@st.composite
+def _scalar_case(draw):
+    d = draw(st.sampled_from(_SCALAR_GROUPS))
+    radicands = (d.param,) if d.kind == "quad" else (2, 3)
+    over_hull = draw(st.booleans())
+    bounds = [(draw(_surd_args(radicands)), draw(st.booleans())) for _ in range(2)]
+    points = []
+    for _ in range(4):
+        if d.kind == "quad":
+            raw = (draw(_rationals), draw(_rationals))
+        elif over_hull:
+            raw = draw(_rationals)
+        else:
+            raw = Fraction(draw(st.integers(min_value=-9, max_value=9)), d.param ** draw(st.integers(min_value=0, max_value=3)))
+        points.append((hull_element if over_hull else element)(d, raw))
+    return d, over_hull, bounds, points, draw(st.sampled_from([2, 3, 5]))
+
+
+def _scalar_ref(cut):
+    b = cut.bound
+    return FracSurd(b.value.a, b.value.b, b.value.d), b.inclusive
+
+
+@settings(max_examples=300)
+@given(_scalar_case())
+def test_scalar_cuts_match_the_fraction_oracle(case):
+    d, over_hull, bounds, points, p = case
+    cuts, refs = [], []
+    for args, inclusive in bounds:
+        got = _outcome(Cut._scalar, d, over_hull, Surd(*args), inclusive)
+        want = _outcome(ref.normalize_scalar, d, over_hull, FracSurd(*args), inclusive)
+        assert (got is ValueError) == (want is ValueError)
+        if got is not ValueError:
+            assert _scalar_ref(got) == want
+            cuts.append(got)
+            refs.append(want)
+    for c1, r1 in zip(cuts, refs):
+        root = c1.pth_root_set(p)
+        assert _scalar_ref(root) == ref.normalize_scalar(d, over_hull, r1[0].divide(p), r1[1])
+        for x in points:
+            fx = FracSurd(*x.value, d.param) if d.kind == "quad" else FracSurd(x.value)
+            assert c1.contains(x) == ref.scalar_contains(r1, fx)
+        for c2, r2 in zip(cuts, refs):
+            assert c1.subset(c2) == ref.scalar_subset(r1, r2)
+            got = _outcome(c1.multiply, c2)
+            want = _outcome(ref.scalar_multiply, d, over_hull, r1, r2)
+            assert (got is ValueError) == (want is ValueError)
+            if got is not ValueError:
+                assert _scalar_ref(got) == want
+
+
+@st.composite
+def _vec_case(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    d = int_lex(n)
+    over_hull = draw(st.booleans())
+    bounds = []
+    for _ in range(2):
+        k = draw(st.integers(min_value=1, max_value=n))
+        prefix = tuple(draw(_rationals) for _ in range(k))
+        bounds.append((prefix, draw(st.sampled_from([1, -1, 0])), draw(st.booleans())))
+    coords = st.one_of(_rationals, st.integers(min_value=-3, max_value=3)) if over_hull else st.integers(min_value=-3, max_value=3)
+    points = [tuple(draw(coords) for _ in range(n)) for _ in range(3)]
+    return d, over_hull, bounds, points, draw(st.sampled_from([2, 3, 5]))
+
+
+def _vec_ref(cut):
+    b = cut.bound
+    assert b.den > 0 and math.gcd(b.den, *b.nums) == 1
+    assert cut.over_hull or b.den == 1
+    return b.prefix, b.pad, b.inclusive
+
+
+@settings(max_examples=300)
+@given(_vec_case())
+def test_lex_cuts_match_the_fraction_oracle(case):
+    d, over_hull, bounds, points, p = case
+    n = d.param
+    make = hull_element if over_hull else element
+    cuts, refs = [], []
+    for prefix, pad, inclusive in bounds:
+        got = _outcome(Cut._vector, d, over_hull, *_over_one_den(prefix), pad, inclusive)
+        want = _outcome(ref.normalize_vec, n, over_hull, prefix, pad, inclusive)
+        assert (got is ValueError) == (want is ValueError)
+        if got is not ValueError:
+            assert _vec_ref(got) == want
+            cuts.append(got)
+            refs.append(want)
+    for c1, r1 in zip(cuts, refs):
+        root = c1.pth_root_set(p)
+        assert _vec_ref(root) == ref.normalize_vec(n, over_hull, tuple(c / p for c in r1[0]), r1[1], r1[2])
+        # points on the boundary's own prefix decide the pad and inclusivity
+        on_bound = [r1[0] + pt[len(r1[0]):] for pt in points] if over_hull or c1.bound.den == 1 else []
+        for coords in points + on_bound:
+            x = make(d, coords)
+            assert c1.contains(x) == ref.vec_contains(r1, x.value)
+        for c2, r2 in zip(cuts, refs):
+            assert c1.subset(c2) == ref.vec_subset(r1, r2)
+            assert _vec_ref(c1.multiply(c2)) == ref.vec_multiply(n, over_hull, r1, r2)
 
 
 # -- membership and canonical forms ------------------------------------------------

@@ -187,6 +187,28 @@ def test_series_peer_checks():
         f + 1
 
 
+def test_a_coefficient_from_another_ring_is_refused():
+    u_only, u_and_w = CoeffField(2, units=("u",)), CoeffField(2, units=("u", "w"))
+    w = u_and_w.unit_gen("w")
+    gamma = element(Z1, -2)
+    # the exponent of w used to be dropped, giving the series (1)*t^(-2,)
+    with pytest.raises(ValueError, match=r"F_2\[u, w\] used over F_2\[u\]"):
+        t_term(u_only, Z1, gamma, w)
+    with pytest.raises(ValueError):
+        constant_series(u_only, Z1, w)
+    with pytest.raises(ValueError):
+        SeriesElement(u_only, Z1, {gamma: w})
+    other_p = CoeffField(3, units=("u",)).unit_gen("u")
+    with pytest.raises(ValueError, match=r"F_3\[u\] used over F_2\[u\]"):
+        constant_series(u_only, Z1, 1).plus_term(gamma, other_p)
+    with pytest.raises(ValueError):
+        constant_series(u_only, Z1, other_p)
+    # an equal ring from another field of the same shape is the same ring
+    twin = CoeffField(2, units=("u",)).unit_gen("u")
+    assert t_term(u_only, Z1, gamma, twin) == t_term(u_only, Z1, gamma, u_only.unit_gen("u"))
+    assert constant_series(u_only, Z1, 0).plus_term(gamma, twin) == t_term(u_only, Z1, gamma, twin)
+
+
 # -- field elements -----------------------------------------------------------------
 
 
