@@ -7,7 +7,8 @@ them (membership, containment, products, p-th root sets).
 
 Every cut is encoded by a single boundary together with an inclusivity
 flag.  Every boundary is stored as integers over one positive denominator,
-in lowest terms, so comparisons and products are integer arithmetic.  For
+in lowest terms, the form ``ordered_group`` stores points in, so
+comparisons, products and membership tests are integer arithmetic.  For
 the rank-one dense groups the boundary is an exact real
 (A + B*sqrt(d)) / den (`Surd`), which accommodates bounds outside the
 group and even irrational bounds.  For ``int_lex(n)`` the boundary is a
@@ -34,21 +35,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .ordered_group import (
     KIND_INT_LEX,
-    KIND_P_INVERTED,
     KIND_QUADRATIC,
     GroupDescriptor,
     GroupElement,
     HullElement,
     _Element,
-    _is_power_of,
+    _den_in_group,
     _is_squarefree_nonsquare,
-    element,
-    hull_element,
+    _over_one_den,
+    _point,
     quad_sign,
 )
 
@@ -64,12 +64,12 @@ class Surd:
     __slots__ = ("A", "B", "den", "d")
 
     def __init__(self, a, b=0, d=0) -> None:
-        a, b = Fraction(a), Fraction(b)
-        if b == 0:
-            d = 0
-        elif not _is_squarefree_nonsquare(d):
+        if not isinstance(d, int):
+            raise TypeError(f"radicand must be an integer, got {type(d).__name__}")
+        (A, B), den = _over_one_den((a, b))
+        if B and not _is_squarefree_nonsquare(d):
             raise ValueError(f"radicand must be a squarefree non-square, got {d}")
-        _fill(self, a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, d)
+        _fill(self, A, B, den, d)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("Surd is immutable")
@@ -176,39 +176,22 @@ class _VecBound(NamedTuple):
 _Bound = Union[_ScalarBound, _VecBound]
 
 
-def _over_one_den(values) -> Tuple[Tuple[int, ...], int]:
-    """Rational coordinates as integer numerators over their least common
-    denominator."""
-    values = tuple(values)
-    if all(type(c) is int for c in values):
-        return values, 1
-    fracs = [Fraction(c) for c in values]
-    den = lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
-
-
 def _element_to_surd(x: _Element) -> Surd:
     kind = x.descriptor.kind
-    if kind == KIND_P_INVERTED:
-        return _surd(x.value.numerator, 0, x.value.denominator, 0)
-    if kind == KIND_QUADRATIC:
-        a, b = x.value
-        return _surd(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, x.descriptor.param)
-    raise TypeError("lexicographic elements have vector bounds")
+    if kind == KIND_INT_LEX:
+        raise TypeError("lexicographic elements have vector bounds")
+    return _surd(x.nums[0], x.nums[1] if kind == KIND_QUADRATIC else 0, x.den, x.descriptor.param)
 
 
 def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> bool:
-    if descriptor.kind == KIND_QUADRATIC:
-        return not value.B or value.d == descriptor.param
-    return not value.B and (over_hull or _is_power_of(value.den, descriptor.param))
+    if value.B and (descriptor.kind != KIND_QUADRATIC or value.d != descriptor.param):
+        return False
+    return over_hull or _den_in_group(descriptor, value.den)
 
 
 def _surd_to_element(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> _Element:
-    if descriptor.kind == KIND_QUADRATIC:
-        raw = (value.a, value.b)
-    else:
-        raw = value.a
-    return hull_element(descriptor, raw) if over_hull else element(descriptor, raw)
+    nums = (value.A, value.B) if descriptor.kind == KIND_QUADRATIC else (value.A,)
+    return _point(descriptor, nums, value.den, over_hull)
 
 
 def _normalize_scalar(descriptor: GroupDescriptor, over_hull: bool, value: Surd, inclusive: bool) -> _ScalarBound:
@@ -321,7 +304,7 @@ class Cut:
             return _surd_to_element(b.value, self.descriptor, self.over_hull)
         if b.pad != 0 or not b.inclusive:
             return None
-        return hull_element(self.descriptor, b.prefix) if self.over_hull else element(self.descriptor, b.nums)
+        return _point(self.descriptor, b.nums, b.den, self.over_hull)
 
     # -- membership and order ----------------------------------------------
 
@@ -338,9 +321,7 @@ class Cut:
         if isinstance(b, _ScalarBound):
             rel = _element_to_surd(x).cmp(b.value)
             return rel > 0 or (rel == 0 and b.inclusive)
-        # group points have integer coordinates
-        xs, xden = _over_one_den(x.value) if self.over_hull else (x.value, 1)
-        rel = _lex_cmp_prefix(xs, xden, b.nums, b.den)
+        rel = _lex_cmp_prefix(x.nums, x.den, b.nums, b.den)
         if rel != 0:
             return rel > 0
         if b.pad == 1:
@@ -410,10 +391,11 @@ class Cut:
     def power(self, n: int) -> "Cut":
         if n < 1:
             raise ValueError("ideal powers need n >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.multiply(self)
-        return out
+        # n-fold multiply scales the bound and keeps its pad and inclusivity
+        b = self.bound
+        if isinstance(b, _ScalarBound):
+            return Cut._scalar(self.descriptor, self.over_hull, b.value.scale(n), b.inclusive)
+        return Cut._vector(self.descriptor, self.over_hull, tuple(c * n for c in b.nums), b.den, b.pad, b.inclusive)
 
     def pth_root_set(self, p: int) -> "Cut":
         """The cut { x : p*x in self }, boundary divided by p."""
@@ -482,7 +464,7 @@ def principal_cut(gamma: _Element) -> Cut:
     """The cut { x : x >= gamma }; gamma fixes group-vs-hull."""
     over_hull = isinstance(gamma, HullElement)
     if gamma.descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(gamma.descriptor, over_hull, *_over_one_den(gamma.value), 0, True)
+        return Cut._vector(gamma.descriptor, over_hull, gamma.nums, gamma.den, 0, True)
     return Cut._scalar(gamma.descriptor, over_hull, _element_to_surd(gamma), True)
 
 
@@ -494,7 +476,7 @@ def open_cut(descriptor: GroupDescriptor, bound, over_hull: bool = False) -> Cut
         if bound.descriptor != descriptor:
             raise ValueError(f"group mismatch: {descriptor} vs {bound.descriptor}")
         if descriptor.kind == KIND_INT_LEX:
-            return Cut._vector(descriptor, over_hull, *_over_one_den(bound.value), 0, False)
+            return Cut._vector(descriptor, over_hull, bound.nums, bound.den, 0, False)
         return Cut._scalar(descriptor, over_hull, _element_to_surd(bound), False)
     if isinstance(bound, Surd):
         if descriptor.kind == KIND_INT_LEX:

@@ -7,17 +7,20 @@ Three families cover every value group used in this package:
 * ``p_inverted(p)`` -- Z[1/p], a dense subgroup of the rationals.
 * ``quadratic(d)``  -- Q + Q*sqrt(d), a dense subgroup of the reals.
 
-Elements are immutable and exact: integer tuples for ``int_lex``, Fractions
-with p-power denominator for ``p_inverted``, pairs of Fractions for
-``quadratic``.  No comparison ever touches floating point; the sign of
-a + b*sqrt(d) is decided by comparing a^2 against d*b^2, which is
-conclusive because sqrt(d) is irrational.
+Elements are immutable and exact.  Every point is stored as integer
+numerators over one positive denominator, in lowest terms: n numerators
+for ``int_lex``, one for ``p_inverted`` and (a, b) for a + b*sqrt(d) over
+``quadratic``, so every operation is integer arithmetic.  No comparison ever touches
+floating point; the sign of a + b*sqrt(d) is decided by comparing a^2
+against d*b^2, which is conclusive because sqrt(d) is irrational.  This
+module is the only one that converts between Fractions and the stored
+form; ``.value`` reads a point back as Fractions (integers for Z^n).
 
 Each group sits inside its divisible hull (Q^n lex, Q, Q + Q*sqrt(d)).
 Hull points get their own type: a ``HullElement`` never compares equal to a
 ``GroupElement``, so confusing the two spaces is a type error rather than a
-silent coercion.  Membership of a hull point in the group is decidable
-(integrality, p-power denominator, or always for the quadratic case).
+silent coercion.  Membership of a hull point in the group is a test on its
+denominator alone: 1, a power of p, or anything for the quadratic case.
 
 Values are checked once, where they enter: ``element``, ``hull_element`` and
 the ``GroupDescriptor`` constructor.  The group and its hull are closed under
@@ -26,10 +29,12 @@ the ``GroupDescriptor`` constructor.  The group and its hull are closed under
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Union
+from math import gcd, lcm
+from typing import List, Optional, Tuple, Union
 
 KIND_INT_LEX = "zlex"
 KIND_P_INVERTED = "zp"
@@ -132,70 +137,52 @@ def quad_sign(a: int, b: int, d: int) -> int:
     return sa if lhs > rhs else sb
 
 
-def _quad_value_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d) for rationals, by clearing both denominators."""
-    return quad_sign(a.numerator * b.denominator, b.numerator * a.denominator, d)
+def _over_one_den(values) -> Tuple[Tuple[int, ...], int]:
+    """Exact rationals as integer numerators over their least common
+    denominator, which leaves them in lowest terms.  This is the one
+    coercion of raw values, and it refuses anything inexact."""
+    values = tuple(values)
+    if all(type(c) is int for c in values):
+        return values, 1
+    for c in values:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+    fracs = [Fraction(c) for c in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
 
-def _coerce_rational(raw) -> Fraction:
-    if isinstance(raw, Fraction):
-        return raw
-    if isinstance(raw, int):
-        return Fraction(raw)
-    raise TypeError(f"expected an exact rational, got {type(raw).__name__}")
+def _den_in_group(descriptor: GroupDescriptor, den: int) -> bool:
+    """Whether a hull point with this lowest-terms denominator lies in the
+    group: Z^n needs 1, Z[1/p] a power of p, Q + Q*sqrt(d) anything."""
+    if descriptor.kind == KIND_P_INVERTED:
+        while den % descriptor.param == 0:
+            den //= descriptor.param
+    return den == 1 or descriptor.kind == KIND_QUADRATIC
 
 
-def _group_value(descriptor: GroupDescriptor, value):
-    """The group's own form of a hull value (integer coordinates for
-    ``zlex``), or None when the value is not a point of the group."""
-    kind = descriptor.kind
-    if kind == KIND_INT_LEX:
-        if any(c.denominator != 1 for c in value):
-            return None
-        return tuple(int(c) for c in value)
-    if kind == KIND_P_INVERTED:
-        return value if _is_power_of(value.denominator, descriptor.param) else None
-    return value
-
-
-def _is_power_of(den: int, p: int) -> bool:
-    """Whether den is p^k for some k >= 0."""
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
-def _coerce_value(descriptor: GroupDescriptor, raw, hull: bool):
-    kind = descriptor.kind
-    if kind == KIND_INT_LEX:
-        if isinstance(raw, (int, Fraction)):
-            raw = (raw,)
-        value = tuple(_coerce_rational(c) for c in raw)
-        if len(value) != descriptor.param:
-            raise ValueError(
-                f"expected {descriptor.param} coordinates, got {len(value)}"
-            )
-    elif kind == KIND_P_INVERTED:
-        value = _coerce_rational(raw)
-    else:
-        if isinstance(raw, (int, Fraction)):
-            raw = (raw, 0)
-        a, b = raw
-        value = (_coerce_rational(a), _coerce_rational(b))
-    if hull:
-        return value
-    group_value = _group_value(descriptor, value)
-    if group_value is not None:
-        return group_value
-    if kind == KIND_INT_LEX:
-        raise ValueError(f"coordinates {value} do not lie in Z^{descriptor.param}")
-    raise ValueError(f"{value} has a denominator prime to {descriptor.param}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class _Element:
+    """A point nums / den: n numerators for ``zlex``, one for ``zp`` and
+    (a, b) for a + b*sqrt(d) over ``quad``; den > 0 and in lowest terms
+    with nums."""
+
     descriptor: GroupDescriptor
-    value: Union[tuple, Fraction]
+    nums: Tuple[int, ...]
+    den: int
+
+    @property
+    def value(self) -> Union[tuple, Fraction]:
+        """The exact value: an integer tuple for a point of Z^n, a Fraction
+        over ``zp``, a tuple of Fractions otherwise."""
+        if self.descriptor.kind == KIND_P_INVERTED:
+            return Fraction(self.nums[0], self.den)
+        if self.descriptor.kind == KIND_INT_LEX and type(self) is GroupElement:
+            return self.nums
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(descriptor={self.descriptor!r}, value={self.value!r})"
 
     def _check_peer(self, other: "_Element") -> None:
         if type(other) is not type(self):
@@ -241,42 +228,72 @@ class HullElement(_Element):
     __slots__ = ()
 
 
+def _point(descriptor: GroupDescriptor, nums: Tuple[int, ...], den: int, hull: bool = False) -> _Element:
+    """The point nums / den (den > 0) in lowest terms, unchecked: the
+    caller knows that it lies in the space."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(c // g for c in nums), den // g
+    return (HullElement if hull else GroupElement)(descriptor, nums, den)
+
+
+def _make(descriptor: GroupDescriptor, raw, hull: bool) -> _Element:
+    """The one entry point for raw values: exact rationals only, checked
+    for shape and, for a group point, membership."""
+    kind = descriptor.kind
+    if kind == KIND_P_INVERTED:
+        raw = (raw,)
+    elif isinstance(raw, (int, Fraction)):
+        raw = (raw,) if kind == KIND_INT_LEX else (raw, 0)
+    elif kind == KIND_QUADRATIC:
+        a, b = raw
+        raw = (a, b)
+    nums, den = _over_one_den(raw)
+    if kind == KIND_INT_LEX and len(nums) != descriptor.param:
+        raise ValueError(f"expected {descriptor.param} coordinates, got {len(nums)}")
+    h = HullElement(descriptor, nums, den)
+    if hull:
+        return h
+    if _den_in_group(descriptor, den):
+        return GroupElement(descriptor, nums, den)
+    if kind == KIND_INT_LEX:
+        raise ValueError(f"coordinates {h.value} do not lie in Z^{descriptor.param}")
+    raise ValueError(f"{h.value} has a denominator prime to {descriptor.param}")
+
+
 def element(descriptor: GroupDescriptor, raw) -> GroupElement:
-    return GroupElement(descriptor, _coerce_value(descriptor, raw, hull=False))
+    return _make(descriptor, raw, hull=False)
 
 
 def hull_element(descriptor: GroupDescriptor, raw) -> HullElement:
-    return HullElement(descriptor, _coerce_value(descriptor, raw, hull=True))
+    return _make(descriptor, raw, hull=True)
 
 
 def zero(descriptor: GroupDescriptor, hull: bool = False):
-    if descriptor.kind == KIND_INT_LEX:
-        raw = (0,) * descriptor.param
-    else:
-        raw = 0
-    return hull_element(descriptor, raw) if hull else element(descriptor, raw)
+    n = {KIND_INT_LEX: descriptor.param, KIND_P_INVERTED: 1}.get(descriptor.kind, 2)
+    return (HullElement if hull else GroupElement)(descriptor, (0,) * n, 1)
 
 
 def compare(x: _Element, y: _Element) -> int:
     """Three-way comparison; requires matching type and descriptor."""
     x._check_peer(y)
-    kind = x.descriptor.kind
-    if kind == KIND_QUADRATIC:
-        a = x.value[0] - y.value[0]
-        b = x.value[1] - y.value[1]
-        return _quad_value_sign(a, b, x.descriptor.param)
-    if x.value == y.value:
-        return 0
-    return 1 if x.value > y.value else -1
+    xs, ys = x.nums, y.nums
+    if x.den != y.den:
+        xs, ys = tuple(c * y.den for c in xs), tuple(c * x.den for c in ys)
+    if x.descriptor.kind == KIND_QUADRATIC:
+        return quad_sign(xs[0] - ys[0], xs[1] - ys[1], x.descriptor.param)
+    return (xs > ys) - (xs < ys)
 
 
 def add(x: _Element, y: _Element) -> _Element:
     x._check_peer(y)
-    if x.descriptor.kind == KIND_P_INVERTED:
-        value = x.value + y.value
+    D1, D2 = x.den, y.den
+    if D1 == D2:
+        nums, den = tuple(map(operator.add, x.nums, y.nums)), D1
     else:
-        value = tuple(a + b for a, b in zip(x.value, y.value))
-    return type(x)(x.descriptor, value)
+        nums, den = tuple(a * D2 + b * D1 for a, b in zip(x.nums, y.nums)), D1 * D2
+    return _point(x.descriptor, nums, den, type(x) is HullElement)
 
 
 def neg(x: _Element) -> _Element:
@@ -286,11 +303,7 @@ def neg(x: _Element) -> _Element:
 def int_scale(n: int, x: _Element) -> _Element:
     if not isinstance(n, int):
         raise TypeError(f"scale factor must be an integer, got {type(n).__name__}")
-    if x.descriptor.kind == KIND_P_INVERTED:
-        value = n * x.value
-    else:
-        value = tuple(n * a for a in x.value)
-    return type(x)(x.descriptor, value)
+    return _point(x.descriptor, tuple(n * c for c in x.nums), x.den, type(x) is HullElement)
 
 
 def divide_exact(x: _Element, n: int):
@@ -302,14 +315,11 @@ def divide_exact(x: _Element, n: int):
     """
     if not isinstance(n, int) or n == 0:
         raise ValueError(f"divisor must be a nonzero integer, got {n!r}")
-    if x.descriptor.kind == KIND_P_INVERTED:
-        value = x.value / n
-    else:
-        value = tuple(Fraction(a, n) for a in x.value)
-    if isinstance(x, HullElement):
-        return HullElement(x.descriptor, value)
-    value = _group_value(x.descriptor, value)
-    return None if value is None else GroupElement(x.descriptor, value)
+    s = 1 if n > 0 else -1
+    q = _point(x.descriptor, tuple(s * c for c in x.nums), x.den * s * n, type(x) is HullElement)
+    if isinstance(q, GroupElement) and not _den_in_group(q.descriptor, q.den):
+        return None
+    return q
 
 
 def mod_p_image(x: GroupElement, p: int) -> List[int]:
@@ -325,9 +335,9 @@ def mod_p_image(x: GroupElement, p: int) -> List[int]:
         raise ValueError(f"Gamma/p*Gamma is an F_p-space only for prime p, got {p}")
     kind = x.descriptor.kind
     if kind == KIND_INT_LEX:
-        return [c % p for c in x.value]
+        return [c % p for c in x.nums]
     if kind == KIND_P_INVERTED and x.descriptor.param != p:
-        return [x.value.numerator * pow(x.value.denominator, -1, p) % p]
+        return [x.nums[0] * pow(x.den, -1, p) % p]
     return []
 
 
@@ -341,30 +351,27 @@ def min_positive(descriptor: GroupDescriptor) -> Optional[GroupElement]:
 def to_hull(x: GroupElement) -> HullElement:
     if not isinstance(x, GroupElement):
         raise TypeError(f"expected a GroupElement, got {type(x).__name__}")
-    return hull_element(x.descriptor, x.value)
+    return HullElement(x.descriptor, x.nums, x.den)
 
 
 def in_group(h: HullElement) -> bool:
     """Whether a hull point lies in the group itself."""
     if not isinstance(h, HullElement):
         raise TypeError(f"expected a HullElement, got {type(h).__name__}")
-    return _group_value(h.descriptor, h.value) is not None
+    return _den_in_group(h.descriptor, h.den)
 
 
 def from_hull(h: HullElement) -> GroupElement:
     if not in_group(h):
         raise ValueError(f"{h.value} is not a group point of {h.descriptor}")
-    return GroupElement(h.descriptor, _group_value(h.descriptor, h.value))
+    return GroupElement(h.descriptor, h.nums, h.den)
 
 
 def sign(x: _Element) -> int:
-    kind = x.descriptor.kind
-    if kind == KIND_QUADRATIC:
-        return _quad_value_sign(x.value[0], x.value[1], x.descriptor.param)
-    if kind == KIND_P_INVERTED:
-        return (x.value > 0) - (x.value < 0)
-    # lexicographic: the first nonzero coordinate decides
-    return next(((c > 0) - (c < 0) for c in x.value if c), 0)
+    if x.descriptor.kind == KIND_QUADRATIC:
+        return quad_sign(x.nums[0], x.nums[1], x.descriptor.param)
+    # lexicographic (or a single numerator): the first nonzero entry decides
+    return next(((c > 0) - (c < 0) for c in x.nums if c), 0)
 
 
 def is_positive(x: _Element) -> bool:

@@ -23,10 +23,11 @@ into one Python int (Kronecker substitution), laid out by a ``_Layout``:
 
 * the variable exponents sit in the low bits, ``w`` bits per variable,
   tagged variables lowest;
-* above them sits the t-exponent as an integer T.  Over Z[1/q] it is the
-  numerator of gamma over a common q-power denominator ``den``; over Z^n
-  it is the n coordinates as balanced base-2^tw digits; over Q + Q*sqrt(d)
-  it is the pair (a*den, b*den) packed the same way.
+* above them sits the t-exponent as an integer T, built from gamma's
+  numerators (``GroupElement.nums``) brought over the layout's common
+  denominator ``den``.  Over Z[1/q] it is the one numerator; over Z^n
+  (den 1) it is the n coordinates as balanced base-2^tw digits; over
+  Q + Q*sqrt(d) it is the pair of numerators of a and b packed the same way.
 
 Each series carries bounds on its largest variable exponent and its largest
 lower t-coordinate, and every operation picks a layout whose fields hold
@@ -50,7 +51,6 @@ rather than assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import comb, lcm
 from operator import add, mul
@@ -62,6 +62,7 @@ from .ordered_group import (
     GroupDescriptor,
     GroupElement,
     _is_prime,
+    _point,
     compare,
     int_scale,
     is_positive,
@@ -334,45 +335,14 @@ def _layout(nlow: int, nvars: int, ntags: int, den: int, w: int, tw: int) -> _La
     return got
 
 
-def _nlow(descriptor: GroupDescriptor) -> int:
-    if descriptor.kind == KIND_P_INVERTED:
-        return 0
-    if descriptor.kind == KIND_INT_LEX:
-        return descriptor.param - 1
-    return 1
-
-
-def _den_of(gamma: GroupElement) -> int:
-    """Least denominator that makes gamma's coordinates integers."""
-    kind, v = gamma.descriptor.kind, gamma.value
-    if kind == KIND_P_INVERTED:
-        return v.denominator
-    if kind == KIND_INT_LEX:
-        return 1
-    return lcm(v[0].denominator, v[1].denominator)
-
-
 def _coords(gamma: GroupElement, den: int) -> Tuple[int, ...]:
-    """gamma's coordinates times den (den a multiple of ``_den_of(gamma)``)."""
-    kind, v = gamma.descriptor.kind, gamma.value
-    if kind == KIND_P_INVERTED:
-        return (v.numerator * (den // v.denominator),)
-    if kind == KIND_INT_LEX:
-        return v
-    return tuple(c.numerator * (den // c.denominator) for c in v)
+    """gamma's numerators over den, a multiple of ``gamma.den``."""
+    f = den // gamma.den
+    return gamma.nums if f == 1 else tuple(c * f for c in gamma.nums)
 
 
 def _low_bound(coords: Sequence[int]) -> int:
     return max((abs(c) for c in coords[1:]), default=0)
-
-
-def _element(descriptor: GroupDescriptor, coords: Tuple[int, ...], den: int) -> GroupElement:
-    kind = descriptor.kind
-    if kind == KIND_P_INVERTED:
-        return GroupElement(descriptor, Fraction(coords[0], den))
-    if kind == KIND_INT_LEX:
-        return GroupElement(descriptor, coords)
-    return GroupElement(descriptor, (Fraction(coords[0], den), Fraction(coords[1], den)))
 
 
 def _base_layout(field: CoeffField, descriptor: GroupDescriptor) -> _Layout:
@@ -380,9 +350,9 @@ def _base_layout(field: CoeffField, descriptor: GroupDescriptor) -> _Layout:
     included, so that sigma needs no re-pack."""
     got = field._layouts.get(descriptor)
     if got is None:
-        den = lcm(1, *(_den_of(tag) for tag in field.tags if tag.descriptor == descriptor))
+        den = lcm(1, *(tag.den for tag in field.tags if tag.descriptor == descriptor))
         got = field._layouts[descriptor] = _layout(
-            _nlow(descriptor), field.ring.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
+            len(zero(descriptor).nums) - 1, field.ring.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
         )
     return got
 
@@ -436,7 +406,7 @@ class SeriesElement:
         for c in terms.values():
             _check_ring(field, c)
         terms = [(g, c) for g, c in terms.items() if c]
-        den = lcm(1, *(_den_of(g) for g, _ in terms))
+        den = lcm(1, *(g.den for g, _ in terms))
         exps = [e for _, c in terms for e in c._terms]
         eb = tuple(map(max, zip(*exps))) if exps else field.ring.ngens * (0,)
         coords = [(_coords(g, den), c) for g, c in terms]
@@ -454,7 +424,7 @@ class SeriesElement:
     # -- basic views ---------------------------------------------------------
 
     def _t_element(self, T: int) -> GroupElement:
-        return _element(self.descriptor, self._lay.t_coords(T), self._lay.den)
+        return _point(self.descriptor, self._lay.t_coords(T), self._lay.den)
 
     def _poly(self, monos: Dict[int, int]) -> Poly:
         lay = self._lay
@@ -534,7 +504,7 @@ class SeriesElement:
         if not coeff:
             return self
         la = self._lay
-        den = lcm(la.den, _den_of(gamma))
+        den = lcm(la.den, gamma.den)
         coords = _coords(gamma, den)
         eb = tuple(map(max, self._eb, *coeff._terms))
         tb = max(self._tb * (den // la.den), _low_bound(coords))

@@ -304,6 +304,14 @@ def test_separation_golden():
     assert out == "[separation]\ndegree: 3\ngaps: 1,2\nbound: gt 6\n"
 
 
+def test_separation_at_a_huge_degree_scales_the_bound_at_once():
+    start = time.perf_counter()
+    code, out, _ = run_cli(["separation", "--p", "2", "--gaps", "1", "--degree", "100000000"])
+    assert time.perf_counter() - start < ARGV_SECONDS
+    assert code == 0
+    assert "bound: gt 100000000\n" in out
+
+
 def test_a_bare_negative_rational_is_an_option_value():
     argv = ["classify", "--group", "zp:2", "--p", "3", "--kummer", "i", "--e0", "1"]
     bare = run_cli(argv + ["--va", "-1/2"])

@@ -406,7 +406,18 @@ def test_multiply_golden():
     assert sq == open_cut(ZP2, Surd(0, 2, 2))
 
 
-@given(group_cuts(), st.integers(min_value=1, max_value=4))
+@st.composite
+def _hull_frontier_ge(draw):
+    """Hull cuts { h : (h_1..h_k) >= c } with the -inf pad, which
+    ``hull_ideals`` does not draw."""
+    d = draw(st.sampled_from([int_lex(2), int_lex(3)]))
+    k = draw(st.integers(min_value=1, max_value=d.param - 1))
+    first = draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6))
+    rest = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=k - 1, max_size=k - 1))
+    return frontier_cut(d, (first, *rest), over_hull=True, inclusive=True)
+
+
+@given(st.one_of(group_cuts(), hull_ideals(), _hull_frontier_ge()), st.integers(min_value=1, max_value=60))
 def test_power_is_repeated_multiply(cut, n):
     acc = cut
     for _ in range(n - 1):
@@ -502,6 +513,25 @@ def test_cut_arithmetic_trial_divides_a_radicand_once():
         for x in points:
             c1.contains(x)
     assert _is_squarefree_nonsquare.cache_info().misses == misses
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=1, max_value=5))
+def test_every_cut_constructor_refuses_floats(x, k):
+    calls = [
+        lambda: Surd(x),
+        lambda: Surd(k, x, 2),
+        lambda: open_cut(ZP2, x),
+        lambda: open_cut(QD2, x, over_hull=True),
+        lambda: open_cut(Z2, (k, x)),
+        lambda: frontier_cut(Z2, (x,), over_hull=True),
+        lambda: frontier_cut(int_lex(3), (k, x)),
+        lambda: principal_cut(hull_element(QD2, (x, k))),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            call()
+    with pytest.raises(TypeError, match="radicand must be an integer, got float"):
+        Surd(k, 1, float(2 * k + 1))
 
 
 def test_realizability():

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramify.ordered_group import (
@@ -28,6 +28,7 @@ from ramify.ordered_group import (
     zero,
 )
 
+from . import group_reference as ref
 from .strategies import element_pairs, element_triples, elements
 
 
@@ -265,3 +266,65 @@ def test_closed_operations_match_the_validating_constructor(pair, n, m):
             assert type(got) is type(want)
             assert _coordinate_types(got.value) == _coordinate_types(want.value)
     assert sign(x) == compare(x, zero(x.descriptor, hull=isinstance(x, HullElement)))
+
+
+# -- the integer form against the Fraction oracle -----------------------------------
+
+_BIG = 10 ** 400
+_ORACLE_GROUPS = [int_lex(1), int_lex(2), int_lex(3), p_inverted(2), p_inverted(3), p_inverted(5), quadratic(2), quadratic(3)]
+# small numerators and 10^400-sized ones of either sign
+_numerators = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.builds(lambda s, k: s * (_BIG + k), st.sampled_from([1, -1]), st.integers(min_value=0, max_value=5)),
+)
+
+
+@st.composite
+def _oracle_pair(draw):
+    """Two points of one space: a group or its hull, any family."""
+    d = draw(st.sampled_from(_ORACLE_GROUPS))
+    hull = draw(st.booleans())
+    width = len(zero(d).nums)
+
+    def coordinate():
+        num = draw(_numerators)
+        if d.kind == "zlex" and not hull:
+            return num
+        if d.kind == "zp" and not hull:
+            return Fraction(num, d.param ** draw(st.integers(min_value=0, max_value=400)))
+        return Fraction(num, draw(st.sampled_from([1, 2, 3, 5, 6, 9, 10 ** 399, _BIG + 1])))
+
+    make = hull_element if hull else element
+    return tuple(make(d, coordinate() if width == 1 else tuple(coordinate() for _ in range(width))) for _ in range(2))
+
+
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1 and (x.den == 1 or x.descriptor.kind != "zlex" or isinstance(x, HullElement))
+
+
+@settings(max_examples=300)
+@given(_oracle_pair(), st.integers(min_value=-7, max_value=7), st.integers(min_value=-7, max_value=7).filter(bool), st.sampled_from([2, 3, 5, 7]))
+def test_integer_form_matches_the_fraction_oracle(pair, n, m, p):
+    x, y = pair
+    d, hull = x.descriptor, isinstance(x, HullElement)
+    X, Y = x.value, y.value
+    assert _canonical(x) and _canonical(y)
+    assert compare(x, y) == ref.compare(d, X, Y) and (x == y) == (X == Y)
+    assert sign(x) == ref.sign(d, X)
+    results = [
+        (add(x, y), ref.add(d, X, Y)),
+        (neg(x), ref.int_scale(d, -1, X)),
+        (int_scale(n, x), ref.int_scale(d, n, X)),
+        (divide_exact(x, m), ref.divide_exact(d, X, m, hull)),
+    ]
+    for got, want in results:
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert type(got) is type(x) and _canonical(got)
+            assert got.value == want and _coordinate_types(got.value) == _coordinate_types(want)
+    h = x if hull else to_hull(x)
+    assert in_group(h) == ref.in_group(d, h.value)
+    if ref.in_group(d, h.value):
+        g = from_hull(h)
+        assert _canonical(g) and g.value == ref.group_value(d, h.value)
+        assert mod_p_image(g, p) == ref.mod_p_image(d, g.value, p)
