@@ -33,7 +33,6 @@ from .defect_lab import (
     VARIANT_CLOSED,
     VARIANT_OPEN,
     VARIANT_OPEN_IRRATIONAL,
-    _random_model_series,
     break_witness,
     build_defect_model,
     conductor_limit_check,
@@ -60,6 +59,7 @@ from .ordered_group import (
 from .sampling import (
     random_group_cut,
     random_hull_ideal,
+    random_model_series,
     random_positive_element,
     random_principal_hull_ideal,
 )
@@ -781,8 +781,8 @@ def _suite_series(args, report: Report) -> int:
     model = build_defect_model(descriptor, args.p, open_cut(descriptor, element(descriptor, 1)), depth=args.depth)
     failures: List[str] = []
     for _ in range(args.samples):
-        f = _random_model_series(model, rng)
-        g = _random_model_series(model, rng)
+        f = random_model_series(model, rng)
+        g = random_model_series(model, rng)
         failures += valuation_laws(model.sigma, f, g) + norm_trace_laws(model.sigma, f)
     report.kv("samples", args.samples)
     return _conclude(report, failures)

@@ -29,7 +29,6 @@ from .cuts import Cut, Surd, open_cut, principal_cut
 from .ordered_group import (
     GroupDescriptor,
     GroupElement,
-    KIND_P_INVERTED,
     compare,
     divide_exact,
     element,
@@ -38,7 +37,7 @@ from .ordered_group import (
     neg,
     to_hull,
 )
-from .sampling import random_positive_element
+from .sampling import _grid_base, random_model_series, random_positive_element
 from .series_field import (
     CoeffField,
     SeriesElement,
@@ -104,24 +103,16 @@ def build_principal_case(descriptor: GroupDescriptor, p: int, c: GroupElement) -
 # -- grid sequences converging to the root-set bound ---------------------------
 
 
-def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
-    if descriptor.kind == KIND_P_INVERTED:
-        return descriptor.param
-    return p
-
-
-def _surd_floor(s: Surd) -> int:
+def _surd_floor(s: Surd, n: int = 1) -> int:
+    """floor(n * s) for an integer n >= 1, from the integers of s."""
+    A = s.A * n
     if s.is_rational:
-        return s.A // s.den
-    # B*sqrt(d) is irrational, so it lies strictly between consecutive
+        return A // s.den
+    # B*n*sqrt(d) is irrational, so it lies strictly between consecutive
     # integers and isqrt pins the floor
-    r = math.isqrt(s.B * s.B * s.d)
-    return (s.A + r) // s.den if s.B > 0 else (s.A - r - 1) // s.den
-
-
-def _grid_candidate(bound: Surd, q: int, j: int) -> Fraction:
-    """Least element of (1/q^j) * Z strictly above `bound`."""
-    return Fraction(_surd_floor(bound.scale(q ** j)) + 1, q ** j)
+    B = s.B * n
+    r = math.isqrt(B * B * s.d)
+    return (A + r) // s.den if B > 0 else (A - r - 1) // s.den
 
 
 def _grid_sequence(
@@ -130,24 +121,30 @@ def _grid_sequence(
     """Strictly decreasing e(0) > ... > e(depth), all strictly above
     `bound`, drawn from the q-power refinement grid of the group.
 
-    The start index is the least grid level whose candidate already sits
-    strictly below its predecessor's; stalls (levels that repeat the
-    previous candidate) are skipped.
+    e(0) is the least integer above the bound, and each later e is the
+    least point above the bound on the first finer level that has one;
+    levels that repeat the previous point are skipped.
     """
     q = _grid_base(descriptor, p)
-    k0 = 0
-    while _grid_candidate(bound, q, k0 + 1) >= _grid_candidate(bound, q, k0):
-        k0 += 1
-        if k0 > 512:
-            raise RuntimeError("no refinement below the bound; grid degenerate")
-    values: List[Fraction] = [_grid_candidate(bound, q, k0)]
-    j = k0
-    while len(values) <= depth:
-        j += 1
-        cand = _grid_candidate(bound, q, j)
-        if cand < values[-1]:
-            values.append(cand)
-    return tuple(element(descriptor, v) for v in values)
+
+    def top(j: int) -> int:
+        """The least point of (1/q^j) * Z strictly above the bound, times q^j."""
+        return _surd_floor(bound, q ** j) + 1
+
+    levels = [0]
+    while len(levels) <= depth:
+        j = levels[-1]
+        t = top(j)
+        # the points never increase with the level, so the next level with a
+        # point below t / q^j is found by doubling the step, then bisecting
+        lo, hi = j, j + 1
+        while top(hi) >= t * q ** (hi - j):
+            lo, hi = hi, 2 * hi - j
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if top(mid) < t * q ** (mid - j) else (mid, hi)
+        levels.append(hi)
+    return tuple(element(descriptor, Fraction(top(j), q ** j)) for j in levels)
 
 
 def build_defect_model(
@@ -196,36 +193,6 @@ def build_defect_model(
 # -- sampled verification -------------------------------------------------------
 
 
-def _random_gamma(model: DefectModel, rng: random.Random) -> GroupElement:
-    q = _grid_base(model.descriptor, model.p)
-    j = rng.randint(0, model.depth + 3)
-    a = Fraction(rng.randint(-8, 8), q ** j)
-    if model.descriptor.kind == KIND_P_INVERTED:
-        return element(model.descriptor, a)
-    b = Fraction(rng.randint(-2, 2), q ** rng.randint(0, 2))
-    return element(model.descriptor, (a, b))
-
-
-def _random_poly(field: CoeffField, rng: random.Random):
-    n = len(field.tags)
-    poly = field.ring.zero
-    for _ in range(rng.randint(1, 2)):
-        exps = [0] * field.ring.ngens
-        for i in rng.sample(range(n), rng.randint(1, min(2, n))):
-            exps[i] = rng.randint(1, 2)
-        poly += field.ring.from_dict({tuple(exps): rng.randint(1, field.p - 1) if field.p > 2 else 1})
-    return poly
-
-
-def _random_model_series(model: DefectModel, rng: random.Random) -> SeriesElement:
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        gamma = _random_gamma(model, rng)
-        poly = _random_poly(model.field, rng)
-        terms[gamma] = terms.get(gamma, model.field.ring.zero) + poly
-    return SeriesElement(model.field, model.descriptor, terms)
-
-
 @dataclass(frozen=True)
 class DeltaReport:
     samples: int
@@ -253,7 +220,7 @@ def verify_delta_bounds(
     checked = 0
     fixed = 0
     for _ in range(samples):
-        f = _random_model_series(model, rng)
+        f = random_model_series(model, rng)
         if f.is_zero():
             continue
         least = -1  # index of the least tag occurring in f

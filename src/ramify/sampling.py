@@ -20,6 +20,7 @@ from .ordered_group import (
     hull_element,
     is_positive,
 )
+from .series_field import SeriesElement
 
 
 def random_fraction(rng: random.Random, den_base: int, span: int = 12, max_pow: int = 4) -> Fraction:
@@ -105,3 +106,36 @@ def random_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
 
 def random_principal_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
     return principal_cut(random_positive_element(rng, descriptor, hull=True))
+
+
+def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
+    """The base q of a defect model's grid levels (1/q^j) * Z: the prime that
+    Z[1/q] inverts, else p."""
+    if descriptor.kind == KIND_P_INVERTED:
+        return descriptor.param
+    return p
+
+
+def random_model_series(model, rng: random.Random) -> SeriesElement:
+    """A random element of a ``defect_lab.DefectModel``'s ring: one to three
+    terms at grid values n / q^j with j <= depth + 3, each coefficient a sum
+    of one or two monomials in one or two tagged variables."""
+    descriptor, field = model.descriptor, model.field
+    q = _grid_base(descriptor, model.p)
+    n = len(field.tags)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randint(0, model.depth + 3)
+        a = Fraction(rng.randint(-8, 8), q ** j)
+        if descriptor.kind == KIND_P_INVERTED:
+            gamma = element(descriptor, a)
+        else:
+            gamma = element(descriptor, (a, Fraction(rng.randint(-2, 2), q ** rng.randint(0, 2))))
+        poly = field.ring.zero
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * field.ring.ngens
+            for i in rng.sample(range(n), rng.randint(1, min(2, n))):
+                exps[i] = rng.randint(1, 2)
+            poly += field.ring.from_dict({tuple(exps): rng.randint(1, field.p - 1) if field.p > 2 else 1})
+        terms[gamma] = terms.get(gamma, field.ring.zero) + poly
+    return SeriesElement(field, descriptor, terms)

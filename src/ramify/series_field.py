@@ -40,6 +40,12 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``GroupElement`` and ``Poly`` only at the API edge: ``terms``,
 ``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.
 
+(gamma, Poly) terms enter a series only through ``_pack``, called by
+``SeriesElement(...)`` and ``plus_term``: it refuses an exponent from another
+group and a coefficient from another ring, widens the layout once for all
+the new terms and adds them in mod p.  Tags from another group are refused
+with the field's first layout over the group.
+
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It maps each key
 through a row of (key delta, coefficient) pairs written down from binomial
@@ -86,6 +92,31 @@ __all__ = [
     "valuation_laws",
     "norm_trace_laws",
 ]
+
+
+# -- sparse sums mod p ------------------------------------------------------------------
+
+
+def _merge(out: dict, items, p: int) -> dict:
+    """Add the (key, c) pairs into ``out`` mod p, dropping keys that cancel."""
+    get = out.get
+    for k, c in items:
+        s = (get(k, 0) + c) % p
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _reduced(acc: dict, p: int) -> dict:
+    """The accumulated sums ``acc`` mod p, without the zeros."""
+    out = {}
+    for k, c in acc.items():
+        c %= p
+        if c:
+            out[k] = c
+    return out
 
 
 # -- F_p polynomials ------------------------------------------------------------------
@@ -155,15 +186,7 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._lift(other)
-        p = self.ring.p
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = (out.get(e, 0) + c) % p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, _merge(dict(self._terms), other._terms.items(), self.ring.p))
 
     def __neg__(self) -> "Poly":
         p = self.ring.p
@@ -174,13 +197,12 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._lift(other)
-        p = self.ring.p
         acc: Dict[Tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return Poly(self.ring, {e: c % p for e, c in acc.items() if c % p})
+        return Poly(self.ring, _reduced(acc, self.ring.p))
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -347,10 +369,13 @@ def _low_bound(coords: Sequence[int]) -> int:
 
 def _base_layout(field: CoeffField, descriptor: GroupDescriptor) -> _Layout:
     """The narrowest layout over (field, descriptor): tag denominators
-    included, so that sigma needs no re-pack."""
+    included, so that sigma needs no re-pack.  Refuses tags from another
+    group, once per field and group."""
     got = field._layouts.get(descriptor)
     if got is None:
-        den = lcm(1, *(tag.den for tag in field.tags if tag.descriptor == descriptor))
+        if any(tag.descriptor != descriptor for tag in field.tags):
+            raise ValueError("variable tags live in a different group")
+        den = lcm(1, *(tag.den for tag in field.tags))
         got = field._layouts[descriptor] = _layout(
             len(zero(descriptor).nums) - 1, field.ring.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
         )
@@ -401,25 +426,8 @@ class SeriesElement:
     __slots__ = ("field", "descriptor", "_data", "_lay", "_eb", "_tb")
 
     def __init__(self, field: CoeffField, descriptor: GroupDescriptor, terms: Dict[GroupElement, Poly]):
-        self.field = field
-        self.descriptor = descriptor
-        for c in terms.values():
-            _check_ring(field, c)
-        terms = [(g, c) for g, c in terms.items() if c]
-        den = lcm(1, *(g.den for g, _ in terms))
-        exps = [e for _, c in terms for e in c._terms]
-        eb = tuple(map(max, zip(*exps))) if exps else field.ring.ngens * (0,)
-        coords = [(_coords(g, den), c) for g, c in terms]
-        tb = max((_low_bound(x) for x, _ in coords), default=0)
         lay = _base_layout(field, descriptor)
-        lay = _widen(lay, den, max(eb, default=0), tb * (lcm(lay.den, den) // den))
-        factor = lay.den // den
-        data = {}
-        for x, c in coords:
-            base = lay.t_code([v * factor for v in x]) << lay.shift
-            for e, k in c._terms.items():
-                data[base + lay.mono_code(e)] = k
-        self._data, self._lay, self._eb, self._tb = data, lay, eb, tb * factor
+        _pack(self, field, descriptor, {}, lay, lay.zeros, 0, terms.items())
 
     # -- basic views ---------------------------------------------------------
 
@@ -498,28 +506,9 @@ class SeriesElement:
     def plus_term(self, gamma: GroupElement, coeff: Poly) -> "SeriesElement":
         """self + coeff * t^gamma, added straight into the packed keys; the
         layout widens only when the new term does not fit it."""
-        if gamma.descriptor is not self.descriptor and gamma.descriptor != self.descriptor:
-            raise ValueError("the term lives over a different group")
-        _check_ring(self.field, coeff)
-        if not coeff:
-            return self
-        la = self._lay
-        den = lcm(la.den, gamma.den)
-        coords = _coords(gamma, den)
-        eb = tuple(map(max, self._eb, *coeff._terms))
-        tb = max(self._tb * (den // la.den), _low_bound(coords))
-        lay = _widen(la, den, max(eb, default=0), tb)
-        data = dict(self._data) if lay is la or not self._data else _repack(self._data, la, lay)
-        p = self.field.p
-        base = lay.t_code(coords) << lay.shift
-        for e, c in coeff._terms.items():
-            k = base + lay.mono_code(e)
-            s = (data.get(k, 0) + c) % p
-            if s:
-                data[k] = s
-            else:
-                del data[k]
-        return _packed(self.field, self.descriptor, data, lay, eb, tb)
+        out = object.__new__(SeriesElement)
+        _pack(out, self.field, self.descriptor, self._data, self._lay, self._eb, self._tb, ((gamma, coeff),))
+        return out
 
     def _check_peer(self, other: "SeriesElement") -> None:
         if not isinstance(other, SeriesElement):
@@ -556,15 +545,7 @@ class SeriesElement:
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         self._check_peer(other)
         lay, a, b, eb, tb = self._aligned(other, product=False)
-        p = self.field.p
-        out = dict(a)
-        for k, c in b.items():
-            s = (out.get(k, 0) + c) % p
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _packed(self.field, self.descriptor, out, lay, eb, tb)
+        return _packed(self.field, self.descriptor, _merge(dict(a), b.items(), self.field.p), lay, eb, tb)
 
     def __neg__(self) -> "SeriesElement":
         p = self.field.p
@@ -585,13 +566,7 @@ class SeriesElement:
             for k2, c2 in inner:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-        p = self.field.p
-        out = {}
-        for k, c in acc.items():
-            c %= p
-            if c:
-                out[k] = c
-        return _packed(self.field, self.descriptor, out, lay, eb, tb)
+        return _packed(self.field, self.descriptor, _reduced(acc, self.field.p), lay, eb, tb)
 
     def __mul__(self, other: "SeriesElement") -> "SeriesElement":
         self._check_peer(other)
@@ -647,6 +622,34 @@ def _check_ring(field: CoeffField, coeff: Poly) -> None:
         )
 
 
+def _pack(out: SeriesElement, field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], la: _Layout,
+          eb: Tuple[int, ...], tb: int, terms) -> None:
+    """Fill ``out`` with the keys ``data`` (packed in ``la``, with bounds eb
+    and tb) plus the (gamma, Poly) pairs ``terms``, summed mod p.  Every
+    term enters a series here: its group and its coefficient ring are
+    checked, and the layout widens once for all the new terms."""
+    new, den = [], la.den
+    for gamma, c in terms:
+        if not isinstance(gamma, GroupElement) or (gamma.descriptor is not descriptor and gamma.descriptor != descriptor):
+            raise ValueError("the term lives over a different group")
+        _check_ring(field, c)
+        if c:
+            if den % gamma.den:
+                # tb is kept over den, which only grows
+                wider = lcm(den, gamma.den)
+                tb, den = tb * (wider // den), wider
+            if la.nlow:
+                tb = max(tb, _low_bound(gamma.nums) * (den // gamma.den))
+            eb = tuple(map(max, eb, *c._terms))
+            new.append((gamma, c))
+    lay = _widen(la, den, max(eb, default=0), tb)
+    data = dict(data) if lay is la or not data else _repack(data, la, lay)
+    S, t_code, mono_code = lay.shift, lay.t_code, lay.mono_code
+    new = [((t_code(_coords(gamma, den)) << S) + mono_code(e), k) for gamma, c in new for e, k in c._terms.items()]
+    out.field, out.descriptor = field, descriptor
+    out._data, out._lay, out._eb, out._tb = _merge(data, new, field.p), lay, eb, tb
+
+
 def _packed(field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], lay: _Layout,
             eb: Tuple[int, ...], tb: int) -> SeriesElement:
     """A series from keys already packed in ``lay``, with their bounds."""
@@ -664,11 +667,12 @@ def t_term(field: CoeffField, descriptor: GroupDescriptor, gamma: GroupElement, 
 
 def constant_series(field: CoeffField, descriptor: GroupDescriptor, coeff) -> SeriesElement:
     if isinstance(coeff, int):
-        # the key of the monomial t^0 * x^0 is 0 in every layout
+        # an integer has no group or ring to check, and the key of the
+        # monomial t^0 * x^0 is 0 in every layout
         k = coeff % field.p
         lay = _base_layout(field, descriptor)
         return _packed(field, descriptor, {0: k} if k else {}, lay, lay.zeros, 0)
-    return SeriesElement(field, descriptor, {zero(descriptor): coeff})
+    return t_term(field, descriptor, zero(descriptor), coeff)
 
 
 def variable_series(field: CoeffField, descriptor: GroupDescriptor, gen) -> SeriesElement:
@@ -770,8 +774,6 @@ class SigmaSpec:
     """Order-p automorphism: x_d -> x_d + t^d on tagged variables."""
 
     def __init__(self, field: CoeffField, descriptor: GroupDescriptor):
-        if field.tags and any(t.descriptor != descriptor for t in field.tags):
-            raise ValueError("variable tags live in a different group")
         self.field = field
         self.descriptor = descriptor
         self.p = field.p
@@ -827,13 +829,7 @@ class SigmaSpec:
             for delta, c2 in row:
                 k = key + delta
                 acc[k] = get(k, 0) + c * c2
-        p = self.p
-        out = {}
-        for k, c in acc.items():
-            c %= p
-            if c:
-                out[k] = c
-        return _packed(f.field, f.descriptor, out, lay, f._eb, tb)
+        return _packed(f.field, f.descriptor, _reduced(acc, self.p), lay, f._eb, tb)
 
     def delta(self, f: SeriesElement) -> SeriesElement:
         """sigma(f) - f."""

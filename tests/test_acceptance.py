@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import (
-    _random_model_series,
     build_defect_model,
     build_principal_case,
     limit_queries,
@@ -29,6 +28,7 @@ from ramify.ordered_group import (
 from ramify.sampling import (
     random_group_cut,
     random_hull_ideal,
+    random_model_series,
     random_positive_element,
     random_principal_hull_ideal,
 )
@@ -333,7 +333,7 @@ def test_criterion_10_series_engine_laws():
 
             def nonzero_series():
                 while True:
-                    s = _random_model_series(model, rng)
+                    s = random_model_series(model, rng)
                     if not s.is_zero():
                         return s
 
@@ -358,8 +358,8 @@ def test_criterion_10_series_engine_laws():
             model = build_defect_model(descriptor, p, open_cut(descriptor, element(descriptor, 1)), depth=3)
             rng = random.Random(200 + p)
             for _ in range(draws):
-                f = _random_model_series(model, rng)
-                g = _random_model_series(model, rng)
+                f = random_model_series(model, rng)
+                g = random_model_series(model, rng)
                 c.failures += valuation_laws(model.sigma, f, g) + norm_trace_laws(model.sigma, f)
         hand_tags = {
             QD2: (element(QD2, (1, 0)), element(QD2, (Fraction(-1, 2), 1))),

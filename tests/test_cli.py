@@ -727,6 +727,23 @@ def test_any_argv_keeps_the_exit_contract_and_prints_reparseable_cuts(argv):
             assert (text, key in HULL_CUT_KEYS) in spaces
 
 
+@pytest.mark.parametrize("command", ["breaks", "construct-defect"])
+@pytest.mark.parametrize("k", [600, 14000])
+def test_a_bound_just_below_an_integer_builds_its_grid(command, k):
+    # the root-set bound 1 - 2^-(k+1) repeats the grid point 1 on every level
+    # up to k + 1; 2^14000 has 4215 digits, near the 4300-digit parse limit
+    bound = f"q({2 ** (k + 1) - 1}/{2 ** k})"
+    if command == "breaks":
+        argv = [command, "--group", "zp:2", "--p", "2", "--bound", bound, "--variant", "open", "--depth", "2"]
+    else:
+        argv = [command, "--group", "zp:2", "--p", "2", "--cut", f"gt {bound}", "--depth", "2"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < ARGV_SECONDS
+    assert (code, err) == (0, "")
+    assert "defect: true" in out.splitlines()
+
+
 # -- seeding -----------------------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from ramify.defect_lab import (
     VARIANT_OPEN,
     VARIANT_OPEN_IRRATIONAL,
     MAX_DEPTH,
+    _grid_sequence,
     _surd_floor,
     break_witness,
     build_defect_model,
@@ -135,6 +136,49 @@ def test_grid_base_follows_the_group():
         Fraction(9, 16),
     ]
     assert all(e.value[1] == 0 for e in mq.e_seq)
+
+
+def _brute_grid(bound, q, depth):
+    """The first depth + 1 distinct values among the least points of
+    (1/q^j) * Z strictly above ``bound``, j = 0, 1, ..., each bracketed by
+    exact comparisons."""
+    values, j = [], 0
+    while len(values) <= depth:
+        c = Fraction(_surd_floor(bound.scale(q ** j)) + 1, q ** j)
+        assert Surd(c - Fraction(1, q ** j)).cmp(bound) <= 0 < Surd(c).cmp(bound)
+        if not values or c < values[-1]:
+            values.append(c)
+        j += 1
+    return values
+
+
+@st.composite
+def _grid_bounds(draw, q):
+    """Rational and surd bounds, some just below a grid point, where the
+    grid stalls for up to 40 levels."""
+    a = Fraction(draw(st.integers(-40, 400)), draw(st.sampled_from([1, 3, 7, q, q ** 3, 10 ** 6])))
+    m = draw(st.integers(1, 40))
+    below = Fraction(draw(st.integers(-3, 3)) * q ** m - 1, q ** m)
+    kind = draw(st.sampled_from(["rational", "below", "surd", "surd below"]))
+    if kind == "rational":
+        return Surd(a)
+    if kind == "below":
+        return Surd(below)
+    d = draw(st.sampled_from([2, 3, 5]))
+    b = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 4, 9])))
+    if kind == "surd":
+        return Surd(a, b, d)
+    # |b| * sqrt(d) < 21 < 2^5, so the bound stays below the grid point
+    return Surd(below, abs(b) / q ** (m + 5), d)
+
+
+@given(st.sampled_from([(ZP2, 2), (ZP3, 3), (ZP3, 2), (QD2, 2), (QD2, 3)]), st.integers(1, 6), st.data())
+def test_grid_sequence_matches_the_distinct_candidates(case, depth, data):
+    descriptor, p = case
+    q = p if descriptor == QD2 else descriptor.param
+    bound = data.draw(_grid_bounds(q))
+    got = _grid_sequence(descriptor, p, bound, depth)
+    assert got == tuple(element(descriptor, v) for v in _brute_grid(bound, q, depth))
 
 
 # -- model construction -------------------------------------------------------------

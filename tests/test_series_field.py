@@ -24,6 +24,8 @@ from ramify.series_field import (
     variable_series,
 )
 
+from .strategies import descriptors, elements, positive_elements
+
 Z1 = int_lex(1)
 ZP2 = p_inverted(2)
 
@@ -185,6 +187,9 @@ def test_series_peer_checks():
         f + g
     with pytest.raises(TypeError):
         f + 1
+    # the lex point (1, 5) must not be read as the Z[1/2] value 4101
+    with pytest.raises(ValueError, match="the term lives over a different group"):
+        t_term(CoeffField(2), ZP2, element(Z2, (1, 5)))
 
 
 def test_a_coefficient_from_another_ring_is_refused():
@@ -207,6 +212,29 @@ def test_a_coefficient_from_another_ring_is_refused():
     twin = CoeffField(2, units=("u",)).unit_gen("u")
     assert t_term(u_only, Z1, gamma, twin) == t_term(u_only, Z1, gamma, u_only.unit_gen("u"))
     assert constant_series(u_only, Z1, 0).plus_term(gamma, twin) == t_term(u_only, Z1, gamma, twin)
+
+
+@given(st.data())
+def test_an_exponent_from_another_group_is_refused(data):
+    home = data.draw(descriptors)
+    foreign = data.draw(descriptors.filter(lambda d: d != home))
+    field = CoeffField(2, units=("u",))
+    u = field.unit_gen("u")
+    # a zero coefficient does not get a foreign value past the check, nor
+    # does a point of the group's divisible hull
+    for gamma in (data.draw(elements(foreign)), data.draw(elements(home, hull=True))):
+        for c in (u, field.zero):
+            with pytest.raises(ValueError, match="the term lives over a different group"):
+                SeriesElement(field, home, {gamma: c})
+            with pytest.raises(ValueError, match="the term lives over a different group"):
+                t_term(field, home, gamma, c)
+            with pytest.raises(ValueError, match="the term lives over a different group"):
+                constant_series(field, home, 1).plus_term(gamma, c)
+    # constant_series puts its coefficient at t^0; a tagged variable whose
+    # tag lies in another group is refused instead
+    tagged = CoeffField(2, tags=(data.draw(positive_elements(foreign)),))
+    with pytest.raises(ValueError, match="variable tags live in a different group"):
+        constant_series(tagged, home, tagged.tagged_gen(0))
 
 
 # -- field elements -----------------------------------------------------------------

@@ -248,6 +248,34 @@ def test_plus_term_edges():
         assert _bounds_hold(g)
 
 
+# -- the one packing routine ---------------------------------------------------------------
+
+
+@given(cases, st.data())
+def test_construction_equals_plus_term_folded_from_zero(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    # a few values, so that terms repeat and their coefficients add up past p
+    pool = data.draw(st.lists(gammas(descriptor), min_size=1, max_size=3))
+    mono = st.tuples(*[st.sampled_from(EDGE_EXPONENTS)] * field.ring.ngens)
+    raw_terms = data.draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.dictionaries(mono, st.integers(0, 3 * p), max_size=3)), max_size=6
+    ))
+    summed, raw = {}, {}
+    for gamma, coeffs in raw_terms:
+        summed[gamma] = summed.get(gamma, field.zero) + field.ring.from_dict(coeffs)
+        poly = raw.setdefault(gamma, {})
+        for e, c in coeffs.items():
+            poly[e] = poly.get(e, 0) + c
+    built = SeriesElement(field, descriptor, summed)
+    folded = _series(field, descriptor, {})
+    for gamma, coeffs in raw_terms:
+        folded = folded.plus_term(gamma, field.ring.from_dict(coeffs))
+    assert built == folded
+    assert ref.decode(built) == ref.decode(folded) == ref.normalize(raw, p)
+    assert _bounds_hold(built) and _bounds_hold(folded)
+
+
 # -- growth past the initial field widths --------------------------------------------------
 
 
