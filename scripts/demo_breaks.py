@@ -24,7 +24,7 @@ from ramify.defect_lab import (
     VARIANT_OPEN_IRRATIONAL,
     break_witness,
 )
-from ramify.ordered_group import GroupDescriptor, element, p_inverted
+from ramify.ordered_group import GroupDescriptor, element, hull_element, in_group, p_inverted
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,11 @@ class SweepConfig:
 
 def sweep(config: SweepConfig) -> None:
     rows = []
+    # a bound outside the group has no witness; it is named once and skipped
+    outside = [b for b in config.bounds if not in_group(hull_element(config.descriptor, b))]
     for b in config.bounds:
+        if b in outside:
+            continue
         g = element(config.descriptor, b)
         for variant in (VARIANT_CLOSED, VARIANT_OPEN):
             w = break_witness(config.descriptor, config.p, g, variant, depth=config.depth)
@@ -48,9 +52,11 @@ def sweep(config: SweepConfig) -> None:
         w = break_witness(config.descriptor, config.p, s, VARIANT_OPEN_IRRATIONAL, depth=config.depth)
         rows.append(("sqrt(2)", VARIANT_OPEN_IRRATIONAL, w))
 
-    bw = max(len(r[0]) for r in rows)
-    vw = max(len(r[1]) for r in rows)
+    bw = max((len(r[0]) for r in rows), default=len("bound"))
+    vw = max((len(r[1]) for r in rows), default=len("variant"))
     print(f"group {config.descriptor}, p = {config.p}, depth = {config.depth}")
+    if outside:
+        print(f"skipped bounds outside {config.descriptor}: {', '.join(map(str, outside))}")
     print(f"{'bound'.ljust(bw)}  {'variant'.ljust(vw)}  {'break'.ljust(16)}  principal  defect")
     for name, variant, w in rows:
         print(
@@ -73,8 +79,11 @@ def main() -> None:
     parser.add_argument("--bounds", default="1,2,3/2", help="comma-separated rational bounds")
     parser.add_argument("--no-irrational", action="store_true")
     args = parser.parse_args()
-    descriptor = p_inverted(args.p)
-    bounds = tuple(Fraction(b) for b in args.bounds.split(","))
+    try:
+        descriptor = p_inverted(args.p)
+        bounds = tuple(Fraction(b) for b in args.bounds.split(","))
+    except ValueError as e:
+        parser.error(str(e))
     sweep(SweepConfig(descriptor, args.p, args.depth, bounds, not args.no_irrational))
 
 

@@ -25,6 +25,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
@@ -51,7 +52,6 @@ from .ordered_group import (
     _is_prime,
     element,
     hull_element,
-    in_group,
     int_lex,
     p_inverted,
     quadratic,
@@ -96,37 +96,32 @@ class InputError(Exception):
 # -- tokenizer -------------------------------------------------------------------
 
 
-class _Tokens:
-    SYMBOLS = "()[],:+*^"
+# Tokens are symbols, numbers (a minus sign or a digit, then digits and "/")
+# and names (a letter or "_", then letters, digits, numerals and "_"), in the
+# classes of str.isdigit, isalpha and isalnum.  \w is isalnum or "_" but \d is
+# only isdecimal, so text holding numerals that are not decimal digits or
+# letters (², Ⅻ, ½) gets a pattern that names them.
+@lru_cache(maxsize=64)
+def _token_pattern(numerals: str) -> re.Pattern:
+    digits = "".join(c for c in numerals if c.isdigit())
+    return re.compile(rf"[()\[\],:+*^]|[^\W\d{numerals}]\w*|[-\d{digits}][\d{digits}/]*")
 
+
+class _Tokens:
     def __init__(self, text: str):
         self.text = text
-        self.items: List[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in self.SYMBOLS:
-                self.items.append(ch)
-                i += 1
-                continue
-            if ch == "-" or ch.isdigit():
-                j = i + 1
-                while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                    j += 1
-                self.items.append(text[i:j])
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.items.append(text[i:j])
-                i = j
-                continue
-            raise InputError(f"unexpected character {ch!r} in {text!r}")
+        odd = () if text.isascii() else {c for c in text if c.isnumeric() and not (c.isalpha() or c.isdecimal())}
+        pattern = _token_pattern("".join(sorted(odd)))
+        self.items: List[str] = pattern.findall(text)
+        if len("".join(self.items)) != len("".join(text.split())):
+            # findall skipped a character that starts no token: find it
+            pos = 0
+            while True:
+                pos = len(text) - len(text[pos:].lstrip())
+                match = pattern.match(text, pos)
+                if match is None:
+                    raise InputError(f"unexpected character {text[pos]!r} in {text!r}")
+                pos = match.end()
         self.pos = 0
 
     def peek(self) -> Optional[str]:
@@ -185,6 +180,17 @@ def _parse_fraction_list(toks: _Tokens) -> List[Fraction]:
     return vals
 
 
+# head of each element form -> (group kind, argument count or None for any,
+# the error for a wrong count)
+_ELEMENT_FORMS = {
+    "lex": (KIND_INT_LEX, None, None),
+    "q": (KIND_P_INVERTED, 1, "q(...) takes a single rational"),
+    "quad": (KIND_QUADRATIC, 2, "quad(a,b) takes two rationals"),
+}
+# names that a series literal cannot use for a residue unit
+_RESERVED = frozenset(("t", "x", "surd", *_ELEMENT_FORMS))
+
+
 def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
     """element := lex(...) | q(...) | quad(a,b) | bare rational"""
     build = hull_element if hull else element
@@ -192,39 +198,21 @@ def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool
     if tok is None:
         raise InputError(f"expected an element in {toks.text!r}")
     try:
-        if tok == "lex":
+        form = _ELEMENT_FORMS.get(tok)
+        if form is not None:
+            kind, arity, arity_error = form
             toks.next()
             vals = _parse_fraction_list(toks)
-            if descriptor.kind != KIND_INT_LEX:
-                raise InputError(f"lex(...) element does not live in {descriptor}")
-            return build(descriptor, tuple(vals))
-        if tok == "q":
-            toks.next()
-            vals = _parse_fraction_list(toks)
-            if len(vals) != 1:
-                raise InputError("q(...) takes a single rational")
-            if descriptor.kind != KIND_P_INVERTED:
-                raise InputError(f"q(...) element does not live in {descriptor}")
-            return build(descriptor, vals[0])
-        if tok == "quad":
-            toks.next()
-            vals = _parse_fraction_list(toks)
-            if len(vals) != 2:
-                raise InputError("quad(a,b) takes two rationals")
-            if descriptor.kind != KIND_QUADRATIC:
-                raise InputError(f"quad(...) element does not live in {descriptor}")
-            return build(descriptor, (vals[0], vals[1]))
+            if arity is not None and len(vals) != arity:
+                raise InputError(arity_error)
+            if descriptor.kind != kind:
+                raise InputError(f"{tok}(...) element does not live in {descriptor}")
+            return build(descriptor, vals[0] if kind == KIND_P_INVERTED else tuple(vals))
         # bare rational shorthand for scalar groups
         value = _parse_fraction(toks.next(), toks.text)
-        if descriptor.kind == KIND_INT_LEX and descriptor.param == 1:
-            return build(descriptor, (value,))
-        if descriptor.kind == KIND_P_INVERTED:
-            return build(descriptor, value)
-        if descriptor.kind == KIND_QUADRATIC:
-            return build(descriptor, (value, Fraction(0)))
-        raise InputError(
-            f"bare value {tok!r} is ambiguous over {descriptor}; use lex(...)"
-        )
+        if descriptor.kind == KIND_INT_LEX and descriptor.param != 1:
+            raise InputError(f"bare value {tok!r} is ambiguous over {descriptor}; use lex(...)")
+        return build(descriptor, value)
     except ValueError as e:
         raise InputError(f"{e} (while reading an element of {descriptor})")
 
@@ -236,8 +224,11 @@ def parse_element(text: str, descriptor: GroupDescriptor, hull: bool = False):
     return out
 
 
-def _parse_surd_tokens(toks: _Tokens, descriptor: GroupDescriptor) -> Surd:
-    toks.expect("surd")
+def _parse_bound_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
+    """bound := surd(a,b,d) | element"""
+    if toks.peek() != "surd":
+        return _parse_element_tokens(toks, descriptor, hull)
+    toks.next()
     vals = _parse_fraction_list(toks)
     if len(vals) != 3:
         raise InputError("surd(a,b,d) takes three arguments")
@@ -250,10 +241,7 @@ def _parse_surd_tokens(toks: _Tokens, descriptor: GroupDescriptor) -> Surd:
 
 def parse_bound(text: str, descriptor: GroupDescriptor, hull: bool):
     toks = _Tokens(text)
-    if toks.peek() == "surd":
-        out = _parse_surd_tokens(toks, descriptor)
-    else:
-        out = _parse_element_tokens(toks, descriptor, hull)
+    out = _parse_bound_tokens(toks, descriptor, hull)
     toks.done()
     return out
 
@@ -270,11 +258,7 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
         wrapped = toks.peek() == "("
         if wrapped:
             toks.next()
-        bound = (
-            _parse_surd_tokens(toks, descriptor)
-            if toks.peek() == "surd"
-            else _parse_element_tokens(toks, descriptor, hull)
-        )
+        bound = _parse_bound_tokens(toks, descriptor, hull)
         if wrapped:
             toks.expect(")")
         toks.done()
@@ -310,7 +294,7 @@ def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[Series
             toks.expect("]")
             if g not in tag_values:
                 tag_values.append(g)
-        elif tok.isidentifier() and tok not in ("t", "x", "lex", "q", "quad", "surd"):
+        elif tok.isidentifier() and tok not in _RESERVED:
             unit_names.add(tok)
     field = CoeffField(p, tags=tuple(tag_values), units=tuple(sorted(unit_names)))
 
@@ -379,7 +363,7 @@ class _SeriesReader:
             toks.expect("]")
             # the pre-scan in parse_series put every x[...] tag into the field
             return self.maybe_power(variable_series(field, descriptor, field.gens[field.tags.index(g)]))
-        if tok.isidentifier() and tok not in ("lex", "q", "quad", "surd"):
+        if tok.isidentifier() and tok not in _RESERVED:
             toks.next()
             try:
                 gen = field.unit_gen(tok)
@@ -437,26 +421,13 @@ def format_cut(cut: Cut) -> str:
     kind = cut.kind
     if kind == "whole":
         return "whole"
-    d = cut.descriptor
-    if d.kind == KIND_INT_LEX:
-        b = cut.bound
-        if kind in ("frontier", "frontier_ge"):
-            body = ",".join(map(str, b.prefix))
-            return f"{kind}({body})"
-        make = hull_element if cut.over_hull else element
-        raw = b.prefix if cut.over_hull else b.nums
-        return ("ge " if kind == "principal" else "gt ") + format_element(make(d, raw))
-    b = cut.bound.value
-    head = "ge " if kind == "principal" else "gt "
-    if d.kind == KIND_QUADRATIC and b.d in (0, d.param):
-        make = hull_element if cut.over_hull else element
-        return head + format_element(make(d, (b.a, b.b)))
-    # a rational bound that is not a group point (1/2 over Z[1/3]) can only
-    # be written as a surd
-    if b.is_rational and (cut.over_hull or in_group(hull_element(d, b.a))):
-        make = hull_element if cut.over_hull else element
-        return head + format_element(make(d, b.a))
-    return head + format_surd(b)
+    if kind in ("frontier", "frontier_ge"):
+        return f"{kind}({','.join(map(str, cut.bound.prefix))})"
+    # a bound that is not a point of the space (1/2 over Z[1/3], sqrt(2))
+    # can only be written as a surd
+    point = cut.bound_point()
+    body = format_surd(cut.bound.value) if point is None else format_element(point)
+    return ("ge " if kind == "principal" else "gt ") + body
 
 
 def format_rsw(rsw: Optional[RswSymbol]) -> str:
@@ -576,7 +547,7 @@ def _cmd_eval(args) -> Tuple[Report, int]:
 
 def _cmd_breaks(args) -> Tuple[Report, int]:
     mode = "H" if args.conductor is not None else "bound"
-    _refuse_unread(args, {"variant": ("bound",)}, [mode], f"--{mode}")
+    _refuse_unread(args, {"variant": ("bound",), "depth": ("bound",), "p": ("bound",)}, [mode], f"--{mode}")
     descriptor = parse_group(args.group)
     report = Report()
     report.section("break")
@@ -589,8 +560,9 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
         return report, 0
     if args.variant is None:
         raise InputError("--bound needs --variant")
+    depth, p = 4 if args.depth is None else args.depth, 2 if args.p is None else args.p
     bound = parse_bound(args.bound, descriptor, hull=False)
-    witness = break_witness(descriptor, args.p, bound, args.variant, depth=args.depth)
+    witness = break_witness(descriptor, p, bound, args.variant, depth=depth)
     report.kv("variant", witness.variant)
     report.kv("H", format_cut(witness.swan.conductor))
     report.kv("break", format_cut(witness.break_cut))
@@ -642,6 +614,7 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
 
 
 def _cmd_demo_br10(args) -> Tuple[Report, int]:
+    _refuse_unread(args, {"table_rows": ("plain",)}, [args.format], f"--format {args.format}")
     descriptor = parse_group(args.group)
     b = parse_element(args.b, descriptor)
     pair = twin_pair(descriptor, args.p, b, depth=args.depth)
@@ -665,7 +638,7 @@ def _cmd_demo_br10(args) -> Tuple[Report, int]:
     if args.format == "plain":
         width = max(len(r[0]) for r in rows) if rows else 8
         report.raw(f"{'I'.ljust(width)}  image1   image2   agree")
-        for name, im1, im2 in rows[: args.table_rows]:
+        for name, im1, im2 in rows[: 12 if args.table_rows is None else args.table_rows]:
             report.raw(f"{name.ljust(width)}  {im1.ljust(7)}  {im2.ljust(7)}  {'yes' if im1 == im2 else 'NO'}")
     div = pair.divergence
     im1, im2 = galois_image(H1, div), galois_image(H2, div)
@@ -707,13 +680,11 @@ def _cmd_separation(args) -> Tuple[Report, int]:
 def _group_for_separation(args) -> GroupDescriptor:
     if args.group is not None:
         return parse_group(args.group)
-    text = args.gap if args.gap is not None else (args.gaps or "")
-    if text.lstrip().startswith("q(") or text.lstrip().startswith("q ("):
+    head = _Tokens(args.gap if args.gap is not None else args.gaps).peek()
+    if head == "q":
         return p_inverted(args.p)
-    if text.lstrip().startswith("lex"):
-        raise InputError("lex gaps need an explicit --group zlex:n")
-    if text.lstrip().startswith("quad"):
-        raise InputError("quad gaps need an explicit --group quad:d")
+    if head in ("lex", "quad"):
+        raise InputError(f"{head} gaps need an explicit --group {'zlex:n' if head == 'lex' else 'quad:d'}")
     return int_lex(1)
 
 
@@ -813,7 +784,7 @@ def _refuse_unread(args, readers, modes: Sequence[str], selected: str) -> None:
     drop it; ``readers`` maps each optional flag to the modes that read it."""
     for flag, flag_readers in readers.items():
         if getattr(args, flag) is not None and not any(m in flag_readers for m in modes):
-            raise InputError(f"--{flag} is not read by {selected}")
+            raise InputError(f"--{flag.replace('_', '-')} is not read by {selected}")
 
 
 def _cmd_verify(args) -> Tuple[Report, int]:
@@ -857,10 +828,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, seed=False, p_default=None):
-        sp.add_argument(
-            "--p", type=_prime, required=p_default is None, default=p_default, help="the residue characteristic"
-        )
+    def common(sp, seed=False, p_required=True):
+        sp.add_argument("--p", type=_prime, required=p_required, help="the residue characteristic")
         if seed:
             sp.add_argument("--seed", type=int, default=0, help="RNG seed (RAMIFY_SEED overrides)")
 
@@ -888,8 +857,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--H", dest="conductor", help="conductor cut (direct mode)")
     mode.add_argument("--bound", help="break bound (construction mode)")
     sp.add_argument("--variant", choices=(VARIANT_CLOSED, VARIANT_OPEN, VARIANT_OPEN_IRRATIONAL))
-    sp.add_argument("--depth", type=int, default=4)
-    common(sp, p_default=2)
+    sp.add_argument("--depth", type=int, help="model depth for --bound (default 4)")
+    common(sp, p_required=False)
 
     sp = sub.add_parser("construct-defect", help="build and verify a defect model")
     sp.add_argument("--group", required=True)
@@ -902,7 +871,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--b", required=True, help="half-conductor value; H1 = ge at p*b, H2 = gt at p*b")
     sp.add_argument("--samples", type=_count, default=100)
-    sp.add_argument("--table-rows", type=_count, default=12)
+    sp.add_argument("--table-rows", type=_count, help="rows of the plain table (default 12)")
     sp.add_argument("--depth", type=int, default=3)
     sp.add_argument("--format", choices=("plain", "kv"), default="plain")
     common(sp, seed=True)

@@ -189,11 +189,6 @@ def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) ->
     return over_hull or _den_in_group(descriptor, value.den)
 
 
-def _surd_to_element(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> _Element:
-    nums = (value.A, value.B) if descriptor.kind == KIND_QUADRATIC else (value.A,)
-    return _point(descriptor, nums, value.den, over_hull)
-
-
 def _normalize_scalar(descriptor: GroupDescriptor, over_hull: bool, value: Surd, inclusive: bool) -> _ScalarBound:
     if value.sign() < 0:
         raise ValueError("cut boundary must be >= 0")
@@ -295,16 +290,19 @@ class Cut:
     def is_whole(self) -> bool:
         return self.kind == "whole"
 
+    def bound_point(self) -> Optional[_Element]:
+        """The boundary as a point of the cut's space, when it is one."""
+        b, d = self.bound, self.descriptor
+        if isinstance(b, _ScalarBound):
+            s = b.value
+            if not _surd_in_space(s, d, self.over_hull):
+                return None
+            return _point(d, (s.A, s.B) if d.kind == KIND_QUADRATIC else (s.A,), s.den, self.over_hull)
+        return None if b.pad else _point(d, b.nums, b.den, self.over_hull)
+
     def min_element(self) -> Optional[_Element]:
         """The least value in the cut, when one exists."""
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            if not b.inclusive:
-                return None
-            return _surd_to_element(b.value, self.descriptor, self.over_hull)
-        if b.pad != 0 or not b.inclusive:
-            return None
-        return _point(self.descriptor, b.nums, b.den, self.over_hull)
+        return self.bound_point() if self.bound.inclusive else None
 
     # -- membership and order ----------------------------------------------
 

@@ -156,8 +156,9 @@ def _den_in_group(descriptor: GroupDescriptor, den: int) -> bool:
     """Whether a hull point with this lowest-terms denominator lies in the
     group: Z^n needs 1, Z[1/p] a power of p, Q + Q*sqrt(d) anything."""
     if descriptor.kind == KIND_P_INVERTED:
-        while den % descriptor.param == 0:
-            den //= descriptor.param
+        # p^L with L the bit length of den exceeds den, and it is a multiple
+        # of den exactly when den is a power of the prime p
+        return pow(descriptor.param, den.bit_length(), den) == 0
     return den == 1 or descriptor.kind == KIND_QUADRATIC
 
 

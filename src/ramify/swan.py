@@ -26,7 +26,7 @@ enlargements that kill the ramification detected by the conductor form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .cuts import Cut, open_cut, principal_cut, whole_cut
 from .ordered_group import (
@@ -264,14 +264,12 @@ def classify_kummer_symbolic(desc: KummerSymbolic) -> SwanData:
 
 
 def value_group_image(
-    rsw: RswSymbol,
-    p: int,
-    in_p_multiples: Optional[Callable[[GroupElement], bool]] = None,
+    rsw: RswSymbol, p: int, targets: Tuple[GroupElement, ...] = ()
 ) -> Tuple[Tuple[int, GroupElement], ...]:
-    """Image of the conductor form in k tensor Gamma: unit symbols vanish,
-    p-fold classes vanish, equal classes combine mod p."""
-    if in_p_multiples is None:
-        in_p_multiples = lambda g: divide_exact(g, p) is not None
+    """Image of the conductor form in k tensor Gamma', where Gamma' is Gamma
+    enlarged by the targets' p-th divisions (``EnlargedGroup``): unit
+    symbols vanish, classes in p*Gamma' vanish, equal classes combine mod p."""
+    in_p_multiples = EnlargedGroup(p, targets).in_p_multiples
     combined = {}
     order = []
     for coeff, term in rsw.dlog_terms:
@@ -432,7 +430,4 @@ def transported_value_image(
     rsw: RswSymbol, p: int, moves: Sequence[Type2Move]
 ) -> Tuple[Tuple[int, GroupElement], ...]:
     """The conductor form's value classes after enlarging the group."""
-    if not moves:
-        return value_group_image(rsw, p)
-    enlarged = EnlargedGroup(p, tuple(m.target for m in moves))
-    return value_group_image(rsw, p, enlarged.in_p_multiples)
+    return value_group_image(rsw, p, tuple(m.target for m in moves))

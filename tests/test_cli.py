@@ -24,6 +24,7 @@ from ramify.ordered_group import element, hull_element, int_lex, p_inverted, qua
 from ramify.series_field import CoeffField, SeriesElement, t_term, variable_series
 from ramify.swan import artin_schreier_reduce, break_of
 
+from . import scanner_reference
 from .strategies import descriptors, elements, group_cuts, hull_ideals
 
 Z1 = int_lex(1)
@@ -97,6 +98,32 @@ def test_the_artin_schreier_pipeline_runs_on_series():
     assert isinstance(f, SeriesElement)
     assert isinstance(artin_schreier_reduce(f).f, SeriesElement)
     assert isinstance(build_principal_case(ZP2, 2, element(ZP2, 3)).f, SeriesElement)
+
+
+def _scanned(scan, text):
+    try:
+        return scan(text)
+    except cli_mod.InputError as e:
+        return f"InputError: {e}"
+
+
+# ASCII, tabs, the number characters, and Unicode digits, letters and
+# numerals that str.isdigit, isalpha and isalnum tell apart: ² is a digit
+# but not decimal, ٣ is decimal, Ⅻ and ½ are numerals but not digits
+_scanner_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list("\t -/3_") + ["²", "٣", "Ⅻ", "½", "\u00a0"]),
+        st.characters(max_codepoint=127),
+        st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Nd", "Nl", "No", "Zs")),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=500)
+@given(_scanner_text)
+def test_the_scanner_matches_the_character_loop(text):
+    assert _scanned(lambda t: cli_mod._Tokens(t).items, text) == _scanned(scanner_reference.scan, text)
 
 
 # -- format/parse round-trips ----------------------------------------------------------
@@ -473,6 +500,10 @@ def test_exit_2_on_argparse_errors():
         ["separation", "--p", "2", "--gap", "1", "--degree", "3"],
         ["breaks", "--group", "zp:2", "--H", "ge q(1)", "--bound", "q(1)", "--variant", "open"],
         ["breaks", "--group", "zlex:1", "--H", "ge 3", "--variant", "open"],
+        ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--depth", "9"],
+        ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--p", "3"],
+        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--format", "kv", "--table-rows", "3"],
+        ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-1)*Ⅻ"],
     ],
 )
 def test_exit_2_on_any_malformed_input(argv):
@@ -499,6 +530,12 @@ def test_verify_refuses_flags_no_suite_reads():
 def test_modes_refuse_flags_they_do_not_read():
     assert run_cli(["classify", "--group", "zlex:1", "--p", "2", "--case", "i", "--c", "3", "--e0", "5"]) == (
         2, "", "error: --e0 is not read by --case\n"
+    )
+    assert run_cli(["breaks", "--group", "zp:2", "--H", "gt q(1)", "--depth", "9"]) == (
+        2, "", "error: --depth is not read by --H\n"
+    )
+    assert run_cli(["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--format", "kv", "--table-rows", "3"]) == (
+        2, "", "error: --table-rows is not read by --format kv\n"
     )
 
 
@@ -676,9 +713,12 @@ def _argv(draw):
             "--depth", draw(_depths), "--samples", draw(_samples), "--seed", draw(_seeds)
         ]
     if command == "demo-br10":
+        # only the plain table reads --table-rows
+        layout = draw(st.sampled_from([[], ["--format", "plain"], ["--format", "kv"]]))
+        rows = [] if layout == ["--format", "kv"] else ["--table-rows", draw(_samples)]
         return [command, "--group", group, "--p", p, "--b", draw(element_of), "--depth", draw(_depths)] + [
-            "--samples", draw(_samples), "--table-rows", draw(_samples), "--seed", draw(_seeds)
-        ] + opt("--format", st.sampled_from(["plain", "kv"]))
+            "--samples", draw(_samples), "--seed", draw(_seeds)
+        ] + rows + layout
     if command == "separation":
         argv = [command, "--p", p] + (["--group", group] if draw(st.booleans()) else [])
         if draw(st.booleans()):

@@ -328,3 +328,17 @@ def test_integer_form_matches_the_fraction_oracle(pair, n, m, p):
         g = from_hull(h)
         assert _canonical(g) and g.value == ref.group_value(d, h.value)
         assert mod_p_image(g, p) == ref.mod_p_image(d, g.value, p)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([2, 3, 5, 7, 2 ** 31 - 1]),
+    st.integers(min_value=0, max_value=700),
+    st.integers(min_value=1, max_value=10 ** 6),
+)
+def test_membership_by_denominator_matches_the_division_loop(q, e, r):
+    # a denominator q^e * r lies in Z[1/q] exactly when the loop that
+    # strips factors of q ends at 1
+    d = p_inverted(q)
+    den = q ** e * r
+    assert in_group(hull_element(d, Fraction(1, den))) == ref.in_group(d, Fraction(1, den))

@@ -327,9 +327,10 @@ def test_value_group_image_rules():
     rsw = RswSymbol(element(Z1, 2), ((1, ValueClass(g2)),))
     assert value_group_image(rsw, 2) == ()
     assert value_group_image(rsw, 3) == ((1, g2),)
-    # a custom membership test overrides divisibility in the base group
+    # targets that span Gamma/p*Gamma make every class p-divisible
     rsw = RswSymbol(element(Z1, 3), ((1, ValueClass(g3)),))
-    assert value_group_image(rsw, 2, in_p_multiples=lambda g: True) == ()
+    assert value_group_image(rsw, 2, targets=(element(Z1, 1),)) == ()
+    assert value_group_image(rsw, 2, targets=(element(Z1, 2),)) == ((1, g3),)
 
 
 # -- ramification group evaluation ----------------------------------------------------
