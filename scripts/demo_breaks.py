@@ -79,12 +79,13 @@ def main() -> None:
     parser.add_argument("--bounds", default="1,2,3/2", help="comma-separated rational bounds")
     parser.add_argument("--no-irrational", action="store_true")
     args = parser.parse_args()
+    # every ValueError from the work is bad input: a usage error, exit 2
     try:
         descriptor = p_inverted(args.p)
         bounds = tuple(Fraction(b) for b in args.bounds.split(","))
+        sweep(SweepConfig(descriptor, args.p, args.depth, bounds, not args.no_irrational))
     except ValueError as e:
         parser.error(str(e))
-    sweep(SweepConfig(descriptor, args.p, args.depth, bounds, not args.no_irrational))
 
 
 if __name__ == "__main__":

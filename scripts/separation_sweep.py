@@ -27,10 +27,13 @@ def main() -> None:
     parser.add_argument("--depth", type=int, default=5)
     parser.add_argument("--bound", default="1", help="conductor cut bound (rational)")
     args = parser.parse_args()
-
-    descriptor = p_inverted(args.p)
-    cut = open_cut(descriptor, element(descriptor, Fraction(args.bound)))
-    model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
+    # every ValueError from the work is bad input: a usage error, exit 2
+    try:
+        descriptor = p_inverted(args.p)
+        cut = open_cut(descriptor, element(descriptor, Fraction(args.bound)))
+        model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
+    except ValueError as e:
+        parser.error(str(e))
     brk = break_of(model.conductor)
     print(f"group {descriptor}, p = {args.p}, conductor {format_cut(model.conductor)}")
     print(f"break at {format_cut(brk)}\n")

@@ -422,11 +422,11 @@ def format_cut(cut: Cut) -> str:
     if kind == "whole":
         return "whole"
     if kind in ("frontier", "frontier_ge"):
-        return f"{kind}({','.join(map(str, cut.bound.prefix))})"
+        return f"{kind}({','.join(str(Fraction(c, cut.value.den)) for c in cut.value.nums)})"
     # a bound that is not a point of the space (1/2 over Z[1/3], sqrt(2))
     # can only be written as a surd
     point = cut.bound_point()
-    body = format_surd(cut.bound.value) if point is None else format_element(point)
+    body = format_surd(cut.value) if point is None else format_element(point)
     return ("ge " if kind == "principal" else "gt ") + body
 
 
@@ -746,6 +746,12 @@ def _suite_theorem1(args, report: Report) -> int:
     return _conclude(report, failures)
 
 
+# Largest --p the series suite takes: each sample's norm is a product of p
+# conjugates.  On a shared 2-vCPU host one sample took at most 3.5 s at
+# p = 7 (seeds 0-40) but over a minute at p = 11 (seeds 6 and 10).
+SERIES_MAX_P = 10
+
+
 def _suite_series(args, report: Report) -> int:
     rng = random.Random(_seed_from(args))
     descriptor = p_inverted(args.p)
@@ -792,6 +798,8 @@ def _cmd_verify(args) -> Tuple[Report, int]:
     _refuse_unread(args, _FLAG_READERS, names, f"suite {args.suite}")
     if args.depth is None:
         args.depth = 3
+    if "series" in names and args.p > SERIES_MAX_P:
+        raise InputError(f"suite series takes --p at most {SERIES_MAX_P}, since each sample multiplies p conjugates")
     if "limits" in names and args.depth < 2:
         raise InputError("suite limits builds models at --depth - 1 and --depth + 1, so it needs --depth >= 2")
     report = Report()

@@ -5,26 +5,26 @@ its elements, which is an upward-closed subset of the positive cone.  This
 module represents those sets exactly and implements the ideal calculus on
 them (membership, containment, products, p-th root sets).
 
-Every cut is encoded by a single boundary together with an inclusivity
-flag.  Every boundary is stored as integers over one positive denominator,
-in lowest terms, the form ``ordered_group`` stores points in, so
-comparisons, products and membership tests are integer arithmetic.  For
-the rank-one dense groups the boundary is an exact real
-(A + B*sqrt(d)) / den (`Surd`), which accommodates bounds outside the
-group and even irrational bounds.  For ``int_lex(n)`` the boundary is a
-rational prefix (n_1..n_k) / den padded with +infinity or -infinity:
+Every cut is one boundary ``value`` and an ``inclusive`` flag.  The value
+is stored as integers over one positive denominator, in lowest terms, the
+form ``ordered_group`` stores points in, so comparisons, products and
+membership tests are integer arithmetic.  For the rank-one dense groups it
+is an exact real (A + B*sqrt(d)) / den (`Surd`), which accommodates bounds
+outside the group and even irrational bounds.  For ``int_lex(n)`` it is a
+rational prefix (c_1..c_k) / den of width 1 <= k <= n (`_Prefix`), and
+the flag and the width give the four shapes:
 
-* full-length inclusive bound gamma      -> { x : x >= gamma }  (principal)
-* full-length exclusive bound beta       -> { x : x > beta }    (open)
-* prefix c with +inf pad (``frontier``)  -> { x : (x_1..x_k) > c }
-* prefix c with -inf pad                 -> { x : (x_1..x_k) >= c }
+* width n, inclusive                    -> { x : x >= c }  (principal)
+* width n, exclusive                    -> { x : x > c }   (open)
+* width k < n, exclusive (``frontier``) -> { x : (x_1..x_k) > c }
+* width k < n, inclusive                -> { x : (x_1..x_k) >= c }
 
-The padded shapes are the cuts with no least element that a lexicographic
-order produces; the -inf pad only survives over the divisible hull (over
-Z^n it collapses to a +inf pad one step lower).  Over the group itself a
-lexicographic prefix is integral, so its denominator is 1.  Cuts are
-normalized on construction, so equal sets have equal representations and
-the total order by inclusion is a boundary comparison.
+The short shapes are the cuts with no least element that a lexicographic
+order produces; a short inclusive cut only survives over the divisible
+hull (over Z^n it collapses to a short exclusive one a step lower).  Over
+the group itself a lexicographic prefix is integral, so its denominator is
+1.  Cuts are normalized on construction, so equal sets have equal
+representations and the total order by inclusion is a boundary comparison.
 
 A cut knows whether it lives over the group or over its divisible hull
 (``over_hull``); membership expects a ``GroupElement`` or ``HullElement``
@@ -50,6 +50,7 @@ from .ordered_group import (
     _over_one_den,
     _point,
     quad_sign,
+    zero,
 )
 
 
@@ -157,30 +158,47 @@ def _surd(A: int, B: int, den: int, d: int) -> Surd:
     return s
 
 
-class _ScalarBound(NamedTuple):
-    value: Surd
-    inclusive: bool
+class _Prefix(NamedTuple):
+    """A lexicographic boundary nums / den (den > 0) of width len(nums);
+    ``cmp`` and ``add`` act on the common width, as `Surd`'s do on reals."""
+
+    nums: Tuple[int, ...]
+    den: int
+
+    def sign(self) -> int:
+        for c in self.nums:
+            if c:
+                return 1 if c > 0 else -1
+        return 0
+
+    def cmp(self, other: "_Prefix") -> int:
+        m = min(len(self.nums), len(other.nums))
+        xs, ys = self.nums[:m], other.nums[:m]
+        if self.den != other.den:
+            xs, ys = tuple(c * other.den for c in xs), tuple(c * self.den for c in ys)
+        return (xs > ys) - (xs < ys)
+
+    def add(self, other: "_Prefix") -> "_Prefix":
+        D1, D2 = self.den, other.den
+        return _Prefix(tuple(x * D2 + y * D1 for x, y in zip(self.nums, other.nums)), D1 * D2)
+
+    def scale(self, n: int) -> "_Prefix":
+        return _Prefix(tuple(c * n for c in self.nums), self.den)
+
+    def divide(self, n: int) -> "_Prefix":
+        """The prefix over n; n > 0."""
+        return _Prefix(self.nums, self.den * n)
 
 
-class _VecBound(NamedTuple):
-    nums: Tuple[int, ...]  # the prefix is nums / den
-    den: int  # positive; 1 for every cut over the group
-    pad: int  # +1, -1, or 0 for a full-length bound
-    inclusive: bool
-
-    @property
-    def prefix(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.nums)
+_Value = Union[Surd, _Prefix]
 
 
-_Bound = Union[_ScalarBound, _VecBound]
-
-
-def _element_to_surd(x: _Element) -> Surd:
-    kind = x.descriptor.kind
-    if kind == KIND_INT_LEX:
-        raise TypeError("lexicographic elements have vector bounds")
-    return _surd(x.nums[0], x.nums[1] if kind == KIND_QUADRATIC else 0, x.den, x.descriptor.param)
+def _value_of(x: _Element) -> _Value:
+    """A point as a boundary value: a full-width prefix or a real."""
+    d = x.descriptor
+    if d.kind == KIND_INT_LEX:
+        return _Prefix(x.nums, x.den)
+    return _surd(x.nums[0], x.nums[1] if d.kind == KIND_QUADRATIC else 0, x.den, d.param)
 
 
 def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> bool:
@@ -189,101 +207,68 @@ def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) ->
     return over_hull or _den_in_group(descriptor, value.den)
 
 
-def _normalize_scalar(descriptor: GroupDescriptor, over_hull: bool, value: Surd, inclusive: bool) -> _ScalarBound:
-    if value.sign() < 0:
-        raise ValueError("cut boundary must be >= 0")
-    if inclusive and not _surd_in_space(value, descriptor, over_hull):
-        inclusive = False
-    return _ScalarBound(value, inclusive)
-
-
-def _lex_cmp_prefix(xs, xden: int, ys, yden: int) -> int:
-    """Lexicographic order of xs / xden against ys / yden on their common
-    length; both denominators are positive."""
-    m = min(len(xs), len(ys))
-    xs, ys = xs[:m], ys[:m]
-    if xden != yden:
-        xs = tuple(c * yden for c in xs)
-        ys = tuple(c * xden for c in ys)
-    return (xs > ys) - (xs < ys)
-
-
-def _normalize_vec(descriptor: GroupDescriptor, over_hull: bool, nums, den: int, pad: int, inclusive: bool) -> _VecBound:
-    n = descriptor.param
-    if not 1 <= len(nums) <= n:
-        raise ValueError(f"bound length {len(nums)} out of range for rank {n}")
-    if len(nums) == n:
-        pad = 0
-    elif pad == 0:
-        raise ValueError("short bounds need a pad direction")
-
-    if pad == 1:
-        inclusive = False
-    elif pad == -1:
-        inclusive = True
-
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums, den = tuple(c // g for c in nums), den // g
-
-    if not over_hull:
-        if pad == -1:
-            # over Z^n either drop to the grid point below or strictness is free
-            if den == 1:
-                nums = nums[:-1] + (nums[-1] - 1,)
-            pad, inclusive = 1, False
-        if pad == 0 and inclusive and den != 1:
-            inclusive = False
-        if pad == 0 and not inclusive or pad == 1:
-            # exclusive over the integers: cut at the first fractional entry,
-            # floor it, then a full-length integral bound gains its successor
-            if den != 1:
-                idx = next(i for i, c in enumerate(nums) if c % den)
-                nums, den = tuple(c // den for c in nums[: idx + 1]), 1
-            if len(nums) == n:
-                nums = nums[:-1] + (nums[-1] + 1,)
-                pad, inclusive = 0, True
-            else:
-                pad, inclusive = 1, False
-
-    lead = next((c for c in nums if c), 0)
-    if lead < 0 or (lead == 0 and pad == -1):
-        raise ValueError("cut boundary must be >= 0")
-    return _VecBound(tuple(nums), den, pad, inclusive)
-
-
 @dataclass(frozen=True, slots=True)
 class Cut:
     descriptor: GroupDescriptor
     over_hull: bool
-    bound: _Bound
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def _scalar(descriptor, over_hull, value, inclusive) -> "Cut":
-        return Cut(descriptor, over_hull, _normalize_scalar(descriptor, over_hull, value, inclusive))
+    value: _Value
+    inclusive: bool
 
     @staticmethod
-    def _vector(descriptor, over_hull, nums, den, pad, inclusive) -> "Cut":
-        return Cut(descriptor, over_hull, _normalize_vec(descriptor, over_hull, nums, den, pad, inclusive))
+    def _make(descriptor: GroupDescriptor, over_hull: bool, value: _Value, inclusive: bool) -> "Cut":
+        """The one constructor: checks the boundary and normalizes it, so
+        equal sets get equal cuts."""
+        if type(value) is Surd:
+            if descriptor.kind == KIND_INT_LEX:
+                raise TypeError("lexicographic cuts take coordinate bounds")
+            if inclusive and not _surd_in_space(value, descriptor, over_hull):
+                inclusive = False
+        else:
+            nums, den = value
+            n = descriptor.param
+            if not 1 <= len(nums) <= n:
+                raise ValueError(f"bound length {len(nums)} out of range for rank {n}")
+            if den != 1:
+                g = gcd(den, *nums)
+                if g != 1:
+                    nums, den = tuple(c // g for c in nums), den // g
+            if not over_hull:
+                if inclusive and (len(nums) < n or den != 1):
+                    # over Z^n a short integral prefix drops to the grid point
+                    # below; past a fractional entry strictness is free
+                    if den == 1:
+                        nums = nums[:-1] + (nums[-1] - 1,)
+                    inclusive = False
+                if not inclusive:
+                    # exclusive over the integers: cut at the first fractional entry,
+                    # floor it, then a full-width integral bound gains its successor
+                    if den != 1:
+                        idx = next(i for i, c in enumerate(nums) if c % den)
+                        nums, den = tuple(c // den for c in nums[: idx + 1]), 1
+                    if len(nums) == n:
+                        nums, inclusive = nums[:-1] + (nums[-1] + 1,), True
+            if nums is not value.nums:  # normalization built a new prefix
+                value = _Prefix(nums, den)
+        cut = Cut(descriptor, over_hull, value, inclusive)
+        sign = value.sign()
+        if sign < 0 or (sign == 0 and inclusive and cut._unfixed()):
+            raise ValueError("cut boundary must be >= 0")
+        return cut
 
     # -- shape -------------------------------------------------------------
 
+    def _unfixed(self) -> int:
+        """Coordinates the boundary leaves free: those past a short prefix,
+        none for a full-width prefix or a real."""
+        v = self.value
+        return self.descriptor.param - len(v.nums) if type(v) is _Prefix else 0
+
     @property
     def kind(self) -> str:
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            if b.inclusive:
-                return "whole" if b.value.sign() == 0 else "principal"
-            return "open"
-        if b.pad == 1:
-            return "frontier"
-        if b.pad == -1:
-            return "frontier_ge"
-        if b.inclusive:
-            return "whole" if not any(b.nums) else "principal"
+        if self._unfixed():
+            return "frontier_ge" if self.inclusive else "frontier"
+        if self.inclusive:
+            return "whole" if self.value.sign() == 0 else "principal"
         return "open"
 
     @property
@@ -292,17 +277,16 @@ class Cut:
 
     def bound_point(self) -> Optional[_Element]:
         """The boundary as a point of the cut's space, when it is one."""
-        b, d = self.bound, self.descriptor
-        if isinstance(b, _ScalarBound):
-            s = b.value
-            if not _surd_in_space(s, d, self.over_hull):
-                return None
-            return _point(d, (s.A, s.B) if d.kind == KIND_QUADRATIC else (s.A,), s.den, self.over_hull)
-        return None if b.pad else _point(d, b.nums, b.den, self.over_hull)
+        v, d = self.value, self.descriptor
+        if type(v) is _Prefix:
+            return None if self._unfixed() else _point(d, v.nums, v.den, self.over_hull)
+        if not _surd_in_space(v, d, self.over_hull):
+            return None
+        return _point(d, (v.A, v.B) if d.kind == KIND_QUADRATIC else (v.A,), v.den, self.over_hull)
 
     def min_element(self) -> Optional[_Element]:
         """The least value in the cut, when one exists."""
-        return self.bound_point() if self.bound.inclusive else None
+        return self.bound_point() if self.inclusive else None
 
     # -- membership and order ----------------------------------------------
 
@@ -315,32 +299,9 @@ class Cut:
 
     def contains(self, x: _Element) -> bool:
         self._check_point(x)
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            rel = _element_to_surd(x).cmp(b.value)
-            return rel > 0 or (rel == 0 and b.inclusive)
-        rel = _lex_cmp_prefix(x.nums, x.den, b.nums, b.den)
-        if rel != 0:
-            return rel > 0
-        if b.pad == 1:
-            return False
-        if b.pad == -1:
-            return True
-        return b.inclusive
-
-    def _bound_cmp(self, other: "Cut") -> int:
-        """Order of the boundaries themselves, -inf pads counting low."""
-        b1, b2 = self.bound, other.bound
-        if isinstance(b1, _ScalarBound):
-            return b1.value.cmp(b2.value)
-        rel = _lex_cmp_prefix(b1.nums, b1.den, b2.nums, b2.den)
-        if rel != 0:
-            return rel
-        k1, k2 = len(b1.nums), len(b2.nums)
-        if k1 == k2:
-            return (b1.pad > b2.pad) - (b1.pad < b2.pad)
-        # the shorter bound continues with its pad against real entries
-        return b1.pad if k1 < k2 else -b2.pad
+        # on a short prefix the flag says which side of the rest x lies on
+        rel = _value_of(x).cmp(self.value)
+        return rel > 0 or (rel == 0 and self.inclusive)
 
     def _check_peer(self, other: "Cut") -> None:
         if not isinstance(other, Cut):
@@ -349,39 +310,26 @@ class Cut:
             raise ValueError("cuts live over different spaces")
 
     def subset(self, other: "Cut") -> bool:
+        """Inclusion is the order of the boundaries: an inclusive one sits
+        just below its value and an exclusive one just above, and a short
+        prefix carries that side past its width."""
         self._check_peer(other)
-        rel = self._bound_cmp(other)
+        rel = self.value.cmp(other.value)
         if rel != 0:
             return rel > 0
-        if self.bound == other.bound:
-            return True
-        # same boundary, different inclusivity: the exclusive cut is smaller
-        return not self.bound.inclusive or other.bound.inclusive
+        u1, u2 = self._unfixed(), other._unfixed()
+        if u1 != u2:
+            return not self.inclusive if u1 > u2 else other.inclusive
+        return not self.inclusive or other.inclusive
 
     # -- ideal calculus ------------------------------------------------------
 
     def multiply(self, other: "Cut") -> "Cut":
         self._check_peer(other)
-        b1, b2 = self.bound, other.bound
-        if isinstance(b1, _ScalarBound):
-            return Cut._scalar(
-                self.descriptor,
-                self.over_hull,
-                b1.value.add(b2.value),
-                b1.inclusive and b2.inclusive,
-            )
-        # a bound is full length exactly when it has no pad
-        s1, s2 = len(b1.nums), len(b2.nums)
-        m = min(s1, s2)
-        D1, D2 = b1.den, b2.den
-        nums = tuple(x * D2 + y * D1 for x, y in zip(b1.nums[:m], b2.nums[:m]))
-        if m == self.descriptor.param:
-            return Cut._vector(self.descriptor, self.over_hull, nums, D1 * D2, 0, b1.inclusive and b2.inclusive)
-        if s1 == s2:
-            pad = -1 if (b1.pad == -1 and b2.pad == -1) else 1
-        else:
-            pad = b1.pad if s1 < s2 else b2.pad
-        return Cut._vector(self.descriptor, self.over_hull, nums, D1 * D2, pad, pad == -1)
+        u1, u2 = self._unfixed(), other._unfixed()
+        # equal widths keep both flags; otherwise the shorter prefix's side wins
+        inclusive = self.inclusive and other.inclusive if u1 == u2 else (self if u1 > u2 else other).inclusive
+        return Cut._make(self.descriptor, self.over_hull, self.value.add(other.value), inclusive)
 
     def __mul__(self, other: "Cut") -> "Cut":
         return self.multiply(other)
@@ -389,20 +337,14 @@ class Cut:
     def power(self, n: int) -> "Cut":
         if n < 1:
             raise ValueError("ideal powers need n >= 1")
-        # n-fold multiply scales the bound and keeps its pad and inclusivity
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            return Cut._scalar(self.descriptor, self.over_hull, b.value.scale(n), b.inclusive)
-        return Cut._vector(self.descriptor, self.over_hull, tuple(c * n for c in b.nums), b.den, b.pad, b.inclusive)
+        # n-fold multiply scales the boundary and keeps its width and flag
+        return Cut._make(self.descriptor, self.over_hull, self.value.scale(n), self.inclusive)
 
     def pth_root_set(self, p: int) -> "Cut":
         """The cut { x : p*x in self }, boundary divided by p."""
         if p < 2:
             raise ValueError("need p >= 2")
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            return Cut._scalar(self.descriptor, self.over_hull, b.value.divide(p), b.inclusive)
-        return Cut._vector(self.descriptor, self.over_hull, b.nums, b.den * p, b.pad, b.inclusive)
+        return Cut._make(self.descriptor, self.over_hull, self.value.divide(p), self.inclusive)
 
     def is_realizable_conductor(self, p: int) -> bool:
         """Whether the cut can occur as the conductor ideal of a degree-p
@@ -419,7 +361,7 @@ class Cut:
             return True
         if self.descriptor.kind != KIND_INT_LEX:
             return True
-        nums = self.bound.nums  # integral over the group
+        nums = self.value.nums  # integral over the group
         succ = nums[:-1] + (nums[-1] + 1,)
         return all(c % p == 0 for c in succ)
 
@@ -429,60 +371,49 @@ class Cut:
         """Intersection with the group, as a cut over the group."""
         if not self.over_hull:
             raise ValueError("already a group cut")
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            return Cut._scalar(self.descriptor, False, b.value, b.inclusive)
-        return Cut._vector(self.descriptor, False, b.nums, b.den, b.pad, b.inclusive)
+        return Cut._make(self.descriptor, False, self.value, self.inclusive)
 
     def hull_closure(self) -> "Cut":
         """Upward closure inside the divisible hull; the least ideal of the
         big ring whose trace on the group contains this cut."""
         if self.over_hull:
             raise ValueError("already a hull cut")
-        b = self.bound
-        if isinstance(b, _ScalarBound):
-            return Cut._scalar(self.descriptor, True, b.value, b.inclusive)
-        if b.pad == 0:
-            return Cut._vector(self.descriptor, True, b.nums, 1, 0, b.inclusive)
-        # {x : trunc > c} over Z^n closes up to {h : trunc >= c + e_k} over Q^n
-        succ = b.nums[:-1] + (b.nums[-1] + 1,)
-        return Cut._vector(self.descriptor, True, succ, 1, -1, True)
+        value, inclusive = self.value, self.inclusive
+        if self._unfixed():
+            # {x : trunc > c} over Z^n closes up to {h : trunc >= c + e_k} over Q^n
+            value, inclusive = _Prefix(value.nums[:-1] + (value.nums[-1] + 1,), 1), True
+        return Cut._make(self.descriptor, True, value, inclusive)
 
 
 # -- public constructors -----------------------------------------------------
 
 
 def whole_cut(descriptor: GroupDescriptor, over_hull: bool = False) -> Cut:
-    if descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(descriptor, over_hull, (0,) * descriptor.param, 1, 0, True)
-    return Cut._scalar(descriptor, over_hull, _surd(0, 0, 1, 0), True)
+    return principal_cut(zero(descriptor, over_hull))
 
 
 def principal_cut(gamma: _Element) -> Cut:
     """The cut { x : x >= gamma }; gamma fixes group-vs-hull."""
-    over_hull = isinstance(gamma, HullElement)
-    if gamma.descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(gamma.descriptor, over_hull, gamma.nums, gamma.den, 0, True)
-    return Cut._scalar(gamma.descriptor, over_hull, _element_to_surd(gamma), True)
+    return Cut._make(gamma.descriptor, isinstance(gamma, HullElement), _value_of(gamma), True)
 
 
 def open_cut(descriptor: GroupDescriptor, bound, over_hull: bool = False) -> Cut:
     """The cut { x : x > bound }.  The bound may be an element of the same
-    space, a Surd (dense groups, possibly irrational), or a coordinate
-    tuple for ``int_lex``."""
+    space, a Surd (dense groups, possibly irrational), or a full coordinate
+    tuple for ``int_lex``; a shorter prefix is a `frontier_cut`."""
     if isinstance(bound, _Element):
         if bound.descriptor != descriptor:
             raise ValueError(f"group mismatch: {descriptor} vs {bound.descriptor}")
-        if descriptor.kind == KIND_INT_LEX:
-            return Cut._vector(descriptor, over_hull, bound.nums, bound.den, 0, False)
-        return Cut._scalar(descriptor, over_hull, _element_to_surd(bound), False)
-    if isinstance(bound, Surd):
-        if descriptor.kind == KIND_INT_LEX:
-            raise TypeError("lexicographic cuts take coordinate bounds")
-        return Cut._scalar(descriptor, over_hull, bound, False)
-    if descriptor.kind == KIND_INT_LEX:
-        return Cut._vector(descriptor, over_hull, *_over_one_den(bound), 0, False)
-    return Cut._scalar(descriptor, over_hull, Surd(bound), False)
+        value = _value_of(bound)
+    elif isinstance(bound, Surd):
+        value = bound
+    elif descriptor.kind == KIND_INT_LEX:
+        value = _Prefix(*_over_one_den(bound))
+        if 1 <= len(value.nums) < descriptor.param:
+            raise ValueError("a short bound needs a side; use frontier_cut")
+    else:
+        value = Surd(bound)
+    return Cut._make(descriptor, over_hull, value, False)
 
 
 def frontier_cut(descriptor: GroupDescriptor, prefix, over_hull: bool = False, inclusive: bool = False) -> Cut:
@@ -490,8 +421,4 @@ def frontier_cut(descriptor: GroupDescriptor, prefix, over_hull: bool = False, i
     inclusive=True, which only survives over the hull)."""
     if descriptor.kind != KIND_INT_LEX:
         raise TypeError("frontier cuts only exist over lexicographic groups")
-    nums, den = _over_one_den(prefix)
-    pad = -1 if inclusive else 1
-    if len(nums) == descriptor.param:
-        pad = 0
-    return Cut._vector(descriptor, over_hull, nums, den, pad, inclusive)
+    return Cut._make(descriptor, over_hull, _Prefix(*_over_one_den(prefix)), inclusive)

@@ -172,7 +172,7 @@ def build_defect_model(
     root_set = conductor.pth_root_set(p)
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
-    e_seq = _grid_sequence(descriptor, p, root_set.bound.value, depth)
+    e_seq = _grid_sequence(descriptor, p, root_set.value, depth)
     for e in e_seq:
         if not root_set.contains(e) or not conductor.contains(int_scale(p, e)):
             raise RuntimeError("grid sequence escaped the root set")
@@ -315,7 +315,7 @@ def conductor_limit_check(model: DefectModel, queries: Sequence[GroupElement]) -
 
 
 def limit_queries(model: DefectModel, rng: random.Random, count: int = 50) -> List[GroupElement]:
-    """The thresholds p*e(i) of `model`, padded with random positive elements."""
+    """The thresholds p*e(i) of `model`, filled out with random positive elements."""
     qs = [int_scale(model.p, e) for e in model.e_seq]
     while len(qs) < count:
         qs.append(random_positive_element(rng, model.descriptor, span=6))

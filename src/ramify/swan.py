@@ -361,18 +361,17 @@ def base_change(conductor: Cut, target: GroupDescriptor) -> Cut:
         kind = conductor.kind
         if kind == "whole":
             return whole_cut(target)
-        value = conductor.bound.prefix[0]
+        value = conductor.bound_point().value[0]
         if kind == "principal":
             return principal_cut(element(target, value))
         return open_cut(target, element(target, value))
     if src.kind == KIND_P_INVERTED and target.kind == KIND_QUADRATIC:
         if conductor.kind == "whole":
             return whole_cut(target)
-        b = conductor.bound
-        if not b.value.is_rational:
+        if not conductor.value.is_rational:
             raise ValueError("irrational bounds do not embed rationally")
-        lifted = element(target, (b.value.a, 0))
-        return principal_cut(lifted) if b.inclusive else open_cut(target, lifted)
+        lifted = element(target, (conductor.value.a, 0))
+        return principal_cut(lifted) if conductor.inclusive else open_cut(target, lifted)
     raise ValueError(f"unsupported base change {src} -> {target}")
 
 

@@ -6,6 +6,11 @@ parts, and a lexicographic prefix of Fractions, with the comparison,
 normalization, product and membership rules written on those.  Bounds are
 plain tuples: ``(FracSurd, inclusive)`` for the rank-one dense groups and
 ``(prefix, pad, inclusive)`` for ``int_lex``.
+
+``(prefix, pad, inclusive)`` is this oracle's own form: ``ramify.cuts``
+keeps no pad.  There a prefix shorter than the rank is read by its
+inclusive flag alone, so pad -1 is a short inclusive prefix, pad +1 a
+short exclusive one and pad 0 a full-length bound.
 """
 
 from __future__ import annotations

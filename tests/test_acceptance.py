@@ -263,8 +263,8 @@ def test_criterion_07_break_shape_by_construction():
             brk = break_of(model.swan.conductor)
             c.check(brk.kind != "principal", f"defect break over {descriptor}")
             c.check(model.swan.defect, "defect flag")
-            if descriptor == ZP2 and not cut.bound.value.is_rational:
-                irrational_seen = brk.kind == "open" and not brk.bound.value.is_rational
+            if descriptor == ZP2 and not cut.value.is_rational:
+                irrational_seen = brk.kind == "open" and not brk.value.is_rational
         c.check(irrational_seen, "irrational-bound defect break")
     c.conclude()
 

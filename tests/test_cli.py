@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -504,6 +507,8 @@ def test_exit_2_on_argparse_errors():
         ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--p", "3"],
         ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--format", "kv", "--table-rows", "3"],
         ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-1)*Ⅻ"],
+        ["verify", "--suite", "series", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
+        ["verify", "--suite", "all", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
     ],
 )
 def test_exit_2_on_any_malformed_input(argv):
@@ -511,6 +516,31 @@ def test_exit_2_on_any_malformed_input(argv):
     assert code == 2
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize(
+    "script, flags",
+    [
+        ("separation_sweep.py", ["--p", "4"]),
+        ("separation_sweep.py", ["--bound", "x"]),
+        ("separation_sweep.py", ["--p", "3", "--bound", "1/2"]),
+        ("separation_sweep.py", ["--depth", "0"]),
+        ("demo_breaks.py", ["--depth", "0"]),
+        ("demo_breaks.py", ["--depth", "300"]),
+        ("demo_breaks.py", ["--bounds", "0"]),
+        ("demo_breaks.py", ["--bounds", "-1"]),
+    ],
+)
+def test_scripts_exit_2_on_bad_input(script, flags):
+    src = os.path.join(_ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, os.path.join(_ROOT, "scripts", script), *flags]
+    got = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert got.returncode == 2 and "error:" in got.stderr, got.stderr
+    assert "Traceback" not in got.stderr
 
 
 def test_verify_refuses_flags_no_suite_reads():

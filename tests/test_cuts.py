@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.cuts import Cut, Surd, _over_one_den, frontier_cut, open_cut, principal_cut, whole_cut
+from ramify.cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.ordered_group import (
     _is_squarefree_nonsquare,
     compare,
@@ -157,9 +157,9 @@ def test_surd_canonical_form():
     assert c1 == c2 and hash(c1) == hash(c2)
     f1 = frontier_cut(Z2, (Fraction(6, 4),), over_hull=True)
     f2 = frontier_cut(Z2, (Fraction(3, 2),), over_hull=True)
-    assert f1 == f2 and hash(f1) == hash(f2) and f1.bound.den == 2
+    assert f1 == f2 and hash(f1) == hash(f2) and f1.value.den == 2
     g1 = open_cut(Z2, (Fraction(5, 3), 7))
-    assert g1 == frontier_cut(Z2, (1,)) and hash(g1) == hash(frontier_cut(Z2, (1,))) and g1.bound.den == 1
+    assert g1 == frontier_cut(Z2, (1,)) and hash(g1) == hash(frontier_cut(Z2, (1,))) and g1.value.den == 1
 
 
 def _outcome(fn, *args):
@@ -191,8 +191,8 @@ def _scalar_case(draw):
 
 
 def _scalar_ref(cut):
-    b = cut.bound
-    return FracSurd(b.value.a, b.value.b, b.value.d), b.inclusive
+    v = cut.value
+    return FracSurd(v.a, v.b, v.d), cut.inclusive
 
 
 @settings(max_examples=300)
@@ -201,7 +201,7 @@ def test_scalar_cuts_match_the_fraction_oracle(case):
     d, over_hull, bounds, points, p = case
     cuts, refs = [], []
     for args, inclusive in bounds:
-        got = _outcome(Cut._scalar, d, over_hull, Surd(*args), inclusive)
+        got = _outcome(Cut._make, d, over_hull, Surd(*args), inclusive)
         want = _outcome(ref.normalize_scalar, d, over_hull, FracSurd(*args), inclusive)
         assert (got is ValueError) == (want is ValueError)
         if got is not ValueError:
@@ -239,10 +239,22 @@ def _vec_case(draw):
 
 
 def _vec_ref(cut):
-    b = cut.bound
-    assert b.den > 0 and math.gcd(b.den, *b.nums) == 1
-    assert cut.over_hull or b.den == 1
-    return b.prefix, b.pad, b.inclusive
+    """The cut in the oracle's form; the pad follows from the width."""
+    v = cut.value
+    assert v.den > 0 and math.gcd(v.den, *v.nums) == 1
+    assert cut.over_hull or v.den == 1
+    pad = 0 if len(v.nums) == cut.descriptor.param else (-1 if cut.inclusive else 1)
+    return tuple(Fraction(c, v.den) for c in v.nums), pad, cut.inclusive
+
+
+def _vec_build(d, over_hull, prefix, pad, inclusive):
+    """Build the oracle's draw: a short prefix without a pad is an open
+    cut, refused; a pad chooses the side of a short prefix."""
+    if len(prefix) == d.param:
+        return frontier_cut(d, prefix, over_hull, inclusive=inclusive)
+    if pad == 0:
+        return open_cut(d, prefix, over_hull)
+    return frontier_cut(d, prefix, over_hull, inclusive=pad == -1)
 
 
 @settings(max_examples=300)
@@ -253,7 +265,7 @@ def test_lex_cuts_match_the_fraction_oracle(case):
     make = hull_element if over_hull else element
     cuts, refs = [], []
     for prefix, pad, inclusive in bounds:
-        got = _outcome(Cut._vector, d, over_hull, *_over_one_den(prefix), pad, inclusive)
+        got = _outcome(_vec_build, d, over_hull, prefix, pad, inclusive)
         want = _outcome(ref.normalize_vec, n, over_hull, prefix, pad, inclusive)
         assert (got is ValueError) == (want is ValueError)
         if got is not ValueError:
@@ -264,7 +276,7 @@ def test_lex_cuts_match_the_fraction_oracle(case):
         root = c1.pth_root_set(p)
         assert _vec_ref(root) == ref.normalize_vec(n, over_hull, tuple(c / p for c in r1[0]), r1[1], r1[2])
         # points on the boundary's own prefix decide the pad and inclusivity
-        on_bound = [r1[0] + pt[len(r1[0]):] for pt in points] if over_hull or c1.bound.den == 1 else []
+        on_bound = [r1[0] + pt[len(r1[0]):] for pt in points] if over_hull or c1.value.den == 1 else []
         for coords in points + on_bound:
             x = make(d, coords)
             assert c1.contains(x) == ref.vec_contains(r1, x.value)
@@ -317,6 +329,14 @@ def test_canonical_equalities():
     assert open_cut(ZP2, element(ZP2, 1)).kind == "open"
     # a bound outside the group normalizes to the same cut its closure has
     assert principal_cut(element(Z1, 3)) != open_cut(Z1, element(Z1, 3))
+
+
+def test_open_cut_refuses_a_short_bound():
+    # {x > (1,)} over Z^2 names no side of the prefix; frontier_cut does
+    with pytest.raises(ValueError):
+        open_cut(Z2, (1,))
+    with pytest.raises(ValueError):
+        open_cut(int_lex(3), (1, 2), over_hull=True)
 
 
 def test_membership_golden():

@@ -370,7 +370,7 @@ def test_break_witness_variants():
 
     w3 = break_witness(ZP2, 2, Surd(0, 1, 2), VARIANT_OPEN_IRRATIONAL, depth=3)
     assert w3.break_cut.kind == "open"
-    assert not w3.break_cut.bound.value.is_rational
+    assert not w3.break_cut.value.is_rational
     assert w3.swan.defect
     assert w3.break_cut == break_of(w3.source.conductor)
 
