@@ -829,6 +829,19 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# Largest --samples any command takes, 50 times the largest default (200):
+# one series sample at p = 7 took up to 3.5 s on a shared 2-vCPU host, so a
+# larger count is refused before anything is sampled.
+MAX_SAMPLES = 10_000
+
+
+def _samples(text: str) -> int:
+    n = _count(text)
+    if n > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, found {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramify",
@@ -872,13 +885,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--cut", required=True, help="target conductor cut, e.g. 'gt(q(1))'")
     sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--samples", type=_count, default=50)
+    sp.add_argument("--samples", type=_samples, default=50)
     common(sp, seed=True)
 
     sp = sub.add_parser("demo-br10", help="principal ideals cannot tell the twin pair apart")
     sp.add_argument("--group", required=True)
     sp.add_argument("--b", required=True, help="half-conductor value; H1 = ge at p*b, H2 = gt at p*b")
-    sp.add_argument("--samples", type=_count, default=100)
+    sp.add_argument("--samples", type=_samples, default=100)
     sp.add_argument("--table-rows", type=_count, help="rows of the plain table (default 12)")
     sp.add_argument("--depth", type=int, default=3)
     sp.add_argument("--format", choices=("plain", "kv"), default="plain")
@@ -898,7 +911,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group")
     sp.add_argument("--cut")
     sp.add_argument("--depth", type=int)
-    sp.add_argument("--samples", type=_count, default=200)
+    sp.add_argument("--samples", type=_samples, default=200)
     common(sp, seed=True)
 
     # argparse counts only integers and decimals as negative numbers, so it

@@ -272,7 +272,8 @@ def hull_element(descriptor: GroupDescriptor, raw) -> HullElement:
 
 
 def zero(descriptor: GroupDescriptor, hull: bool = False):
-    n = {KIND_INT_LEX: descriptor.param, KIND_P_INVERTED: 1}.get(descriptor.kind, 2)
+    kind = descriptor.kind
+    n = descriptor.param if kind == KIND_INT_LEX else 1 if kind == KIND_P_INVERTED else 2
     return (HullElement if hull else GroupElement)(descriptor, (0,) * n, 1)
 
 

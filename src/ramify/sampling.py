@@ -16,11 +16,12 @@ from .ordered_group import (
     GroupDescriptor,
     KIND_INT_LEX,
     KIND_P_INVERTED,
+    _point,
     element,
     hull_element,
     is_positive,
 )
-from .series_field import SeriesElement
+from .series_field import Poly, SeriesElement, _merge
 
 
 def random_fraction(rng: random.Random, den_base: int, span: int = 12, max_pow: int = 4) -> Fraction:
@@ -119,23 +120,32 @@ def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
 def random_model_series(model, rng: random.Random) -> SeriesElement:
     """A random element of a ``defect_lab.DefectModel``'s ring: one to three
     terms at grid values n / q^j with j <= depth + 3, each coefficient a sum
-    of one or two monomials in one or two tagged variables."""
+    of one or two monomials in one or two tagged variables.
+
+    Points are built from the drawn integers and coefficients summed mod p
+    in plain dicts, so the one ``SeriesElement`` at the end is the only
+    place a term is checked and packed.  q is the group's own prime over
+    Z[1/q], and any denominator lies in Q + Q*sqrt(d), so every point is
+    in the group."""
     descriptor, field = model.descriptor, model.field
     q = _grid_base(descriptor, model.p)
-    n = len(field.tags)
+    p, n, ngens = field.p, len(field.tags), field.ring.ngens
+    rank_one = descriptor.kind == KIND_P_INVERTED
     terms = {}
     for _ in range(rng.randint(1, 3)):
         j = rng.randint(0, model.depth + 3)
-        a = Fraction(rng.randint(-8, 8), q ** j)
-        if descriptor.kind == KIND_P_INVERTED:
-            gamma = element(descriptor, a)
+        a = rng.randint(-8, 8)
+        if rank_one:
+            gamma = _point(descriptor, (a,), q ** j)
         else:
-            gamma = element(descriptor, (a, Fraction(rng.randint(-2, 2), q ** rng.randint(0, 2))))
-        poly = field.ring.zero
+            b = rng.randint(-2, 2)
+            qa, qb = q ** j, q ** rng.randint(0, 2)
+            gamma = _point(descriptor, (a * qb, b * qa), qa * qb)
+        poly = {}
         for _ in range(rng.randint(1, 2)):
-            exps = [0] * field.ring.ngens
+            exps = [0] * ngens
             for i in rng.sample(range(n), rng.randint(1, min(2, n))):
                 exps[i] = rng.randint(1, 2)
-            poly += field.ring.from_dict({tuple(exps): rng.randint(1, field.p - 1) if field.p > 2 else 1})
-        terms[gamma] = terms.get(gamma, field.ring.zero) + poly
-    return SeriesElement(field, descriptor, terms)
+            _merge(poly, ((tuple(exps), rng.randint(1, p - 1) if p > 2 else 1),), p)
+        _merge(terms.setdefault(gamma, {}), poly.items(), p)
+    return SeriesElement(field, descriptor, {gamma: Poly(field.ring, c) for gamma, c in terms.items()})

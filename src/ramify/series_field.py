@@ -38,7 +38,10 @@ integer order of keys refines the order of the t-exponents, so the
 valuation is read off ``min(keys)``; over Q + Q*sqrt(d) the distinct
 t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``GroupElement`` and ``Poly`` only at the API edge: ``terms``,
-``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.
+``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.  The
+packed-key helpers read keys without decoding them: ``monomials`` splits a
+series into one-term series in its own layout, ``least_tag_index`` reads
+the tag bits, and ``valuation_at_least`` compares leading t-codes.
 
 (gamma, Poly) terms enter a series only through ``_pack``, called by
 ``SeriesElement(...)`` and ``plus_term``: it refuses an exponent from another
@@ -486,6 +489,46 @@ class SeriesElement:
     def valuation(self) -> GroupElement:
         return self._t_element(self._lead_t())
 
+    # -- packed-key helpers ---------------------------------------------------
+
+    def monomials(self) -> Iterable["SeriesElement"]:
+        """The one-term series c * x^e * t^gamma of self, in storage order,
+        each sharing self's layout and bounds: no key is decoded or re-packed."""
+        field, descriptor, lay, eb, tb = self.field, self.descriptor, self._lay, self._eb, self._tb
+        for k, c in self._data.items():
+            yield _packed(field, descriptor, {k: c}, lay, eb, tb)
+
+    def least_tag_index(self) -> int:
+        """The largest index of a tagged variable occurring in self, which is
+        the index of the least tag (tags are kept in decreasing order), or -1
+        when no tagged variable occurs; read off the top set tag bit."""
+        lay = self._lay
+        top = max(((k & lay.tag_mask).bit_length() for k in self._data), default=0)
+        return (top - 1) // lay.w if top else -1
+
+    def valuation_at_least(self, base: "SeriesElement", gap: GroupElement) -> bool:
+        """Whether v(self) >= v(base) + gap, for nonzero self and base.
+
+        The leading t-codes of both series and gap's numerators are brought
+        over one common denominator and compared there: as integers over
+        Z[1/q] and Z^n, with ``quad_sign`` over Q + Q*sqrt(d).  Nothing is
+        decoded to a ``GroupElement``."""
+        self._check_peer(base)
+        if gap.descriptor is not self.descriptor and gap.descriptor != self.descriptor:
+            raise ValueError("the gap lives over a different group")
+        la, lb = self._lay, base._lay
+        den = lcm(la.den, lb.den, gap.den)
+        fa, fb, fg = den // la.den, den // lb.den, den // gap.den
+        A, B = self._lead_t(), base._lead_t()
+        if not la.nlow:
+            # rank one: a t-code is the one numerator over the layout's den
+            return A * fa >= B * fb + gap.nums[0] * fg
+        a = [c * fa for c in la.t_coords(A)]
+        b = [c * fb + g * fg for c, g in zip(lb.t_coords(B), gap.nums)]
+        if self.descriptor.kind == KIND_INT_LEX:
+            return a >= b
+        return quad_sign(a[0] - b[0], a[1] - b[1], self.descriptor.param) >= 0
+
     def leading_coeff(self) -> Poly:
         return self.split_lead()[1]
 
@@ -832,8 +875,13 @@ class SigmaSpec:
         return _packed(f.field, f.descriptor, _reduced(acc, self.p), lay, f._eb, tb)
 
     def delta(self, f: SeriesElement) -> SeriesElement:
-        """sigma(f) - f."""
-        return self.apply(f) - f
+        """sigma(f) - f: f's keys, re-packed into the image's layout (which
+        holds them), subtracted from the image's in one merge."""
+        img = self.apply(f)
+        p = img.field.p
+        neg_f = _repack(f._data, f._lay, img._lay).items()
+        data = _merge(dict(img._data), ((k, p - c) for k, c in neg_f), p)
+        return _packed(img.field, img.descriptor, data, img._lay, img._eb, img._tb)
 
     def iterate(self, f, k: int):
         out = f

@@ -421,6 +421,25 @@ def test_verify_all_golden(monkeypatch, p, samples, seed, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+VERIFY_CLAIM2_QUAD = """\
+[verify]
+suite: claim2
+group: quad:2
+C: gt quad(1,1)
+depth: 3
+samples: 200
+monomials: 590
+failures: 0
+"""
+
+
+def test_verify_claim2_over_quad_golden(monkeypatch):
+    # the displacement floors over Q + Q*sqrt(2) are compared by quad_sign
+    monkeypatch.delenv("RAMIFY_SEED", raising=False)
+    argv = ["verify", "--suite", "claim2", "--group", "quad:2", "--cut", "gt quad(1,1)", "--p", "3", "--samples", "200", "--seed", "0"]
+    assert run_cli(argv) == (0, VERIFY_CLAIM2_QUAD, "")
+
+
 # -- exit codes --------------------------------------------------------------------------
 
 
@@ -509,6 +528,9 @@ def test_exit_2_on_argparse_errors():
         ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-1)*Ⅻ"],
         ["verify", "--suite", "series", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
         ["verify", "--suite", "all", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
+        ["verify", "--suite", "claim2", "--p", "2", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
+        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
+        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
     ],
 )
 def test_exit_2_on_any_malformed_input(argv):
@@ -541,6 +563,25 @@ def test_scripts_exit_2_on_bad_input(script, flags):
     got = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert got.returncode == 2 and "error:" in got.stderr, got.stderr
     assert "Traceback" not in got.stderr
+
+
+def test_samples_above_the_cap_are_refused_before_sampling(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("sampled despite the cap")
+
+    for name in ("verify_delta_bounds", "random_model_series", "random_principal_hull_ideal", "build_defect_model"):
+        monkeypatch.setattr(cli_mod, name, boom)
+    over = str(cli_mod.MAX_SAMPLES + 1)
+    for argv in (
+        ["verify", "--suite", "all", "--p", "2", "--samples", over],
+        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", over],
+        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--samples", over],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert f"expected at most {cli_mod.MAX_SAMPLES} samples, found {over}" in err
+    # the cap itself is accepted
+    assert cli_mod._PARSER.parse_args(["verify", "--suite", "all", "--p", "2", "--samples", str(cli_mod.MAX_SAMPLES)]).samples == cli_mod.MAX_SAMPLES
 
 
 def test_verify_refuses_flags_no_suite_reads():

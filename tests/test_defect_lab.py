@@ -9,6 +9,7 @@ from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import (
     BreakWitness,
     DeltaBoundError,
+    DeltaReport,
     STATUS_BELOW_ALL,
     STATUS_UNRESOLVED,
     STATUS_WITNESSED,
@@ -36,8 +37,11 @@ from ramify.ordered_group import (
     p_inverted,
     quadratic,
 )
+from ramify.sampling import random_model_series
 from ramify.series_field import CoeffField, SigmaSpec
 from ramify.swan import FULL_IMAGE, TRIVIAL_IMAGE, break_of, galois_image
+
+from . import delta_reference as ref
 
 Z1 = int_lex(1)
 Z2 = int_lex(2)
@@ -244,12 +248,115 @@ def test_delta_bounds_deterministic_by_seed():
     assert a == c
 
 
+def _with_tags(m, scale):
+    """``m`` with sigma(x_i) = x_i + t^(scale(d_i)) in place of its own sigma."""
+    m.sigma = SigmaSpec(CoeffField(m.p, tags=[scale(t) for t in m.field.tags]), m.descriptor)
+    return m
+
+
 def test_delta_bounds_catch_a_fast_automorphism():
-    m = canonical_model(3)
     # sigma(x_i) = x_i + t^(d_i / 2) moves every tagged variable too fast
-    m.sigma = SigmaSpec(CoeffField(2, tags=[divide_exact(t, 2) for t in m.field.tags]), ZP2)
+    m = _with_tags(canonical_model(3), lambda t: divide_exact(t, 2))
     with pytest.raises(DeltaBoundError, match="below the floor"):
         verify_delta_bounds(m, samples=50)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_delta_bounds_catch_a_fast_automorphism_over_quad(p):
+    # the same fault over Q + Q*sqrt(2), where floors are compared by quad_sign
+    m = _with_tags(build_defect_model(QD2, p, open_cut(QD2, element(QD2, (1, 0))), 3), lambda t: divide_exact(t, 2))
+    with pytest.raises(DeltaBoundError, match="below the floor") as got:
+        verify_delta_bounds(m, samples=50)
+    with pytest.raises(DeltaBoundError) as want:
+        ref.verify_delta_bounds(m, samples=50)
+    assert str(got.value) == str(want.value)
+
+
+class _FastOnSums:
+    """A model's sigma, except that sigma(f) - f of a series with more than
+    one term is moved down by t^(-1), which only the per-element floor sees."""
+
+    def __init__(self, sigma, descriptor):
+        self.sigma, self.step = sigma, element(descriptor, -1)
+
+    def delta(self, f):
+        d = self.sigma.delta(f)
+        return d if f.num_terms() == 1 else d.shift(self.step)
+
+
+@pytest.mark.parametrize("descriptor, p", [(ZP2, 2), (QD2, 3)])
+def test_delta_bounds_check_the_element_floor(descriptor, p):
+    m = build_defect_model(descriptor, p, open_cut(descriptor, element(descriptor, 1)), 3)
+    m.sigma = _FastOnSums(m.sigma, descriptor)
+    with pytest.raises(DeltaBoundError, match=r"^element with value .* moved by "):
+        verify_delta_bounds(m, samples=50)
+
+
+# -- the packed-key check against its decoding oracle -------------------------------------
+
+# every group and p the oracle comparison covers, each with a rational and an
+# irrational bound (a surd over a radicand the group does not contain)
+_ORACLE_CASES = [
+    (descriptor, p, kind)
+    for descriptor in (ZP2, ZP3, p_inverted(5), p_inverted(7), QD2)
+    for p in (2, 3)
+    for kind in ("rational", "irrational")
+]
+
+
+def _oracle_model(descriptor, p, kind, depth):
+    if kind == "irrational":
+        bound = Surd(Fraction(1, 3), Fraction(1, 2), 3 if descriptor == QD2 else 2)
+    elif descriptor == QD2:
+        bound = element(QD2, (Fraction(3, 2), Fraction(1, 2)))
+    else:
+        bound = element(descriptor, Fraction(5, descriptor.param))
+    return build_defect_model(descriptor, p, open_cut(descriptor, bound), depth)
+
+
+def _outcome(check, model, seed):
+    """The report of a check, or the text of the error it raised."""
+    try:
+        return check(model, samples=12, seed=seed)
+    except DeltaBoundError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("descriptor, p, kind", _ORACLE_CASES)
+def test_sampler_matches_the_oracle(descriptor, p, kind):
+    for depth in range(1, 9):
+        model = _oracle_model(descriptor, p, kind, depth)
+        for seed in range(4):
+            rng, rng_ref = random.Random(seed), random.Random(seed)
+            for _ in range(8):
+                got, want = random_model_series(model, rng), ref.random_model_series(model, rng_ref)
+                assert got == want
+                # the same packed keys, in the same order, layout and bounds
+                assert list(got._data.items()) == list(want._data.items())
+                assert (got._lay, got._eb, got._tb) == (want._lay, want._eb, want._tb)
+            # the same draws from the generator
+            assert rng.getstate() == rng_ref.getstate()
+
+
+@pytest.mark.parametrize("descriptor, p, kind", _ORACLE_CASES)
+def test_delta_bounds_match_the_oracle(descriptor, p, kind):
+    for depth in range(1, 9):
+        for seed in range(3):
+            seed += 10 * depth
+            want = _outcome(ref.verify_delta_bounds, _oracle_model(descriptor, p, kind, depth), seed)
+            assert isinstance(want, DeltaReport)
+            assert _outcome(verify_delta_bounds, _oracle_model(descriptor, p, kind, depth), seed) == want
+            # a faster sigma fails at the same monomial with the same message,
+            # and a slower one passes with the same report
+            q = 2 if descriptor == QD2 else descriptor.param
+            for scale in (
+                lambda t: divide_exact(t, q),
+                lambda t: int_scale(q * q - 1, divide_exact(t, q * q)),
+                lambda t: int_scale(2, t),
+            ):
+                got = _outcome(verify_delta_bounds, _with_tags(_oracle_model(descriptor, p, kind, depth), scale), seed)
+                want = _outcome(ref.verify_delta_bounds, _with_tags(_oracle_model(descriptor, p, kind, depth), scale), seed)
+                assert got == want
 
 
 # -- the cut as a limit of thresholds -------------------------------------------------

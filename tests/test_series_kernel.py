@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.ordered_group import element, int_lex, p_inverted, quadratic
+from ramify.ordered_group import compare, element, int_lex, p_inverted, quadratic
 from ramify.series_field import (
     CoeffField,
     SeriesElement,
@@ -297,3 +297,64 @@ def test_products_outgrow_the_initial_widths():
         cube = square * f
         assert ref.decode(cube) == ref.mul(ref.mul(rf, rf, 3), rf, 3)
         assert cube.valuation() == ref.valuation(ref.decode(cube))
+
+
+# -- packed-key helpers ----------------------------------------------------------------------
+
+
+@given(cases, st.data())
+def test_monomials_and_least_tag_index_match_the_decoded_terms(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    rf = data.draw(reference_series(field, descriptor))
+    f = _series(field, descriptor, rf)
+    monos = list(f.monomials())
+    assert len(monos) == f.num_terms()
+    want = []
+    for gamma, poly in rf.items():
+        for exps, c in poly.items():
+            # the largest index of a tagged variable present, -1 for none
+            want.append(({gamma: {exps: c}}, max((i for i in range(len(field.tags)) if exps[i]), default=-1)))
+    got = [(ref.decode(m), m.least_tag_index()) for m in monos]
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    for m in monos:
+        # each one-term series shares f's layout and bounds
+        assert (m._lay, m._eb, m._tb) == (f._lay, f._eb, f._tb)
+    assert f.least_tag_index() == max((i for _, i in want), default=-1)
+
+
+@given(cases, st.data())
+def test_valuation_at_least_matches_decoded_compare(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    rf = data.draw(reference_series(field, descriptor).filter(bool))
+    rg = data.draw(reference_series(field, descriptor).filter(bool))
+    f, g = _series(field, descriptor, rf), _series(field, descriptor, rg)
+    vf, vg = ref.valuation(rf), ref.valuation(rg)
+    # a drawn gap, and the gap at which the floor is met exactly
+    for gap in (data.draw(gammas(descriptor)), vf - vg):
+        assert f.valuation_at_least(g, gap) == (compare(vf, vg + gap) >= 0)
+    assert f.valuation_at_least(f, vf - vf)
+    other = Q2 if descriptor == ZP3 else ZP3
+    with pytest.raises(ValueError, match="different group"):
+        f.valuation_at_least(g, element(other, 1))
+
+
+@given(cases, st.data())
+@settings(deadline=None)
+def test_delta_is_the_image_minus_f(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    sigma = SigmaSpec(field, descriptor)
+    # a first, wide series grows sigma's layout past the later ones', and the
+    # edge exponents and low coordinates put f in layouts other than sigma's
+    for _ in range(3):
+        rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2, 15, 16, 17)))
+        f = _series(field, descriptor, rf)
+        got, want = sigma.delta(f), sigma.apply(f) - f
+        assert got == want
+        assert list(got._data.items()) == list(want._data.items())
+        assert (got._lay, got._eb, got._tb) == (want._lay, want._eb, want._tb)
+        minus_f = {gamma: {e: p - c for e, c in poly.items()} for gamma, poly in rf.items()}
+        assert ref.decode(got) == ref.add(ref.sigma(rf, field.tags, p), minus_f, p)
+        assert _bounds_hold(got)
