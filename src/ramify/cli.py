@@ -144,7 +144,12 @@ class _Tokens:
             raise InputError(f"trailing input {self.items[self.pos]!r} in {self.text!r}")
 
 
-def _parse_fraction(tok: str, context: str) -> Fraction:
+def _parse_fraction(tok: str, context: str) -> Union[int, Fraction]:
+    """An exact rational; an integer token gives an int and builds no Fraction."""
+    try:
+        return int(tok)
+    except ValueError:
+        pass
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
@@ -170,7 +175,7 @@ def parse_group(text: str) -> GroupDescriptor:
     raise InputError(f"unknown group kind {kind!r} (use zlex:n, zp:p, quad:d)")
 
 
-def _parse_fraction_list(toks: _Tokens) -> List[Fraction]:
+def _parse_fraction_list(toks: _Tokens) -> List[Union[int, Fraction]]:
     toks.expect("(")
     vals = [_parse_fraction(toks.next(), toks.text)]
     while toks.peek() == ",":

@@ -208,6 +208,11 @@ def verify_delta_bounds(
     are decoded only for an error message.  Violations raise
     ``DeltaBoundError``; they would mean sigma is not an automorphism of
     the claimed shape.
+
+    For an additive sigma the per-element floor follows from the
+    per-monomial ones, so it is kept as the check of sigma's additivity: a
+    sigma that is exact on monomials but not on sums (``_FastOnSums`` in
+    the tests) fails it and nothing else.
     """
     if rng is None:
         rng = random.Random(seed)

@@ -41,13 +41,14 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.  The
 packed-key helpers read keys without decoding them: ``monomials`` splits a
 series into one-term series in its own layout, ``least_tag_index`` reads
-the tag bits, and ``valuation_at_least`` compares leading t-codes.
+the tag bits, ``valuation_at_least`` compares leading t-codes, and
+``artin_schreier_step`` makes one Artin-Schreier substitution, decoding only
+the leading t-code's coordinates.
 
-(gamma, Poly) terms enter a series only through ``_pack``, called by
-``SeriesElement(...)`` and ``plus_term``: it refuses an exponent from another
-group and a coefficient from another ring, widens the layout once for all
-the new terms and adds them in mod p.  Tags from another group are refused
-with the field's first layout over the group.
+(gamma, Poly) terms enter a series only through ``SeriesElement(...)``: it
+refuses an exponent from another group and a coefficient from another ring,
+widens the layout once for all the new terms and adds them in mod p.  Tags
+from another group are refused with the field's first layout over the group.
 
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It maps each key
@@ -61,15 +62,16 @@ rather than assumed.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordered_group import (
     KIND_INT_LEX,
-    KIND_P_INVERTED,
+    KIND_QUADRATIC,
     GroupDescriptor,
     GroupElement,
+    _den_in_group,
     _is_prime,
     _point,
     compare,
@@ -334,12 +336,13 @@ class _Layout:
     def t_coords(self, T: int) -> Tuple[int, ...]:
         if not self.nlow:
             return (T,)
-        lows = []
+        half, tmask, tw, out = self.half, self.tmask, self.tw, []
         for _ in range(self.nlow):
-            c = ((T + self.half) & self.tmask) - self.half
-            lows.append(c)
-            T = (T - c) >> self.tw
-        return (T,) + tuple(reversed(lows))
+            c = ((T + half) & tmask) - half
+            out.append(c)
+            T = (T - c) >> tw
+        out.append(T)
+        return tuple(reversed(out))
 
     def mono_code(self, exps: Sequence[int]) -> int:
         return sum(e << off for e, off in zip(exps, self.offsets))
@@ -429,8 +432,29 @@ class SeriesElement:
     __slots__ = ("field", "descriptor", "_data", "_lay", "_eb", "_tb")
 
     def __init__(self, field: CoeffField, descriptor: GroupDescriptor, terms: Dict[GroupElement, Poly]):
-        lay = _base_layout(field, descriptor)
-        _pack(self, field, descriptor, {}, lay, lay.zeros, 0, terms.items())
+        """The sum of the (gamma, Poly) terms, mod p.  Every term enters a
+        series here: its group and its coefficient ring are checked, and the
+        layout widens once for all of them."""
+        la = _base_layout(field, descriptor)
+        new, den, eb, tb = [], la.den, la.zeros, 0
+        for gamma, c in terms.items():
+            if not isinstance(gamma, GroupElement) or (gamma.descriptor is not descriptor and gamma.descriptor != descriptor):
+                raise ValueError("the term lives over a different group")
+            _check_ring(field, c)
+            if c:
+                if den % gamma.den:
+                    # tb is kept over den, which only grows
+                    wider = lcm(den, gamma.den)
+                    tb, den = tb * (wider // den), wider
+                if la.nlow:
+                    tb = max(tb, _low_bound(gamma.nums) * (den // gamma.den))
+                eb = tuple(map(max, eb, *c._terms))
+                new.append((gamma, c))
+        lay = _widen(la, den, max(eb, default=0), tb)
+        S, t_code, mono_code = lay.shift, lay.t_code, lay.mono_code
+        new = [((t_code(_coords(gamma, den)) << S) + mono_code(e), k) for gamma, c in new for e, k in c._terms.items()]
+        self.field, self.descriptor = field, descriptor
+        self._data, self._lay, self._eb, self._tb = _merge({}, new, field.p), lay, eb, tb
 
     # -- basic views ---------------------------------------------------------
 
@@ -449,31 +473,30 @@ class SeriesElement:
             groups.setdefault(k >> S, {})[k & mask] = c
         return {self._t_element(T): self._poly(monos) for T, monos in groups.items()}.items()
 
-    def _quad_order(self):
-        """Sort key on t-codes over Q + Q*sqrt(d), in increasing group order."""
-        d, t_coords = self.descriptor.param, self._lay.t_coords
-
-        def cmp(x, y):
-            (a1, b1), (a2, b2) = t_coords(x), t_coords(y)
-            return quad_sign(a1 - a2, b1 - b2, d)
-
-        return cmp_to_key(cmp)
-
     def _t_codes(self) -> List[int]:
-        """The distinct t-parts of the keys, in increasing group order."""
+        """The distinct t-parts of the keys, in increasing group order; over
+        Q + Q*sqrt(d) each is decoded once and compared with ``quad_sign``."""
         S = self._lay.shift
         codes = sorted({k >> S for k in self._data})
-        if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
+        if self.descriptor.kind != KIND_QUADRATIC:
             return codes
-        return sorted(codes, key=self._quad_order())
+        d, ab = self.descriptor.param, {T: self._lay.t_coords(T) for T in codes}
+        return sorted(codes, key=cmp_to_key(lambda x, y: quad_sign(ab[x][0] - ab[y][0], ab[x][1] - ab[y][1], d)))
 
     def _lead_t(self) -> int:
         if not self._data:
             raise ValueError("the zero series has no valuation")
         S = self._lay.shift
-        if self.descriptor.kind in (KIND_P_INVERTED, KIND_INT_LEX):
+        if self.descriptor.kind != KIND_QUADRATIC:
             return min(self._data) >> S
-        return min({k >> S for k in self._data}, key=self._quad_order())
+        # one pass, decoding each distinct t-code once
+        d, t_coords = self.descriptor.param, self._lay.t_coords
+        best = None
+        for T in {k >> S for k in self._data}:
+            a, b = t_coords(T)
+            if best is None or quad_sign(a - ba, b - bb, d) < 0:
+                best, ba, bb = T, a, b
+        return best
 
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(self._t_element(T) for T in self._t_codes())
@@ -546,12 +569,45 @@ class SeriesElement:
         tail = _packed(self.field, self.descriptor, rest, self._lay, self._eb, self._tb)
         return self._t_element(T), self._poly(lead), tail
 
-    def plus_term(self, gamma: GroupElement, coeff: Poly) -> "SeriesElement":
-        """self + coeff * t^gamma, added straight into the packed keys; the
-        layout widens only when the new term does not fit it."""
-        out = object.__new__(SeriesElement)
-        _pack(out, self.field, self.descriptor, self._data, self._lay, self._eb, self._tb, ((gamma, coeff),))
-        return out
+    def artin_schreier_step(self) -> Tuple[Optional[str], "SeriesElement"]:
+        """One substitution f -> f - (g^p - g) on the keys: (None, the result)
+        when the lead c * t^v has v < 0, v/p in the group and c a p-th power,
+        else (case, self) at the normal form "iii", "i" or "ii".  Frobenius is
+        additive and fixes F_p, so the result is the rest plus g = c^(1/p) *
+        t^(v/p).  Keys are linear in their fields: when p divides every
+        coordinate of v, g's keys are the lead's keys over p; otherwise den
+        grows by p and g takes v's coordinates over it."""
+        if not self._data:
+            return "iii", self
+        lay, p, descriptor = self._lay, self.field.p, self.descriptor
+        S, T = lay.shift, self._lead_t()
+        coords = lay.t_coords(T)
+        # balanced lower digits keep the lexicographic sign, which is T's
+        if (quad_sign(*coords, descriptor.param) if descriptor.kind == KIND_QUADRATIC else T) >= 0:
+            return "iii", self
+        g, den = gcd(*coords), lay.den * p
+        same = g % p == 0
+        if not same and not _den_in_group(descriptor, den // gcd(den, g)):
+            return "i", self
+        lo, hi = T << S, (T + 1) << S
+        lead, rest = [], {}
+        for k, c in self._data.items():
+            if lo <= k < hi:
+                lead.append((k - lo, c))
+            else:
+                rest[k] = c
+        if any(m and any(e % p for e in lay.mono_exps(m)) for m, _ in lead):
+            return "ii", self
+        if same:
+            lay2, tb, root_t = lay, self._tb, T // p
+        else:
+            # the exponents still fit, so only den and tw grow
+            tb = self._tb * p
+            lay2 = _widen(lay, den, max(self._eb, default=0), tb)
+            rest, root_t = _repack(rest, lay, lay2), lay2.t_code(coords)
+        base = root_t << lay2.shift
+        data = _merge(rest, [(base + m // p, c) for m, c in lead], p)
+        return None, _packed(self.field, descriptor, data, lay2, self._eb, tb)
 
     def _check_peer(self, other: "SeriesElement") -> None:
         if not isinstance(other, SeriesElement):
@@ -663,34 +719,6 @@ def _check_ring(field: CoeffField, coeff: Poly) -> None:
         raise ValueError(
             f"coefficient from F_{ring.p}[{', '.join(ring.names)}] used over F_{field.p}[{', '.join(field.ring.names)}]"
         )
-
-
-def _pack(out: SeriesElement, field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], la: _Layout,
-          eb: Tuple[int, ...], tb: int, terms) -> None:
-    """Fill ``out`` with the keys ``data`` (packed in ``la``, with bounds eb
-    and tb) plus the (gamma, Poly) pairs ``terms``, summed mod p.  Every
-    term enters a series here: its group and its coefficient ring are
-    checked, and the layout widens once for all the new terms."""
-    new, den = [], la.den
-    for gamma, c in terms:
-        if not isinstance(gamma, GroupElement) or (gamma.descriptor is not descriptor and gamma.descriptor != descriptor):
-            raise ValueError("the term lives over a different group")
-        _check_ring(field, c)
-        if c:
-            if den % gamma.den:
-                # tb is kept over den, which only grows
-                wider = lcm(den, gamma.den)
-                tb, den = tb * (wider // den), wider
-            if la.nlow:
-                tb = max(tb, _low_bound(gamma.nums) * (den // gamma.den))
-            eb = tuple(map(max, eb, *c._terms))
-            new.append((gamma, c))
-    lay = _widen(la, den, max(eb, default=0), tb)
-    data = dict(data) if lay is la or not data else _repack(data, la, lay)
-    S, t_code, mono_code = lay.shift, lay.t_code, lay.mono_code
-    new = [((t_code(_coords(gamma, den)) << S) + mono_code(e), k) for gamma, c in new for e, k in c._terms.items()]
-    out.field, out.descriptor = field, descriptor
-    out._data, out._lay, out._eb, out._tb = _merge(data, new, field.p), lay, eb, tb
 
 
 def _packed(field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], lay: _Layout,

@@ -41,10 +41,9 @@ from .ordered_group import (
     is_positive,
     mod_p_image,
     neg,
-    sign,
     zero,
 )
-from .series_field import SeriesElement, is_pth_power
+from .series_field import SeriesElement
 
 RESIDUE_TRIVIAL = "trivial"
 RESIDUE_INSEP = "insep-p"
@@ -147,23 +146,16 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     Each substitution removes a negative p-divisible leading term whose
     residue is a p-th power, and strictly raises the valuation.  The loop
     stops at a case-"i"/"ii"/"iii" normal form, or reports exhaustion
-    (which over a dense group signals a defect extension).
+    (which over a dense group signals a defect extension).  A step runs on
+    the packed keys (``SeriesElement.artin_schreier_step``): when p divides
+    every coordinate of v(f) over the layout's denominator, the root's keys
+    are the lead's keys over p; otherwise the denominator grows by p and the
+    rest of f is re-packed once.
     """
-    p = f.field.p
     for it in range(max_iters):
-        if f.is_zero():
-            return ReduceResult("reduced", f, "iii", it)
-        v, lead, rest = f.split_lead()
-        if sign(v) >= 0:
-            return ReduceResult("reduced", f, "iii", it)
-        w = divide_exact(v, p)
-        if w is None:
-            return ReduceResult("reduced", f, "i", it)
-        flag, root = is_pth_power(f.field, lead)
-        if not flag:
-            return ReduceResult("reduced", f, "ii", it)
-        # g = root*t^w: Frobenius is additive and c^p = c on F_p, so g^p = lead*t^v and f - (g^p - g) = rest + g
-        f = rest.plus_term(w, root)
+        case, f = f.artin_schreier_step()
+        if case is not None:
+            return ReduceResult("reduced", f, case, it)
     return ReduceResult("exhausted", f, None, max_iters)
 
 

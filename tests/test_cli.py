@@ -129,6 +129,29 @@ def test_the_scanner_matches_the_character_loop(text):
     assert _scanned(lambda t: cli_mod._Tokens(t).items, text) == _scanned(scanner_reference.scan, text)
 
 
+def _fraction_only(tok, context):
+    """Number parsing as it was before the integer path: always a Fraction."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise cli_mod.InputError(f"expected a rational number but found {tok!r} in {context!r}")
+
+
+# the characters of numeric tokens (a sign or a digit, then digits and "/"),
+# with decimal digits from other scripts and digits that are not decimal
+_number_text = st.text(alphabet=st.sampled_from(list("-+/0123456789") + ["²", "٣", "٤", "１", "Ⅻ", "½"]), max_size=8)
+
+
+@settings(max_examples=500)
+@given(_number_text)
+def test_integer_tokens_parse_to_the_same_value_as_fractions(tok):
+    got = _scanned(lambda t: cli_mod._parse_fraction(t, "ctx"), tok)
+    want = _scanned(lambda t: _fraction_only(t, "ctx"), tok)
+    assert got == want
+    if isinstance(got, int):
+        assert tok.lstrip("-+").isdecimal()
+
+
 # -- format/parse round-trips ----------------------------------------------------------
 
 

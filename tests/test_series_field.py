@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.ordered_group import element, int_lex, int_scale, p_inverted, quadratic
+from ramify.ordered_group import element, int_lex, int_scale, p_inverted, quadratic, zero
 from ramify.series_field import (
     CoeffField,
     FieldElement,
@@ -205,13 +205,15 @@ def test_a_coefficient_from_another_ring_is_refused():
         SeriesElement(u_only, Z1, {gamma: w})
     other_p = CoeffField(3, units=("u",)).unit_gen("u")
     with pytest.raises(ValueError, match=r"F_3\[u\] used over F_2\[u\]"):
-        constant_series(u_only, Z1, 1).plus_term(gamma, other_p)
+        t_term(u_only, Z1, gamma, other_p)
+    with pytest.raises(ValueError, match=r"F_3\[u\] used over F_2\[u\]"):
+        SeriesElement(u_only, Z1, {element(Z1, 0): u_only.one, gamma: other_p})
     with pytest.raises(ValueError):
         constant_series(u_only, Z1, other_p)
     # an equal ring from another field of the same shape is the same ring
     twin = CoeffField(2, units=("u",)).unit_gen("u")
     assert t_term(u_only, Z1, gamma, twin) == t_term(u_only, Z1, gamma, u_only.unit_gen("u"))
-    assert constant_series(u_only, Z1, 0).plus_term(gamma, twin) == t_term(u_only, Z1, gamma, twin)
+    assert SeriesElement(u_only, Z1, {element(Z1, 0): u_only.zero, gamma: twin}) == t_term(u_only, Z1, gamma, twin)
 
 
 @given(st.data())
@@ -229,7 +231,7 @@ def test_an_exponent_from_another_group_is_refused(data):
             with pytest.raises(ValueError, match="the term lives over a different group"):
                 t_term(field, home, gamma, c)
             with pytest.raises(ValueError, match="the term lives over a different group"):
-                constant_series(field, home, 1).plus_term(gamma, c)
+                SeriesElement(field, home, {zero(home): field.one, gamma: c})
     # constant_series puts its coefficient at t^0; a tagged variable whose
     # tag lies in another group is refused instead
     tagged = CoeffField(2, tags=(data.draw(positive_elements(foreign)),))

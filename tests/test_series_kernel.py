@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.ordered_group import compare, element, int_lex, p_inverted, quadratic
+from ramify.ordered_group import compare, divide_exact, element, int_lex, int_scale, p_inverted, quadratic, sign
 from ramify.series_field import (
     CoeffField,
     SeriesElement,
@@ -189,70 +189,100 @@ def test_split_lead_matches_valuation_and_leading_coeff(case, data):
     assert rest == f - t_term(field, descriptor, v, lead)
     assert ref.decode(rest) == {g: c for g, c in rf.items() if g != v}
     assert _bounds_hold(rest)
-    assert rest.plus_term(v, lead) == f
+    assert rest + t_term(field, descriptor, v, lead) == f
+
+
+def _reference_step(r, p):
+    """One Artin-Schreier substitution on a reference series, written on
+    group elements: (case, r) at a normal form, else (None, the new r)."""
+    if not r:
+        return "iii", r
+    v = ref.valuation(r)
+    if sign(v) >= 0:
+        return "iii", r
+    w = divide_exact(v, p)
+    if w is None:
+        return "i", r
+    if any(e % p for exps in r[v] for e in exps):
+        return "ii", r
+    rest = {g: poly for g, poly in r.items() if g != v}
+    return None, ref.add(rest, {w: {tuple(e // p for e in exps): c for exps, c in r[v].items()}}, p)
 
 
 @given(cases, st.data())
-def test_plus_term_matches_adding_a_monomial(case, data):
+def test_artin_schreier_step_matches_the_reference_step(case, data):
     p, descriptor = case
     field = _field(p, descriptor)
     rf = data.draw(reference_series(field, descriptor))
+    if data.draw(st.booleans()):
+        # a polar lead at p*w whose coefficient is a p-th power, and
+        # sometimes a term at w that its root cancels
+        w = data.draw(gammas(descriptor).filter(lambda g: sign(g) < 0))
+        root = {tuple(data.draw(st.sampled_from(EDGE_EXPONENTS)) for _ in range(field.ring.ngens)): 1}
+        lead = {tuple(p * e for e in exps): c for exps, c in root.items()}
+        rf = ref.add(rf, {int_scale(p, w): lead}, p)
+        if data.draw(st.booleans()):
+            rf = ref.add(rf, {w: {exps: p - c for exps, c in root.items()}}, p)
     f = _series(field, descriptor, rf)
-    if rf and data.draw(st.booleans()):
-        # cancel some or all of one of f's terms
-        gamma = data.draw(st.sampled_from(sorted(rf, key=str)))
-        poly = rf[gamma]
-        keep = data.draw(st.sets(st.sampled_from(sorted(poly))))
-        coeff = field.ring.from_dict({e: -c for e, c in poly.items() if e not in keep})
-    else:
-        gamma, coeff = data.draw(gammas(descriptor)), data.draw(polys(field))
-    got = f.plus_term(gamma, coeff)
-    want = f + t_term(field, descriptor, gamma, coeff)
-    assert got == want
-    assert ref.decode(got) == ref.decode(want)
+    case_, got = f.artin_schreier_step()
+    want_case, want = _reference_step(rf, p)
+    assert case_ == want_case
+    assert ref.decode(got) == want
     assert _bounds_hold(got)
+    if case_ is not None:
+        assert got is f
     assert ref.decode(f) == rf  # f itself is untouched
 
 
-def test_plus_term_edges():
+def test_artin_schreier_step_edges():
+    # the zero series and the signs of v: over Q + Q*sqrt(2), 1 - sqrt(2) is
+    # polar though its lexicographic code is positive, and -1 + sqrt(2) is not
     for descriptor in (ZP3, Z2, Q2):
         field = _field(3, descriptor)
-        x0, u = field.tagged_gen(0), field.unit_gen("u")
         zero = _series(field, descriptor, {})
-        one = element(descriptor, 1) if descriptor != Z2 else element(Z2, (1, 0))
-        # the zero series takes a term, and gives it back under split_lead
-        f = zero.plus_term(one, u)
-        assert ref.decode(f) == ref.decode(t_term(field, descriptor, one, u))
-        assert f.split_lead()[:2] == (one, u)
-        assert zero.is_zero() and zero.plus_term(one, field.zero).is_zero()
-        # x0^16 outgrows the 2^4 exponent field
-        wide = f.plus_term(one, x0 ** 16)
-        assert wide._lay.w > f._lay.w
-        assert wide == f + t_term(field, descriptor, one, x0 ** 16)
-        # full cancellation removes every key
-        assert wide.plus_term(one, -(u + x0 ** 16)).is_zero()
-    # Z[1/3]: a deeper denominator widens den
+        assert zero.artin_schreier_step() == ("iii", zero)
+    field = _field(3, Q2)
+    for raw, want in (((1, -1), None), ((-1, 1), "iii"), ((0, 0), "iii")):
+        f = t_term(field, Q2, element(Q2, raw))
+        assert f.artin_schreier_step()[0] == want
+    # Z^2: v/p needs every coordinate divisible by p; the exponents decide case ii
+    field = _field(3, Z2)
+    u = field.unit_gen("u")
+    assert t_term(field, Z2, element(Z2, (-2, 3))).artin_schreier_step()[0] == "i"
+    assert t_term(field, Z2, element(Z2, (-3, 3)), u).artin_schreier_step()[0] == "ii"
+    case_, g = t_term(field, Z2, element(Z2, (-3, 3)), u ** 3).artin_schreier_step()
+    assert case_ is None and g == t_term(field, Z2, element(Z2, (-1, 1)), u)
+    # Z[1/3], laid out over den 3 (the tag 1/3): v = -1 is -3 there, so the
+    # root -1/3 stays in the layout; then v = -1/3 is -1, and den grows by 3
     field = _field(3, ZP3)
-    f = t_term(field, ZP3, element(ZP3, -1), field.one)
-    deep = element(ZP3, Fraction(-1, 3 ** 7))
-    g = f.plus_term(deep, field.unit_gen("u"))
-    assert g._lay.den % 3 ** 7 == 0 and f._lay.den % 3 ** 7 != 0
-    assert g == f + t_term(field, ZP3, deep, field.unit_gen("u"))
-    # Z^2 and Q + Q*sqrt(2): a lower coordinate past the balanced 2^11 bound widens tw
-    for descriptor, far in ((Z2, element(Z2, (0, 5000))), (Q2, element(Q2, (0, 3000)))):
-        field = _field(3, descriptor)
-        f = t_term(field, descriptor, element(descriptor, (1, 0)), field.one)
-        g = f.plus_term(far, field.one)
-        assert g._lay.tw > f._lay.tw
-        assert g == f + t_term(field, descriptor, far, field.one)
-        assert _bounds_hold(g)
+    f = t_term(field, ZP3, element(ZP3, -1))
+    _, g = f.artin_schreier_step()
+    assert g._lay is f._lay and g == t_term(field, ZP3, element(ZP3, Fraction(-1, 3)))
+    _, h = g.artin_schreier_step()
+    assert h._lay.den == 3 * g._lay.den and h == t_term(field, ZP3, element(ZP3, Fraction(-1, 9)))
+    # the root adds to a term of the rest
+    _, k = (g + t_term(field, ZP3, element(ZP3, Fraction(-1, 9)))).artin_schreier_step()
+    assert ref.decode(k) == {element(ZP3, Fraction(-1, 9)): {(0, 0, 0): 2}}
+    # or cancels it: t^(-2) + t^(-1) over Z^2 at p = 2
+    field = _field(2, Z2)
+    f = t_term(field, Z2, element(Z2, (-2, 0))) + t_term(field, Z2, element(Z2, (-1, 0)))
+    case_, g = f.artin_schreier_step()
+    assert case_ is None and g.is_zero()
+    # Q + Q*sqrt(2): the rest's lower coordinate 2000 over den 2 fits the
+    # balanced 2^11 bound, and three times it does not, so tw widens
+    field = _field(3, Q2)
+    f = t_term(field, Q2, element(Q2, (-1, 0))) + t_term(field, Q2, element(Q2, (0, 1000)))
+    case_, g = f.artin_schreier_step()
+    assert case_ is None and g._lay.tw > f._lay.tw and g._lay.den == 3 * f._lay.den
+    assert g == t_term(field, Q2, element(Q2, (Fraction(-1, 3), 0))) + t_term(field, Q2, element(Q2, (0, 1000)))
+    assert _bounds_hold(g)
 
 
 # -- the one packing routine ---------------------------------------------------------------
 
 
 @given(cases, st.data())
-def test_construction_equals_plus_term_folded_from_zero(case, data):
+def test_construction_equals_terms_summed_from_zero(case, data):
     p, descriptor = case
     field = _field(p, descriptor)
     # a few values, so that terms repeat and their coefficients add up past p
@@ -270,7 +300,7 @@ def test_construction_equals_plus_term_folded_from_zero(case, data):
     built = SeriesElement(field, descriptor, summed)
     folded = _series(field, descriptor, {})
     for gamma, coeffs in raw_terms:
-        folded = folded.plus_term(gamma, field.ring.from_dict(coeffs))
+        folded = folded + t_term(field, descriptor, gamma, field.ring.from_dict(coeffs))
     assert built == folded
     assert ref.decode(built) == ref.decode(folded) == ref.normalize(raw, p)
     assert _bounds_hold(built) and _bounds_hold(folded)

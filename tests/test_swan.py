@@ -92,6 +92,17 @@ def test_reduce_exhausts_over_dense_group():
     assert res.f.valuation() == element(ZP2, Fraction(-1, 2 ** 64))
 
 
+def test_reduce_exhausts_over_quad():
+    f3 = CoeffField(3)
+    f = t_term(f3, QD2, element(QD2, (-2, 1)), f3.const(2))
+    res = artin_schreier_reduce(f)
+    assert res.status == "exhausted"
+    assert res.iterations == 64
+    # every step divides the valuation by 3, so it ends at v(f)/3^64
+    assert res.f.valuation() == element(QD2, (Fraction(-2, 3 ** 64), Fraction(1, 3 ** 64)))
+    assert res.f == t_term(f3, QD2, res.f.valuation(), f3.const(2))
+
+
 def _powering_reduce(f, max_iters=64):
     """The reduction loop as it once ran, subtracting g^p - g with g^p
     computed by series powering."""
@@ -113,12 +124,36 @@ def _powering_reduce(f, max_iters=64):
     return ReduceResult("exhausted", f, None, max_iters)
 
 
+def _decoding_reduce(f, max_iters=64):
+    """The reduction loop on decoded values: split off the lead, decide on
+    its ``GroupElement`` and ``Poly``, and add the root back as a term."""
+    p = f.field.p
+    for it in range(max_iters):
+        if f.is_zero():
+            return ReduceResult("reduced", f, "iii", it)
+        v, lead, rest = f.split_lead()
+        if sign(v) >= 0:
+            return ReduceResult("reduced", f, "iii", it)
+        w = divide_exact(v, p)
+        if w is None:
+            return ReduceResult("reduced", f, "i", it)
+        flag, root = is_pth_power(f.field, lead)
+        if not flag:
+            return ReduceResult("reduced", f, "ii", it)
+        f = rest + t_term(f.field, f.descriptor, w, root)
+    return ReduceResult("exhausted", f, None, max_iters)
+
+
 @st.composite
 def _as_right_hand_sides(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     q = 3 if p == 2 else 2
-    descriptor = draw(st.sampled_from([Z1, Z2, p_inverted(p), p_inverted(q), QD2]))
-    field = CoeffField(p, units=("x", "y"))
+    zp = p_inverted(p)
+    descriptor = draw(st.sampled_from([Z1, Z2, int_lex(3), zp, p_inverted(q), QD2, quadratic(3)]))
+    # a tag 1/p puts p into the layout's denominator, so that some steps keep
+    # the layout and others grow its denominator by p
+    tags = (element(zp, Fraction(1, p)),) if descriptor == zp and draw(st.booleans()) else ()
+    field = CoeffField(p, tags=tags, units=("x", "y"))
     x, y, c = field.unit_gen("x"), field.unit_gen("y"), field.const
     # the p-th powers of the last two are multi-monomial, such as x^p*y^(2p) + 2*x^(2p)
     roots = st.sampled_from([field.one, c(p - 1), x, x ** 3 * y, x * y ** 2 + c(2) * x ** 2, y + c(p - 1)])
@@ -133,15 +168,26 @@ def _as_right_hand_sides(draw):
         if k and draw(st.booleans()):
             # a term at v/p that the first substitution's g cancels
             f = f - t_term(field, descriptor, int_scale(p ** (k - 1), w), root ** p ** (k - 1))
+    if tags and draw(st.booleans()):
+        f = f + variable_series(field, descriptor, field.tagged_gen(0))
     return f
+
+
+def _assert_same_reduction(got, want):
+    assert (got.status, got.case, got.iterations) == (want.status, want.case, want.iterations)
+    assert got.f == want.f
 
 
 @settings(max_examples=200, deadline=None)
 @given(_as_right_hand_sides())
 def test_reduction_matches_the_powering_loop(f):
-    got, want = artin_schreier_reduce(f), _powering_reduce(f)
-    assert (got.status, got.case, got.iterations) == (want.status, want.case, want.iterations)
-    assert got.f == want.f
+    _assert_same_reduction(artin_schreier_reduce(f), _powering_reduce(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_as_right_hand_sides())
+def test_reduction_matches_the_decoding_loop(f):
+    _assert_same_reduction(artin_schreier_reduce(f), _decoding_reduce(f))
 
 
 # -- equal characteristic classification ---------------------------------------------
