@@ -74,12 +74,6 @@ def reference_series(draw, field, descriptor, exponents=EDGE_EXPONENTS, max_term
     return ref.normalize(out, field.p)
 
 
-def polys(field, max_monos=3):
-    mono = st.tuples(*[st.sampled_from(EDGE_EXPONENTS)] * field.ring.ngens)
-    coeffs = st.dictionaries(mono, st.integers(1, field.p - 1), min_size=1, max_size=max_monos)
-    return coeffs.map(field.ring.from_dict)
-
-
 def _series(field, descriptor, r):
     return SeriesElement(field, descriptor, {g: field.ring.from_dict(poly) for g, poly in r.items()})
 
