@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from ramify.cli import format_cut, format_element
 from ramify.cuts import Surd
 from ramify.defect_lab import (
     VARIANT_CLOSED,
@@ -24,6 +23,7 @@ from ramify.defect_lab import (
     VARIANT_OPEN_IRRATIONAL,
     break_witness,
 )
+from ramify.literals import format_cut, format_element
 from ramify.ordered_group import GroupDescriptor, element, hull_element, in_group, p_inverted
 
 

@@ -12,9 +12,9 @@ from the whole gap set.
 import argparse
 from fractions import Fraction
 
-from ramify.cli import format_cut, format_element
 from ramify.cuts import open_cut
 from ramify.defect_lab import build_defect_model
+from ramify.literals import format_cut, format_element
 from ramify.ordered_group import element, p_inverted
 from ramify.separation import GapDatum, connectivity_threshold, separation_bound
 from ramify.series_field import variable_series

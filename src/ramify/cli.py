@@ -1,20 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: the subcommands, the verify suites and argparse.
 
-Literals
---------
-groups    ``zlex:2``, ``zp:2``, ``quad:2``
-elements  ``lex(1,-5)``, ``q(3/4)``, ``quad(1,1)``, bare rationals for
-          rank-one groups
-surds     ``surd(a,b,d)`` meaning a + b*sqrt(d)
-cuts      ``whole``, ``ge q(1)``, ``gt q(1)``, ``frontier(1,-5)``,
-          ``frontier_ge(1,0)`` (parenthesized forms like ``ge(q(1))``
-          are accepted on input)
-series    sums of products of ``t(<element>)``, ``x[<element>]``, unit
-          names, and integers, e.g. ``u*t(-4) + x[q(3/4)]*t(q(1/2))``
-
-Every literal the tool prints re-parses to an equal value.  Exit codes:
-0 success, 2 malformed input (the diagnostic names the offending token),
-1 a theorem-level check failed.
+The commands read and print values in the literal syntax of
+``ramify.literals``.  Exit codes: 0 success, 2 malformed input (the
+diagnostic names the offending token), 1 a theorem-level check failed.
 """
 
 from __future__ import annotations
@@ -24,11 +12,9 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from .cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
+from .cuts import open_cut
 from .defect_lab import (
     DeltaBoundError,
     VARIANT_CLOSED,
@@ -42,20 +28,22 @@ from .defect_lab import (
     verify_delta_bounds,
     witness_persistence,
 )
-from .ordered_group import (
-    GroupDescriptor,
-    GroupElement,
-    HullElement,
-    KIND_INT_LEX,
-    KIND_P_INVERTED,
-    KIND_QUADRATIC,
-    _is_prime,
-    element,
-    hull_element,
-    int_lex,
-    p_inverted,
-    quadratic,
+# format_surd is not called here; it is imported so that code which looks up
+# or replaces the readers and printers by name on this module finds them all
+from .literals import (
+    InputError,
+    element_form,
+    format_cut,
+    format_element,
+    format_rsw,
+    format_surd,
+    parse_bound,
+    parse_cut,
+    parse_element,
+    parse_group,
+    parse_series,
 )
+from .ordered_group import GroupDescriptor, KIND_INT_LEX, KIND_P_INVERTED, _is_prime, element, int_lex, p_inverted, quadratic
 from .sampling import (
     random_group_cut,
     random_hull_ideal,
@@ -64,22 +52,12 @@ from .sampling import (
     random_principal_hull_ideal,
 )
 from .separation import GapDatum, connectivity_threshold, separation_bound
-from .series_field import (
-    CoeffField,
-    SeriesElement,
-    constant_series,
-    norm_trace_laws,
-    t_term,
-    valuation_laws,
-    variable_series,
-)
+from .series_field import norm_trace_laws, valuation_laws
 from .swan import (
     EqualCharSymbolic,
     KummerSymbolic,
-    RswSymbol,
     SwanData,
     UndeterminedError,
-    ValueClass,
     break_of,
     classify_equal_char,
     classify_kummer_symbolic,
@@ -87,364 +65,6 @@ from .swan import (
     plan_log_smooth,
     single_jump_violations,
 )
-
-
-class InputError(Exception):
-    """Malformed user input; maps to exit code 2."""
-
-
-# -- tokenizer -------------------------------------------------------------------
-
-
-# Tokens are symbols, numbers (a minus sign or a digit, then digits and "/")
-# and names (a letter or "_", then letters, digits, numerals and "_"), in the
-# classes of str.isdigit, isalpha and isalnum.  \w is isalnum or "_" but \d is
-# only isdecimal, so text holding numerals that are not decimal digits or
-# letters (², Ⅻ, ½) gets a pattern that names them.
-@lru_cache(maxsize=64)
-def _token_pattern(numerals: str) -> re.Pattern:
-    digits = "".join(c for c in numerals if c.isdigit())
-    return re.compile(rf"[()\[\],:+*^]|[^\W\d{numerals}]\w*|[-\d{digits}][\d{digits}/]*")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        odd = () if text.isascii() else {c for c in text if c.isnumeric() and not (c.isalpha() or c.isdecimal())}
-        pattern = _token_pattern("".join(sorted(odd)))
-        self.items: List[str] = pattern.findall(text)
-        if len("".join(self.items)) != len("".join(text.split())):
-            # findall skipped a character that starts no token: find it
-            pos = 0
-            while True:
-                pos = len(text) - len(text[pos:].lstrip())
-                match = pattern.match(text, pos)
-                if match is None:
-                    raise InputError(f"unexpected character {text[pos]!r} in {text!r}")
-                pos = match.end()
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise InputError(f"unexpected end of input in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise InputError(f"expected {tok!r} but found {got!r} in {self.text!r}")
-
-    def done(self) -> None:
-        if self.pos != len(self.items):
-            raise InputError(f"trailing input {self.items[self.pos]!r} in {self.text!r}")
-
-
-def _parse_fraction(tok: str, context: str) -> Union[int, Fraction]:
-    """An exact rational; an integer token gives an int and builds no Fraction."""
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"expected a rational number but found {tok!r} in {context!r}")
-
-
-def parse_group(text: str) -> GroupDescriptor:
-    toks = _Tokens(text)
-    kind = toks.next()
-    toks.expect(":")
-    param_tok = toks.next()
-    toks.done()
-    try:
-        param = int(param_tok)
-    except ValueError:
-        raise InputError(f"expected an integer group parameter, found {param_tok!r}")
-    if kind == KIND_INT_LEX:
-        return int_lex(param)
-    if kind == KIND_P_INVERTED:
-        return p_inverted(param)
-    if kind == KIND_QUADRATIC:
-        return quadratic(param)
-    raise InputError(f"unknown group kind {kind!r} (use zlex:n, zp:p, quad:d)")
-
-
-def _parse_fraction_list(toks: _Tokens) -> List[Union[int, Fraction]]:
-    toks.expect("(")
-    vals = [_parse_fraction(toks.next(), toks.text)]
-    while toks.peek() == ",":
-        toks.next()
-        vals.append(_parse_fraction(toks.next(), toks.text))
-    toks.expect(")")
-    return vals
-
-
-# head of each element form -> (group kind, argument count or None for any,
-# the error for a wrong count)
-_ELEMENT_FORMS = {
-    "lex": (KIND_INT_LEX, None, None),
-    "q": (KIND_P_INVERTED, 1, "q(...) takes a single rational"),
-    "quad": (KIND_QUADRATIC, 2, "quad(a,b) takes two rationals"),
-}
-# names that a series literal cannot use for a residue unit
-_RESERVED = frozenset(("t", "x", "surd", *_ELEMENT_FORMS))
-
-
-def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
-    """element := lex(...) | q(...) | quad(a,b) | bare rational"""
-    build = hull_element if hull else element
-    tok = toks.peek()
-    if tok is None:
-        raise InputError(f"expected an element in {toks.text!r}")
-    try:
-        form = _ELEMENT_FORMS.get(tok)
-        if form is not None:
-            kind, arity, arity_error = form
-            toks.next()
-            vals = _parse_fraction_list(toks)
-            if arity is not None and len(vals) != arity:
-                raise InputError(arity_error)
-            if descriptor.kind != kind:
-                raise InputError(f"{tok}(...) element does not live in {descriptor}")
-            return build(descriptor, vals[0] if kind == KIND_P_INVERTED else tuple(vals))
-        # bare rational shorthand for scalar groups
-        value = _parse_fraction(toks.next(), toks.text)
-        if descriptor.kind == KIND_INT_LEX and descriptor.param != 1:
-            raise InputError(f"bare value {tok!r} is ambiguous over {descriptor}; use lex(...)")
-        return build(descriptor, value)
-    except ValueError as e:
-        raise InputError(f"{e} (while reading an element of {descriptor})")
-
-
-def parse_element(text: str, descriptor: GroupDescriptor, hull: bool = False):
-    toks = _Tokens(text)
-    out = _parse_element_tokens(toks, descriptor, hull)
-    toks.done()
-    return out
-
-
-def _parse_bound_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
-    """bound := surd(a,b,d) | element"""
-    if toks.peek() != "surd":
-        return _parse_element_tokens(toks, descriptor, hull)
-    toks.next()
-    vals = _parse_fraction_list(toks)
-    if len(vals) != 3:
-        raise InputError("surd(a,b,d) takes three arguments")
-    if vals[2].denominator != 1:
-        raise InputError("the radicand of surd(a,b,d) is an integer")
-    if descriptor.kind == KIND_INT_LEX:
-        raise InputError(f"surd bounds live over dense groups, not {descriptor}")
-    return Surd(vals[0], vals[1], int(vals[2]))
-
-
-def parse_bound(text: str, descriptor: GroupDescriptor, hull: bool):
-    toks = _Tokens(text)
-    out = _parse_bound_tokens(toks, descriptor, hull)
-    toks.done()
-    return out
-
-
-def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut:
-    toks = _Tokens(text)
-    head = toks.next()
-    if head == "whole":
-        toks.done()
-        return whole_cut(descriptor, over_hull=hull)
-    if head in ("ge", "gt"):
-        # `ge q(1)` and `ge(q(1))` are both fine; a bare bound never starts
-        # with "(" so the next token decides
-        wrapped = toks.peek() == "("
-        if wrapped:
-            toks.next()
-        bound = _parse_bound_tokens(toks, descriptor, hull)
-        if wrapped:
-            toks.expect(")")
-        toks.done()
-        if head == "ge":
-            if isinstance(bound, Surd):
-                raise InputError("a principal cut needs an element bound, not a surd")
-            return principal_cut(bound)
-        return open_cut(descriptor, bound, over_hull=hull)
-    if head in ("frontier", "frontier_ge"):
-        vals = _parse_fraction_list(toks)
-        toks.done()
-        if descriptor.kind != KIND_INT_LEX:
-            raise InputError(f"frontier cuts live over lex groups, not {descriptor}")
-        return frontier_cut(descriptor, tuple(vals), over_hull=hull, inclusive=head == "frontier_ge")
-    raise InputError(f"unknown cut form {head!r} (use whole, ge, gt, frontier, frontier_ge)")
-
-
-# -- series parsing ---------------------------------------------------------------
-
-
-def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[SeriesElement, CoeffField]:
-    """Parse a series literal; the coefficient field is built from the
-    tagged values and unit names appearing in the text."""
-    # first pass just collects the tags and unit names so the field can exist
-    tag_values: List[GroupElement] = []
-    unit_names = set()
-    toks = _Tokens(text)
-    while toks.peek() is not None:
-        tok = toks.next()
-        if tok == "x" and toks.peek() == "[":
-            toks.next()
-            g = _parse_element_tokens(toks, descriptor, hull=False)
-            toks.expect("]")
-            if g not in tag_values:
-                tag_values.append(g)
-        elif tok.isidentifier() and tok not in _RESERVED:
-            unit_names.add(tok)
-    field = CoeffField(p, tags=tuple(tag_values), units=tuple(sorted(unit_names)))
-
-    reader = _SeriesReader(_Tokens(text), field, descriptor)
-    result = reader.sum()
-    reader.toks.done()
-    return result, field
-
-
-# Most coefficient-term pairs the products of one series literal may touch
-# (a product of series with m and n terms touches m*n pairs).  The test
-# suite's literals touch at most 16 and the benchmark's at most 10; past the
-# budget a literal such as (t(-1)+u+t(-2))^2000 is refused, not multiplied
-# for hours.
-PARSE_PAIR_BUDGET = 10 ** 6
-
-
-class _SeriesReader:
-    """Recursive descent over a series literal, charging every product
-    against ``PARSE_PAIR_BUDGET``."""
-
-    def __init__(self, toks: _Tokens, field: CoeffField, descriptor: GroupDescriptor):
-        self.toks, self.field, self.descriptor = toks, field, descriptor
-        self.pairs_left = PARSE_PAIR_BUDGET
-
-    def times(self, a: SeriesElement, b: SeriesElement) -> SeriesElement:
-        self.pairs_left -= a.num_terms() * b.num_terms()
-        if self.pairs_left < 0:
-            raise ValueError(f"series literal needs more than {PARSE_PAIR_BUDGET} coefficient-term products (the parse budget)")
-        return a * b
-
-    def sum(self) -> SeriesElement:
-        out = self.term()
-        while self.toks.peek() == "+":
-            self.toks.next()
-            out = out + self.term()
-        return out
-
-    def term(self) -> SeriesElement:
-        out = self.factor()
-        while self.toks.peek() == "*":
-            self.toks.next()
-            out = self.times(out, self.factor())
-        return out
-
-    def factor(self) -> SeriesElement:
-        toks, field, descriptor = self.toks, self.field, self.descriptor
-        tok = toks.peek()
-        if tok is None:
-            raise InputError(f"expected a series factor in {toks.text!r}")
-        if tok == "(":
-            toks.next()
-            inner = self.sum()
-            toks.expect(")")
-            return self.maybe_power(inner)
-        if tok == "t":
-            toks.next()
-            toks.expect("(")
-            g = _parse_element_tokens(toks, descriptor, hull=False)
-            toks.expect(")")
-            return self.maybe_power(t_term(field, descriptor, g))
-        if tok == "x":
-            toks.next()
-            toks.expect("[")
-            g = _parse_element_tokens(toks, descriptor, hull=False)
-            toks.expect("]")
-            # the pre-scan in parse_series put every x[...] tag into the field
-            return self.maybe_power(variable_series(field, descriptor, field.gens[field.tags.index(g)]))
-        if tok.isidentifier() and tok not in _RESERVED:
-            toks.next()
-            try:
-                gen = field.unit_gen(tok)
-            except (KeyError, ValueError) as e:
-                raise InputError(f"unknown unit name {tok!r}")
-            return self.maybe_power(variable_series(field, descriptor, gen))
-        value = _parse_fraction(toks.next(), toks.text)
-        if value.denominator != 1:
-            raise InputError(f"series coefficients are integers mod p, found {value}")
-        return self.maybe_power(constant_series(field, descriptor, int(value)))
-
-    def maybe_power(self, base: SeriesElement) -> SeriesElement:
-        toks = self.toks
-        if toks.peek() != "^":
-            return base
-        toks.next()
-        tok = toks.next()
-        try:
-            n = int(tok)
-        except ValueError:
-            raise InputError(f"expected an integer exponent, found {tok!r}")
-        if n < 0:
-            raise InputError("negative exponents are not series")
-        # square and multiply, as SeriesElement.power does, with each
-        # product charged
-        out = constant_series(self.field, self.descriptor, 1)
-        while n:
-            if n & 1:
-                out = self.times(out, base)
-            base = self.times(base, base) if n > 1 else base
-            n >>= 1
-        return out
-
-
-# -- serializers ------------------------------------------------------------------
-
-
-def format_element(g: Union[GroupElement, HullElement]) -> str:
-    d = g.descriptor
-    if d.kind == KIND_INT_LEX:
-        if d.param == 1:
-            return str(g.value[0])
-        return "lex(" + ",".join(map(str, g.value)) + ")"
-    if d.kind == KIND_P_INVERTED:
-        return f"q({g.value})"
-    a, b = g.value
-    return f"quad({a},{b})"
-
-
-def format_surd(s: Surd) -> str:
-    return f"surd({s.a},{s.b},{s.d})"
-
-
-def format_cut(cut: Cut) -> str:
-    kind = cut.kind
-    if kind == "whole":
-        return "whole"
-    if kind in ("frontier", "frontier_ge"):
-        return f"{kind}({','.join(str(Fraction(c, cut.value.den)) for c in cut.value.nums)})"
-    # a bound that is not a point of the space (1/2 over Z[1/3], sqrt(2))
-    # can only be written as a surd
-    point = cut.bound_point()
-    body = format_surd(cut.value) if point is None else format_element(point)
-    return ("ge " if kind == "principal" else "gt ") + body
-
-
-def format_rsw(rsw: Optional[RswSymbol]) -> str:
-    if rsw is None:
-        return "none"
-    if not rsw.dlog_terms:
-        return "0"
-    parts = []
-    for coeff, term in rsw.dlog_terms:
-        body = f"dlog(t({format_element(term.gamma)}))" if isinstance(term, ValueClass) else f"dlog({term.name})"
-        parts.append(body if coeff == 1 else f"{coeff}*{body}")
-    return " + ".join(parts)
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -685,12 +305,13 @@ def _cmd_separation(args) -> Tuple[Report, int]:
 def _group_for_separation(args) -> GroupDescriptor:
     if args.group is not None:
         return parse_group(args.group)
-    head = _Tokens(args.gap if args.gap is not None else args.gaps).peek()
-    if head == "q":
+    form = element_form(args.gap if args.gap is not None else args.gaps)
+    if form is None:
+        return int_lex(1)
+    head, kind = form
+    if kind == KIND_P_INVERTED:
         return p_inverted(args.p)
-    if head in ("lex", "quad"):
-        raise InputError(f"{head} gaps need an explicit --group {'zlex:n' if head == 'lex' else 'quad:d'}")
-    return int_lex(1)
+    raise InputError(f"{head} gaps need an explicit --group {'zlex:n' if kind == KIND_INT_LEX else 'quad:d'}")
 
 
 # -- verification suites -------------------------------------------------------------

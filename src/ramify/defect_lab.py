@@ -39,7 +39,7 @@ from .ordered_group import (
 )
 from .sampling import _grid_base, random_model_series, random_positive_element
 from .series_field import CoeffField, SeriesElement, SigmaSpec, t_term
-from .swan import RESIDUE_TRIVIAL, SwanData, classify_equal_char
+from .swan import RESIDUE_TRIVIAL, SwanData, break_of, classify_equal_char
 
 
 MAX_DEPTH = 256  # model cost grows steeply with the depth; deeper is refused
@@ -396,8 +396,6 @@ def break_witness(
     open: defect model, jump at the open hull ideal at `bound`.
     open-irrational: defect model over an irrational bound given as a Surd.
     """
-    from .swan import break_of
-
     if variant == VARIANT_CLOSED:
         if not isinstance(bound, GroupElement):
             raise ValueError("closed variant needs a group element")

@@ -91,7 +91,6 @@ __all__ = [
     "t_term",
     "variable_series",
     "constant_series",
-    "is_pth_power",
     "norm",
     "trace",
     "valuation_laws",
@@ -671,9 +670,6 @@ class SeriesElement:
         self._check_peer(other)
         return self._times(other)
 
-    def scale(self, coeff: Poly) -> "SeriesElement":
-        return self._times(constant_series(self.field, self.descriptor, coeff))
-
     def shift(self, gamma: GroupElement) -> "SeriesElement":
         """Multiply by the monomial t^gamma."""
         return self._times(t_term(self.field, self.descriptor, gamma))
@@ -814,19 +810,6 @@ class FieldElement:
 
     __hash__ = None
 
-    def as_series(self) -> SeriesElement:
-        """Exact conversion when the denominator is a coefficient-unit
-        monomial; raises otherwise."""
-        terms = list(self.den.terms())
-        if len(terms) != 1:
-            raise ValueError("denominator is not a monomial")
-        gamma, c = terms[0]
-        cterms = c.terms()
-        if len(cterms) != 1 or any(e for e in cterms[0][0]):
-            raise ValueError("denominator coefficient is not a constant")
-        inv = pow(cterms[0][1], -1, self.field.p)
-        return self.num.scale(self.field.const(inv)).shift(-gamma)
-
     def __repr__(self) -> str:
         return f"({self.num!r})/({self.den!r})"
 
@@ -911,12 +894,6 @@ class SigmaSpec:
         data = _merge(dict(img._data), ((k, p - c) for k, c in neg_f), p)
         return _packed(img.field, img.descriptor, data, img._lay, img._eb, img._tb)
 
-    def iterate(self, f, k: int):
-        out = f
-        for _ in range(k):
-            out = self.apply(out)
-        return out
-
 
 def norm(s: SigmaSpec, f):
     """Product of the p conjugates under sigma."""
@@ -959,18 +936,3 @@ def norm_trace_laws(sigma: SigmaSpec, f: SeriesElement) -> List[str]:
         labels.append("norm valuation")
     return labels
 
-
-def is_pth_power(field: CoeffField, c: Poly):
-    """Decide whether a coefficient polynomial is a p-th power, returning
-    (flag, root).  Over F_p the coefficients themselves are always roots of
-    themselves, so only the exponents matter.
-    """
-    p = field.p
-    if not c:
-        return True, field.zero
-    out = {}
-    for exps, coeff in c.terms():
-        if any(e % p for e in exps):
-            return False, None
-        out[tuple(e // p for e in exps)] = coeff
-    return True, field.ring.from_dict(out)

@@ -1,4 +1,4 @@
-"""The character-loop scanner, the oracle for ``ramify.cli._Tokens``.
+"""The character-loop scanner, the oracle for ``ramify.literals._Tokens``.
 
 ``_Tokens`` scans with one regular expression.  This module keeps the
 earlier loop, which decides every character by its ``str`` methods, so a
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ramify.cli import InputError
+from ramify.literals import InputError
 
 SYMBOLS = "()[],:+*^"
 

@@ -4,6 +4,8 @@ A series is a dict {GroupElement: {exponent tuple: c}} with c in 1..p-1,
 and every operation is written the obvious way on group elements.  sigma is
 expanded by the binomial theorem, x_i^e -> sum_k C(e, k) x_i^k t^((e-k) d_i),
 rather than by powering the images the way the kernel does.
+``is_pth_power`` decides the leading coefficient's p-th root for the
+reference Artin-Schreier loops.
 """
 
 from __future__ import annotations
@@ -96,3 +98,19 @@ def trace(f, tags, p):
 
 def valuation(f):
     return min(f, key=cmp_to_key(compare))
+
+
+def is_pth_power(field, c):
+    """Decide whether a coefficient polynomial is a p-th power, returning
+    (flag, root); the oracle for the reference reduction loops.  Over F_p
+    every coefficient is its own p-th root, so only the exponents matter.
+    """
+    p = field.p
+    if not c:
+        return True, field.zero
+    out = {}
+    for exps, coeff in c.terms():
+        if any(e % p for e in exps):
+            return False, None
+        out[tuple(e // p for e in exps)] = coeff
+    return True, field.ring.from_dict(out)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -12,17 +13,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ramify.cli as cli_mod
-from ramify.cli import (
-    format_cut,
-    format_element,
-    parse_cut,
-    parse_element,
-    parse_group,
-    parse_series,
-    run,
-)
+import ramify.literals as literals
+from ramify.cli import run
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut
 from ramify.defect_lab import DeltaBoundError, build_defect_model, build_principal_case
+from ramify.literals import format_cut, format_element, parse_cut, parse_element, parse_group, parse_series
 from ramify.ordered_group import element, hull_element, int_lex, p_inverted, quadratic
 from ramify.series_field import CoeffField, SeriesElement, t_term, variable_series
 from ramify.swan import artin_schreier_reduce, break_of
@@ -106,7 +101,7 @@ def test_the_artin_schreier_pipeline_runs_on_series():
 def _scanned(scan, text):
     try:
         return scan(text)
-    except cli_mod.InputError as e:
+    except literals.InputError as e:
         return f"InputError: {e}"
 
 
@@ -126,7 +121,7 @@ _scanner_text = st.text(
 @settings(max_examples=500)
 @given(_scanner_text)
 def test_the_scanner_matches_the_character_loop(text):
-    assert _scanned(lambda t: cli_mod._Tokens(t).items, text) == _scanned(scanner_reference.scan, text)
+    assert _scanned(lambda t: literals._Tokens(t).items, text) == _scanned(scanner_reference.scan, text)
 
 
 def _fraction_only(tok, context):
@@ -134,7 +129,7 @@ def _fraction_only(tok, context):
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise cli_mod.InputError(f"expected a rational number but found {tok!r} in {context!r}")
+        raise literals.InputError(f"expected a rational number but found {tok!r} in {context!r}")
 
 
 # the characters of numeric tokens (a sign or a digit, then digits and "/"),
@@ -145,7 +140,7 @@ _number_text = st.text(alphabet=st.sampled_from(list("-+/0123456789") + ["²", "
 @settings(max_examples=500)
 @given(_number_text)
 def test_integer_tokens_parse_to_the_same_value_as_fractions(tok):
-    got = _scanned(lambda t: cli_mod._parse_fraction(t, "ctx"), tok)
+    got = _scanned(lambda t: literals._parse_fraction(t, "ctx"), tok)
     want = _scanned(lambda t: _fraction_only(t, "ctx"), tok)
     assert got == want
     if isinstance(got, int):
@@ -177,6 +172,61 @@ def test_round_trip_frontier_ge():
     br = frontier_cut(Z2, (1,)).hull_closure()
     assert format_cut(br) == "frontier_ge(2)"
     assert parse_cut(format_cut(br), Z2, hull=True) == br
+
+
+# -- the literal layer's boundary ------------------------------------------------------
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
+
+# the readers and printers that code outside the package looks up, or
+# replaces, by name on ramify.cli
+LITERAL_NAMES = (
+    "parse_group",
+    "parse_element",
+    "parse_bound",
+    "parse_cut",
+    "parse_series",
+    "format_element",
+    "format_surd",
+    "format_cut",
+    "format_rsw",
+)
+
+
+def test_the_literal_layer_imports_without_the_command_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ramify.literals; print(sorted({'ramify.cli', 'argparse'} & set(sys.modules)))"
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (got.returncode, got.stdout) == (0, "[]\n"), got.stderr
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{a.name}" for a in node.names)
+
+
+def test_no_library_module_imports_the_command_line():
+    package = os.path.join(_SRC, "ramify")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "cli.py":
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            assert not any(m.split(".")[-1] == "cli" for m in _imported_modules(tree)), name
+
+
+def test_the_command_line_binds_the_literal_layers_functions(monkeypatch):
+    for name in LITERAL_NAMES:
+        assert getattr(cli_mod, name) is getattr(literals, name), name
+    # a printer replaced by name is reached by the printers that call it
+    seen = []
+    monkeypatch.setattr(literals, "format_element", lambda g: seen.append(g) or format_element(g))
+    assert cli_mod.format_cut(principal_cut(element(ZP2, 3))) == "ge q(3)"
+    assert seen == [element(ZP2, 3)]
 
 
 # -- golden outputs --------------------------------------------------------------------
@@ -496,7 +546,7 @@ def test_exit_2_when_a_literal_outgrows_the_parse_budget(literal):
     code, out, err = run_cli(["classify", "--group", "zlex:1", "--p", "7", "--as", literal])
     assert time.perf_counter() - start < ARGV_SECONDS
     assert (code, out) == (2, "")
-    assert err == f"error: series literal needs more than {cli_mod.PARSE_PAIR_BUDGET} coefficient-term products (the parse budget)\n"
+    assert err == f"error: series literal needs more than {literals.PARSE_PAIR_BUDGET} coefficient-term products (the parse budget)\n"
 
 
 def test_parse_budget_leaves_powers_below_it_unchanged():
@@ -504,6 +554,27 @@ def test_parse_budget_leaves_powers_below_it_unchanged():
     f, field = parse_series("(t(-1)+u+t(-2))^300", Z1, 7)
     base = t_term(field, Z1, element(Z1, -1)) + variable_series(field, Z1, field.unit_gen("u")) + t_term(field, Z1, element(Z1, -2))
     assert f == base.power(300)
+
+
+def test_exit_2_at_once_on_an_exponent_above_the_cap():
+    # the interpreter's int-string limit (4300 digits by default) is no cap:
+    # it can be lifted, and Python before 3.10.7 has none
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(["classify", "--group", "zp:2", "--p", "2", "--as", f"u^1{'0' * 4999}*t(-1)"])
+        elapsed = time.perf_counter() - start
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert elapsed < ARGV_SECONDS
+    assert (code, out) == (2, "")
+    assert err == f"error: series exponents are at most {literals.MAX_EXPONENT}\n"
+    # the cap itself is accepted
+    f, field = parse_series(f"u^{literals.MAX_EXPONENT}", Z1, 2)
+    assert f == variable_series(field, Z1, field.unit_gen("u")).power(literals.MAX_EXPONENT)
 
 
 def test_exit_2_on_missing_mode():
@@ -563,9 +634,6 @@ def test_exit_2_on_any_malformed_input(argv):
     assert "error:" in err and "Traceback" not in err
 
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
 @pytest.mark.parametrize(
     "script, flags",
     [
@@ -580,8 +648,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ],
 )
 def test_scripts_exit_2_on_bad_input(script, flags):
-    src = os.path.join(_ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, os.path.join(_ROOT, "scripts", script), *flags]
     got = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert got.returncode == 2 and "error:" in got.stderr, got.stderr

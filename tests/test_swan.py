@@ -17,7 +17,7 @@ from ramify.ordered_group import (
     quadratic,
     sign,
 )
-from ramify.series_field import CoeffField, constant_series, is_pth_power, t_term, variable_series
+from ramify.series_field import CoeffField, constant_series, t_term, variable_series
 from ramify.swan import (
     EnlargedGroup,
     EqualCharSymbolic,
@@ -45,6 +45,7 @@ from ramify.swan import (
     wild_inertia_check,
 )
 
+from .series_reference import is_pth_power
 from .strategies import descriptors, elements, group_cuts, hull_ideals
 
 Z1 = int_lex(1)
