@@ -179,6 +179,12 @@ def test_round_trip_frontier_ge():
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
 
+
+def _env():
+    """The environment of a subprocess that imports ramify from this tree."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+
+
 # the readers and printers that code outside the package looks up, or
 # replaces, by name on ramify.cli
 LITERAL_NAMES = (
@@ -195,9 +201,8 @@ LITERAL_NAMES = (
 
 
 def test_the_literal_layer_imports_without_the_command_line():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
     code = "import sys, ramify.literals; print(sorted({'ramify.cli', 'argparse'} & set(sys.modules)))"
-    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    got = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60)
     assert (got.returncode, got.stdout) == (0, "[]\n"), got.stderr
 
 
@@ -648,9 +653,8 @@ def test_exit_2_on_any_malformed_input(argv):
     ],
 )
 def test_scripts_exit_2_on_bad_input(script, flags):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, os.path.join(_ROOT, "scripts", script), *flags]
-    got = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    got = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=60)
     assert got.returncode == 2 and "error:" in got.stderr, got.stderr
     assert "Traceback" not in got.stderr
 
