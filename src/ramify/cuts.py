@@ -33,7 +33,6 @@ accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Tuple, Union
@@ -46,9 +45,11 @@ from .ordered_group import (
     HullElement,
     _Element,
     _den_in_group,
+    _frozen,
     _is_squarefree_nonsquare,
     _over_one_den,
     _point,
+    _set,
     quad_sign,
     zero,
 )
@@ -72,11 +73,7 @@ class Surd:
             raise ValueError(f"radicand must be a squarefree non-square, got {d}")
         _fill(self, A, B, den, d)
 
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("Surd is immutable")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError("Surd is immutable")
+    __setattr__ = __delattr__ = _frozen
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Surd):
@@ -134,9 +131,6 @@ class Surd:
         if n == 0:
             raise ZeroDivisionError("Surd divided by zero")
         return _surd(self.A, self.B, self.den * n, self.d)
-
-
-_set = object.__setattr__
 
 
 def _fill(s: Surd, A: int, B: int, den: int, d: int) -> None:
@@ -207,12 +201,32 @@ def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) ->
     return over_hull or _den_in_group(descriptor, value.den)
 
 
-@dataclass(frozen=True, slots=True)
 class Cut:
-    descriptor: GroupDescriptor
-    over_hull: bool
-    value: _Value
-    inclusive: bool
+    """An immutable cut; `Cut._make` and the constructors below build one."""
+
+    __slots__ = ("descriptor", "over_hull", "value", "inclusive")
+
+    def __init__(self, descriptor: GroupDescriptor, over_hull: bool, value: _Value, inclusive: bool) -> None:
+        _set(self, "descriptor", descriptor)
+        _set(self, "over_hull", over_hull)
+        _set(self, "value", value)
+        _set(self, "inclusive", inclusive)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Cut:
+            return NotImplemented
+        return (self.descriptor, self.over_hull, self.value, self.inclusive) == (other.descriptor, other.over_hull, other.value, other.inclusive)
+
+    def __hash__(self) -> int:
+        return hash((self.descriptor, self.over_hull, self.value, self.inclusive))
+
+    def __repr__(self) -> str:
+        return f"Cut(descriptor={self.descriptor!r}, over_hull={self.over_hull!r}, value={self.value!r}, inclusive={self.inclusive!r})"
+
+    def __reduce__(self):
+        return Cut, (self.descriptor, self.over_hull, self.value, self.inclusive)
 
     @staticmethod
     def _make(descriptor: GroupDescriptor, over_hull: bool, value: _Value, inclusive: bool) -> "Cut":

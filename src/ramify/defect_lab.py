@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cuts import Cut, Surd, open_cut, principal_cut
 from .ordered_group import (
@@ -49,23 +48,19 @@ class DeltaBoundError(Exception):
     """A sampled element moved faster under sigma than the model allows."""
 
 
-@dataclass(eq=False)
 class DefectModel:
-    """A truncated defect extension with conductor cut `conductor`."""
+    """A truncated defect extension with conductor cut `conductor`;
+    compares by identity."""
 
-    descriptor: GroupDescriptor
-    p: int
-    conductor: Cut
-    root_set: Cut
-    depth: int
-    e_seq: Tuple[GroupElement, ...]
-    field: CoeffField
-    sigma: SigmaSpec
-    swan: SwanData
+    def __init__(
+        self, descriptor: GroupDescriptor, p: int, conductor: Cut, root_set: Cut, depth: int,
+        e_seq: Tuple[GroupElement, ...], field: CoeffField, sigma: SigmaSpec, swan: SwanData,
+    ) -> None:
+        self.descriptor, self.p, self.conductor, self.root_set, self.depth = descriptor, p, conductor, root_set, depth
+        self.e_seq, self.field, self.sigma, self.swan = e_seq, field, sigma, swan
 
 
-@dataclass(frozen=True)
-class PrincipalCase:
+class PrincipalCase(NamedTuple):
     """A concrete datum realizing a principal conductor cut."""
 
     f: SeriesElement
@@ -188,8 +183,7 @@ def build_defect_model(
 # -- sampled verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     samples: int
     monomials_checked: int
     sigma_fixed: int
@@ -262,16 +256,14 @@ STATUS_BELOW_ALL = "below-all"
 STATUS_UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class LimitEntry:
+class LimitEntry(NamedTuple):
     gamma: GroupElement
     member: bool
     status: str
     witness: Optional[int]
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     ok: bool
     entries: Tuple[LimitEntry, ...]
 
@@ -342,18 +334,17 @@ def witness_persistence(
 # -- twin constructions ---------------------------------------------------------
 
 
-@dataclass(eq=False)
 class TwinPair:
     """Same principal-ideal trace, different conductor cuts.
 
     The ramified side has conductor Principal(p*b); the defect side has
     the open cut above p*b.  Every principal hull ideal evaluates the two
-    identically; the open hull ideal at p*b tells them apart.
+    identically; the open hull ideal at p*b tells them apart.  Compares by
+    identity.
     """
 
-    ramified: PrincipalCase
-    defect: DefectModel
-    divergence: Cut
+    def __init__(self, ramified: PrincipalCase, defect: DefectModel, divergence: Cut) -> None:
+        self.ramified, self.defect, self.divergence = ramified, defect, divergence
 
 
 def twin_pair(descriptor: GroupDescriptor, p: int, b: GroupElement, depth: int = 4) -> TwinPair:
@@ -375,12 +366,11 @@ VARIANT_OPEN = "open"
 VARIANT_OPEN_IRRATIONAL = "open-irrational"
 
 
-@dataclass(eq=False)
 class BreakWitness:
-    variant: str
-    swan: SwanData
-    break_cut: Cut
-    source: Union[PrincipalCase, DefectModel]
+    """A construction with its jump; compares by identity."""
+
+    def __init__(self, variant: str, swan: SwanData, break_cut: Cut, source: Union[PrincipalCase, DefectModel]) -> None:
+        self.variant, self.swan, self.break_cut, self.source = variant, swan, break_cut, source
 
 
 def break_witness(

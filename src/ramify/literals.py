@@ -97,8 +97,22 @@ class _Tokens:
             raise InputError(f"trailing input {self.items[self.pos]!r} in {self.text!r}")
 
 
+# Most digits in one run of a number token: CPython's default limit on
+# integer digits, checked before int() or Fraction() reads a token, so that
+# reading a literal does not depend on that limit's setting.
+MAX_DIGITS = 4300
+
+
+def _check_digits(tok: str) -> None:
+    """Refuse a token with a run of more than MAX_DIGITS digits, naming the
+    cap rather than echoing the token."""
+    if len(tok) > MAX_DIGITS and any(len(run) > MAX_DIGITS for run in re.split("[-/]", tok)):
+        raise InputError(f"numbers have at most {MAX_DIGITS} digits")
+
+
 def _parse_fraction(tok: str, context: str) -> Union[int, Fraction]:
     """An exact rational; an integer token gives an int and builds no Fraction."""
+    _check_digits(tok)
     try:
         return int(tok)
     except ValueError:
@@ -115,6 +129,7 @@ def parse_group(text: str) -> GroupDescriptor:
     toks.expect(":")
     param_tok = toks.next()
     toks.done()
+    _check_digits(param_tok)
     try:
         param = int(param_tok)
     except ValueError:
@@ -353,6 +368,10 @@ class _SeriesReader:
             return base
         toks.next()
         tok = toks.next()
+        if len(tok) > MAX_DIGITS and tok.isdecimal():
+            # far above the cap, and no int() has to read it
+            raise InputError(f"series exponents are at most {MAX_EXPONENT}")
+        _check_digits(tok)
         try:
             n = int(tok)
         except ValueError:

@@ -30,7 +30,6 @@ the ``GroupDescriptor`` constructor.  The group and its hull are closed under
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -74,31 +73,55 @@ def _is_squarefree_nonsquare(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _frozen(self, name, value=None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable value types."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class GroupDescriptor:
     """Names one ordered group.
 
     ``param`` is the rank for ``zlex``, the inverted prime for ``zp`` and
-    the radicand for ``quad``.
+    the radicand for ``quad``.  Immutable.
     """
 
-    kind: str
-    param: int
+    __slots__ = ("kind", "param")
 
-    def __post_init__(self) -> None:
-        if self.kind == KIND_INT_LEX:
-            if self.param < 1:
-                raise ValueError(f"lexicographic rank must be >= 1, got {self.param}")
-        elif self.kind == KIND_P_INVERTED:
-            if not _is_prime(self.param):
-                raise ValueError(f"inverted denominator must be prime, got {self.param}")
-        elif self.kind == KIND_QUADRATIC:
-            if not _is_squarefree_nonsquare(self.param):
+    def __init__(self, kind: str, param: int) -> None:
+        if kind == KIND_INT_LEX:
+            if param < 1:
+                raise ValueError(f"lexicographic rank must be >= 1, got {param}")
+        elif kind == KIND_P_INVERTED:
+            if not _is_prime(param):
+                raise ValueError(f"inverted denominator must be prime, got {param}")
+        elif kind == KIND_QUADRATIC:
+            if not _is_squarefree_nonsquare(param):
                 raise ValueError(
-                    f"radicand must be a squarefree non-square >= 2, got {self.param}"
+                    f"radicand must be a squarefree non-square >= 2, got {param}"
                 )
         else:
-            raise ValueError(f"unknown group kind {self.kind!r}")
+            raise ValueError(f"unknown group kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "param", param)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GroupDescriptor:
+            return NotImplemented
+        return self.kind == other.kind and self.param == other.param
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.param))
+
+    def __repr__(self) -> str:
+        return f"GroupDescriptor(kind={self.kind!r}, param={self.param!r})"
+
+    def __reduce__(self):
+        return GroupDescriptor, (self.kind, self.param)
 
     @property
     def is_dense(self) -> bool:
@@ -162,15 +185,30 @@ def _den_in_group(descriptor: GroupDescriptor, den: int) -> bool:
     return den == 1 or descriptor.kind == KIND_QUADRATIC
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class _Element:
     """A point nums / den: n numerators for ``zlex``, one for ``zp`` and
     (a, b) for a + b*sqrt(d) over ``quad``; den > 0 and in lowest terms
-    with nums."""
+    with nums.  Immutable; points of different types are never equal."""
 
-    descriptor: GroupDescriptor
-    nums: Tuple[int, ...]
-    den: int
+    __slots__ = ("descriptor", "nums", "den")
+
+    def __init__(self, descriptor: GroupDescriptor, nums: Tuple[int, ...], den: int) -> None:
+        _set(self, "descriptor", descriptor)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.descriptor, self.nums, self.den) == (other.descriptor, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.descriptor, self.nums, self.den))
+
+    def __reduce__(self):
+        return type(self), (self.descriptor, self.nums, self.den)
 
     @property
     def value(self) -> Union[tuple, Fraction]:

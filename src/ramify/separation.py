@@ -10,8 +10,7 @@ at a generator is p times the sigma-displacement of that generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .cuts import Cut, open_cut, principal_cut
 from .defect_lab import DefectModel
@@ -26,21 +25,25 @@ from .ordered_group import (
 from .series_field import SeriesElement
 
 
-@dataclass(frozen=True)
-class GapDatum:
-    """Gap values of one generating set under a degree-n extension."""
-
+class _Gaps(NamedTuple):
     degree: int
     gaps: Tuple[Union[GroupElement, HullElement], ...]
 
-    def __post_init__(self):
-        if self.degree < 2:
+
+class GapDatum(_Gaps):
+    """Gap values of one generating set under a degree-n extension."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, gaps: Tuple[Union[GroupElement, HullElement], ...]) -> "GapDatum":
+        if degree < 2:
             raise ValueError("degree must be at least 2")
-        if not self.gaps:
+        if not gaps:
             raise ValueError("at least one gap is required")
-        for g in self.gaps:
+        for g in gaps:
             if not is_positive(g):
                 raise ValueError("gaps are positive values")
+        return super().__new__(cls, degree, gaps)
 
     def max_gap(self) -> Union[GroupElement, HullElement]:
         best = self.gaps[0]
@@ -50,8 +53,7 @@ class GapDatum:
         return best
 
 
-@dataclass(frozen=True)
-class ThresholdPair:
+class ThresholdPair(NamedTuple):
     """The two hull ideals on either side of a connectivity threshold."""
 
     connected_at: Cut

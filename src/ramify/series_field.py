@@ -41,7 +41,8 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.  The
 packed-key helpers read keys without decoding them: ``monomials`` splits a
 series into one-term series in its own layout, ``least_tag_index`` reads
-the tag bits, ``valuation_at_least`` compares leading t-codes, and
+the tag bits, ``valuation_at_least`` compares leading t-codes,
+``split_polar`` splits off the terms of negative value, and
 ``artin_schreier_step`` makes one Artin-Schreier substitution, decoding only
 the leading t-code's coordinates.
 
@@ -567,6 +568,23 @@ class SeriesElement:
                 rest[k] = c
         tail = _packed(self.field, self.descriptor, rest, self._lay, self._eb, self._tb)
         return self._t_element(T), self._poly(lead), tail
+
+    def split_polar(self) -> Tuple["SeriesElement", "SeriesElement"]:
+        """(the terms of value < 0, the rest), both in self's layout.  Over
+        Z[1/q] and Z^n a key's sign is its t-code's sign (balanced lower
+        digits keep the lexicographic sign); over Q + Q*sqrt(d) each distinct
+        t-code is decoded once and its sign read with ``quad_sign``."""
+        lay, data = self._lay, self._data
+        S = lay.shift
+        if self.descriptor.kind == KIND_QUADRATIC:
+            d, t_coords = self.descriptor.param, lay.t_coords
+            neg = {T for T in {k >> S for k in data} if quad_sign(*t_coords(T), d) < 0}
+            polar = {k: c for k, c in data.items() if k >> S in neg}
+        else:
+            polar = {k: c for k, c in data.items() if k < 0}
+        rest = {k: c for k, c in data.items() if k not in polar}
+        field, descriptor, eb, tb = self.field, self.descriptor, self._eb, self._tb
+        return _packed(field, descriptor, polar, lay, eb, tb), _packed(field, descriptor, rest, lay, eb, tb)
 
     def artin_schreier_step(self) -> Tuple[Optional[str], "SeriesElement"]:
         """One substitution f -> f - (g^p - g) on the keys: (None, the result)

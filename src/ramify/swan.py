@@ -25,8 +25,7 @@ enlargements that kill the ramification detected by the conductor form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cuts import Cut, open_cut, principal_cut, whole_cut
 from .ordered_group import (
@@ -57,15 +56,13 @@ class UndeterminedError(Exception):
     explaining the non-termination."""
 
 
-@dataclass(frozen=True)
-class ValueClass:
+class ValueClass(NamedTuple):
     """dlog of a monomial of value gamma, as a symbol."""
 
     gamma: GroupElement
 
 
-@dataclass(frozen=True)
-class UnitSymbol:
+class UnitSymbol(NamedTuple):
     """dlog of a residue unit that is not a p-th power, as a symbol."""
 
     name: str
@@ -74,8 +71,7 @@ class UnitSymbol:
 DlogTerm = Tuple[int, Union[ValueClass, UnitSymbol]]
 
 
-@dataclass(frozen=True)
-class RswSymbol:
+class RswSymbol(NamedTuple):
     """Refined Swan conductor: where a generator of the conductor ideal is
     sent, expressed as an F_p-combination of dlog symbols."""
 
@@ -83,8 +79,7 @@ class RswSymbol:
     dlog_terms: Tuple[DlogTerm, ...]
 
 
-@dataclass(frozen=True)
-class SwanData:
+class SwanData(NamedTuple):
     """Everything the conductor detects about one extension."""
 
     conductor: Cut
@@ -96,8 +91,7 @@ class SwanData:
     case: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class EqualCharSymbolic:
+class EqualCharSymbolic(NamedTuple):
     """Symbolic equal-characteristic descriptor.
 
     case "i":   v(f) = -c not p-divisible; optionally a unit factor.
@@ -112,8 +106,7 @@ class EqualCharSymbolic:
     descriptor: Optional[GroupDescriptor] = None
 
 
-@dataclass(frozen=True)
-class KummerSymbolic:
+class KummerSymbolic(NamedTuple):
     """Symbolic descriptor for L = K(a^(1/p)) with zeta_p in the base.
 
     e0 is the value of zeta_p - 1.  Cases follow the standard table:
@@ -131,8 +124,7 @@ class KummerSymbolic:
     unit_name: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     status: str  # "reduced" or "exhausted"
     f: SeriesElement
     case: Optional[str]
@@ -151,12 +143,25 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     every coordinate of v(f) over the layout's denominator, the root's keys
     are the lead's keys over p; otherwise the denominator grows by p and the
     rest of f is re-packed once.
+
+    Only the polar part (the terms of value < 0) can lead, and every root
+    g added has value v/p < 0.  So after the first substitution f is split
+    once, the steps run on its polar part alone, and the terms of value
+    >= 0 are added back once at the end; a reduction that stops at once
+    pays for no split.
     """
+    rest = None
     for it in range(max_iters):
         case, f = f.artin_schreier_step()
         if case is not None:
-            return ReduceResult("reduced", f, case, it)
-    return ReduceResult("exhausted", f, None, max_iters)
+            return ReduceResult("reduced", _rejoined(f, rest), case, it)
+        if rest is None:
+            f, rest = f.split_polar()
+    return ReduceResult("exhausted", _rejoined(f, rest), None, max_iters)
+
+
+def _rejoined(polar: SeriesElement, rest: Optional[SeriesElement]) -> SeriesElement:
+    return polar if rest is None or rest.is_zero() else polar + rest
 
 
 def _principal(case: str, gen: GroupElement, p: int, dlog_terms: Tuple[DlogTerm, ...]) -> SwanData:
@@ -367,16 +372,14 @@ def base_change(conductor: Cut, target: GroupDescriptor) -> Cut:
     raise ValueError(f"unsupported base change {src} -> {target}")
 
 
-@dataclass(frozen=True)
-class Type2Move:
+class Type2Move(NamedTuple):
     """Adjoin an e-th root of an element with the given value class."""
 
     e: int
     target: GroupElement
 
 
-@dataclass(frozen=True)
-class EnlargedGroup:
+class EnlargedGroup(NamedTuple):
     """The value group after type-2 moves: Gamma plus the targets' p-th
     divisions, Gamma' = Gamma + sum Z*t/p.  Only membership in p*Gamma' =
     p*Gamma + sum Z*t is ever needed, and Gamma/p*Gamma is an F_p-vector

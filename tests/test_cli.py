@@ -206,6 +206,12 @@ def test_the_literal_layer_imports_without_the_command_line():
     assert (got.returncode, got.stdout) == (0, "[]\n"), got.stderr
 
 
+def test_importing_ramify_loads_no_dataclasses():
+    code = "import sys, ramify; print('dataclasses' in sys.modules)"
+    got = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60)
+    assert (got.returncode, got.stdout) == (0, "False\n"), got.stderr
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -580,6 +586,30 @@ def test_exit_2_at_once_on_an_exponent_above_the_cap():
     # the cap itself is accepted
     f, field = parse_series(f"u^{literals.MAX_EXPONENT}", Z1, 2)
     assert f == variable_series(field, Z1, field.unit_gen("u")).power(literals.MAX_EXPONENT)
+
+
+def test_long_number_tokens_are_refused_whatever_the_int_digit_limit():
+    # the same exit and message at the default limit and with it lifted,
+    # naming the cap and not echoing the token
+    argvs = [
+        ["classify", "--group", "zp:2", "--p", "2", "--as", f"t(-1{'0' * 4999})"],
+        ["classify", "--group", f"zp:1{'0' * 4999}", "--p", "2", "--as", "t(-1)"],
+        ["classify", "--group", "zp:2", "--p", "2", "--as", f"t(q(1/3{'0' * 4999}))"],
+    ]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    for argv in argvs:
+        got = [run_cli(argv)]
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+            try:
+                got.append(run_cli(argv))
+            finally:
+                sys.set_int_max_str_digits(limit)
+        for result in got:
+            assert result == (2, "", f"error: numbers have at most {literals.MAX_DIGITS} digits\n")
+    # a run of exactly MAX_DIGITS digits is read
+    f, field = parse_series(f"t(-1{'0' * (literals.MAX_DIGITS - 1)})", ZP2, 2)
+    assert f.valuation() == element(ZP2, -(10 ** (literals.MAX_DIGITS - 1)))
 
 
 def test_exit_2_on_missing_mode():

@@ -331,6 +331,37 @@ def test_canonical_equalities():
     assert principal_cut(element(Z1, 3)) != open_cut(Z1, element(Z1, 3))
 
 
+def test_cuts_are_immutable_hash_by_value_and_print_as_before():
+    a = frontier_cut(int_lex(3), (1, -2))
+    assert repr(a) == (
+        "Cut(descriptor=GroupDescriptor(kind='zlex', param=3), over_hull=False, "
+        "value=_Prefix(nums=(1, -2), den=1), inclusive=False)"
+    )
+    b = open_cut(p_inverted(3), Surd(Fraction(1, 2), 1, 2))
+    assert repr(b) == (
+        "Cut(descriptor=GroupDescriptor(kind='zp', param=3), over_hull=False, "
+        "value=Surd(a=Fraction(1, 2), b=Fraction(1, 1), d=2), inclusive=False)"
+    )
+    c = principal_cut(hull_element(QD2, (Fraction(1, 2), 3)))
+    assert repr(c) == (
+        "Cut(descriptor=GroupDescriptor(kind='quad', param=2), over_hull=True, "
+        "value=Surd(a=Fraction(1, 2), b=Fraction(3, 1), d=2), inclusive=True)"
+    )
+    # equal sets built apart are equal cuts with equal hashes
+    for x, y in (
+        (open_cut(Z1, element(Z1, 2)), principal_cut(element(Z1, 3))),
+        (frontier_cut(Z2, (1,), inclusive=True), frontier_cut(Z2, (0,))),
+        (b, open_cut(p_inverted(3), Surd(Fraction(1, 2), 1, 2))),
+    ):
+        assert x == y and x is not y and hash(x) == hash(y)
+    assert principal_cut(element(Z1, 3)) != principal_cut(hull_element(Z1, 3))
+    for name in ("descriptor", "over_hull", "value", "inclusive"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+
+
 def test_open_cut_refuses_a_short_bound():
     # {x > (1,)} over Z^2 names no side of the prefix; frontier_cut does
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramify.ordered_group import (
+    GroupElement,
     HullElement,
     add,
     compare,
@@ -50,6 +51,25 @@ def test_descriptor_validation():
     assert str(quadratic(5)) == "quad:5"
     assert not int_lex(3).is_dense
     assert p_inverted(2).is_dense and quadratic(2).is_dense
+
+
+def test_values_are_immutable_typed_and_hash_by_value():
+    d = quadratic(2)
+    assert repr(d) == "GroupDescriptor(kind='quad', param=2)"
+    g = element(d, (Fraction(1, 2), 3))
+    # the same numbers in the two spaces are different values
+    assert GroupElement(d, g.nums, g.den) != HullElement(d, g.nums, g.den)
+    assert GroupElement(d, (1, 0), 1) != HullElement(d, (1, 0), 1)
+    # equal values built apart are equal and hash alike
+    assert quadratic(2) == d and hash(quadratic(2)) == hash(d)
+    h = add(element(d, (Fraction(1, 4), 1)), element(d, (Fraction(1, 4), 2)))
+    assert h == g and h is not g and hash(h) == hash(g)
+    for obj, name in ((d, "kind"), (d, "param"), (g, "nums"), (g, "den"), (g, "descriptor")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert g == element(d, (Fraction(1, 2), 3))
 
 
 def test_coercion_validation():

@@ -191,7 +191,59 @@ def test_reduction_matches_the_decoding_loop(f):
     _assert_same_reduction(artin_schreier_reduce(f), _decoding_reduce(f))
 
 
+@st.composite
+def _right_hand_sides_with_integral_terms(draw):
+    """A polar part over ``zp:p`` or ``quad:2`` plus one to four terms of
+    value >= 0, which never lead.  The polar coefficients are p-th powers,
+    so most of these reductions exhaust."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    descriptor = draw(st.sampled_from([p_inverted(p), QD2]))
+    field = CoeffField(p, units=("x", "y"))
+    x, y, c = field.unit_gen("x"), field.unit_gen("y"), field.const
+    f = constant_series(field, descriptor, 0)
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(elements(descriptor).filter(lambda g: sign(g) < 0))
+        # p-th powers, so that the substitutions go on
+        lead = draw(st.sampled_from([field.one, c(p - 1), x ** p, x ** p * y ** (2 * p) + c(2)]))
+        f = f + t_term(field, descriptor, w, lead)
+    for _ in range(draw(st.integers(1, 4))):
+        v = draw(elements(descriptor).filter(lambda g: sign(g) >= 0))
+        f = f + t_term(field, descriptor, v, draw(st.sampled_from([field.one, x, y + c(p - 1), x * y])))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(_right_hand_sides_with_integral_terms())
+def test_reduction_with_integral_terms_matches_both_loops(f):
+    got = artin_schreier_reduce(f)
+    _assert_same_reduction(got, _powering_reduce(f))
+    _assert_same_reduction(got, _decoding_reduce(f))
+    assert got == _decoding_reduce(f)
+
+
 # -- equal characteristic classification ---------------------------------------------
+
+
+def test_swan_data_is_a_record_that_prints_as_before():
+    data = classify_equal_char(EqualCharSymbolic(2, "i", c=element(Z1, 3), unit_name="u"))
+    assert repr(data) == (
+        "SwanData(conductor=Cut(descriptor=GroupDescriptor(kind='zlex', param=1), over_hull=False, "
+        "value=_Prefix(nums=(3,), den=1), inclusive=True), rsw=RswSymbol(conductor_generator="
+        "GroupElement(descriptor=GroupDescriptor(kind='zlex', param=1), value=(3,)), dlog_terms="
+        "((1, UnitSymbol(name='u')), (1, ValueClass(gamma=GroupElement(descriptor="
+        "GroupDescriptor(kind='zlex', param=1), value=(-3,)))))), defect=False, e_pred=2, "
+        "residue_pred='trivial', unramified=False, case='i')"
+    )
+    unramified = classify_equal_char(EqualCharSymbolic(3, "iii", descriptor=Z1))
+    assert repr(unramified) == (
+        "SwanData(conductor=Cut(descriptor=GroupDescriptor(kind='zlex', param=1), over_hull=False, "
+        "value=_Prefix(nums=(0,), den=1), inclusive=True), rsw=None, defect=False, e_pred=1, "
+        "residue_pred='trivial', unramified=True, case='iii')"
+    )
+    # a record unpacks and compares as the tuple of its fields
+    conductor, rsw, defect, e_pred, residue, unramified_flag, case = data
+    assert (e_pred, residue, case) == (2, RESIDUE_TRIVIAL, "i") and rsw.dlog_terms[0] == (1, UnitSymbol("u"))
+    assert data == tuple(data) and hash(data) == hash(tuple(data))
 
 
 def test_classify_case_i_concrete():
