@@ -31,6 +31,7 @@ from .defect_lab import (
 # format_surd is not called here; it is imported so that code which looks up
 # or replaces the readers and printers by name on this module finds them all
 from .literals import (
+    MAX_DIGITS,
     InputError,
     element_form,
     format_cut,
@@ -93,9 +94,9 @@ def _seed_from(args) -> int:
     env = os.environ.get("RAMIFY_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"RAMIFY_SEED must be an integer, found {env!r}")
+            return _integer(env)
+        except argparse.ArgumentTypeError as e:
+            raise InputError(f"RAMIFY_SEED: {e}")
     return args.seed
 
 
@@ -440,19 +441,34 @@ def _cmd_verify(args) -> Tuple[Report, int]:
 # -- argument wiring -----------------------------------------------------------------
 
 
-def _prime(text: str) -> int:
+def _integer(text: str) -> int:
+    """The one reader of integer flags and RAMIFY_SEED: int(text), with the
+    digits counted against literals.MAX_DIGITS first, so that a longer value
+    is refused the same way whatever the interpreter's int-string limit, by
+    a message that names the cap and does not echo the value."""
+    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"numbers have at most {MAX_DIGITS} digits")
     try:
-        if text.isdecimal() and _is_prime(int(text)):
-            return int(text)
-    except ValueError as e:  # above the trial-division cap
-        raise argparse.ArgumentTypeError(str(e))
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, found {text!r}")
+
+
+def _prime(text: str) -> int:
+    if text.isdecimal():
+        n = _integer(text)
+        try:
+            if _is_prime(n):
+                return n
+        except ValueError as e:  # above the trial-division cap
+            raise argparse.ArgumentTypeError(str(e))
     raise argparse.ArgumentTypeError(f"expected a prime, found {text!r}")
 
 
 def _count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, found {text!r}")
-    return int(text)
+    return _integer(text)
 
 
 # Largest --samples any command takes, 50 times the largest default (200):
@@ -478,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, seed=False, p_required=True):
         sp.add_argument("--p", type=_prime, required=p_required, help="the residue characteristic")
         if seed:
-            sp.add_argument("--seed", type=int, default=0, help="RNG seed (RAMIFY_SEED overrides)")
+            sp.add_argument("--seed", type=_integer, default=0, help="RNG seed (RAMIFY_SEED overrides)")
 
     sp = sub.add_parser("classify", help="conductor data of one extension")
     sp.add_argument("--group", required=True)
@@ -504,13 +520,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--H", dest="conductor", help="conductor cut (direct mode)")
     mode.add_argument("--bound", help="break bound (construction mode)")
     sp.add_argument("--variant", choices=(VARIANT_CLOSED, VARIANT_OPEN, VARIANT_OPEN_IRRATIONAL))
-    sp.add_argument("--depth", type=int, help="model depth for --bound (default 4)")
+    sp.add_argument("--depth", type=_integer, help="model depth for --bound (default 4)")
     common(sp, p_required=False)
 
     sp = sub.add_parser("construct-defect", help="build and verify a defect model")
     sp.add_argument("--group", required=True)
     sp.add_argument("--cut", required=True, help="target conductor cut, e.g. 'gt(q(1))'")
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--depth", type=_integer, default=3)
     sp.add_argument("--samples", type=_samples, default=50)
     common(sp, seed=True)
 
@@ -519,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", required=True, help="half-conductor value; H1 = ge at p*b, H2 = gt at p*b")
     sp.add_argument("--samples", type=_samples, default=100)
     sp.add_argument("--table-rows", type=_count, help="rows of the plain table (default 12)")
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--depth", type=_integer, default=3)
     sp.add_argument("--format", choices=("plain", "kv"), default="plain")
     common(sp, seed=True)
 
@@ -528,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--gap", help="generator gap value")
     mode.add_argument("--gaps", help="comma-separated gap values for the degree-n bound")
-    sp.add_argument("--degree", type=int, help="degree for --gaps (default 2)")
+    sp.add_argument("--degree", type=_integer, help="degree for --gaps (default 2)")
     sp.add_argument("--hull", action="store_true", help="read gaps as hull elements")
     common(sp)
 
@@ -536,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     sp.add_argument("--group")
     sp.add_argument("--cut")
-    sp.add_argument("--depth", type=int)
+    sp.add_argument("--depth", type=_integer)
     sp.add_argument("--samples", type=_samples, default=200)
     common(sp, seed=True)
 

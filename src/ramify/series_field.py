@@ -42,9 +42,10 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 packed-key helpers read keys without decoding them: ``monomials`` splits a
 series into one-term series in its own layout, ``least_tag_index`` reads
 the tag bits, ``valuation_at_least`` compares leading t-codes,
-``split_polar`` splits off the terms of negative value, and
+``split_polar`` splits off the terms of negative value,
 ``artin_schreier_step`` makes one Artin-Schreier substitution, decoding only
-the leading t-code's coordinates.
+the leading t-code's coordinates, and ``artin_schreier_run`` makes up to n
+of them on a one-term series in closed form.
 
 (gamma, Poly) terms enter a series only through ``SeriesElement(...)``: it
 refuses an exponent from another group and a coefficient from another ring,
@@ -626,6 +627,44 @@ class SeriesElement:
         data = _merge(rest, [(base + m // p, c) for m, c in lead], p)
         return None, _packed(self.field, descriptor, data, lay2, self._eb, tb)
 
+    def artin_schreier_run(self, n: int) -> Tuple[Optional[str], "SeriesElement", int]:
+        """Up to n substitutions on a one-term series c * x^e * t^v in closed
+        form: (case, result, steps), with case None when the budget ends the
+        run.  Step j sends the term to c * x^(e/p^j) * t^(v/p^j), since
+        Frobenius fixes c in F_p, so the run stops at the first j where
+        v/p^(j+1) leaves the group ("i", checked first, as in
+        ``artin_schreier_step``) or e/p^j has an exponent prime to p ("ii").
+        Both are read off p-adic valuations: of gcd(v's numerators) over a
+        group not divisible by p, and of e's nonzero exponents."""
+        if len(self._data) != 1:
+            raise ValueError("artin_schreier_run needs a one-term series")
+        if n < 1:
+            return None, self, 0
+        (k, c), = self._data.items()
+        lay, p, descriptor = self._lay, self.field.p, self.descriptor
+        T, m = k >> lay.shift, k & lay.mono_mask
+        coords = lay.t_coords(T)
+        if (quad_sign(*coords, descriptor.param) if descriptor.kind == KIND_QUADRATIC else T) >= 0:
+            return "iii", self, 0
+        # over the layout's den, v's numerators share the factor p^same
+        same = _p_adic(gcd(*coords), p, n)
+        stop_i = n if _den_in_group(descriptor, p) else same
+        exps = lay.mono_exps(m)
+        stop_ii = min((_p_adic(e, p, n) for e in exps if e), default=n)
+        if stop_i < n and stop_i <= stop_ii:
+            case, j = "i", stop_i
+        elif stop_ii < n:
+            case, j = "ii", stop_ii
+        else:
+            case, j = None, n
+        if not j:
+            return case, self, 0
+        # the first `same` roots keep the layout; each later one grows den by p
+        r = min(j, same)
+        lay2 = _widen(lay, lay.den * p ** (j - r), max(self._eb, default=0), self._tb)
+        key = (lay2.t_code([x // p ** r for x in coords]) << lay2.shift) + lay.mono_code([e // p ** j for e in exps])
+        return case, _packed(self.field, descriptor, {key: c}, lay2, self._eb, self._tb), j
+
     def _check_peer(self, other: "SeriesElement") -> None:
         if not isinstance(other, SeriesElement):
             raise TypeError(f"expected SeriesElement, got {type(other).__name__}")
@@ -733,6 +772,15 @@ def _check_ring(field: CoeffField, coeff: Poly) -> None:
         raise ValueError(
             f"coefficient from F_{ring.p}[{', '.join(ring.names)}] used over F_{field.p}[{', '.join(field.ring.names)}]"
         )
+
+
+def _p_adic(x: int, p: int, cap: int) -> int:
+    """The exponent of p in the nonzero integer x, or cap if that is less."""
+    k = 0
+    while k < cap and x % p == 0:
+        x //= p
+        k += 1
+    return k
 
 
 def _packed(field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int], lay: _Layout,

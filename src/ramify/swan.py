@@ -149,9 +149,21 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     once, the steps run on its polar part alone, and the terms of value
     >= 0 are added back once at the end; a reduction that stops at once
     pays for no split.
+
+    Once f (or its polar part) is one term c * x^e * t^v, the remaining
+    budget runs in closed form (``SeriesElement.artin_schreier_run``): c is
+    fixed by Frobenius and each step divides e and v by p, so the stop is
+    read off p-adic valuations of v's numerators and e's exponents, and one
+    series is built at the end.  It is exact: the result, case and count
+    are those of the steps run one at a time.
     """
     rest = None
     for it in range(max_iters):
+        if f.num_terms() == 1:
+            case, f, steps = f.artin_schreier_run(max_iters - it)
+            if case is not None:
+                return ReduceResult("reduced", _rejoined(f, rest), case, it + steps)
+            break
         case, f = f.artin_schreier_step()
         if case is not None:
             return ReduceResult("reduced", _rejoined(f, rest), case, it)

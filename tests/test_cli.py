@@ -596,20 +596,66 @@ def test_long_number_tokens_are_refused_whatever_the_int_digit_limit():
         ["classify", "--group", f"zp:1{'0' * 4999}", "--p", "2", "--as", "t(-1)"],
         ["classify", "--group", "zp:2", "--p", "2", "--as", f"t(q(1/3{'0' * 4999}))"],
     ]
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     for argv in argvs:
-        got = [run_cli(argv)]
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-            try:
-                got.append(run_cli(argv))
-            finally:
-                sys.set_int_max_str_digits(limit)
-        for result in got:
+        for result in _at_both_int_digit_limits(argv):
             assert result == (2, "", f"error: numbers have at most {literals.MAX_DIGITS} digits\n")
     # a run of exactly MAX_DIGITS digits is read
     f, field = parse_series(f"t(-1{'0' * (literals.MAX_DIGITS - 1)})", ZP2, 2)
     assert f.valuation() == element(ZP2, -(10 ** (literals.MAX_DIGITS - 1)))
+
+
+def _at_both_int_digit_limits(argv):
+    """run_cli(argv) at the interpreter's int-string limit and, where the
+    interpreter has one, with it lifted."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    got = [run_cli(argv)]
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+        try:
+            got.append(run_cli(argv))
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return got
+
+
+_LONG = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--p", ["classify", "--group", "zp:2", "--p", _LONG, "--as", "t(-1)"]),
+        ("--samples", ["verify", "--suite", "claim2", "--p", "2", "--samples", _LONG]),
+        ("--table-rows", ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--table-rows", _LONG]),
+        ("--seed", ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--seed", _LONG]),
+        ("--seed", ["verify", "--suite", "series", "--p", "2", "--seed", "-" + _LONG]),
+        ("--depth", ["breaks", "--group", "zp:2", "--bound", "q(1)", "--depth", _LONG]),
+        ("--depth", ["verify", "--suite", "limits", "--p", "2", "--depth", _LONG]),
+        ("--degree", ["separation", "--p", "2", "--gaps", "q(1),q(2)", "--degree", _LONG]),
+    ],
+)
+def test_long_integer_flags_are_refused_whatever_the_int_digit_limit(flag, argv, monkeypatch):
+    # one reader for every integer flag: the same exit and message at the
+    # default limit and with it lifted, naming the cap and not echoing the value
+    monkeypatch.delenv("RAMIFY_SEED", raising=False)
+    for code, out, err in _at_both_int_digit_limits(argv):
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: numbers have at most {literals.MAX_DIGITS} digits\n")
+        assert "0" * 50 not in err
+
+
+def test_a_long_ramify_seed_is_refused_whatever_the_int_digit_limit(monkeypatch):
+    argv = ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "1"]
+    monkeypatch.setenv("RAMIFY_SEED", _LONG)
+    for result in _at_both_int_digit_limits(argv):
+        assert result == (2, "", f"error: RAMIFY_SEED: numbers have at most {literals.MAX_DIGITS} digits\n")
+    # a seed of exactly MAX_DIGITS digits is read, from the flag and from the variable
+    at_cap = "9" * literals.MAX_DIGITS
+    monkeypatch.setenv("RAMIFY_SEED", at_cap)
+    from_env = run_cli(argv)
+    assert from_env[0] == 0
+    monkeypatch.delenv("RAMIFY_SEED")
+    assert run_cli(argv + ["--seed", at_cap]) == from_env
 
 
 def test_exit_2_on_missing_mode():

@@ -272,6 +272,44 @@ def test_artin_schreier_step_edges():
     assert _bounds_hold(g)
 
 
+@given(cases, st.data())
+def test_artin_schreier_run_matches_the_reference_steps(case, data):
+    p, descriptor = case
+    field = _field(p, descriptor)
+    # a value and exponents with a few factors of p, so that runs stop at
+    # either check after several steps, or at the budget
+    gamma = int_scale(p ** data.draw(st.integers(0, 3)), data.draw(gammas(descriptor)))
+    exps = tuple(p ** data.draw(st.integers(0, 3)) * data.draw(st.sampled_from(EDGE_EXPONENTS)) for _ in range(field.ring.ngens))
+    rf = {gamma: {exps: data.draw(st.integers(1, p - 1))}}
+    f = _series(field, descriptor, rf)
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 5]))
+    case_, got, steps = f.artin_schreier_run(n)
+    want_case, want, j = None, rf, 0
+    while j < n:
+        want_case, nxt = _reference_step(want, p)
+        if want_case is not None:
+            break
+        want, j = nxt, j + 1
+    assert (case_, steps) == (want_case, j)
+    assert ref.decode(got) == want
+    assert _bounds_hold(got)
+    if not steps:
+        assert got is f
+    if n == 1:
+        # one substitution in closed form is one step, by value
+        step_case, g = f.artin_schreier_step()
+        assert step_case == case_ and g == got
+    assert ref.decode(f) == rf  # f itself is untouched
+
+
+def test_artin_schreier_run_needs_one_term():
+    field = _field(3, ZP3)
+    two = t_term(field, ZP3, element(ZP3, -1)) + t_term(field, ZP3, element(ZP3, -2))
+    for f in (_series(field, ZP3, {}), two):
+        with pytest.raises(ValueError, match="one-term"):
+            f.artin_schreier_run(1)
+
+
 # -- the one packing routine ---------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from ramify.ordered_group import (
     quadratic,
     sign,
 )
-from ramify.series_field import CoeffField, constant_series, t_term, variable_series
+from ramify.series_field import CoeffField, SeriesElement, constant_series, t_term, variable_series
 from ramify.swan import (
     EnlargedGroup,
     EqualCharSymbolic,
@@ -179,16 +179,21 @@ def _assert_same_reduction(got, want):
     assert got.f == want.f
 
 
-@settings(max_examples=200, deadline=None)
-@given(_as_right_hand_sides())
-def test_reduction_matches_the_powering_loop(f):
-    _assert_same_reduction(artin_schreier_reduce(f), _powering_reduce(f))
+# budgets around the first steps and around the default 64, so that runs in
+# closed form end at the budget as well as at a normal form
+_budgets = st.sampled_from([0, 1, 2, 3, 63, 64, 65])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_as_right_hand_sides())
-def test_reduction_matches_the_decoding_loop(f):
-    _assert_same_reduction(artin_schreier_reduce(f), _decoding_reduce(f))
+@given(_as_right_hand_sides(), _budgets)
+def test_reduction_matches_the_powering_loop(f, max_iters):
+    _assert_same_reduction(artin_schreier_reduce(f, max_iters), _powering_reduce(f, max_iters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_as_right_hand_sides(), _budgets)
+def test_reduction_matches_the_decoding_loop(f, max_iters):
+    _assert_same_reduction(artin_schreier_reduce(f, max_iters), _decoding_reduce(f, max_iters))
 
 
 @st.composite
@@ -213,12 +218,64 @@ def _right_hand_sides_with_integral_terms(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_right_hand_sides_with_integral_terms())
-def test_reduction_with_integral_terms_matches_both_loops(f):
-    got, want = artin_schreier_reduce(f), _decoding_reduce(f)
-    _assert_same_reduction(got, _powering_reduce(f))
+@given(_right_hand_sides_with_integral_terms(), _budgets)
+def test_reduction_with_integral_terms_matches_both_loops(f, max_iters):
+    got, want = artin_schreier_reduce(f, max_iters), _decoding_reduce(f, max_iters)
+    _assert_same_reduction(got, _powering_reduce(f, max_iters))
     _assert_same_reduction(got, want)
     assert got == want
+
+
+def _one_term_cases():
+    """(f, budget, case, iterations, the reduced f) for one-term polar parts."""
+    f2, f3 = CoeffField(2, units=("u",)), CoeffField(3, units=("u",))
+    ZP3 = p_inverted(3)
+    u = f2.unit_gen("u")
+    return [
+        # v_2(8) = 3: -8/2^4 leaves Z
+        (tpow(f2, Z1, -8), 64, "i", 3, tpow(f2, Z1, -1)),
+        # gcd(9, 18) = 9 = 3^2
+        (tpow(f3, Z2, (-9, 18)), 64, "i", 2, tpow(f3, Z2, (-1, 2))),
+        # a tie: after two steps -1/2 leaves Z[1/3] and u^4 becomes u, and "i" is checked first
+        (tpow(f2, ZP3, -4, u ** 4), 64, "i", 2, tpow(f2, ZP3, -1, u)),
+        (tpow(f2, ZP3, -4, u ** 2), 64, "ii", 1, tpow(f2, ZP3, -2, u)),
+        # Z[1/2] and Q + Q*sqrt(2) are p-divisible, so only the exponent of u
+        # ends the run: at the budget itself, or one step before it
+        (tpow(f2, ZP2, -1, u ** 32), 5, None, 5, tpow(f2, ZP2, Fraction(-1, 32), u)),
+        (tpow(f2, ZP2, -1, u ** 32), 6, "ii", 5, tpow(f2, ZP2, Fraction(-1, 32), u)),
+        (tpow(f3, QD2, (-2, 1), f3.unit_gen("u") ** 9), 2, None, 2, tpow(f3, QD2, (Fraction(-2, 9), Fraction(1, 9)), f3.unit_gen("u"))),
+        (tpow(f3, QD2, (-2, 1), f3.unit_gen("u") ** 9), 3, "ii", 2, tpow(f3, QD2, (Fraction(-2, 9), Fraction(1, 9)), f3.unit_gen("u"))),
+    ]
+
+
+@pytest.mark.parametrize("f, budget, case, iterations, reduced", _one_term_cases())
+def test_one_term_reductions_stop_where_the_valuations_say(f, budget, case, iterations, reduced):
+    got = artin_schreier_reduce(f, budget)
+    want = ReduceResult("exhausted" if case is None else "reduced", reduced, case, iterations)
+    _assert_same_reduction(got, want)
+    _assert_same_reduction(got, _decoding_reduce(f, budget))
+    _assert_same_reduction(got, _powering_reduce(f, budget))
+
+
+def test_a_polar_part_that_shrinks_to_one_term_finishes_in_closed_form(monkeypatch):
+    # over Z at p = 3 the root t^(-9) of t^(-27) joins t^(-9) into 2*t^(-9);
+    # the remaining 63 substitutions run in closed form and stop at case i
+    # after two more, since 9 = 3^2; the term t^2 never leads
+    f = tpow(F3, Z1, -27) + tpow(F3, Z1, -9) + tpow(F3, Z1, 2)
+    budgets = []
+    run = SeriesElement.artin_schreier_run
+
+    def spy(self, n):
+        budgets.append((self.num_terms(), n))
+        return run(self, n)
+
+    monkeypatch.setattr(SeriesElement, "artin_schreier_run", spy)
+    got = artin_schreier_reduce(f)
+    assert budgets == [(1, 63)]
+    want = ReduceResult("reduced", tpow(F3, Z1, -1, F3.const(2)) + tpow(F3, Z1, 2), "i", 3)
+    _assert_same_reduction(got, want)
+    _assert_same_reduction(got, _decoding_reduce(f))
+    _assert_same_reduction(got, _powering_reduce(f))
 
 
 # -- equal characteristic classification ---------------------------------------------
