@@ -44,7 +44,7 @@ from .literals import (
     parse_group,
     parse_series,
 )
-from .ordered_group import GroupDescriptor, KIND_INT_LEX, KIND_P_INVERTED, _is_prime, element, int_lex, p_inverted, quadratic
+from .ordered_group import GroupDescriptor, KIND_INT_LEX, KIND_P_INVERTED, _is_prime, echo, element, int_lex, p_inverted, quadratic
 from .sampling import (
     random_group_cut,
     random_hull_ideal,
@@ -374,8 +374,9 @@ def _suite_theorem1(args, report: Report) -> int:
 
 
 # Largest --p the series suite takes: each sample's norm is a product of p
-# conjugates.  On a shared 2-vCPU host one sample took at most 3.5 s at
-# p = 7 (seeds 0-40) but over a minute at p = 11 (seeds 6 and 10).
+# conjugates.  On a shared 2-vCPU host one sample took at most 1.9 s at
+# p = 7 (seeds 0-40), but at p = 11 the norm alone took 17 and 15 s at
+# seeds 6 and 10, where it has 178582 and 146794 terms.
 SERIES_MAX_P = 10
 
 
@@ -451,7 +452,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, found {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, found {echo(text, quote=True)}")
 
 
 def _prime(text: str) -> int:
@@ -462,17 +463,17 @@ def _prime(text: str) -> int:
                 return n
         except ValueError as e:  # above the trial-division cap
             raise argparse.ArgumentTypeError(str(e))
-    raise argparse.ArgumentTypeError(f"expected a prime, found {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a prime, found {echo(text, quote=True)}")
 
 
 def _count(text: str) -> int:
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, found {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, found {echo(text, quote=True)}")
     return _integer(text)
 
 
 # Largest --samples any command takes, 50 times the largest default (200):
-# one series sample at p = 7 took up to 3.5 s on a shared 2-vCPU host, so a
+# one series sample at p = 7 took up to 1.9 s on a shared 2-vCPU host, so a
 # larger count is refused before anything is sampled.
 MAX_SAMPLES = 10_000
 
@@ -480,7 +481,7 @@ MAX_SAMPLES = 10_000
 def _samples(text: str) -> int:
     n = _count(text)
     if n > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, found {n}")
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, found {echo(n)}")
     return n
 
 

@@ -32,6 +32,7 @@ from .ordered_group import (
     KIND_INT_LEX,
     KIND_P_INVERTED,
     KIND_QUADRATIC,
+    echo,
     element,
     hull_element,
     int_lex,
@@ -133,7 +134,7 @@ def parse_group(text: str) -> GroupDescriptor:
     try:
         param = int(param_tok)
     except ValueError:
-        raise InputError(f"expected an integer group parameter, found {param_tok!r}")
+        raise InputError(f"expected an integer group parameter, found {echo(param_tok, quote=True)}")
     if kind == KIND_INT_LEX:
         return int_lex(param)
     if kind == KIND_P_INVERTED:

@@ -44,13 +44,29 @@ KIND_QUADRATIC = "quad"
 TRIAL_DIVISION_CAP = 2 ** 31
 
 
+# Longest value an error message quotes whole; a longer one is cut to this
+# many characters, and its length is given instead of the rest
+ECHO_CHARS = 40
+
+
+def echo(value, quote: bool = False) -> str:
+    """``value`` as an error message shows it: str(value), or its repr when
+    ``quote``; whole if it has at most ECHO_CHARS characters, else its first
+    ECHO_CHARS and its length, so a message stays short whatever the input."""
+    text = str(value)
+    shown = repr if quote else str
+    if len(text) <= ECHO_CHARS:
+        return shown(text)
+    return f"{shown(text[:ECHO_CHARS])}... ({len(text)} characters)"
+
+
 # both tests are cached, so each distinct parameter is trial-divided once
 @lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n > TRIAL_DIVISION_CAP:
-        raise ValueError(f"{n} exceeds the supported parameter cap 2**31")
+        raise ValueError(f"{echo(n)} exceeds the supported parameter cap 2**31")
     k = 2
     while k * k <= n:
         if n % k == 0:
@@ -64,7 +80,7 @@ def _is_squarefree_nonsquare(d: int) -> bool:
     if d < 2:
         return False
     if d > TRIAL_DIVISION_CAP:
-        raise ValueError(f"{d} exceeds the supported parameter cap 2**31")
+        raise ValueError(f"{echo(d)} exceeds the supported parameter cap 2**31")
     k = 2
     while k * k <= d:
         if d % (k * k) == 0:
@@ -93,14 +109,14 @@ class GroupDescriptor:
     def __init__(self, kind: str, param: int) -> None:
         if kind == KIND_INT_LEX:
             if param < 1:
-                raise ValueError(f"lexicographic rank must be >= 1, got {param}")
+                raise ValueError(f"lexicographic rank must be >= 1, got {echo(param)}")
         elif kind == KIND_P_INVERTED:
             if not _is_prime(param):
-                raise ValueError(f"inverted denominator must be prime, got {param}")
+                raise ValueError(f"inverted denominator must be prime, got {echo(param)}")
         elif kind == KIND_QUADRATIC:
             if not _is_squarefree_nonsquare(param):
                 raise ValueError(
-                    f"radicand must be a squarefree non-square >= 2, got {param}"
+                    f"radicand must be a squarefree non-square >= 2, got {echo(param)}"
                 )
         else:
             raise ValueError(f"unknown group kind {kind!r}")

@@ -962,13 +962,24 @@ class SigmaSpec:
 
 
 def norm(s: SigmaSpec, f):
-    """Product of the p conjugates under sigma."""
-    out = f
-    cur = f
-    for _ in range(s.p - 1):
-        cur = s.apply(cur)
-        out = out * cur
-    return out
+    """Product of the p conjugates under sigma, in p - 1 products.
+
+    The factors are paired as sigma^i f * sigma^(p-i) f for i = 1..(p-1)/2
+    (at p = 2 the one factor sigma f stands alone), the pair products are
+    multiplied left to right, and f comes last.  sigma^i moves x by i*t^d
+    and sigma^(p-i) by -i*t^d, so a pair product is even in i and its odd
+    terms cancel, as in (x + i*c)(x - i*c) = x^2 - i^2*c^2; and f, the one
+    factor sigma has not expanded, meets the largest partial product.
+    Multiplication is commutative and associative, so this is the left to
+    right product f * sigma f * ... * sigma^(p-1) f whatever sigma does.
+    """
+    p, conj = s.p, [f]
+    for _ in range(p - 1):
+        conj.append(s.apply(conj[-1]))
+    out = conj[1] if p == 2 else conj[1] * conj[p - 1]
+    for i in range(2, (p + 1) // 2):
+        out = out * (conj[i] * conj[p - i])
+    return out * f
 
 
 def trace(s: SigmaSpec, f):

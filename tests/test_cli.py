@@ -658,6 +658,51 @@ def test_a_long_ramify_seed_is_refused_whatever_the_int_digit_limit(monkeypatch)
     assert run_cli(argv + ["--seed", at_cap]) == from_env
 
 
+_NINES = "9" * literals.MAX_DIGITS
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        # refused: a value of at most MAX_DIGITS digits that the flag refuses after int()
+        (["classify", "--group", "zp:2", "--p", "{}", "--as", "t(-1)"], _NINES),
+        (["separation", "--p", "{}", "--gap", "q(1)"], "-" + _NINES),
+        (["verify", "--suite", "claim2", "--p", "2", "--samples", "{}"], _NINES),
+        (["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "{}"], "-" + _NINES),
+        (["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--table-rows", "{}"], "-" + _NINES),
+        (["verify", "--suite", "series", "--p", "2", "--seed", "{}"], None),
+        (["breaks", "--group", "zp:2", "--bound", "q(1)", "--depth", "{}"], None),
+        (["verify", "--suite", "limits", "--p", "2", "--depth", "{}"], _NINES),
+        (["separation", "--p", "2", "--gaps", "q(1),q(2)", "--degree", "{}"], "-" + _NINES),
+        (["classify", "--group", "zp:{}", "--p", "2", "--as", "t(-1)"], _NINES),
+        (["classify", "--group", "quad:{}", "--p", "2", "--as", "t(-1)"], "-" + _NINES),
+    ],
+)
+def test_long_flag_values_are_not_echoed_in_full(argv, refused, monkeypatch):
+    # a value is quoted up to ordered_group.ECHO_CHARS characters, with its
+    # length; argparse's usage text (up to 240 bytes) comes on top
+    monkeypatch.delenv("RAMIFY_SEED", raising=False)
+    for value in ("x" * 20000, "9" * 20000, refused):
+        if value is None:
+            continue
+        code, out, err = run_cli([a.replace("{}", value) for a in argv])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()[-1].encode()) < 200 and len(err.encode()) < 440, err[-300:]
+    if "--seed" in argv:  # RAMIFY_SEED goes through the same reader
+        monkeypatch.setenv("RAMIFY_SEED", "x" * 20000)
+        code, _, err = run_cli(["verify", "--suite", "series", "--p", "2", "--samples", "1"])
+        assert (code, err) == (2, f"error: RAMIFY_SEED: expected an integer, found '{'x' * 40}'... (20000 characters)\n")
+
+
+def test_short_flag_values_are_echoed_whole():
+    assert run_cli(["separation", "--p", "x" * 40, "--gap", "q(1)"])[2].endswith(
+        f"error: argument --p: expected a prime, found '{'x' * 40}'\n"
+    )
+    assert run_cli(["eval", "--group", "zp:2147483659", "--H", "ge q(1)", "--I", "ge q(1)"]) == (
+        2, "", "error: 2147483659 exceeds the supported parameter cap 2**31\n"
+    )
+
+
 def test_exit_2_on_missing_mode():
     code, _, err = run_cli(["classify", "--group", "zlex:1", "--p", "2"])
     assert code == 2

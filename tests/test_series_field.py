@@ -373,6 +373,60 @@ def test_trace_of_constant():
     assert norm(s, c) == c
 
 
+# N(x_d) = prod over i in F_p of (x_d + i*t^d) = x_d^p - t^((p-1)d)*x_d, the
+# Artin-Schreier polynomial; a unit u, which sigma fixes, rides along
+ZP3 = p_inverted(3)
+AS_TAGS = {
+    ZP3: (element(ZP3, Fraction(1, 3)), element(ZP3, 2)),
+    Z2: (element(Z2, (1, -2)), element(Z2, (0, 3))),
+    Q2: (element(Q2, (1, 0)), element(Q2, (Fraction(-1, 2), 1))),
+}
+
+
+@pytest.mark.parametrize("descriptor", [ZP3, Z2, Q2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_norm_of_a_tagged_variable_is_its_artin_schreier_polynomial(p, descriptor):
+    field = CoeffField(p, tags=AS_TAGS[descriptor], units=("u",))
+    s = SigmaSpec(field, descriptor)
+    u = variable_series(field, descriptor, field.unit_gen("u"))
+    for i, d in enumerate(field.tags):
+        x = variable_series(field, descriptor, field.tagged_gen(i))
+        c = t_term(field, descriptor, int_scale(p - 1, d))
+        for y in (x, x + u):
+            assert norm(s, y) == y.power(p) - c * y
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_norm_makes_p_minus_1_products_and_sigma_calls(p, monkeypatch):
+    # the stub is no automorphism, so nothing cancels by accident: the norm
+    # is still the left to right product of f, sigma f, ..., sigma^(p-1) f
+    field = CoeffField(p, tags=(element(Z1, 1),), units=("u",))
+    u = variable_series(field, Z1, field.unit_gen("u"))
+    f = variable_series(field, Z1, field.tagged_gen(0)) + t_term(field, Z1, element(Z1, -1))
+    applied, products = [], []
+
+    def apply(x):
+        applied.append(x)
+        return x.shift(element(Z1, 1)) + u
+
+    mul = SeriesElement.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(SeriesElement, "__mul__", counting)
+    got = norm(SimpleNamespace(p=p, apply=apply), f)
+    assert (len(applied), len(products)) == (p - 1, p - 1)
+    conj = [f]
+    for _ in range(p - 1):
+        conj.append(conj[-1].shift(element(Z1, 1)) + u)
+    expect = conj[0]
+    for c in conj[1:]:
+        expect = mul(expect, c)
+    assert got == expect
+
+
 def test_series_law_labels_on_a_broken_sigma(monkeypatch):
     s = SIGMAS[2]
     f = t_term(F2, ZP2, E1) + variable_series(F2, ZP2, F2.tagged_gen(0))

@@ -164,6 +164,17 @@ def test_sigma_norm_trace_match_the_reference(case, data):
     assert ref.decode(trace(sigma, f)) == ref.trace(rf, field.tags, p)
 
 
+@given(st.sampled_from([5, 7]), st.sampled_from([ZP3, Z2, Q2]), st.data())
+@settings(deadline=None)
+def test_norm_matches_the_reference_at_p_5_and_7(p, descriptor, data):
+    # norm pairs sigma^i f with sigma^(p-i) f and multiplies by f last; the
+    # reference multiplies the conjugates left to right
+    field = _field(p, descriptor)
+    rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2), max_terms=2, max_monos=2))
+    f = _series(field, descriptor, rf)
+    assert ref.decode(norm(SigmaSpec(field, descriptor), f)) == ref.norm(rf, field.tags, p)
+
+
 # -- the Artin-Schreier step's primitives --------------------------------------------------
 
 
