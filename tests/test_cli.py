@@ -682,9 +682,7 @@ def test_long_flag_values_are_not_echoed_in_full(argv, refused, monkeypatch):
     # a value is quoted up to ordered_group.ECHO_CHARS characters, with its
     # length; argparse's usage text (up to 240 bytes) comes on top
     monkeypatch.delenv("RAMIFY_SEED", raising=False)
-    for value in ("x" * 20000, "9" * 20000, refused):
-        if value is None:
-            continue
+    for value in filter(None, ("x" * 20000, "9" * 20000, refused)):
         code, out, err = run_cli([a.replace("{}", value) for a in argv])
         assert (code, out) == (2, "")
         assert len(err.splitlines()[-1].encode()) < 200 and len(err.encode()) < 440, err[-300:]
