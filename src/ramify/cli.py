@@ -14,7 +14,7 @@ import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .cuts import open_cut
+from .cuts import Cut, Surd, open_cut
 from .defect_lab import (
     DeltaBoundError,
     VARIANT_CLOSED,
@@ -290,6 +290,7 @@ def _cmd_separation(args) -> Tuple[Report, int]:
         )
         degree = 2 if args.degree is None else args.degree
         bound = separation_bound(GapDatum(degree, gaps))
+        _refuse_long_numbers(bound)
         report.kv("degree", degree)
         report.kv("gaps", ",".join(format_element(g) for g in gaps))
         report.kv("bound", format_cut(bound))
@@ -301,6 +302,16 @@ def _cmd_separation(args) -> Tuple[Report, int]:
     report.kv("connected_at", format_cut(pair.connected_at))
     report.kv("separated_at", format_cut(pair.separated_at))
     return report, 0
+
+
+def _refuse_long_numbers(cut: Cut) -> None:
+    """Refuse a bound with a numerator or denominator of more than
+    MAX_DIGITS digits, compared as integers, so that whether it prints does
+    not depend on the interpreter's limit on integer digits."""
+    v = cut.value
+    numbers = (v.A, v.B, v.den) if isinstance(v, Surd) else (*v.nums, v.den)
+    if any(abs(x) >= 10 ** MAX_DIGITS for x in numbers):
+        raise InputError(f"the bound has numbers of more than {MAX_DIGITS} digits")
 
 
 def _group_for_separation(args) -> GroupDescriptor:
@@ -327,7 +338,7 @@ def _suite_claim2(args, report: Report) -> int:
     )
     try:
         model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
-        delta_report = verify_delta_bounds(model, samples=args.samples, seed=_seed_from(args))
+        delta_report = verify_delta_bounds(model, samples=args.samples, rng=random.Random(_seed_from(args)))
     except DeltaBoundError as e:
         report.kv("failures", 1)
         report.kv("detail", str(e))

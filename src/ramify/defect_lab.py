@@ -189,11 +189,9 @@ class DeltaReport(NamedTuple):
     sigma_fixed: int
 
 
-def verify_delta_bounds(
-    model: DefectModel, samples: int = 200, seed: int = 0, rng: Optional[random.Random] = None
-) -> DeltaReport:
-    """Check, on random ring elements f, that sigma(f) - f is as small as
-    the model promises.
+def verify_delta_bounds(model: DefectModel, samples: int = 200, rng: Optional[random.Random] = None) -> DeltaReport:
+    """Check, on ``samples`` ring elements f drawn with ``rng`` (by default
+    ``random.Random(0)``), that sigma(f) - f is as small as the model promises.
 
     Per monomial m: every term of sigma(m) - m has value at least
     v(m) + min tag occurring in m.  Per element f: v(sigma(f) - f) is at
@@ -209,7 +207,7 @@ def verify_delta_bounds(
     the tests) fails it and nothing else.
     """
     if rng is None:
-        rng = random.Random(seed)
+        rng = random.Random(0)
     # tags are stored in decreasing order, so the least tag occurring in a
     # monomial is the one with the largest index among its tagged variables
     tags, sigma = model.field.tags, model.sigma

@@ -44,6 +44,11 @@ KIND_QUADRATIC = "quad"
 TRIAL_DIVISION_CAP = 2 ** 31
 
 
+# Largest rank of Z^n: values, cuts and series keys hold n coordinates, so
+# the rank scales every computation over the group; a larger one is refused
+MAX_RANK = 256
+
+
 # Longest value an error message quotes whole; a longer one is cut to this
 # many characters, and its length is given instead of the rest
 ECHO_CHARS = 40
@@ -108,8 +113,8 @@ class GroupDescriptor:
 
     def __init__(self, kind: str, param: int) -> None:
         if kind == KIND_INT_LEX:
-            if param < 1:
-                raise ValueError(f"lexicographic rank must be >= 1, got {echo(param)}")
+            if not 1 <= param <= MAX_RANK:
+                raise ValueError(f"lexicographic rank must be between 1 and {MAX_RANK}, got {echo(param)}")
         elif kind == KIND_P_INVERTED:
             if not _is_prime(param):
                 raise ValueError(f"inverted denominator must be prime, got {echo(param)}")

@@ -42,10 +42,10 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 packed-key helpers read keys without decoding them: ``monomials`` splits a
 series into one-term series in its own layout, ``least_tag_index`` reads
 the tag bits, ``valuation_at_least`` compares leading t-codes,
-``split_polar`` splits off the terms of negative value,
-``artin_schreier_step`` makes one Artin-Schreier substitution, decoding only
-the leading t-code's coordinates, and ``artin_schreier_run`` makes up to n
-of them on a one-term series in closed form.
+``split_polar`` splits off the terms of negative value, and
+``artin_schreier_run`` makes up to n Artin-Schreier substitutions, decoding
+only the leading t-code's coordinates: in closed form when the lead value
+is the whole series, else one.
 
 (gamma, Poly) terms enter a series only through ``SeriesElement(...)``: it
 refuses an exponent from another group and a coefficient from another ring,
@@ -556,10 +556,10 @@ class SeriesElement:
     def leading_coeff(self) -> Poly:
         return self.split_lead()[1]
 
-    def split_lead(self) -> Tuple[GroupElement, Poly, "SeriesElement"]:
-        """(valuation, leading coefficient, the series without its leading
-        term) from one pass over the keys."""
-        T, S = self._lead_t(), self._lay.shift
+    def _split_at(self, T: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """({monomial code: c} of the keys at t-code T, {key: c} of the rest)
+        from one pass over the keys."""
+        S = self._lay.shift
         lo, hi = T << S, (T + 1) << S
         lead, rest = {}, {}
         for k, c in self._data.items():
@@ -567,6 +567,13 @@ class SeriesElement:
                 lead[k - lo] = c
             else:
                 rest[k] = c
+        return lead, rest
+
+    def split_lead(self) -> Tuple[GroupElement, Poly, "SeriesElement"]:
+        """(valuation, leading coefficient, the series without its leading
+        term) from one pass over the keys."""
+        T = self._lead_t()
+        lead, rest = self._split_at(T)
         tail = _packed(self.field, self.descriptor, rest, self._lay, self._eb, self._tb)
         return self._t_element(T), self._poly(lead), tail
 
@@ -587,70 +594,41 @@ class SeriesElement:
         field, descriptor, eb, tb = self.field, self.descriptor, self._eb, self._tb
         return _packed(field, descriptor, polar, lay, eb, tb), _packed(field, descriptor, rest, lay, eb, tb)
 
-    def artin_schreier_step(self) -> Tuple[Optional[str], "SeriesElement"]:
-        """One substitution f -> f - (g^p - g) on the keys: (None, the result)
-        when the lead c * t^v has v < 0, v/p in the group and c a p-th power,
-        else (case, self) at the normal form "iii", "i" or "ii".  Frobenius is
-        additive and fixes F_p, so the result is the rest plus g = c^(1/p) *
-        t^(v/p).  Keys are linear in their fields: when p divides every
-        coordinate of v, g's keys are the lead's keys over p; otherwise den
-        grows by p and g takes v's coordinates over it."""
-        if not self._data:
-            return "iii", self
-        lay, p, descriptor = self._lay, self.field.p, self.descriptor
-        S, T = lay.shift, self._lead_t()
-        coords = lay.t_coords(T)
-        # balanced lower digits keep the lexicographic sign, which is T's
-        if (quad_sign(*coords, descriptor.param) if descriptor.kind == KIND_QUADRATIC else T) >= 0:
-            return "iii", self
-        g, den = gcd(*coords), lay.den * p
-        same = g % p == 0
-        if not same and not _den_in_group(descriptor, den // gcd(den, g)):
-            return "i", self
-        lo, hi = T << S, (T + 1) << S
-        lead, rest = [], {}
-        for k, c in self._data.items():
-            if lo <= k < hi:
-                lead.append((k - lo, c))
-            else:
-                rest[k] = c
-        if any(m and any(e % p for e in lay.mono_exps(m)) for m, _ in lead):
-            return "ii", self
-        if same:
-            lay2, tb, root_t = lay, self._tb, T // p
-        else:
-            # the exponents still fit, so only den and tw grow
-            tb = self._tb * p
-            lay2 = _widen(lay, den, max(self._eb, default=0), tb)
-            rest, root_t = _repack(rest, lay, lay2), lay2.t_code(coords)
-        base = root_t << lay2.shift
-        data = _merge(rest, [(base + m // p, c) for m, c in lead], p)
-        return None, _packed(self.field, descriptor, data, lay2, self._eb, tb)
-
     def artin_schreier_run(self, n: int) -> Tuple[Optional[str], "SeriesElement", int]:
-        """Up to n substitutions on a one-term series c * x^e * t^v in closed
-        form: (case, result, steps), with case None when the budget ends the
-        run.  Step j sends the term to c * x^(e/p^j) * t^(v/p^j), since
-        Frobenius fixes c in F_p, so the run stops at the first j where
-        v/p^(j+1) leaves the group ("i", checked first, as in
-        ``artin_schreier_step``) or e/p^j has an exponent prime to p ("ii").
-        Both are read off p-adic valuations: of gcd(v's numerators) over a
-        group not divisible by p, and of e's nonzero exponents."""
-        if len(self._data) != 1:
-            raise ValueError("artin_schreier_run needs a one-term series")
+        """Up to n substitutions f -> f - (g^p - g): (case, result, steps),
+        case None when the budget ends the run, else the normal form "iii",
+        "i" or "ii" that stops it (with self when no step was taken).
+
+        A step drops the lead c * t^v for its root g = c^(1/p) * t^(v/p)
+        (Frobenius is additive and fixes F_p, so g^p is the lead and each
+        x^e in c becomes x^(e/p)); it needs v < 0, v/p in the group ("i",
+        checked first) and p dividing every exponent in c ("ii").  When the
+        lead is all of f, step j leaves c^(1/p^j) * t^(v/p^j), so the stop
+        is read off p-adic valuations, of gcd(v's numerators) where p is not
+        invertible and of every exponent in c; otherwise the root may meet
+        the rest, and the run makes one step.  While p divides v's numerators
+        over the layout's den the root's keys are the lead's over p; each
+        later root grows den by p, and the rest is re-packed once."""
         if n < 1:
             return None, self, 0
-        (k, c), = self._data.items()
+        if not self._data:
+            return "iii", self, 0
         lay, p, descriptor = self._lay, self.field.p, self.descriptor
-        T, m = k >> lay.shift, k & lay.mono_mask
+        T = self._lead_t()
         coords = lay.t_coords(T)
+        # balanced lower digits keep the lexicographic sign, which is T's
         if (quad_sign(*coords, descriptor.param) if descriptor.kind == KIND_QUADRATIC else T) >= 0:
             return "iii", self, 0
         # over the layout's den, v's numerators share the factor p^same
         same = _p_adic(gcd(*coords), p, n)
         stop_i = n if _den_in_group(descriptor, p) else same
-        exps = lay.mono_exps(m)
-        stop_ii = min((_p_adic(e, p, n) for e in exps if e), default=n)
+        if not stop_i:
+            return "i", self, 0
+        lead, rest = self._split_at(T)
+        if rest:
+            # the root may meet the rest: one step, which v/p allows here
+            n = stop_i = 1
+        stop_ii = min((_p_adic(e, p, n) for m in lead if m for e in lay.mono_exps(m) if e), default=n)
         if stop_i < n and stop_i <= stop_ii:
             case, j = "i", stop_i
         elif stop_ii < n:
@@ -659,11 +637,15 @@ class SeriesElement:
             case, j = None, n
         if not j:
             return case, self, 0
-        # the first `same` roots keep the layout; each later one grows den by p
+        # the first `same` roots keep the layout; each later one grows den by
+        # p, which scales the rest's lower t-coordinates
         r = min(j, same)
-        lay2 = _widen(lay, lay.den * p ** (j - r), max(self._eb, default=0), self._tb)
-        key = (lay2.t_code([x // p ** r for x in coords]) << lay2.shift) + lay.mono_code([e // p ** j for e in exps])
-        return case, _packed(self.field, descriptor, {key: c}, lay2, self._eb, self._tb), j
+        grow = p ** (j - r)
+        tb = self._tb * grow if rest else self._tb
+        lay2 = _widen(lay, lay.den * grow, max(self._eb, default=0), tb)
+        base, q = lay2.t_code([x // p ** r for x in coords]) << lay2.shift, p ** j
+        data = _merge(_repack(rest, lay, lay2), [(base + m // q, c) for m, c in lead.items()], p)
+        return case, _packed(self.field, descriptor, data, lay2, self._eb, tb), j
 
     def _check_peer(self, other: "SeriesElement") -> None:
         if not isinstance(other, SeriesElement):

@@ -8,9 +8,10 @@ table, from a symbolic descriptor (equal characteristic or Kummer, naming
 the shape of the extension without a series model) or from a concrete
 Artin-Schreier datum alpha^p - alpha = f, which `artin_schreier_reduce`
 normalizes and `classify_equal_char` reads as an equal-characteristic
-descriptor.  A normalizing step drops the leading term of f and adds its
-p-th root g: Frobenius is additive and fixes F_p, so g^p is exactly that
-term and f - (g^p - g) needs no power.  The case table:
+descriptor.  A substitution drops the leading term of f and adds its p-th
+root g: Frobenius is additive and fixes F_p, so g^p is exactly that term
+and f - (g^p - g) needs no power.  One routine makes them,
+`SeriesElement.artin_schreier_run`.  The case table:
 
     conductor       form names       e   residue   cases
     Principal(gen)  a value class    p   trivial   equal char i, Kummer i, iii
@@ -138,38 +139,28 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     Each substitution removes a negative p-divisible leading term whose
     residue is a p-th power, and strictly raises the valuation.  The loop
     stops at a case-"i"/"ii"/"iii" normal form, or reports exhaustion
-    (which over a dense group signals a defect extension).  A step runs on
-    the packed keys (``SeriesElement.artin_schreier_step``): when p divides
-    every coordinate of v(f) over the layout's denominator, the root's keys
-    are the lead's keys over p; otherwise the denominator grows by p and the
-    rest of f is re-packed once.
+    (which over a dense group signals a defect extension).  The
+    substitutions run on the packed keys (``SeriesElement.artin_schreier_run``):
+    up to the remaining budget in closed form while the lead value is the
+    whole series, else one at a time.
 
     Only the polar part (the terms of value < 0) can lead, and every root
     g added has value v/p < 0.  So after the first substitution f is split
-    once, the steps run on its polar part alone, and the terms of value
+    once, the run continues on its polar part alone, and the terms of value
     >= 0 are added back once at the end; a reduction that stops at once
     pays for no split.
-
-    Once f (or its polar part) is one term c * x^e * t^v, the remaining
-    budget runs in closed form (``SeriesElement.artin_schreier_run``): c is
-    fixed by Frobenius and each step divides e and v by p, so the stop is
-    read off p-adic valuations of v's numerators and e's exponents, and one
-    series is built at the end.  It is exact: the result, case and count
-    are those of the steps run one at a time.
     """
-    rest = None
-    for it in range(max_iters):
-        if f.num_terms() == 1:
-            case, f, steps = f.artin_schreier_run(max_iters - it)
-            if case is not None:
-                return ReduceResult("reduced", _rejoined(f, rest), case, it + steps)
-            break
-        case, f = f.artin_schreier_step()
+    rest, it = None, 0
+    while True:
+        # with budget left, a run that ends without a case takes a step
+        case, f, steps = f.artin_schreier_run(max_iters - it)
+        it += steps
         if case is not None:
             return ReduceResult("reduced", _rejoined(f, rest), case, it)
+        if it >= max_iters:
+            return ReduceResult("exhausted", _rejoined(f, rest), None, max_iters)
         if rest is None:
             f, rest = f.split_polar()
-    return ReduceResult("exhausted", _rejoined(f, rest), None, max_iters)
 
 
 def _rejoined(polar: SeriesElement, rest: Optional[SeriesElement]) -> SeriesElement:

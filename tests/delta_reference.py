@@ -42,9 +42,9 @@ def random_model_series(model, rng: random.Random) -> SeriesElement:
     return SeriesElement(field, descriptor, terms)
 
 
-def verify_delta_bounds(model, samples: int = 200, seed: int = 0, rng: Optional[random.Random] = None) -> DeltaReport:
+def verify_delta_bounds(model, samples: int = 200, rng: Optional[random.Random] = None) -> DeltaReport:
     if rng is None:
-        rng = random.Random(seed)
+        rng = random.Random(0)
     tags = model.field.tags
     checked = 0
     fixed = 0

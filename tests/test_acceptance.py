@@ -186,7 +186,7 @@ def test_criterion_04_displacement_bounds():
             cut = open_cut(descriptor, element(descriptor, 1))
             for depth in (1, 2, 3, 4):
                 model = build_defect_model(descriptor, p, cut, depth=depth)
-                report = verify_delta_bounds(model, samples=200, seed=40 + depth)
+                report = verify_delta_bounds(model, samples=200, rng=random.Random(40 + depth))
                 c.check(report.samples == 200, f"samples p={p} N={depth}")
                 c.check(report.monomials_checked > 0, f"coverage p={p} N={depth}")
     c.conclude()

@@ -18,7 +18,7 @@ from ramify.cli import run
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut
 from ramify.defect_lab import DeltaBoundError, build_defect_model, build_principal_case
 from ramify.literals import format_cut, format_element, parse_cut, parse_element, parse_group, parse_series
-from ramify.ordered_group import element, hull_element, int_lex, p_inverted, quadratic
+from ramify.ordered_group import MAX_RANK, element, hull_element, int_lex, p_inverted, quadratic
 from ramify.series_field import CoeffField, SeriesElement, t_term, variable_series
 from ramify.swan import artin_schreier_reduce, break_of
 
@@ -48,6 +48,18 @@ def test_parse_group():
     for bad in ["zlex:0", "zp:4", "quad:4", "zq:2", "zlex", "zlex:two"] + huge:
         with pytest.raises(Exception):
             parse_group(bad)
+
+
+def test_a_rank_above_the_cap_is_refused_at_once():
+    # Z^n values carry n coordinates, so a huge rank would be built first
+    for rank in (MAX_RANK + 1, 10 ** 9):
+        start = time.perf_counter()
+        code, out, err = run_cli(["classify", "--group", f"zlex:{rank}", "--p", "2", "--as", "u*t(lex(-1))"])
+        assert time.perf_counter() - start < ARGV_SECONDS
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err == f"error: lexicographic rank must be between 1 and {MAX_RANK}, got {rank}\n"
+    assert parse_group(f"zlex:{MAX_RANK}") == int_lex(MAX_RANK)
 
 
 def test_parse_element_forms():
@@ -661,6 +673,19 @@ def test_a_long_ramify_seed_is_refused_whatever_the_int_digit_limit(monkeypatch)
 _NINES = "9" * literals.MAX_DIGITS
 
 
+def test_a_separation_bound_past_the_digit_cap_is_refused_whatever_the_int_digit_limit():
+    # a degree of MAX_DIGITS nines passes the flag's reader, but the bound,
+    # twice the degree, has one digit more: the same exit and message at the
+    # default limit and with it lifted, naming the cap
+    argv = ["separation", "--p", "2", "--gaps", "q(1),q(2)", "--degree", _NINES]
+    for result in _at_both_int_digit_limits(argv):
+        assert result == (2, "", f"error: the bound has numbers of more than {literals.MAX_DIGITS} digits\n")
+    # one nine fewer, the bound has MAX_DIGITS digits and prints
+    for code, out, err in _at_both_int_digit_limits(argv[:-1] + [_NINES[1:]]):
+        assert (code, err) == (0, "")
+        assert out.endswith(f"bound: gt q({2 * int(_NINES[1:])})\n")
+
+
 @pytest.mark.parametrize(
     "argv, refused",
     [
@@ -869,7 +894,7 @@ def test_exit_2_on_kummer_validation():
 
 
 def test_exit_1_when_verification_fails(monkeypatch):
-    def boom(model, samples=0, seed=0, rng=None):
+    def boom(model, samples=0, rng=None):
         raise DeltaBoundError("forced failure for the exit-code contract")
 
     monkeypatch.setattr(cli_mod, "verify_delta_bounds", boom)

@@ -257,11 +257,8 @@ def test_one_term_reductions_stop_where_the_valuations_say(f, budget, case, iter
     _assert_same_reduction(got, _powering_reduce(f, budget))
 
 
-def test_a_polar_part_that_shrinks_to_one_term_finishes_in_closed_form(monkeypatch):
-    # over Z at p = 3 the root t^(-9) of t^(-27) joins t^(-9) into 2*t^(-9);
-    # the remaining 63 substitutions run in closed form and stop at case i
-    # after two more, since 9 = 3^2; the term t^2 never leads
-    f = tpow(F3, Z1, -27) + tpow(F3, Z1, -9) + tpow(F3, Z1, 2)
+def _reduce_with_budgets(monkeypatch, f):
+    """artin_schreier_reduce(f), and (terms, budget) of each run it called."""
     budgets = []
     run = SeriesElement.artin_schreier_run
 
@@ -270,10 +267,41 @@ def test_a_polar_part_that_shrinks_to_one_term_finishes_in_closed_form(monkeypat
         return run(self, n)
 
     monkeypatch.setattr(SeriesElement, "artin_schreier_run", spy)
-    got = artin_schreier_reduce(f)
-    assert budgets == [(1, 63)]
+    return artin_schreier_reduce(f), budgets
+
+
+def test_a_polar_part_that_shrinks_to_one_term_finishes_in_closed_form(monkeypatch):
+    # over Z at p = 3 the first run makes one substitution, since f has other
+    # values than its lead: the root t^(-9) of t^(-27) joins t^(-9) into
+    # 2*t^(-9).  The polar part is then one term, so the remaining 63
+    # substitutions run in closed form and stop at case i after two more,
+    # since 9 = 3^2; the term t^2 never leads
+    f = tpow(F3, Z1, -27) + tpow(F3, Z1, -9) + tpow(F3, Z1, 2)
+    got, budgets = _reduce_with_budgets(monkeypatch, f)
+    assert budgets == [(3, 64), (1, 63)]
     want = ReduceResult("reduced", tpow(F3, Z1, -1, F3.const(2)) + tpow(F3, Z1, 2), "i", 3)
     _assert_same_reduction(got, want)
+    _assert_same_reduction(got, _decoding_reduce(f))
+    _assert_same_reduction(got, _powering_reduce(f))
+
+
+F2UV = CoeffField(2, units=("u", "v"))
+U, V = F2UV.unit_gen("u"), F2UV.unit_gen("v")
+
+
+@pytest.mark.parametrize(
+    "f, case, iterations, reduced",
+    [
+        # v_2(8) = 3 and v_2(4) = 2: after two steps u + v is not a square
+        (tpow(F2UV, Z1, -8, U ** 4 + V ** 4), "ii", 2, tpow(F2UV, Z1, -2, U + V)),
+        # after one step over Z[1/3], u^2 + v has an exponent prime to 2
+        (tpow(F2UV, p_inverted(3), -4, U ** 4 + V ** 2), "ii", 1, tpow(F2UV, p_inverted(3), -2, U ** 2 + V)),
+    ],
+)
+def test_a_lead_of_several_monomials_finishes_in_closed_form(monkeypatch, f, case, iterations, reduced):
+    got, budgets = _reduce_with_budgets(monkeypatch, f)
+    assert budgets == [(2, 64)]
+    _assert_same_reduction(got, ReduceResult("reduced", reduced, case, iterations))
     _assert_same_reduction(got, _decoding_reduce(f))
     _assert_same_reduction(got, _powering_reduce(f))
 
