@@ -41,6 +41,7 @@ from .literals import (
     parse_bound,
     parse_cut,
     parse_element,
+    parse_elements,
     parse_group,
     parse_series,
 )
@@ -285,9 +286,7 @@ def _cmd_separation(args) -> Tuple[Report, int]:
     report = Report()
     report.section("separation")
     if args.gaps is not None:
-        gaps = tuple(
-            parse_element(g.strip(), descriptor, hull=args.hull) for g in args.gaps.split(",") if g.strip()
-        )
+        gaps = parse_elements(args.gaps, descriptor, hull=args.hull)
         degree = 2 if args.degree is None else args.degree
         bound = separation_bound(GapDatum(degree, gaps))
         _refuse_long_numbers(bound)

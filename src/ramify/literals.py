@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from .ordered_group import (
@@ -39,7 +39,7 @@ from .ordered_group import (
     p_inverted,
     quadratic,
 )
-from .series_field import CoeffField, SeriesElement, constant_series, t_term, variable_series
+from .series_field import CoeffField, SeriesElement, _power, constant_series, t_term, variable_series
 from .swan import RswSymbol, ValueClass
 
 
@@ -74,7 +74,7 @@ class _Tokens:
                 pos = len(text) - len(text[pos:].lstrip())
                 match = pattern.match(text, pos)
                 if match is None:
-                    raise InputError(f"unexpected character {text[pos]!r} in {text!r}")
+                    raise InputError(f"unexpected character {text[pos]!r} in {echo(text, quote=True)}")
                 pos = match.end()
         self.pos = 0
 
@@ -84,18 +84,18 @@ class _Tokens:
     def next(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise InputError(f"unexpected end of input in {self.text!r}")
+            raise InputError(f"unexpected end of input in {echo(self.text, quote=True)}")
         self.pos += 1
         return tok
 
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise InputError(f"expected {tok!r} but found {got!r} in {self.text!r}")
+            raise InputError(f"expected {tok!r} but found {echo(got, quote=True)} in {echo(self.text, quote=True)}")
 
     def done(self) -> None:
         if self.pos != len(self.items):
-            raise InputError(f"trailing input {self.items[self.pos]!r} in {self.text!r}")
+            raise InputError(f"trailing input {echo(self.items[self.pos], quote=True)} in {echo(self.text, quote=True)}")
 
 
 # Most digits in one run of a number token: CPython's default limit on
@@ -106,8 +106,8 @@ MAX_DIGITS = 4300
 
 def _check_digits(tok: str) -> None:
     """Refuse a token with a run of more than MAX_DIGITS digits, naming the
-    cap rather than echoing the token."""
-    if len(tok) > MAX_DIGITS and any(len(run) > MAX_DIGITS for run in re.split("[-/]", tok)):
+    cap rather than echoing the token; a name is no run of digits."""
+    if len(tok) > MAX_DIGITS and any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", tok)):
         raise InputError(f"numbers have at most {MAX_DIGITS} digits")
 
 
@@ -121,7 +121,7 @@ def _parse_fraction(tok: str, context: str) -> Union[int, Fraction]:
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"expected a rational number but found {tok!r} in {context!r}")
+        raise InputError(f"expected a rational number but found {echo(tok, quote=True)} in {echo(context, quote=True)}")
 
 
 def parse_group(text: str) -> GroupDescriptor:
@@ -141,15 +141,24 @@ def parse_group(text: str) -> GroupDescriptor:
         return p_inverted(param)
     if kind == KIND_QUADRATIC:
         return quadratic(param)
-    raise InputError(f"unknown group kind {kind!r} (use zlex:n, zp:p, quad:d)")
+    raise InputError(f"unknown group kind {echo(kind, quote=True)} (use zlex:n, zp:p, quad:d)")
+
+
+def _separated(toks: _Tokens, read, blanks: bool = False) -> list:
+    """The items that ``read`` reads between commas; with ``blanks``, an
+    empty item (two commas in a row, or one at either end) is skipped."""
+    out = []
+    while True:
+        if not (blanks and toks.peek() in (",", None)):
+            out.append(read())
+        if toks.peek() != ",":
+            return out
+        toks.next()
 
 
 def _parse_fraction_list(toks: _Tokens) -> List[Union[int, Fraction]]:
     toks.expect("(")
-    vals = [_parse_fraction(toks.next(), toks.text)]
-    while toks.peek() == ",":
-        toks.next()
-        vals.append(_parse_fraction(toks.next(), toks.text))
+    vals = _separated(toks, lambda: _parse_fraction(toks.next(), toks.text))
     toks.expect(")")
     return vals
 
@@ -178,7 +187,7 @@ def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool
     build = hull_element if hull else element
     tok = toks.peek()
     if tok is None:
-        raise InputError(f"expected an element in {toks.text!r}")
+        raise InputError(f"expected an element in {echo(toks.text, quote=True)}")
     try:
         form = _ELEMENT_FORMS.get(tok)
         if form is not None:
@@ -193,7 +202,7 @@ def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool
         # bare rational shorthand for scalar groups
         value = _parse_fraction(toks.next(), toks.text)
         if descriptor.kind == KIND_INT_LEX and descriptor.param != 1:
-            raise InputError(f"bare value {tok!r} is ambiguous over {descriptor}; use lex(...)")
+            raise InputError(f"bare value {echo(tok, quote=True)} is ambiguous over {descriptor}; use lex(...)")
         return build(descriptor, value)
     except ValueError as e:
         raise InputError(f"{e} (while reading an element of {descriptor})")
@@ -204,6 +213,15 @@ def parse_element(text: str, descriptor: GroupDescriptor, hull: bool = False):
     out = _parse_element_tokens(toks, descriptor, hull)
     toks.done()
     return out
+
+
+def parse_elements(text: str, descriptor: GroupDescriptor, hull: bool = False) -> tuple:
+    """Comma-separated elements, such as ``lex(1,2),lex(0,3)``; an empty
+    entry is skipped."""
+    toks = _Tokens(text)
+    out = _separated(toks, lambda: _parse_element_tokens(toks, descriptor, hull), blanks=True)
+    toks.done()
+    return tuple(out)
 
 
 def _parse_bound_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
@@ -255,7 +273,7 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
         if descriptor.kind != KIND_INT_LEX:
             raise InputError(f"frontier cuts live over lex groups, not {descriptor}")
         return frontier_cut(descriptor, tuple(vals), over_hull=hull, inclusive=head == "frontier_ge")
-    raise InputError(f"unknown cut form {head!r} (use whole, ge, gt, frontier, frontier_ge)")
+    raise InputError(f"unknown cut form {echo(head, quote=True)} (use whole, ge, gt, frontier, frontier_ge)")
 
 
 # -- series parsing ---------------------------------------------------------------
@@ -264,25 +282,23 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
 def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[SeriesElement, CoeffField]:
     """Parse a series literal; the coefficient field is built from the
     tagged values and unit names appearing in the text."""
-    # first pass just collects the tags and unit names so the field can exist
-    tag_values: List[GroupElement] = []
+    # a first pass collects the tags and unit names so the field can exist,
+    # then the reader reads the same tokens again
+    tags: Dict[GroupElement, None] = {}
     unit_names = set()
     toks = _Tokens(text)
     while toks.peek() is not None:
         tok = toks.next()
         if tok == "x" and toks.peek() == "[":
             toks.next()
-            g = _parse_element_tokens(toks, descriptor, hull=False)
+            tags[_parse_element_tokens(toks, descriptor, hull=False)] = None
             toks.expect("]")
-            if g not in tag_values:
-                tag_values.append(g)
         elif tok.isidentifier() and tok not in _RESERVED:
             unit_names.add(tok)
-    field = CoeffField(p, tags=tuple(tag_values), units=tuple(sorted(unit_names)))
-
-    reader = _SeriesReader(_Tokens(text), field, descriptor)
-    result = reader.sum()
-    reader.toks.done()
+    field = CoeffField(p, tags=tuple(tags), units=tuple(sorted(unit_names)))
+    toks.pos = 0
+    result = _SeriesReader(toks, field, descriptor).sum()
+    toks.done()
     return result, field
 
 
@@ -332,7 +348,7 @@ class _SeriesReader:
         toks, field, descriptor = self.toks, self.field, self.descriptor
         tok = toks.peek()
         if tok is None:
-            raise InputError(f"expected a series factor in {toks.text!r}")
+            raise InputError(f"expected a series factor in {echo(toks.text, quote=True)}")
         if tok == "(":
             toks.next()
             inner = self.sum()
@@ -349,18 +365,14 @@ class _SeriesReader:
             toks.expect("[")
             g = _parse_element_tokens(toks, descriptor, hull=False)
             toks.expect("]")
-            # the pre-scan in parse_series put every x[...] tag into the field
+            # the pre-scan in parse_series put every tag and unit name into the field
             return self.maybe_power(variable_series(field, descriptor, field.gens[field.tags.index(g)]))
         if tok.isidentifier() and tok not in _RESERVED:
             toks.next()
-            try:
-                gen = field.unit_gen(tok)
-            except (KeyError, ValueError) as e:
-                raise InputError(f"unknown unit name {tok!r}")
-            return self.maybe_power(variable_series(field, descriptor, gen))
+            return self.maybe_power(variable_series(field, descriptor, field.unit_gen(tok)))
         value = _parse_fraction(toks.next(), toks.text)
         if value.denominator != 1:
-            raise InputError(f"series coefficients are integers mod p, found {value}")
+            raise InputError(f"series coefficients are integers mod p, found {echo(value)}")
         return self.maybe_power(constant_series(field, descriptor, int(value)))
 
     def maybe_power(self, base: SeriesElement) -> SeriesElement:
@@ -376,20 +388,13 @@ class _SeriesReader:
         try:
             n = int(tok)
         except ValueError:
-            raise InputError(f"expected an integer exponent, found {tok!r}")
+            raise InputError(f"expected an integer exponent, found {echo(tok, quote=True)}")
         if n < 0:
             raise InputError("negative exponents are not series")
         if n > MAX_EXPONENT:
             raise InputError(f"series exponents are at most {MAX_EXPONENT}")
-        # square and multiply, as SeriesElement.power does, with each
-        # product charged
-        out = constant_series(self.field, self.descriptor, 1)
-        while n:
-            if n & 1:
-                out = self.times(out, base)
-            base = self.times(base, base) if n > 1 else base
-            n >>= 1
-        return out
+        # the products of SeriesElement.power, each charged
+        return _power(constant_series(self.field, self.descriptor, 1), base, n, self.times)
 
 
 # -- serializers ------------------------------------------------------------------

@@ -33,7 +33,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 KIND_INT_LEX = "zlex"
 KIND_P_INVERTED = "zp"
@@ -318,8 +318,8 @@ def _make(descriptor: GroupDescriptor, raw, hull: bool) -> _Element:
     if _den_in_group(descriptor, den):
         return GroupElement(descriptor, nums, den)
     if kind == KIND_INT_LEX:
-        raise ValueError(f"coordinates {h.value} do not lie in Z^{descriptor.param}")
-    raise ValueError(f"{h.value} has a denominator prime to {descriptor.param}")
+        raise ValueError(f"coordinates {echo(h.value)} do not lie in Z^{descriptor.param}")
+    raise ValueError(f"{echo(h.value)} has a denominator prime to {descriptor.param}")
 
 
 def element(descriptor: GroupDescriptor, raw) -> GroupElement:
@@ -402,13 +402,6 @@ def mod_p_image(x: GroupElement, p: int) -> List[int]:
     return []
 
 
-def min_positive(descriptor: GroupDescriptor) -> Optional[GroupElement]:
-    """Least positive element, or None for the dense groups."""
-    if descriptor.kind != KIND_INT_LEX:
-        return None
-    return element(descriptor, (0,) * (descriptor.param - 1) + (1,))
-
-
 def to_hull(x: GroupElement) -> HullElement:
     if not isinstance(x, GroupElement):
         raise TypeError(f"expected a GroupElement, got {type(x).__name__}")
@@ -420,12 +413,6 @@ def in_group(h: HullElement) -> bool:
     if not isinstance(h, HullElement):
         raise TypeError(f"expected a HullElement, got {type(h).__name__}")
     return _den_in_group(h.descriptor, h.den)
-
-
-def from_hull(h: HullElement) -> GroupElement:
-    if not in_group(h):
-        raise ValueError(f"{h.value} is not a group point of {h.descriptor}")
-    return GroupElement(h.descriptor, h.nums, h.den)
 
 
 def sign(x: _Element) -> int:

@@ -125,6 +125,19 @@ def _reduced(acc: dict, p: int) -> dict:
     return out
 
 
+def _power(one, base, n: int, times=mul):
+    """base^n by square and multiply from ``one``, squaring only while bits
+    remain: the one power routine of polynomials, series and literals."""
+    out = one
+    while n:
+        if n & 1:
+            out = times(out, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return out
+
+
 # -- F_p polynomials ------------------------------------------------------------------
 
 
@@ -213,14 +226,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers need an integer n >= 0")
-        out, base = self.ring.one, self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self.ring.one, self, n)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -278,9 +284,6 @@ class CoeffField:
     def __repr__(self) -> str:
         tags = ", ".join(str(t.value) for t in self.tags)
         return f"CoeffField(p={self.p}, tags=({tags}), units={self.units})"
-
-    def tagged_gen(self, i: int) -> Poly:
-        return self.gens[i]
 
     def unit_gen(self, name: str) -> Poly:
         return self.gens[len(self.tags) + self.units.index(name)]
@@ -716,14 +719,7 @@ class SeriesElement:
     def power(self, n: int) -> "SeriesElement":
         if n < 0:
             raise ValueError("series powers need n >= 0")
-        out = constant_series(self.field, self.descriptor, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(constant_series(self.field, self.descriptor, 1), self, n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesElement):

@@ -271,23 +271,10 @@ def value_group_image(
     symbols vanish, classes in p*Gamma' vanish, equal classes combine mod p."""
     in_p_multiples = EnlargedGroup(p, targets).in_p_multiples
     combined = {}
-    order = []
     for coeff, term in rsw.dlog_terms:
-        if not isinstance(term, ValueClass):
-            continue
-        g = term.gamma
-        if g not in combined:
-            combined[g] = 0
-            order.append(g)
-        combined[g] = (combined[g] + coeff) % p
-    out = []
-    for g in order:
-        if combined[g] % p == 0:
-            continue
-        if in_p_multiples(g):
-            continue
-        out.append((combined[g] % p, g))
-    return tuple(out)
+        if isinstance(term, ValueClass):
+            combined[term.gamma] = (combined.get(term.gamma, 0) + coeff) % p
+    return tuple((c, g) for g, c in combined.items() if c and not in_p_multiples(g))
 
 
 # -- ramification group evaluation ---------------------------------------------

@@ -93,7 +93,7 @@ def test_parse_series_matches_manual():
     f, field = parse_series(text, ZP2, 2)
     manual_field = CoeffField(2, tags=(element(ZP2, Fraction(1, 2)),), units=("u",))
     assert field == manual_field
-    x = variable_series(manual_field, ZP2, manual_field.tagged_gen(0))
+    x = variable_series(manual_field, ZP2, manual_field.gens[0])
     u = variable_series(manual_field, ZP2, manual_field.unit_gen("u"))
     expect = t_term(manual_field, ZP2, element(ZP2, -3)) + (x * x * u)
     assert f == expect
@@ -430,6 +430,23 @@ def test_separation_golden():
     assert out == "[separation]\ndegree: 3\ngaps: 1,2\nbound: gt 6\n"
 
 
+@pytest.mark.parametrize(
+    "argv, gaps, bound",
+    [
+        (["--group", "zlex:2", "--hull", "--gaps", "lex(1,2),lex(0,3)"], "lex(1,2),lex(0,3)", "gt lex(2,4)"),
+        (["--group", "quad:2", "--gaps", "quad(1,0),quad(0,1)"], "quad(1,0),quad(0,1)", "gt quad(0,2)"),
+        (["--gaps", "1,,2"], "1,2", "gt 4"),
+        (["--gaps", "1,2,"], "1,2", "gt 4"),
+    ],
+)
+def test_gaps_are_elements_of_any_group(argv, gaps, bound):
+    # a comma inside an element's parentheses does not split the list, and
+    # an empty entry is skipped
+    code, out, err = run_cli(["separation", "--p", "2"] + argv)
+    assert (code, err) == (0, "")
+    assert out == f"[separation]\ndegree: 2\ngaps: {gaps}\nbound: {bound}\n"
+
+
 def test_separation_at_a_huge_degree_scales_the_bound_at_once():
     start = time.perf_counter()
     code, out, _ = run_cli(["separation", "--p", "2", "--gaps", "1", "--degree", "100000000"])
@@ -614,6 +631,53 @@ def test_long_number_tokens_are_refused_whatever_the_int_digit_limit():
     # a run of exactly MAX_DIGITS digits is read
     f, field = parse_series(f"t(-1{'0' * (literals.MAX_DIGITS - 1)})", ZP2, 2)
     assert f.valuation() == element(ZP2, -(10 ** (literals.MAX_DIGITS - 1)))
+
+
+def test_a_name_in_a_numbers_place_is_refused_as_no_number():
+    # only runs of digits count against the digit cap, so a long name is
+    # named as the fault, quoted in part
+    names = "a" * 5000
+    shown = f"'{'a' * 40}'... (5000 characters)"
+    argv = ["classify", "--group", "zp:2", "--p", "2", "--as", "t(-1)^" + names]
+    assert run_cli(argv) == (2, "", f"error: expected an integer exponent, found {shown}\n")
+    argv = ["eval", "--group", "zp:" + names, "--H", "whole", "--I", "whole"]
+    assert run_cli(argv) == (2, "", f"error: expected an integer group parameter, found {shown}\n")
+    # a number one digit past the cap is still refused by it
+    argv = ["classify", "--group", "zp:2", "--p", "2", "--as", f"t({'1' * (literals.MAX_DIGITS + 1)})"]
+    for result in _at_both_int_digit_limits(argv):
+        assert result == (2, "", f"error: numbers have at most {literals.MAX_DIGITS} digits\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--group", "a" * 3000 + ":2", "--H", "whole", "--I", "whole"],
+        ["eval", "--group", "zp:2", "--H", "a" * 3000, "--I", "whole"],
+        ["classify", "--group", "zp:2", "--p", "2", "--as", "t(-1)^" + "a" * 3000],
+        ["classify", "--group", "zp:2", "--p", "2", "--case", "i", "--c", f"q(1/{'3' * 4000})"],
+    ],
+)
+def test_long_literal_text_is_not_quoted_in_full(argv):
+    # tokens, literal texts and values are quoted up to
+    # ordered_group.ECHO_CHARS characters, with their length
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300 and err.count("\n") == 1, err[:300]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--group", "zq:2", "--H", "whole", "--I", "whole"], "unknown group kind 'zq' (use zlex:n, zp:p, quad:d)"),
+        (["eval", "--group", "zp:2", "--H", "lt q(1)", "--I", "whole"], "unknown cut form 'lt' (use whole, ge, gt, frontier, frontier_ge)"),
+        (["classify", "--group", "zp:2", "--p", "2", "--as", "t(-1)^e"], "expected an integer exponent, found 'e'"),
+        (["classify", "--group", "zp:2", "--p", "2", "--case", "i", "--c", "q(1/3)"], "1/3 has a denominator prime to 2 (while reading an element of zp:2)"),
+        (["separation", "--p", "2", "--gaps", "1,abc"], "expected a rational number but found 'abc' in '1,abc'"),
+        (["separation", "--p", "2", "--gap", "1 2"], "trailing input '2' in '1 2'"),
+    ],
+)
+def test_short_literal_text_is_quoted_whole(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
 def _at_both_int_digit_limits(argv):

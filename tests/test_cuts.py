@@ -13,7 +13,6 @@ from ramify.ordered_group import (
     hull_element,
     int_lex,
     int_scale,
-    min_positive,
     p_inverted,
     quadratic,
     to_hull,
@@ -311,9 +310,9 @@ def test_min_element_is_least(cut):
         return
     assert cut.contains(m)
     d = cut.descriptor
-    step = min_positive(d)
-    if step is not None:
-        assert not cut.contains(m - step)
+    if not d.is_dense:
+        # the least positive element of Z^n is (0, ..., 0, 1)
+        assert not cut.contains(m - element(d, (0,) * (d.param - 1) + (1,)))
 
 
 def test_canonical_equalities():

@@ -12,13 +12,11 @@ from ramify.ordered_group import (
     compare,
     divide_exact,
     element,
-    from_hull,
     hull_element,
     in_group,
     int_lex,
     int_scale,
     is_positive,
-    min_positive,
     mod_p_image,
     neg,
     p_inverted,
@@ -169,27 +167,12 @@ def test_quad_sign_near_ties():
     assert quad_sign(Fraction(0), Fraction(1), 2) == 1
 
 
-def test_min_positive():
-    zl3 = int_lex(3)
-    m = min_positive(zl3)
-    assert m == element(zl3, (0, 0, 1))
-    # exhaustive over a small box: nothing positive sits below it
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            for c in range(-2, 3):
-                x = element(zl3, (a, b, c))
-                if is_positive(x):
-                    assert compare(m, x) <= 0
-    assert min_positive(p_inverted(2)) is None
-    assert min_positive(quadratic(2)) is None
-
-
 @given(element_pairs())
 def test_hull_embedding_preserves_order(pair):
     x, y = pair
     assert compare(x, y) == compare(to_hull(x), to_hull(y))
     assert in_group(to_hull(x))
-    assert from_hull(to_hull(x)) == x
+    assert element(x.descriptor, to_hull(x).value) == x
 
 
 def test_hull_group_do_not_mix():
@@ -202,7 +185,7 @@ def test_hull_group_do_not_mix():
     with pytest.raises(TypeError):
         compare(g, h)
     with pytest.raises(ValueError):
-        from_hull(hull_element(zp2, Fraction(1, 3)))
+        element(zp2, hull_element(zp2, Fraction(1, 3)).value)
 
 
 def test_cross_group_ops_rejected():
@@ -344,7 +327,7 @@ def test_integer_form_matches_the_fraction_oracle(pair, n, m, p):
     h = x if hull else to_hull(x)
     assert in_group(h) == ref.in_group(d, h.value)
     if ref.in_group(d, h.value):
-        g = from_hull(h)
+        g = element(d, h.value)
         assert _canonical(g) and g.value == ref.group_value(d, h.value)
         assert mod_p_image(g, p) == ref.mod_p_image(d, g.value, p)
 

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ramify.literals as literals
 from ramify.ordered_group import element, int_lex, int_scale, p_inverted, quadratic, zero
 from ramify.series_field import (
     CoeffField,
     FieldElement,
+    Poly,
+    PolyRing,
     SeriesElement,
     SigmaSpec,
     constant_series,
@@ -126,7 +129,7 @@ def test_import_leaves_sympy_unloaded():
 
 
 def test_generators():
-    assert str(F2.tagged_gen(0)) == "x0"
+    assert str(F2.gens[0]) == "x0"
     assert str(F2.unit_gen("u")) == "u"
     with pytest.raises(ValueError):
         F2.unit_gen("w")
@@ -235,7 +238,7 @@ def test_an_exponent_from_another_group_is_refused(data):
     # tag lies in another group is refused instead
     tagged = CoeffField(2, tags=(data.draw(positive_elements(foreign)),))
     with pytest.raises(ValueError, match="variable tags live in a different group"):
-        constant_series(tagged, home, tagged.tagged_gen(0))
+        constant_series(tagged, home, tagged.gens[0])
 
 
 # -- field elements -----------------------------------------------------------------
@@ -298,8 +301,8 @@ def test_sigma_is_ring_map(p, data):
 
 def test_sigma_images():
     s = SIGMAS[2]
-    x0 = variable_series(F2, ZP2, F2.tagged_gen(0))
-    x1 = variable_series(F2, ZP2, F2.tagged_gen(1))
+    x0 = variable_series(F2, ZP2, F2.gens[0])
+    x1 = variable_series(F2, ZP2, F2.gens[1])
     assert s.apply(x0) == x0 + t_term(F2, ZP2, E0)
     assert s.apply(x1) == x1 + t_term(F2, ZP2, E1)
     # units and constants are untouched
@@ -311,8 +314,8 @@ def test_sigma_images():
 def test_sigma_delta_product_expansion():
     # sigma(x0 x1) - x0 x1 = x0 t^{e1} + x1 t^{e0} + t^{e0+e1}
     s = SIGMAS[2]
-    x0 = variable_series(F2, ZP2, F2.tagged_gen(0))
-    x1 = variable_series(F2, ZP2, F2.tagged_gen(1))
+    x0 = variable_series(F2, ZP2, F2.gens[0])
+    x1 = variable_series(F2, ZP2, F2.gens[1])
     d = s.delta(x0 * x1)
     expect = (
         x0.shift(E1)
@@ -326,8 +329,8 @@ def test_sigma_delta_product_expansion():
 def test_sigma_fixed_combination():
     # x0 - x1 t^{e0 - e1} is fixed: both variables shift by the same term
     s = SIGMAS[2]
-    x0 = variable_series(F2, ZP2, F2.tagged_gen(0))
-    x1 = variable_series(F2, ZP2, F2.tagged_gen(1))
+    x0 = variable_series(F2, ZP2, F2.gens[0])
+    x1 = variable_series(F2, ZP2, F2.gens[1])
     y = x0 - x1.shift(E0 - E1)
     assert s.delta(y).is_zero()
 
@@ -390,7 +393,7 @@ def test_norm_of_a_tagged_variable_is_its_artin_schreier_polynomial(p, descripto
     s = SigmaSpec(field, descriptor)
     u = variable_series(field, descriptor, field.unit_gen("u"))
     for i, d in enumerate(field.tags):
-        x = variable_series(field, descriptor, field.tagged_gen(i))
+        x = variable_series(field, descriptor, field.gens[i])
         c = t_term(field, descriptor, int_scale(p - 1, d))
         for y in (x, x + u):
             assert norm(s, y) == y.power(p) - c * y
@@ -402,7 +405,7 @@ def test_norm_makes_p_minus_1_products_and_sigma_calls(p, monkeypatch):
     # is still the left to right product of f, sigma f, ..., sigma^(p-1) f
     field = CoeffField(p, tags=(element(Z1, 1),), units=("u",))
     u = variable_series(field, Z1, field.unit_gen("u"))
-    f = variable_series(field, Z1, field.tagged_gen(0)) + t_term(field, Z1, element(Z1, -1))
+    f = variable_series(field, Z1, field.gens[0]) + t_term(field, Z1, element(Z1, -1))
     applied, products = [], []
 
     def apply(x):
@@ -429,7 +432,7 @@ def test_norm_makes_p_minus_1_products_and_sigma_calls(p, monkeypatch):
 
 def test_series_law_labels_on_a_broken_sigma(monkeypatch):
     s = SIGMAS[2]
-    f = t_term(F2, ZP2, E1) + variable_series(F2, ZP2, F2.tagged_gen(0))
+    f = t_term(F2, ZP2, E1) + variable_series(F2, ZP2, F2.gens[0])
     g = t_term(F2, ZP2, element(ZP2, -1), F2.unit_gen("u"))
     assert valuation_laws(s, f, g) == [] and norm_trace_laws(s, f) == []
     shifting = SimpleNamespace(p=2, apply=lambda x: x.shift(element(ZP2, -1)))
@@ -440,6 +443,32 @@ def test_series_law_labels_on_a_broken_sigma(monkeypatch):
     monkeypatch.setattr(SeriesElement, "__mul__", lambda a, b: mul(a, b).shift(element(ZP2, -1)))
     identity = SimpleNamespace(p=2, apply=lambda x: x)
     assert valuation_laws(identity, f, g) == ["valuation additivity"]
+
+
+def test_polynomials_series_and_literals_take_powers_by_the_same_products(monkeypatch):
+    # v and t(1) play the same part, so each product of v + u + 2 and of
+    # t(1) + u + 2 has operands of the same sizes; a literal's ^n makes the
+    # products of SeriesElement.power and is charged the pairs they touch
+    field = CoeffField(3, units=("u",))
+    v, u = PolyRing(3, ("v", "u")).gens
+    poly = v + u + 2
+    series = t_term(field, Z1, element(Z1, 1)) + variable_series(field, Z1, field.unit_gen("u"))
+    series = series + constant_series(field, Z1, 2)
+    seen = []
+    for cls, size in ((Poly, lambda a: len(a.terms())), (SeriesElement, SeriesElement.num_terms)):
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, mul=mul, size=size: seen.append((size(a), size(b))) or mul(a, b))
+    for n in range(18):
+        reader = literals._SeriesReader(literals._Tokens(f"(t(1) + u + 2)^{n}"), field, Z1)
+        products = []
+        for power in (lambda: poly ** n, lambda: series.power(n), reader.sum):
+            seen.clear()
+            products.append((power(), list(seen)))
+        (_, by_poly), (by_series, by_power), (by_literal, by_reader) = products
+        assert by_poly == by_power == by_reader, n
+        assert len(by_power) == n.bit_length() + bin(n).count("1") - (n > 0)
+        assert by_literal == by_series
+        assert literals.PARSE_PAIR_BUDGET - reader.pairs_left == sum(m * k for m, k in by_reader)
 
 
 # -- p-th power detection -----------------------------------------------------------
@@ -455,7 +484,7 @@ def test_pth_power_frobenius_oracle(p, data):
 
 
 def test_pth_power_negatives():
-    x0, x1 = F2.tagged_gen(0), F2.tagged_gen(1)
+    x0, x1 = F2.gens[0], F2.gens[1]
     assert is_pth_power(F2, x0 * x1) == (False, None)
     assert is_pth_power(F2, x0 + x1) == (False, None)
     flag, root = is_pth_power(F2, x0 ** 2 * x1 ** 2)

@@ -350,7 +350,7 @@ def test_construction_equals_terms_summed_from_zero(case, data):
 def test_products_outgrow_the_initial_widths():
     for descriptor in (ZP3, Z2, Q2):
         field = _field(3, descriptor)
-        x0, u = field.tagged_gen(0), field.unit_gen("u")
+        x0, u = field.gens[0], field.unit_gen("u")
         # a lower t-coordinate of 2000 (1000 over the tags' denominator 2
         # of quad:2) fits the least balanced bound 2^11, and twice it does not
         low = {ZP3: element(ZP3, Fraction(-7, 27)), Z2: element(Z2, (-1, 2000)), Q2: element(Q2, (0, 1000))}

@@ -170,7 +170,7 @@ def _as_right_hand_sides(draw):
             # a term at v/p that the first substitution's g cancels
             f = f - t_term(field, descriptor, int_scale(p ** (k - 1), w), root ** p ** (k - 1))
     if tags and draw(st.booleans()):
-        f = f + variable_series(field, descriptor, field.tagged_gen(0))
+        f = f + variable_series(field, descriptor, field.gens[0])
     return f
 
 
