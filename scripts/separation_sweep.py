@@ -16,7 +16,7 @@ from ramify.cuts import open_cut
 from ramify.defect_lab import build_defect_model
 from ramify.literals import format_cut, format_element
 from ramify.ordered_group import element, p_inverted
-from ramify.separation import GapDatum, connectivity_threshold, separation_bound
+from ramify.separation import GapDatum, connectivity_threshold, model_gap, separation_bound
 from ramify.series_field import variable_series
 from ramify.swan import break_of
 
@@ -41,8 +41,7 @@ def main() -> None:
     print(f"{'generator'.ljust(10)}  {'gap'.ljust(10)}  {'connected at'.ljust(14)}  separated at")
     gaps = []
     for i, e in enumerate(model.e_seq):
-        x = variable_series(model.field, descriptor, model.field.gens[i])
-        gap = model.sigma.delta(x).valuation()
+        gap = model_gap(model, variable_series(model.field, descriptor, model.field.gens[i]))
         gaps.append(gap)
         pair = connectivity_threshold(gap, model.p)
         print(

@@ -36,6 +36,7 @@ from .ordered_group import (
     element,
     hull_element,
     int_lex,
+    is_positive,
     p_inverted,
     quadratic,
 )
@@ -291,7 +292,10 @@ def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[Series
         tok = toks.next()
         if tok == "x" and toks.peek() == "[":
             toks.next()
-            tags[_parse_element_tokens(toks, descriptor, hull=False)] = None
+            tag = _parse_element_tokens(toks, descriptor, hull=False)
+            if not is_positive(tag):
+                raise InputError(f"variable tags must be positive group elements, got {echo(format_element(tag), quote=True)}")
+            tags[tag] = None
             toks.expect("]")
         elif tok.isidentifier() and tok not in _RESERVED:
             unit_names.add(tok)

@@ -41,11 +41,11 @@ t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.  The
 packed-key helpers read keys without decoding them: ``monomials`` splits a
 series into one-term series in its own layout, ``least_tag_index`` reads
-the tag bits, ``valuation_at_least`` compares leading t-codes,
-``split_polar`` splits off the terms of negative value, and
-``artin_schreier_run`` makes up to n Artin-Schreier substitutions, decoding
-only the leading t-code's coordinates: in closed form when the lead value
-is the whole series, else one.
+the tag bits, ``valuation_at_least`` compares leading t-codes, ``_t_sign``
+reads the sign of one t-code, and ``artin_schreier_run`` makes up to n
+Artin-Schreier substitutions, decoding only the leading t-code's
+coordinates: in closed form when the lead's value is the only negative
+one, the terms of value >= 0 riding along, else one.
 
 (gamma, Poly) terms enter a series only through ``SeriesElement(...)``: it
 refuses an exponent from another group and a coefficient from another ring,
@@ -77,6 +77,7 @@ from .ordered_group import (
     _is_prime,
     _point,
     compare,
+    echo,
     int_scale,
     is_positive,
     quad_sign,
@@ -259,7 +260,8 @@ class CoeffField:
             raise ValueError("tagged variables must have distinct tags")
         for tag in tags:
             if not isinstance(tag, GroupElement) or not is_positive(tag):
-                raise ValueError(f"variable tags must be positive group elements, got {tag!r}")
+                shown = echo(tag.value if isinstance(tag, GroupElement) else tag)
+                raise ValueError(f"variable tags must be positive group elements, got {shown}")
         names = [f"x{i}" for i in range(len(tags))] + list(units)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
@@ -502,6 +504,14 @@ class SeriesElement:
                 best, ba, bb = T, a, b
         return best
 
+    def _t_sign(self, T: int) -> int:
+        """The sign of the value at t-code T: over Z[1/q] and Z^n T's own
+        sign (balanced lower digits keep the lexicographic sign), over
+        Q + Q*sqrt(d) ``quad_sign`` of its coordinates."""
+        if self.descriptor.kind == KIND_QUADRATIC:
+            return quad_sign(*self._lay.t_coords(T), self.descriptor.param)
+        return (T > 0) - (T < 0)
+
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(self._t_element(T) for T in self._t_codes())
 
@@ -580,23 +590,6 @@ class SeriesElement:
         tail = _packed(self.field, self.descriptor, rest, self._lay, self._eb, self._tb)
         return self._t_element(T), self._poly(lead), tail
 
-    def split_polar(self) -> Tuple["SeriesElement", "SeriesElement"]:
-        """(the terms of value < 0, the rest), both in self's layout.  Over
-        Z[1/q] and Z^n a key's sign is its t-code's sign (balanced lower
-        digits keep the lexicographic sign); over Q + Q*sqrt(d) each distinct
-        t-code is decoded once and its sign read with ``quad_sign``."""
-        lay, data = self._lay, self._data
-        S = lay.shift
-        if self.descriptor.kind == KIND_QUADRATIC:
-            d, t_coords = self.descriptor.param, lay.t_coords
-            neg = {T for T in {k >> S for k in data} if quad_sign(*t_coords(T), d) < 0}
-            polar = {k: c for k, c in data.items() if k >> S in neg}
-        else:
-            polar = {k: c for k, c in data.items() if k < 0}
-        rest = {k: c for k, c in data.items() if k not in polar}
-        field, descriptor, eb, tb = self.field, self.descriptor, self._eb, self._tb
-        return _packed(field, descriptor, polar, lay, eb, tb), _packed(field, descriptor, rest, lay, eb, tb)
-
     def artin_schreier_run(self, n: int) -> Tuple[Optional[str], "SeriesElement", int]:
         """Up to n substitutions f -> f - (g^p - g): (case, result, steps),
         case None when the budget ends the run, else the normal form "iii",
@@ -605,31 +598,34 @@ class SeriesElement:
         A step drops the lead c * t^v for its root g = c^(1/p) * t^(v/p)
         (Frobenius is additive and fixes F_p, so g^p is the lead and each
         x^e in c becomes x^(e/p)); it needs v < 0, v/p in the group ("i",
-        checked first) and p dividing every exponent in c ("ii").  When the
-        lead is all of f, step j leaves c^(1/p^j) * t^(v/p^j), so the stop
-        is read off p-adic valuations, of gcd(v's numerators) where p is not
+        checked first) and p dividing every exponent in c ("ii").  A root's
+        value v/p^j is negative, so it never meets a term of value >= 0:
+        when v is the only negative value in f, step j leaves
+        c^(1/p^j) * t^(v/p^j) beside the other terms, and the stop is read
+        off p-adic valuations, of gcd(v's numerators) where p is not
         invertible and of every exponent in c; otherwise the root may meet
-        the rest, and the run makes one step.  While p divides v's numerators
-        over the layout's den the root's keys are the lead's over p; each
-        later root grows den by p, and the rest is re-packed once."""
+        another term of negative value, and the run makes one step.  While p
+        divides v's numerators over the layout's den the root's keys are the
+        lead's over p; each later root grows den by p, and the other terms
+        are re-packed once."""
         if n < 1:
             return None, self, 0
         if not self._data:
             return "iii", self, 0
-        lay, p, descriptor = self._lay, self.field.p, self.descriptor
+        lay, p, descriptor, t_sign = self._lay, self.field.p, self.descriptor, self._t_sign
         T = self._lead_t()
-        coords = lay.t_coords(T)
-        # balanced lower digits keep the lexicographic sign, which is T's
-        if (quad_sign(*coords, descriptor.param) if descriptor.kind == KIND_QUADRATIC else T) >= 0:
+        if t_sign(T) >= 0:
             return "iii", self, 0
+        coords = lay.t_coords(T)
         # over the layout's den, v's numerators share the factor p^same
         same = _p_adic(gcd(*coords), p, n)
         stop_i = n if _den_in_group(descriptor, p) else same
         if not stop_i:
             return "i", self, 0
         lead, rest = self._split_at(T)
-        if rest:
-            # the root may meet the rest: one step, which v/p allows here
+        S = lay.shift
+        if any(t_sign(k >> S) < 0 for k in rest):
+            # the root may meet another polar term: one step, which v/p allows here
             n = stop_i = 1
         stop_ii = min((_p_adic(e, p, n) for m in lead if m for e in lay.mono_exps(m) if e), default=n)
         if stop_i < n and stop_i <= stop_ii:

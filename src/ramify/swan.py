@@ -141,30 +141,19 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     stops at a case-"i"/"ii"/"iii" normal form, or reports exhaustion
     (which over a dense group signals a defect extension).  The
     substitutions run on the packed keys (``SeriesElement.artin_schreier_run``):
-    up to the remaining budget in closed form while the lead value is the
-    whole series, else one at a time.
-
-    Only the polar part (the terms of value < 0) can lead, and every root
-    g added has value v/p < 0.  So after the first substitution f is split
-    once, the run continues on its polar part alone, and the terms of value
-    >= 0 are added back once at the end; a reduction that stops at once
-    pays for no split.
+    up to the remaining budget in closed form while the lead's value is the
+    only negative one, the terms of value >= 0 riding along, else one at a
+    time.
     """
-    rest, it = None, 0
+    it = 0
     while True:
         # with budget left, a run that ends without a case takes a step
         case, f, steps = f.artin_schreier_run(max_iters - it)
         it += steps
         if case is not None:
-            return ReduceResult("reduced", _rejoined(f, rest), case, it)
+            return ReduceResult("reduced", f, case, it)
         if it >= max_iters:
-            return ReduceResult("exhausted", _rejoined(f, rest), None, max_iters)
-        if rest is None:
-            f, rest = f.split_polar()
-
-
-def _rejoined(polar: SeriesElement, rest: Optional[SeriesElement]) -> SeriesElement:
-    return polar if rest is None or rest.is_zero() else polar + rest
+            return ReduceResult("exhausted", f, None, max_iters)
 
 
 def _principal(case: str, gen: GroupElement, p: int, dlog_terms: Tuple[DlogTerm, ...]) -> SwanData:
@@ -339,19 +328,17 @@ def base_change(conductor: Cut, target: GroupDescriptor) -> Cut:
     Supported embeddings: identity, int_lex(1) into a dense group, and
     rational inclusion of p_inverted into quadratic.  Conductor cuts only
     scale like ideals (generators map to generators), so the bound value is
-    preserved.
+    preserved.  Over Z every group cut is whole or principal.
     """
+    if conductor.over_hull:
+        raise ValueError("the conductor cut lives over the group")
     src = conductor.descriptor
     if target == src:
         return conductor
     if src.kind == KIND_INT_LEX and src.param == 1 and target.kind in (KIND_P_INVERTED, KIND_QUADRATIC):
-        kind = conductor.kind
-        if kind == "whole":
+        if conductor.kind == "whole":
             return whole_cut(target)
-        value = conductor.bound_point().value[0]
-        if kind == "principal":
-            return principal_cut(element(target, value))
-        return open_cut(target, element(target, value))
+        return principal_cut(element(target, conductor.bound_point().value[0]))
     if src.kind == KIND_P_INVERTED and target.kind == KIND_QUADRATIC:
         if conductor.kind == "whole":
             return whole_cut(target)

@@ -299,6 +299,29 @@ def test_classify_unit_labels(p, literal, rsw):
     assert f"rsw: {rsw}\n" in out
 
 
+@pytest.mark.parametrize(
+    "flags, case, H, e, residue, unramified, rsw",
+    [
+        (["--case", "i", "--c", "q(1/3)"], "i", "ge q(1/3)", "p", "trivial", "false", "dlog(t(q(-1/3)))"),
+        (["--case", "ii", "--c", "q(2)", "--unit", "u"], "ii", "ge q(2)", "1", "insep-p", "false", "dlog(u)"),
+        (["--case", "iii"], "iii", "whole", "1", "trivial", "true", "none"),
+    ],
+)
+def test_classify_case_golden(flags, case, H, e, residue, unramified, rsw):
+    code, out, _ = run_cli(["classify", "--group", "zp:3", "--p", "2", *flags])
+    assert code == 0
+    assert out == (
+        "[swan]\n"
+        f"case: {case}\n"
+        f"H: {H}\n"
+        "defect: false\n"
+        f"e: {e}\n"
+        f"residue: {residue}\n"
+        f"unramified: {unramified}\n"
+        f"rsw: {rsw}\n"
+    )
+
+
 def test_classify_kummer_plan_golden():
     code, out, _ = run_cli(
         ["classify", "--group", "zlex:1", "--p", "3", "--kummer", "iii", "--e0", "2", "--vb", "4"]
@@ -655,6 +678,7 @@ def test_a_name_in_a_numbers_place_is_refused_as_no_number():
         ["eval", "--group", "zp:2", "--H", "a" * 3000, "--I", "whole"],
         ["classify", "--group", "zp:2", "--p", "2", "--as", "t(-1)^" + "a" * 3000],
         ["classify", "--group", "zp:2", "--p", "2", "--case", "i", "--c", f"q(1/{'3' * 4000})"],
+        ["classify", "--group", "zp:2", "--p", "2", "--as", f"x[q(-{'3' * 3000})]"],
     ],
 )
 def test_long_literal_text_is_not_quoted_in_full(argv):
@@ -674,6 +698,8 @@ def test_long_literal_text_is_not_quoted_in_full(argv):
         (["classify", "--group", "zp:2", "--p", "2", "--case", "i", "--c", "q(1/3)"], "1/3 has a denominator prime to 2 (while reading an element of zp:2)"),
         (["separation", "--p", "2", "--gaps", "1,abc"], "expected a rational number but found 'abc' in '1,abc'"),
         (["separation", "--p", "2", "--gap", "1 2"], "trailing input '2' in '1 2'"),
+        (["classify", "--group", "zp:2", "--p", "2", "--as", "x[q(-1)]"], "variable tags must be positive group elements, got 'q(-1)'"),
+        (["classify", "--group", "zp:2", "--p", "2", "--as", "x[0]"], "variable tags must be positive group elements, got 'q(0)'"),
     ],
 )
 def test_short_literal_text_is_quoted_whole(argv, message):
@@ -947,6 +973,19 @@ def test_breaks_with_a_400_digit_surd_bound():
     code, out, err = run_cli(["breaks", "--group", "zp:2", "--bound", bound, "--variant", "open-irrational"])
     assert (code, err) == (0, "")
     assert "defect: true" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--group", "zp:3", "--p", "2", "--case", "i", "--c", "q(2)"], "case i needs a non-p-divisible value, got 2"),
+        (["classify", "--group", "zp:3", "--p", "2", "--kummer", "i", "--va", "q(1)"], "--kummer needs --e0, the value of zeta_p - 1"),
+        (["breaks", "--group", "zp:2", "--bound", "q(1)"], "--bound needs --variant"),
+        (["separation", "--p", "2", "--gap", "quad(1,0)"], "quad gaps need an explicit --group quad:d"),
+    ],
+)
+def test_exit_2_names_what_the_flags_lack(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
 def test_exit_2_on_kummer_validation():

@@ -110,8 +110,11 @@ def test_field_construction():
         CoeffField(2, tags=(E0, E0))
     with pytest.raises(ValueError):
         CoeffField(2, tags=(element(ZP2, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"positive group elements, got -1$"):
         CoeffField(2, tags=(element(ZP2, -1),))
+    # a long tag is quoted by its first characters and its length
+    with pytest.raises(ValueError, match=r"got -3{39}\.\.\. \(3001 characters\)$"):
+        CoeffField(2, tags=(element(ZP2, -int("3" * 3000)),))
     for not_prime in (1, 4, 6):
         with pytest.raises(ValueError):
             CoeffField(not_prime)

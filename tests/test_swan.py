@@ -271,16 +271,40 @@ def _reduce_with_budgets(monkeypatch, f):
 
 
 def test_a_polar_part_that_shrinks_to_one_term_finishes_in_closed_form(monkeypatch):
-    # over Z at p = 3 the first run makes one substitution, since f has other
-    # values than its lead: the root t^(-9) of t^(-27) joins t^(-9) into
-    # 2*t^(-9).  The polar part is then one term, so the remaining 63
-    # substitutions run in closed form and stop at case i after two more,
-    # since 9 = 3^2; the term t^2 never leads
+    # over Z at p = 3 the first run makes one substitution, since f has a
+    # negative value besides its lead's: the root t^(-9) of t^(-27) joins
+    # t^(-9) into 2*t^(-9).  The lead's value is then the only negative one,
+    # so the remaining 63 substitutions run in closed form with t^2 riding
+    # along, and stop at case i after two more, since 9 = 3^2
     f = tpow(F3, Z1, -27) + tpow(F3, Z1, -9) + tpow(F3, Z1, 2)
     got, budgets = _reduce_with_budgets(monkeypatch, f)
-    assert budgets == [(3, 64), (1, 63)]
+    assert budgets == [(3, 64), (2, 63)]
     want = ReduceResult("reduced", tpow(F3, Z1, -1, F3.const(2)) + tpow(F3, Z1, 2), "i", 3)
     _assert_same_reduction(got, want)
+    _assert_same_reduction(got, _decoding_reduce(f))
+    _assert_same_reduction(got, _powering_reduce(f))
+
+
+@pytest.mark.parametrize(
+    "f, budgets, status, case, iterations",
+    [
+        # over Z at p = 2, v_2(8) = 3: t^(-8) leaves case i after three
+        # substitutions, t^1 riding along
+        (tpow(F2, Z1, -8) + tpow(F2, Z1, 1), [(2, 64)], "reduced", "i", 3),
+        # over Z[1/2] every root is in the group: the budget ends the run
+        (tpow(F2, ZP2, -1) + tpow(F2, ZP2, 3), [(2, 64)], "exhausted", None, 64),
+        # over Q + Q*sqrt(2) at p = 3, 3 - 3*sqrt(2) and 1 - sqrt(2) are
+        # negative though their codes are lexicographically positive: one
+        # step first, whose root t^(1 - sqrt(2)) joins the second negative
+        # term into 2*t^(1 - sqrt(2)); then the lead's value is the only
+        # negative one, and the budget ends the run with t^sqrt(2) riding along
+        (tpow(F3, QD2, (3, -3)) + tpow(F3, QD2, (1, -1)) + tpow(F3, QD2, (0, 1)), [(3, 64), (2, 63)], "exhausted", None, 64),
+    ],
+)
+def test_terms_of_value_at_least_zero_ride_through_the_run(monkeypatch, f, budgets, status, case, iterations):
+    got, calls = _reduce_with_budgets(monkeypatch, f)
+    assert calls == budgets
+    assert (got.status, got.case, got.iterations) == (status, case, iterations)
     _assert_same_reduction(got, _decoding_reduce(f))
     _assert_same_reduction(got, _powering_reduce(f))
 
@@ -626,6 +650,18 @@ def test_base_change_unsupported():
     irr = open_cut(ZP2, Surd(0, 1, 2))
     with pytest.raises(ValueError):
         base_change(irr, QD2)
+
+
+@pytest.mark.parametrize(
+    "cut, target",
+    [
+        (open_cut(Z1, hull_element(Z1, Fraction(5, 2)), over_hull=True), ZP2),
+        (principal_cut(hull_element(ZP2, Fraction(1, 3))), QD2),
+    ],
+)
+def test_base_change_refuses_a_hull_cut(cut, target):
+    with pytest.raises(ValueError, match="the conductor cut lives over the group"):
+        base_change(cut, target)
 
 
 def test_base_change_transports_break():
