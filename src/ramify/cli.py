@@ -12,7 +12,7 @@ import os
 import random
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cuts import Cut, Surd, open_cut
 from .defect_lab import (
@@ -495,7 +495,8 @@ def _samples(text: str) -> int:
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="ramify",
         description="Exact ramification invariants of degree-p cyclic extensions.",
@@ -572,17 +573,36 @@ def _build_parser() -> argparse.ArgumentParser:
     # so a token that starts with a minus and a digit is always a value
     for sp in sub.choices.values():
         sp._negative_number_matcher = re.compile(r"-\d")
-    return parser
+    return parser, sub.choices
 
 
 # argparse parsers are reusable, and building one costs more than most
-# commands, so it is built once
-_PARSER = _build_parser()
+# commands, so they are built once.  The top-level parser only reads the
+# command name and hands the other tokens to that command's subparser, yet it
+# scans every token first and costs about as much again as the subparser, so
+# _parse hands a known command's tokens to its subparser itself.  The
+# top-level parser still parses an argv with no known command name first (an
+# empty one, -h, an unknown command), one whose tokens the subparser leaves
+# unread (it prints "unrecognized arguments" under its own usage), and one
+# with a "--" separator, which it interprets itself before handing the tokens
+# on, in ways that have changed between argparse releases.
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, by the subparser alone where that gives
+    the same namespace, output and exit code."""
+    sp = _SUBPARSERS.get(argv[0]) if argv else None
+    if sp is not None and "--" not in argv:
+        args, extras = sp.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     handlers = {

@@ -318,7 +318,8 @@ def _make(descriptor: GroupDescriptor, raw, hull: bool) -> _Element:
     if _den_in_group(descriptor, den):
         return GroupElement(descriptor, nums, den)
     if kind == KIND_INT_LEX:
-        raise ValueError(f"coordinates {echo(h.value)} do not lie in Z^{descriptor.param}")
+        shown = "(" + ", ".join(map(str, h.value)) + ")"
+        raise ValueError(f"coordinates {echo(shown)} do not lie in Z^{descriptor.param}")
     raise ValueError(f"{echo(h.value)} has a denominator prime to {descriptor.param}")
 
 

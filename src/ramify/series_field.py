@@ -47,10 +47,14 @@ Artin-Schreier substitutions, decoding only the leading t-code's
 coordinates: in closed form when the lead's value is the only negative
 one, the terms of value >= 0 riding along, else one.
 
-(gamma, Poly) terms enter a series only through ``SeriesElement(...)``: it
+(gamma, Poly) terms enter a series through ``SeriesElement(...)``: it
 refuses an exponent from another group and a coefficient from another ring,
 widens the layout once for all the new terms and adds them in mod p.  Tags
 from another group are refused with the field's first layout over the group.
+One-term series have their own constructor, ``t_term`` (which
+``constant_series`` and ``variable_series`` call): it makes the same checks
+and picks the same layout and bounds as ``SeriesElement(...)``, but packs
+the one key directly.
 
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It maps each key
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add, lshift, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordered_group import (
@@ -290,9 +294,6 @@ class CoeffField:
     def unit_gen(self, name: str) -> Poly:
         return self.gens[len(self.tags) + self.units.index(name)]
 
-    def const(self, k: int) -> Poly:
-        return self.ring.from_dict({(0,) * self.ring.ngens: k})
-
 
 # -- packed monomial keys ---------------------------------------------------------------
 
@@ -351,7 +352,7 @@ class _Layout:
         return tuple(reversed(out))
 
     def mono_code(self, exps: Sequence[int]) -> int:
-        return sum(e << off for e, off in zip(exps, self.offsets))
+        return sum(map(lshift, exps, self.offsets))
 
     def mono_exps(self, m: int) -> Tuple[int, ...]:
         emask = self.emask
@@ -438,9 +439,9 @@ class SeriesElement:
     __slots__ = ("field", "descriptor", "_data", "_lay", "_eb", "_tb")
 
     def __init__(self, field: CoeffField, descriptor: GroupDescriptor, terms: Dict[GroupElement, Poly]):
-        """The sum of the (gamma, Poly) terms, mod p.  Every term enters a
-        series here: its group and its coefficient ring are checked, and the
-        layout widens once for all of them."""
+        """The sum of the (gamma, Poly) terms, mod p.  Each term's group and
+        coefficient ring are checked, and the layout widens once for all of
+        them; ``t_term`` builds the same series for one term."""
         la = _base_layout(field, descriptor)
         new, den, eb, tb = [], la.den, la.zeros, 0
         for gamma, c in terms.items():
@@ -767,18 +768,30 @@ def _packed(field: CoeffField, descriptor: GroupDescriptor, data: Dict[int, int]
 
 
 def t_term(field: CoeffField, descriptor: GroupDescriptor, gamma: GroupElement, coeff=1) -> SeriesElement:
+    """coeff * t^gamma, for an integer or a ``Poly`` coeff: the series
+    ``SeriesElement(field, descriptor, {gamma: coeff})`` makes, with the
+    same checks, layout and bounds, but its one key packed directly.  A
+    ``Poly`` of more than one term goes to the constructor."""
+    la = _base_layout(field, descriptor)
+    if not isinstance(gamma, GroupElement) or (gamma.descriptor is not descriptor and gamma.descriptor != descriptor):
+        raise ValueError("the term lives over a different group")
     if isinstance(coeff, int):
-        coeff = field.const(coeff)
-    return SeriesElement(field, descriptor, {gamma: coeff})
+        exps, k = la.zeros, coeff % field.p
+    else:
+        _check_ring(field, coeff)
+        if len(coeff._terms) > 1:
+            return SeriesElement(field, descriptor, {gamma: coeff})
+        exps, k = next(iter(coeff._terms.items()), (la.zeros, 0))
+    if not k:
+        return _packed(field, descriptor, {}, la, la.zeros, 0)
+    den = lcm(la.den, gamma.den)
+    tb = _low_bound(gamma.nums) * (den // gamma.den) if la.nlow else 0
+    lay = _widen(la, den, max(exps, default=0), tb)
+    key = (lay.t_code(_coords(gamma, den)) << lay.shift) + lay.mono_code(exps)
+    return _packed(field, descriptor, {key: k}, lay, exps, tb)
 
 
 def constant_series(field: CoeffField, descriptor: GroupDescriptor, coeff) -> SeriesElement:
-    if isinstance(coeff, int):
-        # an integer has no group or ring to check, and the key of the
-        # monomial t^0 * x^0 is 0 in every layout
-        k = coeff % field.p
-        lay = _base_layout(field, descriptor)
-        return _packed(field, descriptor, {0: k} if k else {}, lay, lay.zeros, 0)
     return t_term(field, descriptor, zero(descriptor), coeff)
 
 

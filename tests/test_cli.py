@@ -487,7 +487,7 @@ def test_a_bare_negative_rational_is_an_option_value():
     code, out, err = run_cli(["separation", "--p", "2", "--gap", "-1/2"])
     assert (code, out) == (2, "")
     assert "expected one argument" not in err
-    assert "do not lie in Z^1" in err
+    assert "coordinates (-1/2) do not lie in Z^1" in err
 
 
 def test_verify_series_suite():
@@ -700,6 +700,10 @@ def test_long_literal_text_is_not_quoted_in_full(argv):
         (["separation", "--p", "2", "--gap", "1 2"], "trailing input '2' in '1 2'"),
         (["classify", "--group", "zp:2", "--p", "2", "--as", "x[q(-1)]"], "variable tags must be positive group elements, got 'q(-1)'"),
         (["classify", "--group", "zp:2", "--p", "2", "--as", "x[0]"], "variable tags must be positive group elements, got 'q(0)'"),
+        (
+            ["eval", "--group", "zlex:2", "--H", "ge lex(1/2,0)", "--I", "ge lex(0,0)"],
+            "coordinates (1/2, 0) do not lie in Z^2 (while reading an element of zlex:2)",
+        ),
     ],
 )
 def test_short_literal_text_is_quoted_whole(argv, message):
@@ -829,43 +833,43 @@ def test_exit_2_on_argparse_errors():
         assert run(["verify", "--suite", "nope", "--p", "2"]) == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify", "--group", "zlex:1", "--p", "1", "--as", "t(-3)"],
-        ["classify", "--group", "zlex:1", "--p", "4", "--as", "t(-3)"],
-        ["separation", "--gap", "1", "--p", "1"],
-        ["verify", "--suite", "limits", "--p", "2", "--depth", "1"],
-        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "-3"],
-        ["verify", "--suite", "claim2", "--p", "2", "--cut", "ge(q(1))"],
-        ["verify", "--suite", "limits", "--p", "2", "--cut", "ge(q(1))"],
-        ["verify", "--suite", "series", "--p", "1", "--samples", "2"],
-        ["eval", "--group", "zlex:2", "--H", "gt(surd(0,1,2))", "--I", "ge(lex(1,0))"],
-        ["breaks", "--group", "zlex:2", "--bound", "surd(0,1,2)", "--variant", "open-irrational"],
-        ["eval", "--group", "zp:1000000000000000003", "--H", "ge q(1)", "--I", "ge q(1)"],
-        ["eval", "--group", "quad:1000000000000000003", "--H", "ge quad(1,0)", "--I", "ge quad(1,0)"],
-        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--depth", "2000"],
-        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--depth", "5000"],
-        ["verify", "--suite", "series", "--p", "2", "--samples", "1", "--depth", "0"],
-        ["verify", "--suite", "series", "--p", "2", "--group", "zlex:1"],
-        ["verify", "--suite", "theorem1", "--p", "2", "--cut", "gt q(1)"],
-        ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-3)", "--case", "i", "--c", "3"],
-        ["classify", "--group", "zlex:1", "--p", "2", "--case", "i", "--c", "3", "--e0", "5", "--va", "7"],
-        ["separation", "--p", "2", "--gap", "1", "--gaps", "2,3"],
-        ["separation", "--p", "2", "--gap", "1", "--degree", "3"],
-        ["breaks", "--group", "zp:2", "--H", "ge q(1)", "--bound", "q(1)", "--variant", "open"],
-        ["breaks", "--group", "zlex:1", "--H", "ge 3", "--variant", "open"],
-        ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--depth", "9"],
-        ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--p", "3"],
-        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--format", "kv", "--table-rows", "3"],
-        ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-1)*Ⅻ"],
-        ["verify", "--suite", "series", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
-        ["verify", "--suite", "all", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
-        ["verify", "--suite", "claim2", "--p", "2", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
-        ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
-        ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
-    ],
-)
+MALFORMED_ARGVS = [
+    ["classify", "--group", "zlex:1", "--p", "1", "--as", "t(-3)"],
+    ["classify", "--group", "zlex:1", "--p", "4", "--as", "t(-3)"],
+    ["separation", "--gap", "1", "--p", "1"],
+    ["verify", "--suite", "limits", "--p", "2", "--depth", "1"],
+    ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "-3"],
+    ["verify", "--suite", "claim2", "--p", "2", "--cut", "ge(q(1))"],
+    ["verify", "--suite", "limits", "--p", "2", "--cut", "ge(q(1))"],
+    ["verify", "--suite", "series", "--p", "1", "--samples", "2"],
+    ["eval", "--group", "zlex:2", "--H", "gt(surd(0,1,2))", "--I", "ge(lex(1,0))"],
+    ["breaks", "--group", "zlex:2", "--bound", "surd(0,1,2)", "--variant", "open-irrational"],
+    ["eval", "--group", "zp:1000000000000000003", "--H", "ge q(1)", "--I", "ge q(1)"],
+    ["eval", "--group", "quad:1000000000000000003", "--H", "ge quad(1,0)", "--I", "ge quad(1,0)"],
+    ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--depth", "2000"],
+    ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--depth", "5000"],
+    ["verify", "--suite", "series", "--p", "2", "--samples", "1", "--depth", "0"],
+    ["verify", "--suite", "series", "--p", "2", "--group", "zlex:1"],
+    ["verify", "--suite", "theorem1", "--p", "2", "--cut", "gt q(1)"],
+    ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-3)", "--case", "i", "--c", "3"],
+    ["classify", "--group", "zlex:1", "--p", "2", "--case", "i", "--c", "3", "--e0", "5", "--va", "7"],
+    ["separation", "--p", "2", "--gap", "1", "--gaps", "2,3"],
+    ["separation", "--p", "2", "--gap", "1", "--degree", "3"],
+    ["breaks", "--group", "zp:2", "--H", "ge q(1)", "--bound", "q(1)", "--variant", "open"],
+    ["breaks", "--group", "zlex:1", "--H", "ge 3", "--variant", "open"],
+    ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--depth", "9"],
+    ["breaks", "--group", "zp:2", "--H", "gt q(1)", "--p", "3"],
+    ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--format", "kv", "--table-rows", "3"],
+    ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-1)*Ⅻ"],
+    ["verify", "--suite", "series", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
+    ["verify", "--suite", "all", "--p", str(cli_mod.SERIES_MAX_P + 1), "--samples", "1"],
+    ["verify", "--suite", "claim2", "--p", "2", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
+    ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
+    ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--samples", str(cli_mod.MAX_SAMPLES + 1)],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGVS)
 def test_exit_2_on_any_malformed_input(argv):
     code, out, err = run_cli(argv)
     assert code == 2
@@ -1177,6 +1181,107 @@ def test_any_argv_keeps_the_exit_contract_and_prints_reparseable_cuts(argv):
         key, _, text = line.partition(": ")
         if key in GROUP_CUT_KEYS + HULL_CUT_KEYS:
             assert (text, key in HULL_CUT_KEYS) in spaces
+
+
+# -- the two parse routes -----------------------------------------------------------
+
+
+def _golden_argvs():
+    """{golden test name: the argv of each of its run_cli calls}, read off
+    this module's source; each call's argument is evaluated once per
+    parametrize row, with the test's own list assignments in scope."""
+    with open(__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    out = {}
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("test_") and fn.name.endswith("_golden")):
+            continue
+        rows = [{}]
+        for dec in fn.decorator_list:
+            if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "pytest.mark.parametrize":
+                names = [n.strip() for n in ast.literal_eval(dec.args[0]).split(",")]
+                values = eval(ast.unparse(dec.args[1]), globals())
+                rows = [{**row, **dict(zip(names, v if len(names) > 1 else (v,)))} for row in rows for v in values]
+        lists = {
+            node.targets[0].id: eval(ast.unparse(node.value), globals())
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.List)
+        }
+        calls = [
+            ast.unparse(node.args[0])
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "run_cli"
+        ]
+        out[fn.name] = [eval(call, globals(), {**lists, **row}) for call in calls for row in rows]
+    return out
+
+
+def _parsed(parse, argv):
+    """parse(argv), or the SystemExit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = parse(argv)
+        except SystemExit as e:
+            got = SystemExit, e.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def _assert_routes_agree(argv):
+    assert _parsed(cli_mod._parse, argv) == _parsed(cli_mod._PARSER.parse_args, argv), argv
+
+
+_CLASSIFY = ["classify", "--group", "zp:2", "--p", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["classify", "-h"],
+        ["eval", "--group", "zp:2", "--h"],
+        ["no-such-command", "--p", "2"],
+        ["--p", "2", "classify"],
+        _CLASSIFY,
+        _CLASSIFY + ["--as", "t(-1)", "--bogus"],
+        _CLASSIFY + ["--as", "t(-1)", "stray"],
+        ["classify", "--gro", "zp:2", "--p", "2", "--as", "t(-1)"],
+        _CLASSIFY + ["--as=t(-1)"],
+        _CLASSIFY + ["--", "--as", "t(-1)"],
+        _CLASSIFY + ["--as", "t(-1)", "--"],
+        ["--", *_CLASSIFY, "--as", "t(-1)"],
+        ["classify", "--group", "zp:2", "--p", "3", "--kummer", "i", "--e0", "1", "--va", "-1/2"],
+        ["separation", "--p", "2", "--gap", "-1/2"],
+        ["verify", "--suite", "all", "--p", "2", "--samples", "x"],
+    ],
+)
+def test_the_subparser_route_parses_as_the_top_level_parser(argv):
+    _assert_routes_agree(argv)
+
+
+def test_malformed_and_golden_argvs_parse_alike_on_both_routes():
+    golden = _golden_argvs()
+    assert all(golden.values()) and len(golden) >= 12, golden
+    for argv in MALFORMED_ARGVS + [argv for argvs in golden.values() for argv in argvs]:
+        _assert_routes_agree(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_any_drawn_argv_parses_alike_on_both_routes(argv):
+    _assert_routes_agree(argv)
+
+
+def test_a_command_name_skips_the_top_level_parser(monkeypatch):
+    argv = ["classify", "--group", "zlex:1", "--p", "2", "--as", "t(-3)"]
+    want = run_cli(argv)
+    monkeypatch.setattr(cli_mod, "_PARSER", None)
+    assert run_cli(argv) == want
+    # no argv reads the process's own arguments
+    monkeypatch.setattr(sys, "argv", ["ramify", *argv])
+    assert run_cli(None) == want
 
 
 @pytest.mark.parametrize("command", ["breaks", "construct-defect"])

@@ -120,7 +120,7 @@ def test_field_construction():
             CoeffField(not_prime)
     # no variables at all is a legal (constant) coefficient field
     empty = CoeffField(5)
-    assert empty.const(7) == empty.const(2)
+    assert empty.one * 7 == empty.one * 2
 
 
 def test_import_leaves_sympy_unloaded():
@@ -242,6 +242,83 @@ def test_an_exponent_from_another_group_is_refused(data):
     tagged = CoeffField(2, tags=(data.draw(positive_elements(foreign)),))
     with pytest.raises(ValueError, match="variable tags live in a different group"):
         constant_series(tagged, home, tagged.gens[0])
+
+
+def _built(make):
+    """(data, layout, exponent bound, t bound) of the series make() returns,
+    or the type and text of the error it raises.  Layouts are interned and
+    have no ``__eq__``, so equal results hold the identical layout."""
+    try:
+        f = make()
+    except ValueError as e:
+        return type(e), str(e)
+    return f._data, f._lay, f._eb, f._tb
+
+
+@st.composite
+def _one_term_cases(draw):
+    """(field, descriptor, gamma, coefficient): tags and exponents whose
+    denominators widen the layout over every test group, exponents past the
+    least field width, and zero and nonzero integer and Poly coefficients."""
+    descriptor = draw(descriptors)
+    p = draw(st.sampled_from([2, 3, 5]))
+    tags = draw(st.lists(positive_elements(descriptor), max_size=2, unique=True))
+    field = CoeffField(p, tags=tags, units=("u",))
+    gamma = draw(elements(descriptor))
+    monomial = st.tuples(st.integers(0, p - 1), st.sampled_from(field.gens), st.integers(0, 40)).map(
+        lambda cge: field.one * cge[0] * cge[1] ** cge[2]
+    )
+    coeff = draw(st.one_of(
+        st.integers(-2 * p, 2 * p),
+        monomial,
+        st.sampled_from([field.zero, field.one]),
+        st.tuples(monomial, monomial).map(lambda ab: ab[0] + ab[1]),
+    ))
+    return field, descriptor, gamma, coeff
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_term_cases())
+def test_one_term_series_match_the_constructor(case):
+    field, descriptor, gamma, coeff = case
+    poly = field.one * coeff if isinstance(coeff, int) else coeff
+    want = _built(lambda: SeriesElement(field, descriptor, {gamma: poly}))
+    assert _built(lambda: t_term(field, descriptor, gamma, coeff)) == want
+    assert _built(lambda: t_term(field, descriptor, gamma, poly)) == want
+    at_zero = _built(lambda: SeriesElement(field, descriptor, {zero(descriptor): poly}))
+    assert _built(lambda: constant_series(field, descriptor, coeff)) == at_zero
+    if not isinstance(coeff, int):
+        assert _built(lambda: variable_series(field, descriptor, coeff)) == at_zero
+
+
+@given(st.data())
+def test_one_term_series_refuse_what_the_constructor_refuses(data):
+    home = data.draw(descriptors)
+    foreign = data.draw(descriptors.filter(lambda d: d != home))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    field = CoeffField(p, units=("u",))
+    gamma = data.draw(elements(home))
+    others = [
+        (data.draw(elements(foreign)), field.unit_gen("u")),
+        (data.draw(elements(home, hull=True)), 1),
+        (gamma, CoeffField(p, units=("u", "w")).unit_gen("w")),
+        (gamma, CoeffField(3 if p == 2 else 2, units=("u",)).unit_gen("u")),
+    ]
+    for g, c in others:
+        poly = field.one * c if isinstance(c, int) else c
+        want = _built(lambda: SeriesElement(field, home, {g: poly}))
+        assert want[0] is ValueError
+        assert _built(lambda: t_term(field, home, g, c)) == want
+    c = CoeffField(p, units=("w",)).unit_gen("w")
+    want = _built(lambda: SeriesElement(field, home, {zero(home): c}))
+    assert want[0] is ValueError
+    assert _built(lambda: constant_series(field, home, c)) == want
+    assert _built(lambda: variable_series(field, home, c)) == want
+    tagged = CoeffField(p, tags=(data.draw(positive_elements(foreign)),))
+    want = _built(lambda: SeriesElement(tagged, home, {gamma: tagged.gens[0]}))
+    assert want == (ValueError, "variable tags live in a different group")
+    assert _built(lambda: t_term(tagged, home, gamma, tagged.gens[0])) == want
+    assert _built(lambda: constant_series(tagged, home, 1)) == want
 
 
 # -- field elements -----------------------------------------------------------------

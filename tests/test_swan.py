@@ -95,13 +95,13 @@ def test_reduce_exhausts_over_dense_group():
 
 def test_reduce_exhausts_over_quad():
     f3 = CoeffField(3)
-    f = t_term(f3, QD2, element(QD2, (-2, 1)), f3.const(2))
+    f = t_term(f3, QD2, element(QD2, (-2, 1)), 2)
     res = artin_schreier_reduce(f)
     assert res.status == "exhausted"
     assert res.iterations == 64
     # every step divides the valuation by 3, so it ends at v(f)/3^64
     assert res.f.valuation() == element(QD2, (Fraction(-2, 3 ** 64), Fraction(1, 3 ** 64)))
-    assert res.f == t_term(f3, QD2, res.f.valuation(), f3.const(2))
+    assert res.f == t_term(f3, QD2, res.f.valuation(), 2)
 
 
 def _powering_reduce(f, max_iters=64):
@@ -155,7 +155,7 @@ def _as_right_hand_sides(draw):
     # the layout and others grow its denominator by p
     tags = (element(zp, Fraction(1, p)),) if descriptor == zp and draw(st.booleans()) else ()
     field = CoeffField(p, tags=tags, units=("x", "y"))
-    x, y, c = field.unit_gen("x"), field.unit_gen("y"), field.const
+    x, y, c = field.unit_gen("x"), field.unit_gen("y"), lambda k: field.one * k
     # the p-th powers of the last two are multi-monomial, such as x^p*y^(2p) + 2*x^(2p)
     roots = st.sampled_from([field.one, c(p - 1), x, x ** 3 * y, x * y ** 2 + c(2) * x ** 2, y + c(p - 1)])
     f = constant_series(field, descriptor, 0)
@@ -204,7 +204,7 @@ def _right_hand_sides_with_integral_terms(draw):
     p = draw(st.sampled_from([2, 3, 5]))
     descriptor = draw(st.sampled_from([p_inverted(p), QD2]))
     field = CoeffField(p, units=("x", "y"))
-    x, y, c = field.unit_gen("x"), field.unit_gen("y"), field.const
+    x, y, c = field.unit_gen("x"), field.unit_gen("y"), lambda k: field.one * k
     f = constant_series(field, descriptor, 0)
     for _ in range(draw(st.integers(1, 2))):
         w = draw(elements(descriptor).filter(lambda g: sign(g) < 0))
@@ -279,7 +279,7 @@ def test_a_polar_part_that_shrinks_to_one_term_finishes_in_closed_form(monkeypat
     f = tpow(F3, Z1, -27) + tpow(F3, Z1, -9) + tpow(F3, Z1, 2)
     got, budgets = _reduce_with_budgets(monkeypatch, f)
     assert budgets == [(3, 64), (2, 63)]
-    want = ReduceResult("reduced", tpow(F3, Z1, -1, F3.const(2)) + tpow(F3, Z1, 2), "i", 3)
+    want = ReduceResult("reduced", tpow(F3, Z1, -1, 2) + tpow(F3, Z1, 2), "i", 3)
     _assert_same_reduction(got, want)
     _assert_same_reduction(got, _decoding_reduce(f))
     _assert_same_reduction(got, _powering_reduce(f))
