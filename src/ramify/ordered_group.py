@@ -33,7 +33,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 KIND_INT_LEX = "zlex"
 KIND_P_INVERTED = "zp"
@@ -331,10 +331,19 @@ def hull_element(descriptor: GroupDescriptor, raw) -> HullElement:
     return _make(descriptor, raw, hull=True)
 
 
+# the zero of each group and of each hull, made once and shared, which is
+# safe because elements are immutable; keyed by (kind, param, hull), whose
+# hash needs no Python-level call
+_ZEROS: Dict[Tuple[str, int, bool], _Element] = {}
+
+
 def zero(descriptor: GroupDescriptor, hull: bool = False):
-    kind = descriptor.kind
-    n = descriptor.param if kind == KIND_INT_LEX else 1 if kind == KIND_P_INVERTED else 2
-    return (HullElement if hull else GroupElement)(descriptor, (0,) * n, 1)
+    kind, param = descriptor.kind, descriptor.param
+    got = _ZEROS.get((kind, param, hull))
+    if got is None:
+        n = param if kind == KIND_INT_LEX else 1 if kind == KIND_P_INVERTED else 2
+        got = _ZEROS[kind, param, hull] = (HullElement if hull else GroupElement)(descriptor, (0,) * n, 1)
+    return got
 
 
 def compare(x: _Element, y: _Element) -> int:

@@ -59,7 +59,11 @@ the one key directly.
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It maps each key
 through a row of (key delta, coefficient) pairs written down from binomial
-coefficients mod p, one cached row per tagged exponent pattern.  It
+coefficients mod p, one cached row per layout and tagged exponent pattern.
+It works in f's own layout, widened only where the image needs more room,
+so f is re-packed only then and its image shares its layout otherwise.
+Every row starts with the monomial itself, (0, 1), so ``delta`` forms
+sigma(f) - f from the rest of each row without building sigma(f).  It
 preserves valuations and satisfies sigma^p = id, and norm/trace along it
 produce sigma-fixed elements; all three facts are checked by the test suite
 rather than assumed.
@@ -884,17 +888,15 @@ class SigmaSpec:
         self.field = field
         self.descriptor = descriptor
         self.p = field.p
-        # the layout sigma works in; it only grows, so that series of
-        # different scales share one table of rows
-        self._lay = _base_layout(field, descriptor)
         # each tag's largest lower t-coordinate at the base layout's den,
         # which holds every tag's denominator
-        self._den0 = self._lay.den
+        self._den0 = _base_layout(field, descriptor).den
         self._tag_bounds = tuple(_low_bound(_coords(tag, self._den0)) for tag in field.tags)
-        # per packed tagged exponents, in self._lay: the (key delta,
-        # coefficient) pairs that turn a monomial's key into its image's;
+        # per layout (interned, so the object is its key) and packed tagged
+        # exponents: the (key delta, coefficient) pairs that turn a
+        # monomial's key into its image's, the monomial's own (0, 1) first;
         # tagged exponent patterns recur constantly, so rows are cached
-        self._rows: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._rows: Dict[_Layout, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
 
     def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
         """The row of tagged monomial ``tc`` by the binomial theorem:
@@ -910,42 +912,42 @@ class SigmaSpec:
             row = [(d1 + d2, c1 * c2 % p) for d1, c1 in row for d2, c2 in terms]
         return tuple(row)
 
-    def apply(self, f: SeriesElement) -> SeriesElement:
+    def _map(self, f: SeriesElement, start: int) -> SeriesElement:
+        """Each key of f through its row from entry ``start`` on: sigma(f)
+        at start 0, and at start 1, which skips the monomial itself and
+        the tag-free keys, sigma(f) - f."""
         # the image of x_i^e moves the lower t-coordinates of a monomial by
-        # at most e times those of t^d_i, so widen once up front
-        la, lay = f._lay, self._lay
-        den = lcm(lay.den, la.den)
+        # at most e times those of t^d_i, so widen f's layout once up front
+        la = f._lay
+        den = lcm(la.den, self._den0)
         tb = f._tb * (den // la.den) + sum(map(mul, f._eb, self._tag_bounds)) * (den // self._den0)
-        lay = _layout(lay.nlow, lay.nvars, lay.ntags, den, max(lay.w, la.w), max(lay.tw, la.tw))
-        lay = _widen(lay, 1, max(f._eb, default=0), tb)
-        if lay is not self._lay:
-            self._lay, self._rows = lay, {}
-        rows = self._rows
-        data = _repack(f._data, la, lay)
+        lay = _widen(la, den, max(f._eb, default=0), tb)
+        rows = self._rows.get(lay)
+        if rows is None:
+            rows = self._rows[lay] = {}
         tag_mask = lay.tag_mask
         acc: Dict[int, int] = {}
         get = acc.get
-        for key, c in data.items():
+        for key, c in (f._data if lay is la else _repack(f._data, la, lay)).items():
             tc = key & tag_mask
             if not tc:
-                acc[key] = get(key, 0) + c
+                if not start:
+                    acc[key] = get(key, 0) + c
                 continue
             row = rows.get(tc)
             if row is None:
                 row = rows[tc] = self._row(lay, tc)
-            for delta, c2 in row:
+            for delta, c2 in row[start:]:
                 k = key + delta
                 acc[k] = get(k, 0) + c * c2
         return _packed(f.field, f.descriptor, _reduced(acc, self.p), lay, f._eb, tb)
 
+    def apply(self, f: SeriesElement) -> SeriesElement:
+        return self._map(f, 0)
+
     def delta(self, f: SeriesElement) -> SeriesElement:
-        """sigma(f) - f: f's keys, re-packed into the image's layout (which
-        holds them), subtracted from the image's in one merge."""
-        img = self.apply(f)
-        p = img.field.p
-        neg_f = _repack(f._data, f._lay, img._lay).items()
-        data = _merge(dict(img._data), ((k, p - c) for k, c in neg_f), p)
-        return _packed(img.field, img.descriptor, data, img._lay, img._eb, img._tb)
+        """sigma(f) - f, in the layout and bounds of sigma(f)."""
+        return self._map(f, 1)
 
 
 def norm(s: SigmaSpec, f):

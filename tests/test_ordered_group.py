@@ -69,6 +69,22 @@ def test_values_are_immutable_typed_and_hash_by_value():
             delattr(obj, name)
 
 
+def test_zero_is_one_shared_immutable_element_per_group_and_hull():
+    for d in (int_lex(1), int_lex(3), p_inverted(2), p_inverted(5), quadratic(2), quadratic(3)):
+        for hull, make, kind in ((False, element, GroupElement), (True, hull_element, HullElement)):
+            z = zero(d, hull)
+            assert type(z) is kind and z == make(d, (0,) * d.param if d.kind == "zlex" else 0)
+            # repeat calls, and calls with an equal descriptor built apart,
+            # return the same object
+            assert zero(d, hull) is z
+            assert zero(type(d)(d.kind, d.param), hull) is z
+            for name in ("nums", "den", "descriptor"):
+                with pytest.raises(AttributeError):
+                    setattr(z, name, getattr(z, name))
+        assert zero(d) != zero(d, hull=True)
+    assert zero(int_lex(2)) is not zero(int_lex(3)) and zero(p_inverted(2)) != zero(p_inverted(3))
+
+
 def test_coercion_validation():
     zp2 = p_inverted(2)
     with pytest.raises(ValueError):

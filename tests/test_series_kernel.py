@@ -8,12 +8,24 @@ so that binary operations must re-pack.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.ordered_group import compare, divide_exact, element, int_lex, int_scale, p_inverted, quadratic, sign
+from ramify.ordered_group import (
+    KIND_INT_LEX,
+    KIND_P_INVERTED,
+    compare,
+    divide_exact,
+    element,
+    int_lex,
+    int_scale,
+    p_inverted,
+    quadratic,
+    sign,
+)
 from ramify.series_field import (
     CoeffField,
     SeriesElement,
@@ -28,6 +40,7 @@ from ramify.series_field import (
 )
 
 from . import series_reference as ref
+from .strategies import descriptors, positive_elements
 
 ZP3 = p_inverted(3)
 Z2 = int_lex(2)
@@ -53,13 +66,14 @@ def _field(p, descriptor):
 def gammas(descriptor):
     small = st.integers(min_value=-9, max_value=9)
     low = st.one_of(small, st.sampled_from(EDGE_LOWS))
-    if descriptor == ZP3:
-        return st.builds(lambda n, j: element(ZP3, Fraction(n, 3 ** j)), st.integers(-40, 40), st.integers(0, 5))
-    if descriptor == Z2:
-        return st.builds(lambda a, b: element(Z2, (a, b)), small, low)
+    if descriptor.kind == KIND_P_INVERTED:
+        q = descriptor.param
+        return st.builds(lambda n, j: element(descriptor, Fraction(n, q ** j)), st.integers(-40, 40), st.integers(0, 5))
+    if descriptor.kind == KIND_INT_LEX:
+        return st.builds(lambda *coords: element(descriptor, coords), small, *[low] * (descriptor.param - 1))
     dens = st.sampled_from([1, 2, 3, 4, 6, 12])
     return st.builds(
-        lambda a, da, b, db: element(Q2, (Fraction(a, da), Fraction(b, db))), small, dens, low, dens
+        lambda a, da, b, db: element(descriptor, (Fraction(a, da), Fraction(b, db))), small, dens, low, dens
     )
 
 
@@ -415,15 +429,123 @@ def test_delta_is_the_image_minus_f(case, data):
     p, descriptor = case
     field = _field(p, descriptor)
     sigma = SigmaSpec(field, descriptor)
-    # a first, wide series grows sigma's layout past the later ones', and the
-    # edge exponents and low coordinates put f in layouts other than sigma's
+    # one sigma serves all three series, and the edge exponents and low
+    # coordinates put them in layouts of different widths
     for _ in range(3):
         rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2, 15, 16, 17)))
         f = _series(field, descriptor, rf)
         got, want = sigma.delta(f), sigma.apply(f) - f
         assert got == want
-        assert list(got._data.items()) == list(want._data.items())
+        # the same keys and coefficients; their storage order may differ (see
+        # test_delta_where_an_image_lands_on_a_key_of_f)
+        assert got._data == want._data
         assert (got._lay, got._eb, got._tb) == (want._lay, want._eb, want._tb)
         minus_f = {gamma: {e: p - c for e, c in poly.items()} for gamma, poly in rf.items()}
         assert ref.decode(got) == ref.add(ref.sigma(rf, field.tags, p), minus_f, p)
         assert _bounds_hold(got)
+
+
+# -- sigma across layouts ----------------------------------------------------------------------
+
+
+@st.composite
+def sigma_cases(draw):
+    """p in {2, 3, 5}, a group of ``strategies`` and a field over one or two
+    drawn tags, with one unit variable."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    descriptor = draw(descriptors)
+    tags = draw(st.lists(positive_elements(descriptor), min_size=1, max_size=2, unique=True))
+    return p, descriptor, CoeffField(p, tags=tags, units=("u",))
+
+
+def _wider(f, scale, dw, dtw):
+    """f re-packed into the layout with den * scale, w + dw and tw + dtw."""
+    lay = f._lay
+    wide = _layout(lay.nlow, lay.nvars, lay.ntags, lay.den * scale, lay.w + dw, lay.tw + dtw)
+    return _packed(f.field, f.descriptor, _repack(f._data, lay, wide), wide, f._eb, f._tb * scale)
+
+
+def _minus(r, p):
+    return {gamma: {e: p - c for e, c in poly.items()} for gamma, poly in r.items()}
+
+
+def _holds_image(f, image):
+    """Whether f's own layout holds sigma(f): the tags' denominators, f's
+    exponents and the image's lower t-coordinate bound."""
+    lay = f._lay
+    return lay.den % lcm(1, *(tag.den for tag in f.field.tags)) == 0 and lay.fits(max(f._eb, default=0), image._tb)
+
+
+@given(sigma_cases(), st.data())
+@settings(deadline=None)
+def test_sigma_agrees_across_layouts(case, data):
+    p, descriptor, field = case
+    sigma = SigmaSpec(field, descriptor)
+    for _ in range(2):
+        rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2, p, p + 1, 15, 16, 17)))
+        f = _series(field, descriptor, rf)
+        want = {"apply": ref.sigma(rf, field.tags, p)}
+        want["delta"] = ref.add(want["apply"], _minus(rf, p), p)
+        # f and f re-packed wider, apply and delta interleaved in one sigma
+        copies = [f] + [
+            _wider(f, data.draw(st.sampled_from([1, 3])), data.draw(st.integers(1, 3)), 5) for _ in range(2)
+        ]
+        calls = data.draw(st.permutations([(g, op) for g in copies for op in ("apply", "delta")]))
+        first = {}
+        for g, op in calls:
+            got = getattr(sigma, op)(g)
+            assert ref.decode(got) == want[op]
+            assert got == first.setdefault(op, got)
+            assert _bounds_hold(got)
+            # g is re-packed only when its own layout cannot hold the image
+            assert (got._lay is g._lay) == _holds_image(g, got)
+    for rows in sigma._rows.values():
+        for row in rows.values():
+            assert row[0] == (0, 1) and all(delta for delta, _ in row[1:])
+
+
+@given(sigma_cases(), st.data())
+@settings(deadline=None)
+def test_sigma_to_the_p_is_the_identity_in_every_layout(case, data):
+    p, descriptor, field = case
+    sigma = SigmaSpec(field, descriptor)
+    rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2, p, p + 1)))
+    f = _series(field, descriptor, rf)
+    for g in (f, _wider(f, 3, 1, 5), _wider(f, 1, 3, 5)):
+        h = g
+        for _ in range(p):
+            h = sigma.apply(h)
+        assert h == g == f
+        assert ref.decode(h) == rf
+
+
+def test_delta_where_an_image_lands_on_a_key_of_f():
+    # sigma(x0^2) = x0^2 + 2*x0*t + t^2 lands on t^2, which f stores first;
+    # delta adds up only the moved monomials, so it lists its keys in another
+    # order than apply(f) - f does, and is the same series
+    field = _field(3, ZP3)
+    x0 = field.gens[0]
+    f = t_term(field, ZP3, element(ZP3, 2)) + t_term(field, ZP3, element(ZP3, 0), x0 ** 2)
+    sigma = SigmaSpec(field, ZP3)
+    got = sigma.delta(f)
+    assert got == sigma.apply(f) - f
+    assert got == t_term(field, ZP3, element(ZP3, 1), x0 * 2) + t_term(field, ZP3, element(ZP3, 2))
+    assert got._lay is f._lay
+
+
+def test_sigma_widens_f_only_where_the_image_needs_room():
+    # over Z^2 with tags (1, -5) and (0, 3): x0^2 * t^(0, 2040) fits the
+    # least balanced bound 2^11, and its image's lower coordinate 2040 + 2*5
+    # does not, so sigma widens tw there and keeps it on wider copies of f
+    field = _field(3, Z2)
+    sigma = SigmaSpec(field, Z2)
+    f = t_term(field, Z2, element(Z2, (0, 2040)), field.gens[0] ** 2)
+    image = sigma.apply(f)
+    assert image._lay.tw > f._lay.tw and not _holds_image(f, image)
+    assert sigma.delta(f)._lay is image._lay
+    for g in (_wider(f, 1, 0, 5), _wider(f, 1, 1, 5)):
+        assert sigma.apply(g)._lay is g._lay and sigma.delta(g)._lay is g._lay
+        assert sigma.apply(g) == image and sigma.delta(g) == image - f
+    assert ref.decode(image) == ref.sigma(ref.decode(f), field.tags, 3)
+    # one row table per layout that sigma has worked in
+    assert set(sigma._rows) == {image._lay, _wider(f, 1, 0, 5)._lay, _wider(f, 1, 1, 5)._lay}
