@@ -59,11 +59,12 @@ the one key directly.
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
 tagged variables and sigma = id on everything else.  It maps each key
 through a row of (key delta, coefficient) pairs written down from binomial
-coefficients mod p, one cached row per layout and tagged exponent pattern.
-It works in f's own layout, widened only where the image needs more room,
-so f is re-packed only then and its image shares its layout otherwise.
-Every row starts with the monomial itself, (0, 1), so ``delta`` forms
-sigma(f) - f from the rest of each row without building sigma(f).  It
+coefficients mod p, one cached row per layout and tagged exponent pattern;
+it keeps the row tables of its last few layouts.  It works in f's own
+layout, widened only where the image needs more room, so f is re-packed
+only then and its image shares its layout otherwise.  ``delta`` subtracts
+f from sigma(f)'s sums before they are reduced, so it builds no sigma(f)
+and merges nothing, and lists its keys in the order of apply(f) - f.  It
 preserves valuations and satisfies sigma^p = id, and norm/trace along it
 produce sigma-fixed elements; all three facts are checked by the test suite
 rather than assumed.
@@ -881,6 +882,12 @@ def as_field_element(x, like: FieldElement) -> FieldElement:
     raise TypeError(f"cannot treat {type(x).__name__} as a field element")
 
 
+# the row tables one SigmaSpec keeps, one per layout; a series and its
+# norm and trace meet a handful of layouts, and a sigma whose series keep
+# widening drops its oldest table instead of growing without end
+_SIGMA_TABLES = 8
+
+
 class SigmaSpec:
     """Order-p automorphism: x_d -> x_d + t^d on tagged variables."""
 
@@ -895,7 +902,8 @@ class SigmaSpec:
         # per layout (interned, so the object is its key) and packed tagged
         # exponents: the (key delta, coefficient) pairs that turn a
         # monomial's key into its image's, the monomial's own (0, 1) first;
-        # tagged exponent patterns recur constantly, so rows are cached
+        # tagged exponent patterns recur constantly, so rows are cached, and
+        # the tables of the last _SIGMA_TABLES layouts are kept
         self._rows: Dict[_Layout, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
 
     def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
@@ -912,10 +920,10 @@ class SigmaSpec:
             row = [(d1 + d2, c1 * c2 % p) for d1, c1 in row for d2, c2 in terms]
         return tuple(row)
 
-    def _map(self, f: SeriesElement, start: int) -> SeriesElement:
-        """Each key of f through its row from entry ``start`` on: sigma(f)
-        at start 0, and at start 1, which skips the monomial itself and
-        the tag-free keys, sigma(f) - f."""
+    def _map(self, f: SeriesElement, minus_f: bool) -> SeriesElement:
+        """sigma(f), each key of f through its row; with ``minus_f``,
+        sigma(f) - f, taken from the same sums before they are reduced, so
+        in the key order of apply(f) - f."""
         # the image of x_i^e moves the lower t-coordinates of a monomial by
         # at most e times those of t^d_i, so widen f's layout once up front
         la = f._lay
@@ -924,30 +932,45 @@ class SigmaSpec:
         lay = _widen(la, den, max(f._eb, default=0), tb)
         rows = self._rows.get(lay)
         if rows is None:
+            if len(self._rows) == _SIGMA_TABLES:
+                # drop the oldest layout's table
+                old = next(iter(self._rows))
+                del self._rows[old]
             rows = self._rows[lay] = {}
-        tag_mask = lay.tag_mask
+        tag_mask, p = lay.tag_mask, self.p
+        data = f._data if lay is la else _repack(f._data, la, lay)
         acc: Dict[int, int] = {}
         get = acc.get
-        for key, c in (f._data if lay is la else _repack(f._data, la, lay)).items():
+        for key, c in data.items():
             tc = key & tag_mask
             if not tc:
-                if not start:
-                    acc[key] = get(key, 0) + c
+                acc[key] = get(key, 0) + c
                 continue
             row = rows.get(tc)
             if row is None:
                 row = rows[tc] = self._row(lay, tc)
-            for delta, c2 in row[start:]:
+            for delta, c2 in row:
                 k = key + delta
                 acc[k] = get(k, 0) + c * c2
-        return _packed(f.field, f.descriptor, _reduced(acc, self.p), lay, f._eb, tb)
+        if not minus_f:
+            return _packed(f.field, f.descriptor, _reduced(acc, p), lay, f._eb, tb)
+        # apply(f) - f appends, in f's order, the keys of f that sigma(f)
+        # cancels
+        gone = [k for k in data if not acc[k] % p]
+        for k, c in data.items():
+            acc[k] -= c
+        out = _reduced(acc, p)
+        for k in gone:
+            out[k] = out.pop(k)
+        return _packed(f.field, f.descriptor, out, lay, f._eb, tb)
 
     def apply(self, f: SeriesElement) -> SeriesElement:
-        return self._map(f, 0)
+        return self._map(f, False)
 
     def delta(self, f: SeriesElement) -> SeriesElement:
-        """sigma(f) - f, in the layout and bounds of sigma(f)."""
-        return self._map(f, 1)
+        """sigma(f) - f, in the layout, bounds and key order of
+        apply(f) - f."""
+        return self._map(f, True)
 
 
 def norm(s: SigmaSpec, f):

@@ -30,6 +30,7 @@ from ramify.series_field import (
     CoeffField,
     SeriesElement,
     SigmaSpec,
+    _SIGMA_TABLES,
     _layout,
     _packed,
     _repack,
@@ -436,9 +437,7 @@ def test_delta_is_the_image_minus_f(case, data):
         f = _series(field, descriptor, rf)
         got, want = sigma.delta(f), sigma.apply(f) - f
         assert got == want
-        # the same keys and coefficients; their storage order may differ (see
-        # test_delta_where_an_image_lands_on_a_key_of_f)
-        assert got._data == want._data
+        assert list(got._data.items()) == list(want._data.items())
         assert (got._lay, got._eb, got._tb) == (want._lay, want._eb, want._tb)
         minus_f = {gamma: {e: p - c for e, c in poly.items()} for gamma, poly in rf.items()}
         assert ref.decode(got) == ref.add(ref.sigma(rf, field.tags, p), minus_f, p)
@@ -519,18 +518,47 @@ def test_sigma_to_the_p_is_the_identity_in_every_layout(case, data):
         assert ref.decode(h) == rf
 
 
+
+def test_sigma_keeps_the_row_tables_of_its_last_layouts():
+    # f re-packed into more layouts than sigma keeps tables for: each result
+    # is still the one image, and sigma keeps the last layouts' tables
+    field = _field(3, ZP3)
+    x0, x1 = field.gens[:2]
+    f = t_term(field, ZP3, element(ZP3, 1), x0 ** 4 * x1 ** 2 + x0 + 2) + t_term(field, ZP3, element(ZP3, 3), x1 ** 5)
+    sigma = SigmaSpec(field, ZP3)
+    image = sigma.apply(f)
+    copies = [_wider(f, 1, 0, k) for k in range(1, _SIGMA_TABLES + 3)]
+    for g in copies:
+        assert sigma.apply(g)._lay is g._lay
+        assert sigma.apply(g) == image and sigma.delta(g) == image - f
+    assert list(sigma._rows) == [g._lay for g in copies[-_SIGMA_TABLES:]]
+
+
 def test_delta_where_an_image_lands_on_a_key_of_f():
     # sigma(x0^2) = x0^2 + 2*x0*t + t^2 lands on t^2, which f stores first;
-    # delta adds up only the moved monomials, so it lists its keys in another
-    # order than apply(f) - f does, and is the same series
+    # delta lists the keys of f where sigma(f) does, so in the order of
+    # apply(f) - f
     field = _field(3, ZP3)
     x0 = field.gens[0]
     f = t_term(field, ZP3, element(ZP3, 2)) + t_term(field, ZP3, element(ZP3, 0), x0 ** 2)
     sigma = SigmaSpec(field, ZP3)
-    got = sigma.delta(f)
-    assert got == sigma.apply(f) - f
+    got, want = sigma.delta(f), sigma.apply(f) - f
+    assert list(got._data.items()) == list(want._data.items())
     assert got == t_term(field, ZP3, element(ZP3, 1), x0 * 2) + t_term(field, ZP3, element(ZP3, 2))
     assert got._lay is f._lay
+
+
+def test_delta_where_sigma_cancels_a_key_of_f():
+    # f = 2*t + x0 + x0^2: the images of x0 and x0^2 bring t and t^2, and
+    # sigma(f) = x0 + x0^2 + 2*x0*t + t^2 has lost f's first key t, which
+    # apply(f) - f then appends after the moved monomials
+    field = _field(3, ZP3)
+    x0 = field.gens[0]
+    f = t_term(field, ZP3, element(ZP3, 1), field.ring.one * 2) + t_term(field, ZP3, element(ZP3, 0), x0 + x0 ** 2)
+    sigma = SigmaSpec(field, ZP3)
+    got, want = sigma.delta(f), sigma.apply(f) - f
+    assert list(got._data.items()) == list(want._data.items())
+    assert got == t_term(field, ZP3, element(ZP3, 1), x0 * 2 + 1) + t_term(field, ZP3, element(ZP3, 2))
 
 
 def test_sigma_widens_f_only_where_the_image_needs_room():
