@@ -384,9 +384,9 @@ def _suite_theorem1(args, report: Report) -> int:
 
 
 # Largest --p the series suite takes: each sample's norm is a product of p
-# conjugates.  On a shared 2-vCPU host one sample took at most 1.9 s at
-# p = 7 (seeds 0-40), but at p = 11 the norm alone took 17 and 15 s at
-# seeds 6 and 10, where it has 178582 and 146794 terms.
+# conjugates.  On a shared 2-vCPU host one sample took at most 1.5 s at
+# p = 7 (seeds 0-40), but at p = 11 the norm alone took 10-12 s at seeds 6
+# and 10, where it has 178582 and 146794 terms.
 SERIES_MAX_P = 10
 
 
@@ -483,7 +483,7 @@ def _count(text: str) -> int:
 
 
 # Largest --samples any command takes, 50 times the largest default (200):
-# one series sample at p = 7 took up to 1.9 s on a shared 2-vCPU host, so a
+# one series sample at p = 7 took up to 1.5 s on a shared 2-vCPU host, so a
 # larger count is refused before anything is sampled.
 MAX_SAMPLES = 10_000
 

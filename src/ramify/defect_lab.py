@@ -12,9 +12,21 @@ value group:
 
 The model ring is F_p[x_0, ..., x_N] tensored with the group algebra of
 Gamma, with sigma(x_i) = x_i + t^{e(i)} for a strictly decreasing sequence
-e(0) > e(1) > ... > e(N) inside the p-th root set of the target cut.  The
-checks `verify_delta_bounds` and `conductor_limit_check` confirm, sample
-by sample, that sigma moves the ring exactly as slowly as the cut demands.
+e(0) > e(1) > ... > e(N) inside the p-th root set of the target cut.  Two
+checks test one side each of the claim that sigma moves the ring exactly as
+slowly as the cut demands:
+
+* `verify_delta_bounds` tests the displacement floor on sampled elements:
+  sigma(m) - m has value at least v(m) plus the least tag in m, so sigma
+  moves the ring no faster than the cut allows;
+* `conductor_limit_check` tests cut membership against the thresholds
+  p*e(i) read off the tag sequence, and never calls sigma.
+
+Neither shows that sigma moves as fast as the cut demands: a sigma whose
+step is doubled, sigma(x_i) = x_i + t^(2*e(i)), passes both.  That sharp
+side, v(sigma(x_i) - x_i) = e(i) for each generator, only the unit tests
+check (through `separation.model_gap` of each generator, among others);
+making these checks read it is item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -57,17 +57,18 @@ and picks the same layout and bounds as ``SeriesElement(...)``, but packs
 the one key directly.
 
 ``SigmaSpec`` is the order-p automorphism with sigma(x_d) = x_d + t^d on
-tagged variables and sigma = id on everything else.  It maps each key
-through a row of (key delta, coefficient) pairs written down from binomial
-coefficients mod p, one cached row per layout and tagged exponent pattern;
-it keeps the row tables of its last few layouts.  It works in f's own
-layout, widened only where the image needs more room, so f is re-packed
-only then and its image shares its layout otherwise.  ``delta`` subtracts
-f from sigma(f)'s sums before they are reduced, so it builds no sigma(f)
-and merges nothing, and lists its keys in the order of apply(f) - f.  It
-preserves valuations and satisfies sigma^p = id, and norm/trace along it
-produce sigma-fixed elements; all three facts are checked by the test suite
-rather than assumed.
+tagged variables and sigma = id on everything else.  A row holds the
+moving part sigma(m) - m of a tagged monomial m, as (key delta,
+coefficient) pairs written down from binomial coefficients mod p, one
+cached row per layout and tagged exponent pattern; sigma keeps the row
+tables of its last few layouts.  ``apply`` adds each key of f and then the
+keys of its row; ``delta`` runs the same loop without f's own keys, so it
+builds no sigma(f) and subtracts nothing, and its key order is not part of
+its result.  Both work in f's own layout, widened only where the image
+needs more room, so f is re-packed only then and the result shares its
+layout otherwise.  sigma preserves valuations and satisfies
+sigma^p = id, and norm/trace along it produce sigma-fixed elements; all
+three facts are checked by the test suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -335,6 +336,10 @@ class _Layout:
         self.ecap = 1 << w
         self.tcap = self.half if nlow else None
         self.zeros = (0,) * nvars
+
+    def __reduce__(self):
+        # copies and pickles come back as the interned layout
+        return _layout, (self.nlow, self.nvars, self.ntags, self.den, self.w, self.tw)
 
     def fits(self, emax: int, tb: int) -> bool:
         return emax < self.ecap and (not self.nlow or tb < self.tcap)
@@ -900,16 +905,17 @@ class SigmaSpec:
         self._den0 = _base_layout(field, descriptor).den
         self._tag_bounds = tuple(_low_bound(_coords(tag, self._den0)) for tag in field.tags)
         # per layout (interned, so the object is its key) and packed tagged
-        # exponents: the (key delta, coefficient) pairs that turn a
-        # monomial's key into its image's, the monomial's own (0, 1) first;
-        # tagged exponent patterns recur constantly, so rows are cached, and
-        # the tables of the last _SIGMA_TABLES layouts are kept
+        # exponents: the (key delta, coefficient) pairs of sigma(m) - m, which
+        # turn a monomial's key into the keys it adds; tagged exponent
+        # patterns recur constantly, so rows are cached, and the tables of
+        # the last _SIGMA_TABLES layouts are kept
         self._rows: Dict[_Layout, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
 
     def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
         """The row of tagged monomial ``tc`` by the binomial theorem:
         sigma(x_i^e) = sum_j C(e, j) x_i^(e-j) t^(j*d_i), and a product of
-        tagged variables takes the product of their sums."""
+        tagged variables takes the product of their sums.  The product's
+        first pair is the monomial's own (0, 1), which the row leaves out."""
         p, row = self.p, [(0, 1)]
         for i, e in enumerate(lay.mono_exps(tc)[: lay.ntags]):
             if not e:
@@ -918,12 +924,11 @@ class SigmaSpec:
             step = (lay.t_code(_coords(self.field.tags[i], lay.den)) << lay.shift) - (1 << lay.offsets[i])
             terms = [(j * step, c) for j in range(e + 1) if (c := comb(e, j) % p)]
             row = [(d1 + d2, c1 * c2 % p) for d1, c1 in row for d2, c2 in terms]
-        return tuple(row)
+        return tuple(row[1:])
 
-    def _map(self, f: SeriesElement, minus_f: bool) -> SeriesElement:
-        """sigma(f), each key of f through its row; with ``minus_f``,
-        sigma(f) - f, taken from the same sums before they are reduced, so
-        in the key order of apply(f) - f."""
+    def _map(self, f: SeriesElement, moved_only: bool) -> SeriesElement:
+        """sigma(f): each key of f, then the keys its row adds; with
+        ``moved_only``, sigma(f) - f, the same loop without f's own keys."""
         # the image of x_i^e moves the lower t-coordinates of a monomial by
         # at most e times those of t^d_i, so widen f's layout once up front
         la = f._lay
@@ -937,14 +942,15 @@ class SigmaSpec:
                 old = next(iter(self._rows))
                 del self._rows[old]
             rows = self._rows[lay] = {}
-        tag_mask, p = lay.tag_mask, self.p
+        tag_mask = lay.tag_mask
         data = f._data if lay is la else _repack(f._data, la, lay)
         acc: Dict[int, int] = {}
         get = acc.get
         for key, c in data.items():
+            if not moved_only:
+                acc[key] = get(key, 0) + c
             tc = key & tag_mask
             if not tc:
-                acc[key] = get(key, 0) + c
                 continue
             row = rows.get(tc)
             if row is None:
@@ -952,24 +958,14 @@ class SigmaSpec:
             for delta, c2 in row:
                 k = key + delta
                 acc[k] = get(k, 0) + c * c2
-        if not minus_f:
-            return _packed(f.field, f.descriptor, _reduced(acc, p), lay, f._eb, tb)
-        # apply(f) - f appends, in f's order, the keys of f that sigma(f)
-        # cancels
-        gone = [k for k in data if not acc[k] % p]
-        for k, c in data.items():
-            acc[k] -= c
-        out = _reduced(acc, p)
-        for k in gone:
-            out[k] = out.pop(k)
-        return _packed(f.field, f.descriptor, out, lay, f._eb, tb)
+        return _packed(f.field, f.descriptor, _reduced(acc, self.p), lay, f._eb, tb)
 
     def apply(self, f: SeriesElement) -> SeriesElement:
         return self._map(f, False)
 
     def delta(self, f: SeriesElement) -> SeriesElement:
-        """sigma(f) - f, in the layout, bounds and key order of
-        apply(f) - f."""
+        """sigma(f) - f, in the layout and bounds of apply(f) - f.  Its key
+        order is not part of the result."""
         return self._map(f, True)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ramify.cuts import open_cut, principal_cut
+from ramify.cuts import Surd, open_cut, principal_cut
 from ramify.defect_lab import build_defect_model
 from ramify.ordered_group import (
     element,
@@ -12,6 +12,7 @@ from ramify.ordered_group import (
     int_lex,
     int_scale,
     p_inverted,
+    quadratic,
     to_hull,
 )
 from ramify.separation import (
@@ -28,6 +29,9 @@ from .strategies import descriptors, positive_elements
 
 Z1 = int_lex(1)
 ZP2 = p_inverted(2)
+ZP3 = p_inverted(3)
+ZP5 = p_inverted(5)
+Q2 = quadratic(2)
 
 
 def test_gap_datum_validation():
@@ -100,14 +104,27 @@ def test_equal_gaps_bound_matches_threshold_power(data, p):
 # -- gaps read off a defect model -----------------------------------------------------
 
 
-def test_model_gap_of_generators():
-    m = build_defect_model(ZP2, 2, open_cut(ZP2, element(ZP2, 1)), depth=3)
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "descriptor, p, bound",
+    [
+        (ZP2, 2, element(ZP2, 1)),
+        (ZP3, 3, Surd(Fraction(1, 2), 1, 2)),
+        (ZP5, 5, element(ZP5, 1)),
+        (Q2, 2, element(Q2, (1, 1))),
+        (Q2, 3, element(Q2, (1, 1))),
+    ],
+    ids=["zp2", "zp3-surd", "zp5", "quad2-p2", "quad2-p3"],
+)
+def test_model_gap_of_generators(descriptor, p, bound, depth):
+    # sigma(x_i) - x_i = t^e(i) exactly, for every generator of the model
+    m = build_defect_model(descriptor, p, open_cut(descriptor, bound), depth=depth)
     for i, e in enumerate(m.e_seq):
-        x = variable_series(m.field, ZP2, m.field.gens[i])
+        x = variable_series(m.field, descriptor, m.field.gens[i])
         assert model_gap(m, x) == e
     # a product moves by the smaller tag
-    x0 = variable_series(m.field, ZP2, m.field.gens[0])
-    x1 = variable_series(m.field, ZP2, m.field.gens[1])
+    x0 = variable_series(m.field, descriptor, m.field.gens[0])
+    x1 = variable_series(m.field, descriptor, m.field.gens[1])
     assert model_gap(m, x0 + x1) == m.e_seq[1]
     assert model_gap(m, x0 * x1) == m.e_seq[1]
 

@@ -7,6 +7,8 @@ sides of the balanced 2^11 bound, and operands whose denominators differ,
 so that binary operations must re-pack.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from math import lcm
 
@@ -14,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut
 from ramify.ordered_group import (
     KIND_INT_LEX,
     KIND_P_INVERTED,
     compare,
     divide_exact,
     element,
+    hull_element,
     int_lex,
     int_scale,
     p_inverted,
@@ -437,7 +441,6 @@ def test_delta_is_the_image_minus_f(case, data):
         f = _series(field, descriptor, rf)
         got, want = sigma.delta(f), sigma.apply(f) - f
         assert got == want
-        assert list(got._data.items()) == list(want._data.items())
         assert (got._lay, got._eb, got._tb) == (want._lay, want._eb, want._tb)
         minus_f = {gamma: {e: p - c for e, c in poly.items()} for gamma, poly in rf.items()}
         assert ref.decode(got) == ref.add(ref.sigma(rf, field.tags, p), minus_f, p)
@@ -498,9 +501,10 @@ def test_sigma_agrees_across_layouts(case, data):
             assert _bounds_hold(got)
             # g is re-packed only when its own layout cannot hold the image
             assert (got._lay is g._lay) == _holds_image(g, got)
+    # a row holds only sigma(m) - m: no pair leaves the key where it is
     for rows in sigma._rows.values():
         for row in rows.values():
-            assert row[0] == (0, 1) and all(delta for delta, _ in row[1:])
+            assert all(delta for delta, _ in row)
 
 
 @given(sigma_cases(), st.data())
@@ -535,29 +539,28 @@ def test_sigma_keeps_the_row_tables_of_its_last_layouts():
 
 
 def test_delta_where_an_image_lands_on_a_key_of_f():
-    # sigma(x0^2) = x0^2 + 2*x0*t + t^2 lands on t^2, which f stores first;
-    # delta lists the keys of f where sigma(f) does, so in the order of
-    # apply(f) - f
+    # sigma(x0^2) = x0^2 + 2*x0*t + t^2 lands on t^2, which f stores first,
+    # and delta adds the moved monomials alone
     field = _field(3, ZP3)
     x0 = field.gens[0]
     f = t_term(field, ZP3, element(ZP3, 2)) + t_term(field, ZP3, element(ZP3, 0), x0 ** 2)
     sigma = SigmaSpec(field, ZP3)
     got, want = sigma.delta(f), sigma.apply(f) - f
-    assert list(got._data.items()) == list(want._data.items())
+    assert got == want
     assert got == t_term(field, ZP3, element(ZP3, 1), x0 * 2) + t_term(field, ZP3, element(ZP3, 2))
     assert got._lay is f._lay
 
 
 def test_delta_where_sigma_cancels_a_key_of_f():
     # f = 2*t + x0 + x0^2: the images of x0 and x0^2 bring t and t^2, and
-    # sigma(f) = x0 + x0^2 + 2*x0*t + t^2 has lost f's first key t, which
-    # apply(f) - f then appends after the moved monomials
+    # sigma(f) = x0 + x0^2 + 2*x0*t + t^2 has lost f's first key t; delta
+    # adds only the moved parts t and 2*x0*t + t^2, which hold it again
     field = _field(3, ZP3)
     x0 = field.gens[0]
     f = t_term(field, ZP3, element(ZP3, 1), field.ring.one * 2) + t_term(field, ZP3, element(ZP3, 0), x0 + x0 ** 2)
     sigma = SigmaSpec(field, ZP3)
     got, want = sigma.delta(f), sigma.apply(f) - f
-    assert list(got._data.items()) == list(want._data.items())
+    assert got == want
     assert got == t_term(field, ZP3, element(ZP3, 1), x0 * 2 + 1) + t_term(field, ZP3, element(ZP3, 2))
 
 
@@ -577,3 +580,37 @@ def test_sigma_widens_f_only_where_the_image_needs_room():
     assert ref.decode(image) == ref.sigma(ref.decode(f), field.tags, 3)
     # one row table per layout that sigma has worked in
     assert set(sigma._rows) == {image._lay, _wider(f, 1, 0, 5)._lay, _wider(f, 1, 1, 5)._lay}
+
+
+# -- copies ------------------------------------------------------------------------------------
+
+
+def test_copies_are_equal_and_keep_the_interned_layout():
+    duplicates = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    # groups, elements, hull points, surds and cuts come back equal and of
+    # the same type
+    half_root_two = Surd(Fraction(1, 2), 1, 2)
+    values = [
+        ZP3, Z2, Q2,
+        element(ZP3, Fraction(-2, 9)), element(Z2, (1, -5)), element(Q2, (Fraction(1, 2), -1)),
+        hull_element(ZP3, Fraction(1, 2)), hull_element(Z2, (0, Fraction(1, 3))),
+        half_root_two,
+        open_cut(ZP3, element(ZP3, 1)), open_cut(ZP3, half_root_two), principal_cut(hull_element(Q2, (1, 1))),
+        frontier_cut(Z2, (0,), over_hull=True),
+    ]
+    for x in values:
+        for dup in duplicates:
+            y = dup(x)
+            assert type(y) is type(x) and y == x
+    # a series' copies equal it and share its layout, which is interned, so
+    # one sigma keeps one row table for f and all its copies
+    field = _field(3, ZP3)
+    x0, x1 = field.gens[:2]
+    f = t_term(field, ZP3, element(ZP3, -2), x0 ** 2 * x1 + field.unit_gen("u")) + t_term(field, ZP3, element(ZP3, 1), x1)
+    sigma = SigmaSpec(field, ZP3)
+    image = sigma.apply(f)
+    for dup in duplicates:
+        g = dup(f)
+        assert g == f and g._lay is f._lay
+        assert sigma.apply(g) == image and sigma.delta(g) == image - f
+    assert list(sigma._rows) == [f._lay]
