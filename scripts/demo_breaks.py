@@ -12,7 +12,6 @@ Run from the repository root:
 """
 
 import argparse
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -27,36 +26,27 @@ from ramify.literals import format_cut, format_element
 from ramify.ordered_group import GroupDescriptor, element, hull_element, in_group, p_inverted
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    descriptor: GroupDescriptor
-    p: int
-    depth: int
-    bounds: Tuple[Fraction, ...]
-    irrational: bool
-
-
-def sweep(config: SweepConfig) -> None:
+def sweep(descriptor: GroupDescriptor, p: int, depth: int, bounds: Tuple[Fraction, ...], irrational: bool) -> None:
     rows = []
     # a bound outside the group has no witness; it is named once and skipped
-    outside = [b for b in config.bounds if not in_group(hull_element(config.descriptor, b))]
-    for b in config.bounds:
+    outside = [b for b in bounds if not in_group(hull_element(descriptor, b))]
+    for b in bounds:
         if b in outside:
             continue
-        g = element(config.descriptor, b)
+        g = element(descriptor, b)
         for variant in (VARIANT_CLOSED, VARIANT_OPEN):
-            w = break_witness(config.descriptor, config.p, g, variant, depth=config.depth)
+            w = break_witness(descriptor, p, g, variant, depth=depth)
             rows.append((format_element(g), variant, w))
-    if config.irrational:
+    if irrational:
         s = Surd(0, 1, 2)
-        w = break_witness(config.descriptor, config.p, s, VARIANT_OPEN_IRRATIONAL, depth=config.depth)
+        w = break_witness(descriptor, p, s, VARIANT_OPEN_IRRATIONAL, depth=depth)
         rows.append(("sqrt(2)", VARIANT_OPEN_IRRATIONAL, w))
 
     bw = max((len(r[0]) for r in rows), default=len("bound"))
     vw = max((len(r[1]) for r in rows), default=len("variant"))
-    print(f"group {config.descriptor}, p = {config.p}, depth = {config.depth}")
+    print(f"group {descriptor}, p = {p}, depth = {depth}")
     if outside:
-        print(f"skipped bounds outside {config.descriptor}: {', '.join(map(str, outside))}")
+        print(f"skipped bounds outside {descriptor}: {', '.join(map(str, outside))}")
     print(f"{'bound'.ljust(bw)}  {'variant'.ljust(vw)}  {'break'.ljust(16)}  principal  defect")
     for name, variant, w in rows:
         print(
@@ -83,7 +73,7 @@ def main() -> None:
     try:
         descriptor = p_inverted(args.p)
         bounds = tuple(Fraction(b) for b in args.bounds.split(","))
-        sweep(SweepConfig(descriptor, args.p, args.depth, bounds, not args.no_irrational))
+        sweep(descriptor, args.p, args.depth, bounds, not args.no_irrational)
     except ValueError as e:
         parser.error(str(e))
 

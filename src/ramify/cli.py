@@ -8,13 +8,12 @@ diagnostic names the offending token), 1 a theorem-level check failed.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cuts import Cut, Surd, open_cut
+from .cuts import Cut, Surd, open_cut, principal_cut
 from .defect_lab import (
     DeltaBoundError,
     VARIANT_CLOSED,
@@ -51,7 +50,6 @@ from .sampling import (
     random_hull_ideal,
     random_model_series,
     random_positive_element,
-    random_principal_hull_ideal,
 )
 from .separation import GapDatum, connectivity_threshold, separation_bound
 from .series_field import norm_trace_laws, valuation_laws
@@ -89,16 +87,6 @@ class Report:
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-def _seed_from(args) -> int:
-    env = os.environ.get("RAMIFY_SEED")
-    if env is not None:
-        try:
-            return _integer(env)
-        except argparse.ArgumentTypeError as e:
-            raise InputError(f"RAMIFY_SEED: {e}")
-    return args.seed
 
 
 def _emit_swan(report: Report, data: SwanData, p: int) -> None:
@@ -215,7 +203,7 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     report.kv("defect", model.swan.defect)
     report.kv("break", format_cut(break_of(model.swan.conductor)))
 
-    rng = random.Random(_seed_from(args))
+    rng = random.Random(args.seed)
     try:
         delta_report = verify_delta_bounds(model, samples=args.samples, rng=rng)
     except DeltaBoundError as e:
@@ -247,7 +235,7 @@ def _cmd_demo_br10(args) -> Tuple[Report, int]:
     pair = twin_pair(descriptor, args.p, b, depth=args.depth)
     H1 = pair.ramified.swan.conductor
     H2 = pair.defect.swan.conductor
-    rng = random.Random(_seed_from(args))
+    rng = random.Random(args.seed)
     report = Report()
     report.section("br10")
     report.kv("H1", format_cut(H1))
@@ -255,7 +243,7 @@ def _cmd_demo_br10(args) -> Tuple[Report, int]:
     rows = []
     agreements = 0
     for _ in range(args.samples):
-        ideal = random_principal_hull_ideal(rng, descriptor)
+        ideal = principal_cut(random_positive_element(rng, descriptor, hull=True))
         im1, im2 = galois_image(H1, ideal), galois_image(H2, ideal)
         rows.append((format_cut(ideal), im1, im2))
         if im1 == im2:
@@ -333,11 +321,11 @@ def _suite_claim2(args, report: Report) -> int:
     cut = (
         parse_cut(args.cut, descriptor, hull=False)
         if args.cut
-        else open_cut(descriptor, random_positive_element(random.Random(_seed_from(args) + 1), descriptor, span=6))
+        else open_cut(descriptor, random_positive_element(random.Random(args.seed + 1), descriptor, span=6))
     )
     try:
         model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
-        delta_report = verify_delta_bounds(model, samples=args.samples, rng=random.Random(_seed_from(args)))
+        delta_report = verify_delta_bounds(model, samples=args.samples, rng=random.Random(args.seed))
     except DeltaBoundError as e:
         report.kv("failures", 1)
         report.kv("detail", str(e))
@@ -353,7 +341,7 @@ def _suite_claim2(args, report: Report) -> int:
 
 def _suite_limits(args, report: Report) -> int:
     descriptor = parse_group(args.group) if args.group else p_inverted(args.p)
-    rng = random.Random(_seed_from(args))
+    rng = random.Random(args.seed)
     cut = (
         parse_cut(args.cut, descriptor, hull=False)
         if args.cut
@@ -370,7 +358,7 @@ def _suite_limits(args, report: Report) -> int:
 
 
 def _suite_theorem1(args, report: Report) -> int:
-    rng = random.Random(_seed_from(args))
+    rng = random.Random(args.seed)
     groups = [int_lex(1), int_lex(2), int_lex(3), p_inverted(2), p_inverted(3), quadratic(2)]
     failures, trials = [], 0
     while trials < args.samples:
@@ -391,7 +379,7 @@ SERIES_MAX_P = 10
 
 
 def _suite_series(args, report: Report) -> int:
-    rng = random.Random(_seed_from(args))
+    rng = random.Random(args.seed)
     descriptor = p_inverted(args.p)
     model = build_defect_model(descriptor, args.p, open_cut(descriptor, element(descriptor, 1)), depth=args.depth)
     failures: List[str] = []
@@ -453,10 +441,10 @@ def _cmd_verify(args) -> Tuple[Report, int]:
 
 
 def _integer(text: str) -> int:
-    """The one reader of integer flags and RAMIFY_SEED: int(text), with the
-    digits counted against literals.MAX_DIGITS first, so that a longer value
-    is refused the same way whatever the interpreter's int-string limit, by
-    a message that names the cap and does not echo the value."""
+    """The one reader of integer flags: int(text), with the digits counted
+    against literals.MAX_DIGITS first, so that a longer value is refused the
+    same way whatever the interpreter's int-string limit, by a message that
+    names the cap and does not echo the value."""
     if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"numbers have at most {MAX_DIGITS} digits")
     try:
@@ -506,7 +494,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     def common(sp, seed=False, p_required=True):
         sp.add_argument("--p", type=_prime, required=p_required, help="the residue characteristic")
         if seed:
-            sp.add_argument("--seed", type=_integer, default=0, help="RNG seed (RAMIFY_SEED overrides)")
+            sp.add_argument("--seed", type=_integer, default=0, help="RNG seed")
 
     sp = sub.add_parser("classify", help="conductor data of one extension")
     sp.add_argument("--group", required=True)

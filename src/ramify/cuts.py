@@ -46,6 +46,7 @@ from .ordered_group import (
     _Element,
     _den_in_group,
     _frozen,
+    _int_only,
     _is_squarefree_nonsquare,
     _over_one_den,
     _point,
@@ -345,18 +346,17 @@ class Cut:
         inclusive = self.inclusive and other.inclusive if u1 == u2 else (self if u1 > u2 else other).inclusive
         return Cut._make(self.descriptor, self.over_hull, self.value.add(other.value), inclusive)
 
-    def __mul__(self, other: "Cut") -> "Cut":
-        return self.multiply(other)
-
     def power(self, n: int) -> "Cut":
-        if n < 1:
+        if type(n) is not int or n < 1:
+            _int_only(n)
             raise ValueError("ideal powers need n >= 1")
         # n-fold multiply scales the boundary and keeps its width and flag
         return Cut._make(self.descriptor, self.over_hull, self.value.scale(n), self.inclusive)
 
     def pth_root_set(self, p: int) -> "Cut":
         """The cut { x : p*x in self }, boundary divided by p."""
-        if p < 2:
+        if type(p) is not int or p < 2:
+            _int_only(p)
             raise ValueError("need p >= 2")
         return Cut._make(self.descriptor, self.over_hull, self.value.divide(p), self.inclusive)
 
@@ -411,22 +411,18 @@ def principal_cut(gamma: _Element) -> Cut:
     return Cut._make(gamma.descriptor, isinstance(gamma, HullElement), _value_of(gamma), True)
 
 
-def open_cut(descriptor: GroupDescriptor, bound, over_hull: bool = False) -> Cut:
-    """The cut { x : x > bound }.  The bound may be an element of the same
-    space, a Surd (dense groups, possibly irrational), or a full coordinate
-    tuple for ``int_lex``; a shorter prefix is a `frontier_cut`."""
+def open_cut(descriptor: GroupDescriptor, bound: Union[_Element, Surd], over_hull: bool = False) -> Cut:
+    """The cut { x : x > bound }.  The bound is a point of the group or
+    its hull, or a Surd (dense groups, possibly irrational); a short
+    lexicographic prefix is a `frontier_cut`."""
     if isinstance(bound, _Element):
         if bound.descriptor != descriptor:
             raise ValueError(f"group mismatch: {descriptor} vs {bound.descriptor}")
         value = _value_of(bound)
     elif isinstance(bound, Surd):
         value = bound
-    elif descriptor.kind == KIND_INT_LEX:
-        value = _Prefix(*_over_one_den(bound))
-        if 1 <= len(value.nums) < descriptor.param:
-            raise ValueError("a short bound needs a side; use frontier_cut")
     else:
-        value = Surd(bound)
+        raise TypeError(f"an open cut's bound is a point or a Surd, got {type(bound).__name__}")
     return Cut._make(descriptor, over_hull, value, False)
 
 

@@ -77,7 +77,6 @@ class PrincipalCase(NamedTuple):
 
     f: SeriesElement
     swan: SwanData
-    field: CoeffField
 
 
 def build_principal_case(descriptor: GroupDescriptor, p: int, c: GroupElement) -> PrincipalCase:
@@ -99,7 +98,7 @@ def build_principal_case(descriptor: GroupDescriptor, p: int, c: GroupElement) -
     swan = classify_equal_char(f)
     if swan.conductor != principal_cut(c):
         raise RuntimeError("classification disagrees with the construction")
-    return PrincipalCase(f, swan, field)
+    return PrincipalCase(f, swan)
 
 
 # -- grid sequences converging to the root-set bound ---------------------------
@@ -264,6 +263,7 @@ def verify_delta_bounds(model: DefectModel, samples: int = 200, rng: Optional[ra
 STATUS_WITNESSED = "witnessed"
 STATUS_BELOW_ALL = "below-all"
 STATUS_UNRESOLVED = "unresolved"
+LIMIT_QUERIES = 50  # `limit_queries` fills its thresholds out to this many queries
 
 
 class LimitEntry(NamedTuple):
@@ -312,10 +312,10 @@ def conductor_limit_check(model: DefectModel, queries: Sequence[GroupElement]) -
     return LimitReport(ok, tuple(entries))
 
 
-def limit_queries(model: DefectModel, rng: random.Random, count: int = 50) -> List[GroupElement]:
+def limit_queries(model: DefectModel, rng: random.Random) -> List[GroupElement]:
     """The thresholds p*e(i) of `model`, filled out with random positive elements."""
     qs = [int_scale(model.p, e) for e in model.e_seq]
-    while len(qs) < count:
+    while len(qs) < LIMIT_QUERIES:
         qs.append(random_positive_element(rng, model.descriptor, span=6))
     return qs
 

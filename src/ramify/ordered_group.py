@@ -65,9 +65,18 @@ def echo(value, quote: bool = False) -> str:
     return f"{shown(text[:ECHO_CHARS])}... ({len(text)} characters)"
 
 
-# both tests are cached, so each distinct parameter is trial-divided once
-@lru_cache(maxsize=256)
+def _int_only(n) -> None:
+    """Refuse anything but an int, bool included: a float, Fraction or bool
+    would pass a range or divisibility test as its value."""
+    if type(n) is not int:
+        raise TypeError(f"expected an integer, got {type(n).__name__}")
+
+
+# both tests are cached, so each distinct parameter is trial-divided once;
+# typed, so that 3.0 or True is not a hit for 3 or 1 and reaches the check
+@lru_cache(maxsize=256, typed=True)
 def _is_prime(n: int) -> bool:
+    _int_only(n)
     if n < 2:
         return False
     if n > TRIAL_DIVISION_CAP:
@@ -80,8 +89,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _is_squarefree_nonsquare(d: int) -> bool:
+    _int_only(d)
     if d < 2:
         return False
     if d > TRIAL_DIVISION_CAP:
@@ -113,7 +123,8 @@ class GroupDescriptor:
 
     def __init__(self, kind: str, param: int) -> None:
         if kind == KIND_INT_LEX:
-            if not 1 <= param <= MAX_RANK:
+            if type(param) is not int or not 1 <= param <= MAX_RANK:
+                _int_only(param)
                 raise ValueError(f"lexicographic rank must be between 1 and {MAX_RANK}, got {echo(param)}")
         elif kind == KIND_P_INVERTED:
             if not _is_prime(param):

@@ -105,10 +105,6 @@ def random_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
     return open_cut(descriptor, g, over_hull=True)
 
 
-def random_principal_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
-    return principal_cut(random_positive_element(rng, descriptor, hull=True))
-
-
 def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
     """The base q of a defect model's grid levels (1/q^j) * Z: the prime that
     Z[1/q] inverts, else p."""

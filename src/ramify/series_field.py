@@ -750,8 +750,11 @@ class SeriesElement:
 
 
 def _check_ring(field: CoeffField, coeff: Poly) -> None:
-    """Refuse a polynomial from a ring with another p or other variable
-    names: its exponents would be misread against the field's variables."""
+    """Refuse a coefficient that is not a ``Poly``, and a polynomial from a
+    ring with another p or other variable names: its exponents would be
+    misread against the field's variables."""
+    if not isinstance(coeff, Poly):
+        raise TypeError(f"a series coefficient must be a Poly, got {type(coeff).__name__}")
     ring = coeff.ring
     if ring is not field.ring and (ring.p != field.p or ring.names != field.ring.names):
         raise ValueError(

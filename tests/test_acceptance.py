@@ -30,7 +30,6 @@ from ramify.sampling import (
     random_hull_ideal,
     random_model_series,
     random_positive_element,
-    random_principal_hull_ideal,
 )
 from ramify.series_field import (
     CoeffField,
@@ -214,7 +213,7 @@ def test_criterion_06_twin_pair_principal_blindness():
         rng = random.Random(60)
         agreements = 0
         for _ in range(120):
-            ideal = random_principal_hull_ideal(rng, ZP2)
+            ideal = principal_cut(random_positive_element(rng, ZP2, hull=True))
             if galois_image(H1, ideal) == galois_image(H2, ideal):
                 agreements += 1
         c.check(agreements == 120, f"only {agreements}/120 principal agreements")

@@ -18,11 +18,12 @@ from ramify.cli import run
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut
 from ramify.defect_lab import DeltaBoundError, build_defect_model, build_principal_case
 from ramify.literals import format_cut, format_element, parse_cut, parse_element, parse_group, parse_series
-from ramify.ordered_group import MAX_RANK, element, hull_element, int_lex, p_inverted, quadratic
+from ramify.ordered_group import MAX_RANK, divide_exact, element, hull_element, int_lex, p_inverted, quadratic
 from ramify.series_field import CoeffField, SeriesElement, t_term, variable_series
 from ramify.swan import artin_schreier_reduce, break_of
 
 from . import scanner_reference
+from .test_defect_lab import _with_tags
 from .strategies import descriptors, elements, group_cuts, hull_ideals
 
 Z1 = int_lex(1)
@@ -551,8 +552,7 @@ failures: 0
     "p, samples, seed, expected",
     [("2", "60", "5", VERIFY_ALL_P2), ("3", "20", "1", VERIFY_ALL_P3)],
 )
-def test_verify_all_golden(monkeypatch, p, samples, seed, expected):
-    monkeypatch.delenv("RAMIFY_SEED", raising=False)
+def test_verify_all_golden(p, samples, seed, expected):
     code, out, err = run_cli(["verify", "--suite", "all", "--p", p, "--samples", samples, "--seed", seed])
     assert (code, out, err) == (0, expected, "")
 
@@ -569,9 +569,8 @@ failures: 0
 """
 
 
-def test_verify_claim2_over_quad_golden(monkeypatch):
+def test_verify_claim2_over_quad_golden():
     # the displacement floors over Q + Q*sqrt(2) are compared by quad_sign
-    monkeypatch.delenv("RAMIFY_SEED", raising=False)
     argv = ["verify", "--suite", "claim2", "--group", "quad:2", "--cut", "gt quad(1,1)", "--p", "3", "--samples", "200", "--seed", "0"]
     assert run_cli(argv) == (0, VERIFY_CLAIM2_QUAD, "")
 
@@ -740,28 +739,18 @@ _LONG = "1" + "0" * 4999
         ("--degree", ["separation", "--p", "2", "--gaps", "q(1),q(2)", "--degree", _LONG]),
     ],
 )
-def test_long_integer_flags_are_refused_whatever_the_int_digit_limit(flag, argv, monkeypatch):
+def test_long_integer_flags_are_refused_whatever_the_int_digit_limit(flag, argv):
     # one reader for every integer flag: the same exit and message at the
     # default limit and with it lifted, naming the cap and not echoing the value
-    monkeypatch.delenv("RAMIFY_SEED", raising=False)
     for code, out, err in _at_both_int_digit_limits(argv):
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument {flag}: numbers have at most {literals.MAX_DIGITS} digits\n")
         assert "0" * 50 not in err
 
 
-def test_a_long_ramify_seed_is_refused_whatever_the_int_digit_limit(monkeypatch):
+def test_a_seed_at_the_digit_cap_is_read():
     argv = ["construct-defect", "--group", "zp:2", "--p", "2", "--cut", "gt q(1)", "--samples", "1"]
-    monkeypatch.setenv("RAMIFY_SEED", _LONG)
-    for result in _at_both_int_digit_limits(argv):
-        assert result == (2, "", f"error: RAMIFY_SEED: numbers have at most {literals.MAX_DIGITS} digits\n")
-    # a seed of exactly MAX_DIGITS digits is read, from the flag and from the variable
-    at_cap = "9" * literals.MAX_DIGITS
-    monkeypatch.setenv("RAMIFY_SEED", at_cap)
-    from_env = run_cli(argv)
-    assert from_env[0] == 0
-    monkeypatch.delenv("RAMIFY_SEED")
-    assert run_cli(argv + ["--seed", at_cap]) == from_env
+    assert run_cli(argv + ["--seed", "9" * literals.MAX_DIGITS])[0] == 0
 
 
 _NINES = "9" * literals.MAX_DIGITS
@@ -797,18 +786,13 @@ def test_a_separation_bound_past_the_digit_cap_is_refused_whatever_the_int_digit
         (["classify", "--group", "quad:{}", "--p", "2", "--as", "t(-1)"], "-" + _NINES),
     ],
 )
-def test_long_flag_values_are_not_echoed_in_full(argv, refused, monkeypatch):
+def test_long_flag_values_are_not_echoed_in_full(argv, refused):
     # a value is quoted up to ordered_group.ECHO_CHARS characters, with its
     # length; argparse's usage text (up to 240 bytes) comes on top
-    monkeypatch.delenv("RAMIFY_SEED", raising=False)
     for value in filter(None, ("x" * 20000, "9" * 20000, refused)):
         code, out, err = run_cli([a.replace("{}", value) for a in argv])
         assert (code, out) == (2, "")
         assert len(err.splitlines()[-1].encode()) < 200 and len(err.encode()) < 440, err[-300:]
-    if "--seed" in argv:  # RAMIFY_SEED goes through the same reader
-        monkeypatch.setenv("RAMIFY_SEED", "x" * 20000)
-        code, _, err = run_cli(["verify", "--suite", "series", "--p", "2", "--samples", "1"])
-        assert (code, err) == (2, f"error: RAMIFY_SEED: expected an integer, found '{'x' * 40}'... (20000 characters)\n")
 
 
 def test_short_flag_values_are_echoed_whole():
@@ -901,7 +885,7 @@ def test_samples_above_the_cap_are_refused_before_sampling(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("sampled despite the cap")
 
-    for name in ("verify_delta_bounds", "random_model_series", "random_principal_hull_ideal", "build_defect_model"):
+    for name in ("verify_delta_bounds", "random_model_series", "random_positive_element", "build_defect_model"):
         monkeypatch.setattr(cli_mod, name, boom)
     over = str(cli_mod.MAX_SAMPLES + 1)
     for argv in (
@@ -1022,6 +1006,70 @@ def test_exit_1_when_a_verify_law_fails(monkeypatch, suite):
     code, out, _ = run_cli(["verify", "--suite", suite, "--p", "2", "--samples", "5"])
     assert code == 1
     assert int(re.search(r"^failures: (\d+)$", out, re.M).group(1)) > 0
+
+
+DEMO_BR10_FAILED = """\
+[br10]
+H1: ge q(2)
+H2: ge q(2)
+samples: 3
+agreements: 3
+divergence_at: gt q(2)
+image1_at_divergence: trivial
+image2_at_divergence: trivial
+check: FAILED
+"""
+
+
+def test_demo_br10_fails_when_the_twins_agree_at_the_divergence(monkeypatch):
+    # with the defect side replaced by the ramified one, the open hull ideal
+    # at p*b no longer tells the two conductors apart
+    twins = cli_mod.twin_pair
+
+    def alike(*args, **kwargs):
+        pair = twins(*args, **kwargs)
+        pair.defect = pair.ramified
+        return pair
+
+    monkeypatch.setattr(cli_mod, "twin_pair", alike)
+    argv = ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1", "--samples", "3", "--format", "kv"]
+    assert run_cli(argv) == (1, DEMO_BR10_FAILED, "")
+
+
+def test_verify_claim2_reports_a_broken_floor(monkeypatch):
+    # sigma(x_i) = x_i + t^(d_i / 2) moves the tagged variables too fast
+    build = cli_mod.build_defect_model
+    monkeypatch.setattr(
+        cli_mod, "build_defect_model", lambda *args, **kwargs: _with_tags(build(*args, **kwargs), lambda t: divide_exact(t, 2))
+    )
+    argv = ["verify", "--suite", "claim2", "--p", "2", "--cut", "gt q(1)", "--samples", "5"]
+    assert run_cli(argv) == (
+        1, "[verify]\nsuite: claim2\nfailures: 1\ndetail: monomial at value -1/2 moved by 0, below the floor 1/4\n", ""
+    )
+
+
+# each literal diagnostic that no other test reaches, with the input that
+# reaches it: exit 2 and one line on stderr
+LITERAL_DIAGNOSTICS = [
+    (["classify", "--group", "zp:2", "--p", "2", "--as", "t[1]"], "expected '(' but found '[' in 't[1]'"),
+    (["eval", "--group", "zp:2", "--H", "ge", "--I", "ge q(1)"], "expected an element in 'ge'"),
+    (["eval", "--group", "zp:2", "--H", "ge q(1,2)", "--I", "ge q(1)"], "q(...) takes a single rational"),
+    (["eval", "--group", "zp:2", "--H", "ge lex(1)", "--I", "ge q(1)"], "lex(...) element does not live in zp:2"),
+    (["eval", "--group", "zlex:2", "--H", "ge 1", "--I", "ge lex(1,0)"], "bare value '1' is ambiguous over zlex:2; use lex(...)"),
+    (["breaks", "--group", "zp:2", "--bound", "surd(1,2)", "--variant", "open-irrational"], "surd(a,b,d) takes three arguments"),
+    (["breaks", "--group", "zp:2", "--bound", "surd(0,1,1/2)", "--variant", "open-irrational"], "the radicand of surd(a,b,d) is an integer"),
+    (["eval", "--group", "zp:2", "--H", "ge surd(0,1,2)", "--I", "ge q(1)"], "a principal cut needs an element bound, not a surd"),
+    (["eval", "--group", "zp:2", "--H", "frontier(1)", "--I", "ge q(1)"], "frontier cuts live over lex groups, not zp:2"),
+    (["classify", "--group", "zp:2", "--p", "2", "--as", "t(-1)*"], "expected a series factor in 't(-1)*'"),
+    (["classify", "--group", "zp:2", "--p", "2", "--as", "1/2*t(1)"], "series coefficients are integers mod p, found 1/2"),
+    (["classify", "--group", "zp:2", "--p", "2", "--as", "u^-1"], "negative exponents are not series"),
+    (["classify", "--group", "zp:2", "--p", "2", "--as", "u^2147483649"], "series exponents are at most 2147483648"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LITERAL_DIAGNOSTICS)
+def test_literal_diagnostics_golden(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
 # -- argv fuzzing ------------------------------------------------------------------------
@@ -1304,16 +1352,8 @@ def test_a_bound_just_below_an_integer_builds_its_grid(command, k):
 # -- seeding -----------------------------------------------------------------------------
 
 
-def test_seed_reproducibility_and_env_override(monkeypatch):
+def test_seed_reproducibility():
     args = ["construct-defect", "--group", "zp:2", "--cut", "gt q(1)", "--p", "2", "--samples", "10"]
-    monkeypatch.delenv("RAMIFY_SEED", raising=False)
     base = run_cli(args + ["--seed", "7"])
     again = run_cli(args + ["--seed", "7"])
     assert base == again
-    monkeypatch.setenv("RAMIFY_SEED", "7")
-    overridden = run_cli(args + ["--seed", "1"])
-    assert overridden == base
-    monkeypatch.setenv("RAMIFY_SEED", "seven")
-    code, _, err = run_cli(args)
-    assert code == 2
-    assert "RAMIFY_SEED" in err

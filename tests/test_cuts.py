@@ -157,7 +157,7 @@ def test_surd_canonical_form():
     f1 = frontier_cut(Z2, (Fraction(6, 4),), over_hull=True)
     f2 = frontier_cut(Z2, (Fraction(3, 2),), over_hull=True)
     assert f1 == f2 and hash(f1) == hash(f2) and f1.value.den == 2
-    g1 = open_cut(Z2, (Fraction(5, 3), 7))
+    g1 = open_cut(Z2, hull_element(Z2, (Fraction(5, 3), 7)))
     assert g1 == frontier_cut(Z2, (1,)) and hash(g1) == hash(frontier_cut(Z2, (1,))) and g1.value.den == 1
 
 
@@ -252,7 +252,7 @@ def _vec_build(d, over_hull, prefix, pad, inclusive):
     if len(prefix) == d.param:
         return frontier_cut(d, prefix, over_hull, inclusive=inclusive)
     if pad == 0:
-        return open_cut(d, prefix, over_hull)
+        return open_cut(d, hull_element(d, prefix), over_hull)
     return frontier_cut(d, prefix, over_hull, inclusive=pad == -1)
 
 
@@ -362,10 +362,11 @@ def test_cuts_are_immutable_hash_by_value_and_print_as_before():
 
 
 def test_open_cut_refuses_a_short_bound():
-    # {x > (1,)} over Z^2 names no side of the prefix; frontier_cut does
-    with pytest.raises(ValueError):
+    # a coordinate tuple is no point: {x > (1,)} over Z^2 names no side of
+    # the prefix, which frontier_cut does
+    with pytest.raises(TypeError, match="a point or a Surd, got tuple"):
         open_cut(Z2, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="a point or a Surd, got tuple"):
         open_cut(int_lex(3), (1, 2), over_hull=True)
 
 
@@ -570,15 +571,15 @@ def test_every_cut_constructor_refuses_floats(x, k):
     calls = [
         lambda: Surd(x),
         lambda: Surd(k, x, 2),
-        lambda: open_cut(ZP2, x),
-        lambda: open_cut(QD2, x, over_hull=True),
-        lambda: open_cut(Z2, (k, x)),
         lambda: frontier_cut(Z2, (x,), over_hull=True),
         lambda: frontier_cut(int_lex(3), (k, x)),
         lambda: principal_cut(hull_element(QD2, (x, k))),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            call()
+    for call in (lambda: open_cut(ZP2, x), lambda: open_cut(QD2, x, over_hull=True), lambda: open_cut(Z2, (k, x))):
+        with pytest.raises(TypeError, match="a point or a Surd, got"):
             call()
     with pytest.raises(TypeError, match="radicand must be an integer, got float"):
         Surd(k, 1, float(2 * k + 1))

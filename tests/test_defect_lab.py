@@ -10,6 +10,7 @@ from ramify.defect_lab import (
     BreakWitness,
     DeltaBoundError,
     DeltaReport,
+    LimitEntry,
     STATUS_BELOW_ALL,
     STATUS_UNRESOLVED,
     STATUS_WITNESSED,
@@ -433,6 +434,19 @@ def test_witness_persistence_labels_swapped_models():
     _, _, swapped = witness_persistence(deep, shallow, queries)
     assert "deepening only resolves" in swapped
     assert "witness survives deepening" in swapped
+
+
+def test_a_conductor_below_its_thresholds_is_inconsistent():
+    # the deep model claims the cut {x > 2}, yet its thresholds 2*e(i) are
+    # 2, 3/2, 5/4, ...: the non-member 3/2 dominates the threshold at index 1
+    shallow, deep = canonical_model(2), canonical_model(4)
+    deep.conductor = open_cut(ZP2, element(ZP2, 2))
+    gamma = element(ZP2, Fraction(3, 2))
+    report = conductor_limit_check(deep, [gamma])
+    assert not report.ok
+    assert report.entries == (LimitEntry(gamma, False, "inconsistent", 1),)
+    _, _, labels = witness_persistence(shallow, deep, [gamma])
+    assert labels == ["deep consistent", "membership is depth-free", "witness survives deepening"]
 
 
 # -- twins -----------------------------------------------------------------------------

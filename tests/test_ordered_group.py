@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from ramify.cuts import frontier_cut
 from ramify.ordered_group import (
     GroupElement,
     HullElement,
@@ -26,6 +27,7 @@ from ramify.ordered_group import (
     to_hull,
     zero,
 )
+from ramify.series_field import CoeffField
 
 from . import group_reference as ref
 from .strategies import element_pairs, element_triples, elements
@@ -49,6 +51,25 @@ def test_descriptor_validation():
     assert str(quadratic(5)) == "quad:5"
     assert not int_lex(3).is_dense
     assert p_inverted(2).is_dense and quadratic(2).is_dense
+
+
+_INTEGER_GATES = {
+    "int_lex": int_lex,
+    "p_inverted": p_inverted,
+    "quadratic": quadratic,
+    "CoeffField": CoeffField,
+    "Cut.power": frontier_cut(int_lex(2), (1,)).power,
+    "Cut.pth_root_set": frontier_cut(int_lex(2), (1,)).pth_root_set,
+    "mod_p_image": lambda p: mod_p_image(element(int_lex(1), 1), p),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("gate", list(_INTEGER_GATES))
+def test_integer_parameters_refuse_every_other_type(gate, value):
+    # 2.0 and Fraction(2) pass the range and prime tests as 2, True as 1
+    with pytest.raises(TypeError, match=f"^expected an integer, got {type(value).__name__}$"):
+        _INTEGER_GATES[gate](value)
 
 
 def test_values_are_immutable_typed_and_hash_by_value():

@@ -221,6 +221,14 @@ def test_a_coefficient_from_another_ring_is_refused():
     assert SeriesElement(u_only, Z1, {element(Z1, 0): u_only.zero, gamma: twin}) == t_term(u_only, Z1, gamma, twin)
 
 
+def test_a_coefficient_that_is_not_a_polynomial_is_refused():
+    field, gamma = CoeffField(3), element(Z1, -2)
+    with pytest.raises(TypeError, match="a series coefficient must be a Poly, got int"):
+        SeriesElement(field, Z1, {gamma: 3})
+    with pytest.raises(TypeError, match="a series coefficient must be a Poly, got float"):
+        t_term(field, Z1, gamma, 1.5)
+
+
 @given(st.data())
 def test_an_exponent_from_another_group_is_refused(data):
     home = data.draw(descriptors)

@@ -640,6 +640,10 @@ def test_base_change_golden():
     assert lifted == principal_cut(element(QD2, (Fraction(3, 2), 0)))
 
 
+def test_base_change_takes_the_whole_cut_from_zp_to_quad():
+    assert base_change(whole_cut(ZP2), QD2) == whole_cut(QD2)
+
+
 def test_base_change_unsupported():
     with pytest.raises(ValueError):
         base_change(principal_cut(element(Z2, (1, 0))), ZP2)
