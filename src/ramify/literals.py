@@ -35,10 +35,7 @@ from .ordered_group import (
     echo,
     element,
     hull_element,
-    int_lex,
     is_positive,
-    p_inverted,
-    quadratic,
 )
 from .series_field import CoeffField, SeriesElement, _power, constant_series, t_term, variable_series
 from .swan import RswSymbol, ValueClass
@@ -136,13 +133,9 @@ def parse_group(text: str) -> GroupDescriptor:
         param = int(param_tok)
     except ValueError:
         raise InputError(f"expected an integer group parameter, found {echo(param_tok, quote=True)}")
-    if kind == KIND_INT_LEX:
-        return int_lex(param)
-    if kind == KIND_P_INVERTED:
-        return p_inverted(param)
-    if kind == KIND_QUADRATIC:
-        return quadratic(param)
-    raise InputError(f"unknown group kind {echo(kind, quote=True)} (use zlex:n, zp:p, quad:d)")
+    if kind not in (KIND_INT_LEX, KIND_P_INVERTED, KIND_QUADRATIC):
+        raise InputError(f"unknown group kind {echo(kind, quote=True)} (use zlex:n, zp:p, quad:d)")
+    return GroupDescriptor(kind, param)
 
 
 def _separated(toks: _Tokens, read, blanks: bool = False) -> list:
@@ -283,23 +276,23 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
 def parse_series(text: str, descriptor: GroupDescriptor, p: int) -> Tuple[SeriesElement, CoeffField]:
     """Parse a series literal; the coefficient field is built from the
     tagged values and unit names appearing in the text."""
-    # a first pass collects the tags and unit names so the field can exist,
-    # then the reader reads the same tokens again
-    tags: Dict[GroupElement, None] = {}
-    unit_names = set()
+    # a pre-scan of the token list collects the tags and unit names so the
+    # field can exist, then the reader reads the same tokens again.  Tags are
+    # read in text order, so the first bad one raises; a valid x[...] holds
+    # only reserved names, so every other name is a unit
     toks = _Tokens(text)
-    while toks.peek() is not None:
-        tok = toks.next()
-        if tok == "x" and toks.peek() == "[":
-            toks.next()
+    items = toks.items
+    tags: Dict[GroupElement, None] = {}
+    for after, pair in enumerate(zip(items, items[1:]), 2):
+        if pair == ("x", "["):
+            toks.pos = after
             tag = _parse_element_tokens(toks, descriptor, hull=False)
             if not is_positive(tag):
                 raise InputError(f"variable tags must be positive group elements, got {echo(format_element(tag), quote=True)}")
             tags[tag] = None
             toks.expect("]")
-        elif tok.isidentifier() and tok not in _RESERVED:
-            unit_names.add(tok)
-    field = CoeffField(p, tags=tuple(tags), units=tuple(sorted(unit_names)))
+    units = {tok for tok in items if tok.isidentifier() and tok not in _RESERVED}
+    field = CoeffField(p, tags=tuple(tags), units=tuple(sorted(units)))
     toks.pos = 0
     result = _SeriesReader(toks, field, descriptor).sum()
     toks.done()

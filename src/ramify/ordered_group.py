@@ -383,8 +383,8 @@ def neg(x: _Element) -> _Element:
 
 
 def int_scale(n: int, x: _Element) -> _Element:
-    if not isinstance(n, int):
-        raise TypeError(f"scale factor must be an integer, got {type(n).__name__}")
+    if type(n) is not int:
+        _int_only(n)
     return _point(x.descriptor, tuple(n * c for c in x.nums), x.den, type(x) is HullElement)
 
 
@@ -395,7 +395,8 @@ def divide_exact(x: _Element, n: int):
     every coordinate must be divisible; for ``p_inverted`` the quotient must
     keep a p-power denominator.
     """
-    if not isinstance(n, int) or n == 0:
+    if type(n) is not int or n == 0:
+        _int_only(n)
         raise ValueError(f"divisor must be a nonzero integer, got {n!r}")
     s = 1 if n > 0 else -1
     q = _point(x.descriptor, tuple(s * c for c in x.nums), x.den * s * n, type(x) is HullElement)

@@ -56,8 +56,8 @@ def random_positive_element(
 
 
 def random_irrational_bound(rng: random.Random, descriptor: GroupDescriptor) -> Optional[Surd]:
-    """A positive irrational Surd usable as a cut bound, or None when the
-    group's comparisons cannot host one (lex products)."""
+    """A positive irrational Surd usable as a cut bound over Z[1/q], or None
+    over every other group (lex products and Q + Q*sqrt(d))."""
     if descriptor.kind != KIND_P_INVERTED:
         return None
     a = Fraction(rng.randint(0, 6), rng.randint(1, 4))
@@ -125,7 +125,7 @@ def random_model_series(model, rng: random.Random) -> SeriesElement:
     in the group."""
     descriptor, field = model.descriptor, model.field
     q = _grid_base(descriptor, model.p)
-    p, n, ngens = field.p, len(field.tags), field.ring.ngens
+    p, n, ngens = field.p, len(field.tags), field.ngens
     rank_one = descriptor.kind == KIND_P_INVERTED
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -144,4 +144,4 @@ def random_model_series(model, rng: random.Random) -> SeriesElement:
                 exps[i] = rng.randint(1, 2)
             _merge(poly, ((tuple(exps), rng.randint(1, p - 1) if p > 2 else 1),), p)
         _merge(terms.setdefault(gamma, {}), poly.items(), p)
-    return SeriesElement(field, descriptor, {gamma: Poly(field.ring, c) for gamma, c in terms.items()})
+    return SeriesElement(field, descriptor, {gamma: Poly(field, c) for gamma, c in terms.items()})

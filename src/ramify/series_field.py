@@ -4,8 +4,10 @@ The model field for a valued field with value group Gamma and residue
 characteristic p is built in three layers:
 
 * coefficients: multivariate polynomials over F_p (``Poly``, a sparse map
-  from exponent tuples to integers in 1..p-1).  Some variables are
-  *tagged* by positive group elements and move under the automorphism
+  from exponent tuples to integers in 1..p-1).  The ``CoeffField`` is its
+  own polynomial ring: it names the variables, holds zero, one and the
+  generators, and builds polynomials with ``from_dict``.  Some variables
+  are *tagged* by positive group elements and move under the automorphism
   below; the rest are plain unit variables and stay fixed.
 * ``SeriesElement``: a finite F_p[x..]-linear combination of monomials
   t^gamma, gamma a ``GroupElement``.  This is the group ring; t^gamma is
@@ -38,7 +40,7 @@ integer order of keys refines the order of the t-exponents, so the
 valuation is read off ``min(keys)``; over Q + Q*sqrt(d) the distinct
 t-parts are compared exactly with ``quad_sign``.  Keys are decoded to
 ``GroupElement`` and ``Poly`` only at the API edge: ``terms``,
-``support``, ``valuation``, ``leading_coeff`` and ``split_lead``.  The
+``support``, ``valuation`` and ``split_lead``.  The
 packed-key helpers read keys without decoding them: ``monomials`` splits a
 series into one-term series in its own layout, ``least_tag_index`` reads
 the tag bits, ``valuation_at_least`` compares leading t-codes, ``_t_sign``
@@ -97,7 +99,6 @@ from .ordered_group import (
 __all__ = [
     "CoeffField",
     "Poly",
-    "PolyRing",
     "SeriesElement",
     "FieldElement",
     "SigmaSpec",
@@ -152,42 +153,15 @@ def _power(one, base, n: int, times=mul):
 # -- F_p polynomials ------------------------------------------------------------------
 
 
-class PolyRing:
-    """F_p[names], graded by exponent tuples in the order of ``names``."""
-
-    def __init__(self, p: int, names: Sequence[str]):
-        self.p = p
-        self.names = tuple(names)
-        self.ngens = len(self.names)
-        self.zero = Poly(self, {})
-        self.one = self.from_dict({(0,) * self.ngens: 1})
-        self.gens = tuple(
-            Poly(self, {tuple(int(i == j) for j in range(self.ngens)): 1}) for i in range(self.ngens)
-        )
-
-    def domain(self, k: int) -> int:
-        """The coefficient domain F_p: an integer reduced mod p."""
-        return int(k) % self.p
-
-    def from_dict(self, terms) -> "Poly":
-        """Polynomial from {exponent tuple: integer}, coefficients reduced mod p."""
-        out = {}
-        for exps, c in terms.items():
-            c = int(c) % self.p
-            if c:
-                out[tuple(exps)] = c
-        return Poly(self, out)
-
-
 class Poly:
-    """An element of a ``PolyRing``: {exponent tuple: c}, c in 1..p-1.
+    """An element of a ``CoeffField``: {exponent tuple: c}, c in 1..p-1.
 
     Immutable by convention; every operation returns a new polynomial.
     """
 
     __slots__ = ("ring", "_terms")
 
-    def __init__(self, ring: PolyRing, terms: Dict[Tuple[int, ...], int]):
+    def __init__(self, ring: CoeffField, terms: Dict[Tuple[int, ...], int]):
         self.ring = ring
         self._terms = terms
 
@@ -255,12 +229,16 @@ class Poly:
 
 
 class CoeffField:
-    """Polynomial coefficients over F_p with group-tagged variables.
+    """The coefficient ring F_p[names], with group-tagged variables; each
+    ``Poly`` over it points to the field itself.
 
     ``tags`` lists the tagged variables by their group elements (kept in
     decreasing order); ``units`` names extra untagged variables.  Tagged
-    variables come first in the polynomial ring.
+    variables come first, as x0, x1, ..., then the units.
     """
+
+    # the field is its own polynomial ring; perfbench's model draw reads field.ring
+    ring = property(lambda self: self)
 
     def __init__(self, p: int, tags: Sequence[GroupElement] = (), units: Sequence[str] = ()):
         if not _is_prime(p):
@@ -278,10 +256,9 @@ class CoeffField:
         self.p = p
         self.tags = tags
         self.units = tuple(units)
-        self.ring = PolyRing(p, names)
-        self.gens = self.ring.gens
-        self.one = self.ring.one
-        self.zero = self.ring.zero
+        self.names, self.ngens = tuple(names), len(names)
+        self.zero, self.one = Poly(self, {}), Poly(self, {(0,) * self.ngens: 1})
+        self.gens = tuple(Poly(self, {tuple(int(i == j) for j in range(self.ngens)): 1}) for i in range(self.ngens))
         # the first layout of series over this field, per group
         self._layouts: Dict[GroupDescriptor, _Layout] = {}
 
@@ -299,6 +276,19 @@ class CoeffField:
 
     def unit_gen(self, name: str) -> Poly:
         return self.gens[len(self.tags) + self.units.index(name)]
+
+    def domain(self, k: int) -> int:
+        """The coefficient domain F_p: an integer reduced mod p."""
+        return int(k) % self.p
+
+    def from_dict(self, terms) -> Poly:
+        """Polynomial from {exponent tuple: integer}, coefficients reduced mod p."""
+        out = {}
+        for exps, c in terms.items():
+            c = int(c) % self.p
+            if c:
+                out[tuple(exps)] = c
+        return Poly(self, out)
 
 
 # -- packed monomial keys ---------------------------------------------------------------
@@ -400,7 +390,7 @@ def _base_layout(field: CoeffField, descriptor: GroupDescriptor) -> _Layout:
             raise ValueError("variable tags live in a different group")
         den = lcm(1, *(tag.den for tag in field.tags))
         got = field._layouts[descriptor] = _layout(
-            len(zero(descriptor).nums) - 1, field.ring.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
+            len(zero(descriptor).nums) - 1, field.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
         )
     return got
 
@@ -480,7 +470,7 @@ class SeriesElement:
 
     def _poly(self, monos: Dict[int, int]) -> Poly:
         lay = self._lay
-        return Poly(self.field.ring, {lay.mono_exps(m): c for m, c in monos.items()})
+        return Poly(self.field, {lay.mono_exps(m): c for m, c in monos.items()})
 
     def terms(self) -> Iterable[Tuple[GroupElement, Poly]]:
         lay = self._lay
@@ -489,16 +479,6 @@ class SeriesElement:
         for k, c in self._data.items():
             groups.setdefault(k >> S, {})[k & mask] = c
         return {self._t_element(T): self._poly(monos) for T, monos in groups.items()}.items()
-
-    def _t_codes(self) -> List[int]:
-        """The distinct t-parts of the keys, in increasing group order; over
-        Q + Q*sqrt(d) each is decoded once and compared with ``quad_sign``."""
-        S = self._lay.shift
-        codes = sorted({k >> S for k in self._data})
-        if self.descriptor.kind != KIND_QUADRATIC:
-            return codes
-        d, ab = self.descriptor.param, {T: self._lay.t_coords(T) for T in codes}
-        return sorted(codes, key=cmp_to_key(lambda x, y: quad_sign(ab[x][0] - ab[y][0], ab[x][1] - ab[y][1], d)))
 
     def _lead_t(self) -> int:
         if not self._data:
@@ -524,7 +504,15 @@ class SeriesElement:
         return (T > 0) - (T < 0)
 
     def support(self) -> Tuple[GroupElement, ...]:
-        return tuple(self._t_element(T) for T in self._t_codes())
+        """The values of the terms in increasing order: the distinct t-parts
+        of the keys, over Q + Q*sqrt(d) each decoded once and compared with
+        ``quad_sign``."""
+        S = self._lay.shift
+        codes = sorted({k >> S for k in self._data})
+        if self.descriptor.kind == KIND_QUADRATIC:
+            d, ab = self.descriptor.param, {T: self._lay.t_coords(T) for T in codes}
+            codes.sort(key=cmp_to_key(lambda x, y: quad_sign(ab[x][0] - ab[y][0], ab[x][1] - ab[y][1], d)))
+        return tuple(self._t_element(T) for T in codes)
 
     def is_zero(self) -> bool:
         return not self._data
@@ -576,9 +564,6 @@ class SeriesElement:
         if self.descriptor.kind == KIND_INT_LEX:
             return a >= b
         return quad_sign(a[0] - b[0], a[1] - b[1], self.descriptor.param) >= 0
-
-    def leading_coeff(self) -> Poly:
-        return self.split_lead()[1]
 
     def _split_at(self, T: int) -> Tuple[Dict[int, int], Dict[int, int]]:
         """({monomial code: c} of the keys at t-code T, {key: c} of the rest)
@@ -756,9 +741,9 @@ def _check_ring(field: CoeffField, coeff: Poly) -> None:
     if not isinstance(coeff, Poly):
         raise TypeError(f"a series coefficient must be a Poly, got {type(coeff).__name__}")
     ring = coeff.ring
-    if ring is not field.ring and (ring.p != field.p or ring.names != field.ring.names):
+    if ring is not field and (ring.p != field.p or ring.names != field.names):
         raise ValueError(
-            f"coefficient from F_{ring.p}[{', '.join(ring.names)}] used over F_{field.p}[{', '.join(field.ring.names)}]"
+            f"coefficient from F_{ring.p}[{', '.join(ring.names)}] used over F_{field.p}[{', '.join(field.names)}]"
         )
 
 
@@ -788,7 +773,7 @@ def t_term(field: CoeffField, descriptor: GroupDescriptor, gamma: GroupElement, 
     la = _base_layout(field, descriptor)
     if not isinstance(gamma, GroupElement) or (gamma.descriptor is not descriptor and gamma.descriptor != descriptor):
         raise ValueError("the term lives over a different group")
-    if isinstance(coeff, int):
+    if type(coeff) is int:
         exps, k = la.zeros, coeff % field.p
     else:
         _check_ring(field, coeff)

@@ -1072,6 +1072,22 @@ def test_literal_diagnostics_golden(argv, message):
     assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
+# inputs that parse but that the library refuses: exit 2 and one line on stderr
+REFUSED_INPUTS = [
+    (["classify", "--group", "zlex:1", "--p", "2", "--kummer", "iii", "--e0", "2", "--vb", "2"],
+     "case iii needs v(b) outside p times the value group"),
+    (["classify", "--group", "zlex:1", "--p", "2", "--kummer", "iv", "--e0", "2", "--vb", "2"],
+     "case iv needs the residue unit's name"),
+    (["breaks", "--group", "zp:2", "--p", "2", "--bound", "surd(0,1,2)", "--variant", "open"],
+     "open variant needs a group element"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_INPUTS)
+def test_refused_inputs_golden(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
 # -- argv fuzzing ------------------------------------------------------------------------
 
 # keys whose printed value is a cut over the group, and over its hull

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from ramify.cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_
 from ramify.ordered_group import (
     _is_squarefree_nonsquare,
     compare,
+    divide_exact,
     element,
     hull_element,
+    in_group,
     int_lex,
     int_scale,
     p_inverted,
@@ -616,3 +619,38 @@ def test_cut_type_checks():
         frontier_cut(ZP2, (1,))  # no truncation cuts over scalar groups
     with pytest.raises(ValueError):
         principal_cut(element(ZP2, -1))  # negative bound is not an ideal
+
+
+_GROUP_CUT = principal_cut(element(ZP2, 1))
+_HULL_CUT = principal_cut(hull_element(ZP2, 1))
+# each library guard, the exception it raises and its whole message
+_GUARDS = {
+    "open_cut of a surd over zlex": (
+        lambda: open_cut(Z1, Surd(1)), TypeError, "lexicographic cuts take coordinate bounds"),
+    "frontier_cut past the rank": (
+        lambda: frontier_cut(Z2, (1, 2, 3)), ValueError, "bound length 3 out of range for rank 2"),
+    "Cut.contains of another group": (
+        lambda: _GROUP_CUT.contains(element(p_inverted(3), 1)), ValueError, "group mismatch: zp:2 vs zp:3"),
+    "open_cut of another group": (
+        lambda: open_cut(ZP2, element(p_inverted(3), 1)), ValueError, "group mismatch: zp:2 vs zp:3"),
+    "subset of an int": (lambda: _GROUP_CUT.subset(5), TypeError, "expected a Cut, got int"),
+    "power(0)": (lambda: _GROUP_CUT.power(0), ValueError, "ideal powers need n >= 1"),
+    "pth_root_set(1)": (lambda: _GROUP_CUT.pth_root_set(1), ValueError, "need p >= 2"),
+    "conductor of a hull cut": (
+        lambda: _HULL_CUT.is_realizable_conductor(2), ValueError, "conductor cuts live over the group, not the hull"),
+    "restrict_to_group of a group cut": (lambda: _GROUP_CUT.restrict_to_group(), ValueError, "already a group cut"),
+    "hull_closure of a hull cut": (lambda: _HULL_CUT.hull_closure(), ValueError, "already a hull cut"),
+    "divide_exact by 0": (
+        lambda: divide_exact(element(ZP2, 1), 0), ValueError, "divisor must be a nonzero integer, got 0"),
+    "to_hull of a hull point": (
+        lambda: to_hull(hull_element(ZP2, 1)), TypeError, "expected a GroupElement, got HullElement"),
+    "in_group of a group point": (
+        lambda: in_group(element(ZP2, 1)), TypeError, "expected a HullElement, got GroupElement"),
+}
+
+
+@pytest.mark.parametrize("guard", list(_GUARDS))
+def test_library_guards_raise_their_messages(guard):
+    call, error, message = _GUARDS[guard]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -61,6 +61,8 @@ _INTEGER_GATES = {
     "Cut.power": frontier_cut(int_lex(2), (1,)).power,
     "Cut.pth_root_set": frontier_cut(int_lex(2), (1,)).pth_root_set,
     "mod_p_image": lambda p: mod_p_image(element(int_lex(1), 1), p),
+    "int_scale": lambda n: int_scale(n, element(int_lex(1), 1)),
+    "divide_exact": lambda n: divide_exact(element(int_lex(1), 2), n),
 }
 
 

@@ -117,7 +117,7 @@ def _powering_reduce(f, max_iters=64):
         w = divide_exact(v, p)
         if w is None:
             return ReduceResult("reduced", f, "i", it)
-        flag, root = is_pth_power(f.field, f.leading_coeff())
+        flag, root = is_pth_power(f.field, f.split_lead()[1])
         if not flag:
             return ReduceResult("reduced", f, "ii", it)
         g = t_term(f.field, f.descriptor, w, root)
