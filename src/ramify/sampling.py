@@ -3,12 +3,24 @@
 Verification subcommands and the bulk property tests draw from here so
 that a fixed seed reproduces a run exactly.  Samplers take an explicit
 ``random.Random`` and never touch global state.
+
+Points are built once, from the drawn integers, with
+``ordered_group._point``, which brings them to lowest terms and checks
+nothing: every draw lies in its space by construction, since its
+denominator is a power of q over Z[1/q], 1 over Z^n, and anything over
+Q + Q*sqrt(d) and in the hull.  ``random_positive_element`` reads the sign
+off the integers and builds only the draw it keeps.  Two samplers still
+pass rationals to a cut constructor: ``random_hull_ideal`` hands its
+fractional frontier prefixes to ``frontier_cut`` and
+``random_irrational_bound`` its parts to ``Surd``, because a cut bound is
+not a point and each constructor takes one input form.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
@@ -16,42 +28,59 @@ from .ordered_group import (
     GroupDescriptor,
     KIND_INT_LEX,
     KIND_P_INVERTED,
+    KIND_QUADRATIC,
     _point,
-    element,
-    hull_element,
-    is_positive,
+    quad_sign,
 )
 from .series_field import Poly, SeriesElement, _merge
 
 
-def random_fraction(rng: random.Random, den_base: int, span: int = 12, max_pow: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), den_base ** rng.randint(0, max_pow))
+def _draw(rng: random.Random, descriptor: GroupDescriptor, hull: bool, span: int):
+    """The integers of one draw, as numerators over one positive
+    denominator, not yet in lowest terms."""
+    randint = rng.randint
+    if descriptor.kind == KIND_INT_LEX:
+        if not hull:
+            return tuple(randint(-span, span) for _ in range(descriptor.param)), 1
+        pairs = [(randint(-span, span), randint(1, 6)) for _ in range(descriptor.param)]
+        den = lcm(*(m for _, m in pairs))
+        return tuple(n * (den // m) for n, m in pairs), den
+    if descriptor.kind == KIND_P_INVERTED:
+        n = randint(-span, span)
+        return (n,), (randint(1, 9) if hull else descriptor.param ** randint(0, 4))
+    # a = n / 2^i and b = m / 3^j, over the common denominator 2^i * 3^j
+    n = randint(-span, span)
+    qa = 2 ** randint(0, 2)
+    m = randint(-3, 3)
+    qb = 3 ** randint(0, 1)
+    return (n * qb, m * qa), qa * qb
+
+
+def _positive(descriptor: GroupDescriptor, nums) -> bool:
+    """Whether nums / den > 0, for any den > 0: by ``quad_sign`` over
+    Q + Q*sqrt(d), else by the first nonzero numerator."""
+    if descriptor.kind == KIND_QUADRATIC:
+        return quad_sign(nums[0], nums[1], descriptor.param) > 0
+    for c in nums:
+        if c:
+            return c > 0
+    return False
 
 
 def random_element(
     rng: random.Random, descriptor: GroupDescriptor, hull: bool = False, span: int = 12
 ):
-    if descriptor.kind == KIND_INT_LEX:
-        if hull:
-            raw = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 6)) for _ in range(descriptor.param))
-            return hull_element(descriptor, raw)
-        raw = tuple(rng.randint(-span, span) for _ in range(descriptor.param))
-        return element(descriptor, raw)
-    if descriptor.kind == KIND_P_INVERTED:
-        if hull:
-            return hull_element(descriptor, Fraction(rng.randint(-span, span), rng.randint(1, 9)))
-        return element(descriptor, random_fraction(rng, descriptor.param, span))
-    raw = (random_fraction(rng, 2, span, 2), random_fraction(rng, 3, 3, 1))
-    return hull_element(descriptor, raw) if hull else element(descriptor, raw)
+    nums, den = _draw(rng, descriptor, hull, span)
+    return _point(descriptor, nums, den, hull)
 
 
 def random_positive_element(
     rng: random.Random, descriptor: GroupDescriptor, hull: bool = False, span: int = 12
 ):
     for _ in range(200):
-        x = random_element(rng, descriptor, hull, span)
-        if is_positive(x):
-            return x
+        nums, den = _draw(rng, descriptor, hull, span)
+        if _positive(descriptor, nums):
+            return _point(descriptor, nums, den, hull)
     raise RuntimeError("sampler failed to find a positive element")
 
 

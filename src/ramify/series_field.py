@@ -86,6 +86,7 @@ from .ordered_group import (
     GroupDescriptor,
     GroupElement,
     _den_in_group,
+    _int_only,
     _is_prime,
     _point,
     compare,
@@ -170,6 +171,7 @@ class Poly:
 
     def _lift(self, other) -> "Poly":
         if isinstance(other, Poly):
+            _check_ring(self.ring, other)
             return other
         if isinstance(other, int):
             return self.ring.from_dict({(0,) * self.ring.ngens: other})
@@ -183,7 +185,7 @@ class Poly:
             other = self._lift(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms and self.ring.p == other.ring.p
+        return self._terms == other._terms and _same_ring(other.ring, self.ring)
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -209,7 +211,8 @@ class Poly:
         return Poly(self.ring, _reduced(acc, self.ring.p))
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
+        _int_only(n)
+        if n < 0:
             raise ValueError("polynomial powers need an integer n >= 0")
         return _power(self.ring.one, self, n)
 
@@ -709,6 +712,7 @@ class SeriesElement:
         return self._times(t_term(self.field, self.descriptor, gamma))
 
     def power(self, n: int) -> "SeriesElement":
+        _int_only(n)
         if n < 0:
             raise ValueError("series powers need n >= 0")
         return _power(constant_series(self.field, self.descriptor, 1), self, n)
@@ -734,14 +738,22 @@ class SeriesElement:
         return " + ".join(f"({terms[g]})*t^{g.value}" for g in self.support())
 
 
+def _same_ring(ring: CoeffField, field: CoeffField) -> bool:
+    """Whether polynomials over ``ring`` read alike over ``field``: the same
+    field, or the same p and variable names."""
+    return ring is field or (ring.p == field.p and ring.names == field.names)
+
+
 def _check_ring(field: CoeffField, coeff: Poly) -> None:
     """Refuse a coefficient that is not a ``Poly``, and a polynomial from a
     ring with another p or other variable names: its exponents would be
-    misread against the field's variables."""
+    misread against the field's variables.  ``Poly`` arithmetic refuses
+    such an operand the same way."""
     if not isinstance(coeff, Poly):
         raise TypeError(f"a series coefficient must be a Poly, got {type(coeff).__name__}")
     ring = coeff.ring
-    if ring is not field and (ring.p != field.p or ring.names != field.names):
+    # the identity test first: nearly every coefficient is over the field itself
+    if ring is not field and not _same_ring(ring, field):
         raise ValueError(
             f"coefficient from F_{ring.p}[{', '.join(ring.names)}] used over F_{field.p}[{', '.join(field.names)}]"
         )

@@ -27,7 +27,7 @@ from ramify.ordered_group import (
     to_hull,
     zero,
 )
-from ramify.series_field import CoeffField
+from ramify.series_field import CoeffField, t_term
 
 from . import group_reference as ref
 from .strategies import element_pairs, element_triples, elements
@@ -63,6 +63,8 @@ _INTEGER_GATES = {
     "mod_p_image": lambda p: mod_p_image(element(int_lex(1), 1), p),
     "int_scale": lambda n: int_scale(n, element(int_lex(1), 1)),
     "divide_exact": lambda n: divide_exact(element(int_lex(1), 2), n),
+    "Poly.__pow__": lambda n: CoeffField(3, units=("u",)).unit_gen("u") ** n,
+    "SeriesElement.power": t_term(CoeffField(3), int_lex(1), element(int_lex(1), 1)).power,
 }
 
 

@@ -220,6 +220,21 @@ def test_a_coefficient_from_another_ring_is_refused():
     assert SeriesElement(u_only, Z1, {element(Z1, 0): u_only.zero, gamma: twin}) == t_term(u_only, Z1, gamma, twin)
 
 
+def test_polynomials_over_another_field_do_not_combine():
+    u = CoeffField(3, units=("u",)).unit_gen("u")
+    v = CoeffField(3, units=("v",)).unit_gen("v")
+    u5 = CoeffField(5, units=("u",)).unit_gen("u")
+    for x, y, shown in ((u, v, r"F_3\[v\] used over F_3\[u\]"), (u, u5, r"F_5\[u\] used over F_3\[u\]")):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match=f"^coefficient from {shown}$"):
+                op(x, y)
+        # u + v used to give 2*u, and u == v to hold
+        assert x != y and not x == y
+    # a field of the same p and names reads polynomials alike
+    twin = CoeffField(3, units=("u",)).unit_gen("u")
+    assert twin == u and str(u + twin) == "2*u" and str(u - twin) == "0" and str(u * twin) == "u^2"
+
+
 def test_a_coefficient_that_is_not_a_polynomial_is_refused():
     field, gamma = CoeffField(3), element(Z1, -2)
     with pytest.raises(TypeError, match="a series coefficient must be a Poly, got int"):
