@@ -68,9 +68,10 @@ keys of its row; ``delta`` runs the same loop without f's own keys, so it
 builds no sigma(f) and subtracts nothing, and its key order is not part of
 its result.  Both work in f's own layout, widened only where the image
 needs more room, so f is re-packed only then and the result shares its
-layout otherwise.  sigma preserves valuations and satisfies
-sigma^p = id, and norm/trace along it produce sigma-fixed elements; all
-three facts are checked by the test suite rather than assumed.
+layout otherwise; ``trace`` runs on ``delta`` alone.  sigma preserves
+valuations and satisfies sigma^p = id, and norm/trace along it produce
+sigma-fixed elements; all three facts are checked by the test suite rather
+than assumed.
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-self._lift(other))
 
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
+
     def __mul__(self, other) -> "Poly":
         other = self._lift(other)
         acc: Dict[Tuple[int, ...], int] = {}
@@ -209,6 +213,9 @@ class Poly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
         return Poly(self.ring, _reduced(acc, self.ring.p))
+
+    # an integer on the left: addition and multiplication commute
+    __radd__, __rmul__ = __add__, __mul__
 
     def __pow__(self, n: int) -> "Poly":
         _int_only(n)
@@ -887,9 +894,9 @@ def as_field_element(x, like: FieldElement) -> FieldElement:
     raise TypeError(f"cannot treat {type(x).__name__} as a field element")
 
 
-# the row tables one SigmaSpec keeps, one per layout; a series and its
-# norm and trace meet a handful of layouts, and a sigma whose series keep
-# widening drops its oldest table instead of growing without end
+# the row tables one SigmaSpec keeps, one per layout; a series, its norm's
+# conjugates and its trace's passes meet a handful of layouts, and a sigma
+# whose series keep widening drops its oldest table instead of growing
 _SIGMA_TABLES = 8
 
 
@@ -991,12 +998,15 @@ def norm(s: SigmaSpec, f):
 
 
 def trace(s: SigmaSpec, f):
-    """Sum of the p conjugates under sigma."""
+    """Sum of the p conjugates under sigma, as (sigma - 1)^(p-1) f: p - 1
+    ``delta`` passes, each of lower tagged degree than the last.
+
+    C(p-1, i) = (-1)^i mod p, so (X - 1)^(p-1) = sum_{i<p} X^i in F_p[X],
+    and sigma is F_p-linear.  The fixedness law keeps its strength:
+    sigma(Tr f) = Tr f reads (sigma - 1)^p f = (sigma^p - 1) f = 0."""
     out = f
-    cur = f
     for _ in range(s.p - 1):
-        cur = s.apply(cur)
-        out = out + cur
+        out = s.delta(out)
     return out
 
 

@@ -235,6 +235,19 @@ def test_polynomials_over_another_field_do_not_combine():
     assert twin == u and str(u + twin) == "2*u" and str(u - twin) == "0" and str(u * twin) == "u^2"
 
 
+def test_polynomials_take_an_integer_on_either_side():
+    field = CoeffField(3, units=("u",))
+    u = field.unit_gen("u")
+    for k in (-4, 0, 1, 2, 5):
+        assert k * u == u * k
+        assert k + u == u + k
+        assert k - u == -(u - k)
+    assert str(2 * u) == "2*u" and str(1 - u) == "1 + 2*u"
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError, match="cannot combine a polynomial with float"):
+            op(1.5, u)
+
+
 def test_a_coefficient_that_is_not_a_polynomial_is_refused():
     field, gamma = CoeffField(3), element(Z1, -2)
     with pytest.raises(TypeError, match="a series coefficient must be a Poly, got int"):
@@ -504,6 +517,28 @@ def test_norm_of_a_tagged_variable_is_its_artin_schreier_polynomial(p, descripto
             assert norm(s, y) == y.power(p) - c * y
 
 
+# Tr(x_d^k) = sum_j C(k, j) x_d^(k-j) t^(jd) sum_{i<p} i^j, and the inner sum
+# is -1 when j > 0 and (p-1) | j, else 0 (j = 0 gives p); so Tr(x_d^k) = 0
+# for k < p - 1 and Tr(x_d^(p-1)) = -t^((p-1)d), and a unit u rides along
+@pytest.mark.parametrize("descriptor", [ZP3, Z2, Q2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_trace_of_a_tagged_power(p, descriptor):
+    field = CoeffField(p, tags=AS_TAGS[descriptor], units=("u",))
+    s = SigmaSpec(field, descriptor)
+    u = variable_series(field, descriptor, field.unit_gen("u"))
+    one = constant_series(field, descriptor, 1)
+    for i, d in enumerate(field.tags):
+        x = variable_series(field, descriptor, field.gens[i])
+        top = -t_term(field, descriptor, int_scale(p - 1, d))
+        for unit in (one, u):
+            for k in range(p):
+                got = trace(s, (x * unit).power(k))
+                if k < p - 1:
+                    assert got.is_zero(), (k, unit)
+                else:
+                    assert got == top * unit.power(k)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_norm_makes_p_minus_1_products_and_sigma_calls(p, monkeypatch):
     # the stub is no automorphism, so nothing cancels by accident: the norm
@@ -541,6 +576,7 @@ def test_series_law_labels_on_a_broken_sigma(monkeypatch):
     g = t_term(F2, ZP2, element(ZP2, -1), F2.unit_gen("u"))
     assert valuation_laws(s, f, g) == [] and norm_trace_laws(s, f) == []
     shifting = SimpleNamespace(p=2, apply=lambda x: x.shift(element(ZP2, -1)))
+    shifting.delta = lambda x: shifting.apply(x) - x
     assert valuation_laws(shifting, f, g) == ["sigma preserves valuation"]
     assert norm_trace_laws(shifting, f) == ["norm is fixed", "trace is fixed", "norm valuation"]
     # a product that lands one step low breaks additivity

@@ -191,7 +191,40 @@ def test_norm_matches_the_reference_at_p_5_and_7(p, descriptor, data):
     field = _field(p, descriptor)
     rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2), max_terms=2, max_monos=2))
     f = _series(field, descriptor, rf)
-    assert ref.decode(norm(SigmaSpec(field, descriptor), f)) == ref.norm(rf, field.tags, p)
+    sigma = SigmaSpec(field, descriptor)
+    assert ref.decode(norm(sigma, f)) == ref.norm(rf, field.tags, p)
+    # trace runs p - 1 delta passes; the reference sums the conjugates
+    tf = trace(sigma, f)
+    assert ref.decode(tf) == ref.trace(rf, field.tags, p)
+    assert _bounds_hold(tf)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_trace_makes_p_minus_1_delta_calls_and_no_apply(p):
+    sigma = SigmaSpec(_field(p, ZP3), ZP3)
+    calls = []
+
+    class Counting:
+        def __init__(self):
+            self.p = p
+
+        def apply(self, x):
+            calls.append("apply")
+            return sigma.apply(x)
+
+        def delta(self, x):
+            calls.append("delta")
+            return sigma.delta(x)
+
+    x0, x1 = (variable_series(sigma.field, ZP3, g) for g in sigma.field.gens[:2])
+    f = x0.power(p - 1) * x1 + t_term(sigma.field, ZP3, element(ZP3, -1), sigma.field.gens[1])
+    got = trace(Counting(), f)
+    assert calls == ["delta"] * (p - 1)
+    conj, total = f, f
+    for _ in range(p - 1):
+        conj = sigma.apply(conj)
+        total = total + conj
+    assert got == total and not got.is_zero()
 
 
 # -- the Artin-Schreier substitution's primitives ------------------------------------------
