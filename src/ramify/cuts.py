@@ -28,7 +28,9 @@ representations and the total order by inclusion is a boundary comparison.
 
 A cut knows whether it lives over the group or over its divisible hull
 (``over_hull``); membership expects a ``GroupElement`` or ``HullElement``
-accordingly.
+accordingly.  Membership compares the point's numerators and denominator
+with the boundary's integers in one routine (`_cmp`, which `Surd.cmp` and
+`_Prefix.cmp` call too) and builds nothing.
 """
 
 from __future__ import annotations
@@ -106,18 +108,7 @@ class Surd:
         return quad_sign(self.A, self.B, self.d)
 
     def cmp(self, other: "Surd") -> int:
-        D1, D2 = self.den, other.den
-        a = self.A * D2 - other.A * D1
-        if self.d == other.d or not self.B or not other.B:
-            return quad_sign(a, self.B * D2 - other.B * D1, self.d or other.d)
-        # times D1*D2 > 0: the sign of u - w with u = a + b*sqrt(d) and
-        # w = c*sqrt(d'), where b, c are nonzero and d != d'
-        b, c = self.B * D2, other.B * D1
-        su, sw = quad_sign(a, b, self.d), (c > 0) - (c < 0)
-        if su != sw:
-            return su
-        # same sign: compare squares, u^2 - w^2 is a single surd
-        return su * quad_sign(a * a + b * b * self.d - c * c * other.d, 2 * a * b, self.d)
+        return _cmp((self.A, self.B), self.den, self.d, other)
 
     def add(self, other: "Surd") -> "Surd":
         if self.d == other.d or not self.B or not other.B:
@@ -167,11 +158,7 @@ class _Prefix(NamedTuple):
         return 0
 
     def cmp(self, other: "_Prefix") -> int:
-        m = min(len(self.nums), len(other.nums))
-        xs, ys = self.nums[:m], other.nums[:m]
-        if self.den != other.den:
-            xs, ys = tuple(c * other.den for c in xs), tuple(c * self.den for c in ys)
-        return (xs > ys) - (xs < ys)
+        return _cmp(self.nums, self.den, 0, other)
 
     def add(self, other: "_Prefix") -> "_Prefix":
         D1, D2 = self.den, other.den
@@ -186,6 +173,34 @@ class _Prefix(NamedTuple):
 
 
 _Value = Union[Surd, _Prefix]
+
+
+def _cmp(nums: Tuple[int, ...], den: int, d: int, value: _Value) -> int:
+    """The sign of nums / den minus a boundary value, on integers alone.
+
+    Against a `_Prefix`, nums is a prefix and the two compare on their
+    common width.  Against a `Surd`, nums is (A,) or (A, B), the real
+    (A + B*sqrt(d)) / den, with d = 0 when B = 0 as in a canonical `Surd`.
+    """
+    D2 = value.den
+    if type(value) is _Prefix:
+        m = min(len(nums), len(value.nums))
+        xs, ys = nums[:m], value.nums[:m]
+        if den != D2:
+            xs, ys = tuple(c * D2 for c in xs), tuple(c * den for c in ys)
+        return (xs > ys) - (xs < ys)
+    B = nums[1] if len(nums) > 1 else 0
+    a = nums[0] * D2 - value.A * den
+    if d == value.d or not B or not value.B:
+        return quad_sign(a, B * D2 - value.B * den, d or value.d)
+    # times den*D2 > 0: the sign of u - w with u = a + b*sqrt(d) and
+    # w = c*sqrt(d'), where b, c are nonzero and d != d'
+    b, c = B * D2, value.B * den
+    su, sw = quad_sign(a, b, d), (c > 0) - (c < 0)
+    if su != sw:
+        return su
+    # same sign: compare squares, u^2 - w^2 is a single surd
+    return su * quad_sign(a * a + b * b * d - c * c * value.d, 2 * a * b, d)
 
 
 def _value_of(x: _Element) -> _Value:
@@ -309,13 +324,16 @@ class Cut:
         want = HullElement if self.over_hull else GroupElement
         if not isinstance(x, want):
             raise TypeError(f"cut over {'hull of ' if self.over_hull else ''}{self.descriptor} expects {want.__name__}, got {type(x).__name__}")
-        if x.descriptor != self.descriptor:
+        if x.descriptor is not self.descriptor and x.descriptor != self.descriptor:
             raise ValueError(f"group mismatch: {self.descriptor} vs {x.descriptor}")
 
     def contains(self, x: _Element) -> bool:
         self._check_point(x)
+        # x's integers against the boundary, as `_value_of(x).cmp` compares
+        # them, so x's radicand is 0 unless it is a quadratic point with b != 0
+        nums, d = x.nums, self.descriptor
+        rel = _cmp(nums, x.den, d.param if d.kind == KIND_QUADRATIC and nums[1] else 0, self.value)
         # on a short prefix the flag says which side of the rest x lies on
-        rel = _value_of(x).cmp(self.value)
         return rel > 0 or (rel == 0 and self.inclusive)
 
     def _check_peer(self, other: "Cut") -> None:

@@ -177,6 +177,10 @@ def build_defect_model(
     for e in e_seq:
         if not root_set.contains(e) or not conductor.contains(int_scale(p, e)):
             raise RuntimeError("grid sequence escaped the root set")
+    # conductor_limit_check bisects the thresholds p*e(i), which needs them
+    # strictly decreasing
+    if any(compare(e, f) <= 0 for e, f in zip(e_seq, e_seq[1:])):
+        raise RuntimeError("grid sequence does not strictly decrease")
     field = CoeffField(p, tags=e_seq)
     sigma = SigmaSpec(field, descriptor)
     swan = SwanData(
@@ -289,17 +293,26 @@ def conductor_limit_check(model: DefectModel, queries: Sequence[GroupElement]) -
     with least index so that deepening the model never changes it); a
     non-member must sit below every threshold.  A member that dominates no
     threshold yet is unresolved, not wrong: a deeper model resolves it.
+
+    The thresholds strictly decrease (`build_defect_model` checks it), so
+    the indices of the thresholds a query dominates form a suffix, and the
+    least witness, where that suffix starts, is found by bisection in
+    O(log depth) comparisons.
     """
     thresholds = [int_scale(model.p, e) for e in model.e_seq]
+    n = len(thresholds)
     entries = []
     ok = True
     for gamma in queries:
         member = model.conductor.contains(gamma)
-        witness = None
-        for i, th in enumerate(thresholds):
-            if compare(gamma, th) >= 0:
-                witness = i
-                break
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if compare(gamma, thresholds[mid]) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        witness = lo if lo < n else None
         if member:
             status = STATUS_WITNESSED if witness is not None else STATUS_UNRESOLVED
         else:

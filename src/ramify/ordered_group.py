@@ -260,7 +260,7 @@ class _Element:
             raise TypeError(
                 f"cannot mix {type(self).__name__} with {type(other).__name__}"
             )
-        if other.descriptor != self.descriptor:
+        if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
             raise ValueError(
                 f"group mismatch: {self.descriptor} vs {other.descriptor}"
             )

@@ -174,7 +174,8 @@ class Poly:
         if isinstance(other, Poly):
             _check_ring(self.ring, other)
             return other
-        if isinstance(other, int):
+        # a bool is refused as the other integer inputs refuse it
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.ring.from_dict({(0,) * self.ring.ngens: other})
         raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
 
@@ -182,7 +183,7 @@ class Poly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = self._lift(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -351,10 +352,16 @@ class _Layout:
         return T
 
     def t_coords(self, T: int) -> Tuple[int, ...]:
-        if not self.nlow:
+        nlow = self.nlow
+        if not nlow:
             return (T,)
-        half, tmask, tw, out = self.half, self.tmask, self.tw, []
-        for _ in range(self.nlow):
+        half, tmask, tw = self.half, self.tmask, self.tw
+        if nlow == 1:
+            # one balanced lower digit, then the top coordinate
+            c = ((T + half) & tmask) - half
+            return ((T - c) >> tw, c)
+        out = []
+        for _ in range(nlow):
             c = ((T + half) & tmask) - half
             out.append(c)
             T = (T - c) >> tw
@@ -896,7 +903,7 @@ def as_field_element(x, like: FieldElement) -> FieldElement:
 
 # the row tables one SigmaSpec keeps, one per layout; a series, its norm's
 # conjugates and its trace's passes meet a handful of layouts, and a sigma
-# whose series keep widening drops its oldest table instead of growing
+# that meets more drops the table it used least recently instead of growing
 _SIGMA_TABLES = 8
 
 
@@ -915,7 +922,7 @@ class SigmaSpec:
         # exponents: the (key delta, coefficient) pairs of sigma(m) - m, which
         # turn a monomial's key into the keys it adds; tagged exponent
         # patterns recur constantly, so rows are cached, and the tables of
-        # the last _SIGMA_TABLES layouts are kept
+        # the _SIGMA_TABLES layouts used last are kept, least recent first
         self._rows: Dict[_Layout, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
 
     def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
@@ -942,13 +949,15 @@ class SigmaSpec:
         den = lcm(la.den, self._den0)
         tb = f._tb * (den // la.den) + sum(map(mul, f._eb, self._tag_bounds)) * (den // self._den0)
         lay = _widen(la, den, max(f._eb, default=0), tb)
-        rows = self._rows.get(lay)
+        # the table moves to the end on every use, so the first is the one
+        # used least recently, which a new layout's table replaces
+        tables = self._rows
+        rows = tables.pop(lay, None)
         if rows is None:
-            if len(self._rows) == _SIGMA_TABLES:
-                # drop the oldest layout's table
-                old = next(iter(self._rows))
-                del self._rows[old]
-            rows = self._rows[lay] = {}
+            rows = {}
+            if len(tables) == _SIGMA_TABLES:
+                del tables[next(iter(tables))]
+        tables[lay] = rows
         tag_mask = lay.tag_mask
         data = f._data if lay is la else _repack(f._data, la, lay)
         acc: Dict[int, int] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ramify.cuts import _Prefix
 from ramify.ordered_group import KIND_QUADRATIC, _is_squarefree_nonsquare
 
 
@@ -198,3 +199,23 @@ def vec_contains(bound, coords) -> bool:
     if pad == -1:
         return True
     return inclusive
+
+
+# -- membership of a point against any boundary -------------------------------------
+
+
+def point_cmp(x, value) -> int:
+    """The sign of the point x minus a ``ramify.cuts`` boundary, both read
+    back as Fractions: the form of ``_value_of(x).cmp(value)``.  A point
+    over ``quadratic(d)`` is a + b*sqrt(d), and a + 0*sqrt(d) is rational."""
+    if type(value) is _Prefix:
+        xs = tuple(Fraction(c, x.den) for c in x.nums)
+        return lex_cmp_prefix(xs, tuple(Fraction(c, value.den) for c in value.nums))
+    b = x.nums[1] if x.descriptor.kind == KIND_QUADRATIC else 0
+    point = FracSurd(Fraction(x.nums[0], x.den), Fraction(b, x.den), x.descriptor.param)
+    return point.cmp(FracSurd(value.a, value.b, value.d))
+
+
+def contains(cut, x) -> bool:
+    rel = point_cmp(x, cut.value)
+    return rel > 0 or (rel == 0 and cut.inclusive)

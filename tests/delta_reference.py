@@ -1,6 +1,7 @@
 """The decoding forms of the defect-model sampler and displacement check,
 kept as oracles for the packed-key versions in ``sampling`` and
-``defect_lab``.
+``defect_lab``, and the linear scan of the limit check, kept as the oracle
+for its bisection.
 
 Every term is built as a ``Fraction``, checked by ``element`` and added as
 a ``Poly``; every monomial is decoded to a (``GroupElement``, exponent
@@ -14,8 +15,16 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from ramify.defect_lab import DeltaBoundError, DeltaReport
-from ramify.ordered_group import KIND_P_INVERTED, compare, element
+from ramify.defect_lab import (
+    STATUS_BELOW_ALL,
+    STATUS_UNRESOLVED,
+    STATUS_WITNESSED,
+    DeltaBoundError,
+    DeltaReport,
+    LimitEntry,
+    LimitReport,
+)
+from ramify.ordered_group import KIND_P_INVERTED, compare, element, int_scale
 from ramify.sampling import _grid_base
 from ramify.series_field import SeriesElement
 
@@ -82,3 +91,28 @@ def verify_delta_bounds(model, samples: int = 200, rng: Optional[random.Random] 
                 f"{delta_f.valuation().value}"
             )
     return DeltaReport(samples, checked, fixed)
+
+
+def conductor_limit_check(model, queries) -> LimitReport:
+    """Each query against every threshold p*e(i) in turn, up to the first
+    one it dominates."""
+    thresholds = [int_scale(model.p, e) for e in model.e_seq]
+    entries = []
+    ok = True
+    for gamma in queries:
+        member = model.conductor.contains(gamma)
+        witness = None
+        for i, th in enumerate(thresholds):
+            if compare(gamma, th) >= 0:
+                witness = i
+                break
+        if member:
+            status = STATUS_WITNESSED if witness is not None else STATUS_UNRESOLVED
+        else:
+            if witness is not None:
+                status = "inconsistent"
+                ok = False
+            else:
+                status = STATUS_BELOW_ALL
+        entries.append(LimitEntry(gamma, member, status, witness))
+    return LimitReport(ok, tuple(entries))

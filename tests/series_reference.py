@@ -114,3 +114,14 @@ def is_pth_power(field, c):
             return False, None
         out[tuple(e // p for e in exps)] = coeff
     return True, field.ring.from_dict(out)
+
+
+def t_coords(lay, T):
+    """The coordinates of a packed t-exponent, one balanced base-2^tw digit
+    at a time from the lowest, whatever the number of lower coordinates."""
+    out = []
+    for _ in range(lay.nlow):
+        c = ((T + lay.half) & lay.tmask) - lay.half
+        out.append(c)
+        T = (T - c) >> lay.tw
+    return tuple(reversed(out + [T]))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
+from ramify.cuts import Cut, Surd, _value_of, frontier_cut, open_cut, principal_cut, whole_cut
+from ramify.defect_lab import _surd_floor
 from ramify.ordered_group import (
     _is_squarefree_nonsquare,
     compare,
@@ -24,7 +25,7 @@ from ramify.ordered_group import (
 
 from . import cut_reference as ref
 from .cut_reference import FracSurd
-from .strategies import descriptors, elements, group_cuts, hull_ideals
+from .strategies import ALL_DESCRIPTORS, descriptors, elements, group_cuts, hull_ideals
 
 Z1 = int_lex(1)
 Z2 = int_lex(2)
@@ -285,6 +286,75 @@ def test_lex_cuts_match_the_fraction_oracle(case):
         for c2, r2 in zip(cuts, refs):
             assert c1.subset(c2) == ref.vec_subset(r1, r2)
             assert _vec_ref(c1.multiply(c2)) == ref.vec_multiply(n, over_hull, r1, r2)
+
+
+@st.composite
+def _membership_case(draw):
+    """A cut of any kind over any group of ``strategies``, with Surd bounds
+    over the group's own radicand and another one, and points to test:
+    drawn ones, each bound point, and quadratic ones with b = 0, some of
+    them just below or above a bound."""
+    d = draw(st.sampled_from(ALL_DESCRIPTORS))
+    over_hull = draw(st.booleans())
+    make = hull_element if over_hull else element
+    cuts = [draw(hull_ideals(d) if over_hull else group_cuts(d))]
+    if d.kind == "zlex" and d.param > 1 and over_hull:
+        cuts.append(draw(_hull_frontier_ge().filter(lambda c: c.descriptor == d)))
+    if d.is_dense:
+        for r in (d.param, 3) if d.kind == "quad" else (2, 3):
+            a, b, _ = draw(_surd_args((r,)))
+            cut = _outcome(Cut._make, d, over_hull, Surd(a, b, r), draw(st.booleans()))
+            if cut is not ValueError:
+                cuts.append(cut)
+    points = [draw(elements(d, hull=over_hull)) for _ in range(4)]
+    if d.kind == "quad":
+        points += [make(d, (draw(_rationals), 0)) for _ in range(2)]
+        # rational points just below and above each real bound, where a
+        # wrong radicand for the point would flip the answer
+        for cut in cuts:
+            for den in (1, 8, 64):
+                points += [make(d, (Fraction(_surd_floor(cut.value, den) + k, den), 0)) for k in (0, 1)]
+    points += [c.bound_point() for c in cuts if c.bound_point() is not None]
+    return cuts, points
+
+
+@settings(max_examples=400)
+@given(_membership_case())
+def test_contains_matches_the_fraction_form(case):
+    cuts, points = case
+    for cut in cuts:
+        for x in points:
+            want = ref.point_cmp(x, cut.value)
+            assert _value_of(x).cmp(cut.value) == want
+            assert cut.contains(x) == ref.contains(cut, x)
+
+
+def test_contains_reads_a_rational_quadratic_point_as_rational():
+    # 3 = 3 + 0*sqrt(2) over quad:2 against 3/2 + sqrt(3) = 3.23...: the
+    # point's radicand must not stand in for the bound's
+    cut = open_cut(QD2, Surd(Fraction(3, 2), 1, 3))
+    points = (
+        ((3, 0), False), ((4, 0), True), ((Fraction(13, 4), 0), True),
+        ((0, 3), True), ((3, Fraction(1, 10)), False), ((3, Fraction(1, 5)), True),
+    )
+    for x, member in points:
+        assert cut.contains(element(QD2, x)) == member == ref.contains(cut, element(QD2, x))
+    for a, member in ((Fraction(3), False), (Fraction(13, 4), True)):
+        assert principal_cut(element(QD2, (a, 0))).contains(element(QD2, 3)) == (a == 3)
+        assert open_cut(QD2, Surd(Fraction(3, 2), 1, 3), over_hull=True).contains(hull_element(QD2, (a, 0))) == member
+
+
+def test_contains_keeps_its_type_and_group_messages():
+    cases = (
+        (principal_cut(element(QD2, 1)), hull_element(QD2, 1), TypeError, "cut over quad:2 expects GroupElement, got HullElement"),
+        (open_cut(ZP2, Surd(1, 1, 3), over_hull=True), element(ZP2, 1), TypeError, "cut over hull of zp:2 expects HullElement, got GroupElement"),
+        (frontier_cut(Z2, (1,)), (1, 2), TypeError, "cut over zlex:2 expects GroupElement, got tuple"),
+        (open_cut(QD2, Surd(1, 1, 3)), element(quadratic(3), 1), ValueError, "group mismatch: quad:2 vs quad:3"),
+        (frontier_cut(Z2, (1,)), element(int_lex(3), (1, 2, 3)), ValueError, "group mismatch: zlex:2 vs zlex:3"),
+    )
+    for cut, x, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cut.contains(x)
 
 
 # -- membership and canonical forms ------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ramify import defect_lab
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import (
     BreakWitness,
@@ -38,7 +39,7 @@ from ramify.ordered_group import (
     p_inverted,
     quadratic,
 )
-from ramify.sampling import random_model_series
+from ramify.sampling import random_irrational_bound, random_model_series, random_positive_element
 from ramify.series_field import CoeffField, SigmaSpec
 from ramify.swan import FULL_IMAGE, TRIVIAL_IMAGE, break_of, galois_image
 
@@ -447,6 +448,60 @@ def test_a_conductor_below_its_thresholds_is_inconsistent():
     assert report.entries == (LimitEntry(gamma, False, "inconsistent", 1),)
     _, _, labels = witness_persistence(shallow, deep, [gamma])
     assert labels == ["deep consistent", "membership is depth-free", "witness survives deepening"]
+
+
+def _limit_bounds(d, rng):
+    """A bound in the group and one outside it: a group point, and a Surd
+    over sqrt(2), or over sqrt(3) for quad:2, which holds sqrt(2)."""
+    if d.kind == "quad":
+        a, b = Fraction(rng.randint(1, 6), rng.choice((1, 2))), Fraction(rng.randint(0, 2), 2)
+        r, s = Fraction(rng.randint(0, 6), rng.randint(1, 4)), Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        return element(d, (a, b)), Surd(r, s, 3)
+    return element(d, Fraction(rng.randint(1, 8), d.param ** rng.randint(0, 2))), random_irrational_bound(rng, d)
+
+
+def _limit_probes(model, rng):
+    """Each threshold, one step of its own grid level above and below it, a
+    point above the first threshold, one below the last, zero, and draws."""
+    d, qs = model.descriptor, []
+    thresholds = [int_scale(model.p, e) for e in model.e_seq]
+    for th in thresholds:
+        step = element(d, Fraction(1, th.den))
+        qs += [th, th + step, th - step]
+    qs += [thresholds[0] + element(d, 1), thresholds[-1] - element(d, Fraction(1, thresholds[-1].den)), element(d, 0)]
+    return qs + [random_positive_element(rng, d, span=6) for _ in range(12)]
+
+
+def test_limit_check_bisection_matches_the_linear_scan():
+    rng = random.Random(31)
+    for d in (ZP2, ZP3, p_inverted(5), p_inverted(7), QD2):
+        for p in (2, 3):
+            for bound in _limit_bounds(d, rng):
+                cut = open_cut(d, bound)
+                for depth in range(1, 13):
+                    model = build_defect_model(d, p, cut, depth)
+                    queries = _limit_probes(model, rng)
+                    report = conductor_limit_check(model, queries)
+                    assert report == ref.conductor_limit_check(model, queries)
+                    assert [e.witness for e in report.entries[: 3 * (depth + 1) : 3]] == list(range(depth + 1))
+    # a model whose conductor sits below its thresholds
+    shallow, deep = canonical_model(2), canonical_model(4)
+    deep.conductor = open_cut(ZP2, element(ZP2, 2))
+    queries = _limit_probes(deep, rng) + _limit_probes(shallow, rng)
+    report = conductor_limit_check(deep, queries)
+    assert not report.ok and report == ref.conductor_limit_check(deep, queries)
+
+
+def test_a_grid_sequence_that_does_not_strictly_decrease_is_refused(monkeypatch):
+    # the limit check bisects the thresholds, so the builder refuses a
+    # repeated or rising step even when every step lies in the root set
+    grid = defect_lab._grid_sequence
+    for bend in (lambda s: s[:2] + s[1:], lambda s: s[1:2] + s[:1] + s[2:]):
+        monkeypatch.setattr(defect_lab, "_grid_sequence", lambda *args: bend(grid(*args)))
+        with pytest.raises(RuntimeError, match="^grid sequence does not strictly decrease$"):
+            canonical_model(4)
+    monkeypatch.undo()
+    assert len(canonical_model(4).e_seq) == 5
 
 
 # -- twins -----------------------------------------------------------------------------

@@ -248,6 +248,20 @@ def test_polynomials_take_an_integer_on_either_side():
             op(1.5, u)
 
 
+def test_polynomials_refuse_a_bool_on_either_side():
+    field = CoeffField(3, units=("u",))
+    u = field.unit_gen("u")
+    forms = (
+        lambda: u * True, lambda: True * u, lambda: u + True, lambda: True + u,
+        lambda: u - False, lambda: False - u, lambda: u * False, lambda: False + u,
+    )
+    for form in forms:
+        with pytest.raises(TypeError, match="^cannot combine a polynomial with bool$"):
+            form()
+    assert (u == True) is False and (u == False) is False and (u != True) is True
+    assert str(u * 2) == str(2 * u) == "2*u" and u + 1 == 1 + u
+
+
 def test_a_coefficient_that_is_not_a_polynomial_is_refused():
     field, gamma = CoeffField(3), element(Z1, -2)
     with pytest.raises(TypeError, match="a series coefficient must be a Poly, got int"):

@@ -8,6 +8,7 @@ so that binary operations must re-pack.
 """
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 from math import lcm
@@ -571,6 +572,22 @@ def test_sigma_keeps_the_row_tables_of_its_last_layouts():
     assert list(sigma._rows) == [g._lay for g in copies[-_SIGMA_TABLES:]]
 
 
+def test_sigma_keeps_the_table_it_used_last_over_an_older_one():
+    # layout A's table is made first and used again after 7 other layouts':
+    # a ninth layout then replaces the table used least recently, not A's
+    field = _field(3, ZP3)
+    x0, x1 = field.gens[:2]
+    f = t_term(field, ZP3, element(ZP3, 1), x0 ** 2 * x1 + x1) + t_term(field, ZP3, element(ZP3, 2), x0)
+    sigma = SigmaSpec(field, ZP3)
+    a, *others = [_wider(f, 1, 0, k) for k in range(1, _SIGMA_TABLES + 2)]
+    sigma.apply(a)
+    for g in others[:-1]:
+        sigma.apply(g)
+    assert sigma.delta(a) == SigmaSpec(field, ZP3).apply(f) - f
+    sigma.apply(others[-1])
+    assert list(sigma._rows) == [g._lay for g in others[1:-1]] + [a._lay, others[-1]._lay]
+
+
 def test_delta_where_an_image_lands_on_a_key_of_f():
     # sigma(x0^2) = x0^2 + 2*x0*t + t^2 lands on t^2, which f stores first,
     # and delta adds the moved monomials alone
@@ -616,6 +633,32 @@ def test_sigma_widens_f_only_where_the_image_needs_room():
 
 
 # -- copies ------------------------------------------------------------------------------------
+
+
+def test_t_coords_matches_the_digit_loop_at_the_digit_edges():
+    for tw in range(12, 18):
+        for nlow in (0, 1, 2):
+            lay = _layout(nlow, 2, 1, 1, 4, tw)
+            half = lay.half
+            for top in (-(2 ** 40) - 3, -5, -1, 0, 1, 7, 2 ** 40 + 1):
+                for lows in itertools.product((-half, -half + 1, -1, 0, 1, half - 2, half - 1), repeat=nlow):
+                    coords = (top, *lows)
+                    T = lay.t_code(coords)
+                    assert lay.t_coords(T) == ref.t_coords(lay, T) == coords
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, 2]), st.integers(min_value=12, max_value=17), st.data())
+def test_t_coords_matches_the_digit_loop(nlow, tw, data):
+    lay = _layout(nlow, 3, 2, 1, 4, tw)
+    half = lay.half
+    low = st.one_of(st.sampled_from((-half, half - 1)), st.integers(min_value=-half, max_value=half - 1))
+    coords = (data.draw(st.integers(min_value=-(2 ** 70), max_value=2 ** 70)), *(data.draw(low) for _ in range(nlow)))
+    T = lay.t_code(coords)
+    assert lay.t_coords(T) == ref.t_coords(lay, T) == coords
+    # any integer is a valid code: decoding, then coding again, gives it back
+    T = data.draw(st.integers(min_value=-(2 ** 80), max_value=2 ** 80))
+    assert lay.t_code(lay.t_coords(T)) == T and lay.t_coords(T) == ref.t_coords(lay, T)
 
 
 def test_copies_are_equal_and_keep_the_interned_layout():
