@@ -179,8 +179,9 @@ def _cmp(nums: Tuple[int, ...], den: int, d: int, value: _Value) -> int:
     """The sign of nums / den minus a boundary value, on integers alone.
 
     Against a `_Prefix`, nums is a prefix and the two compare on their
-    common width.  Against a `Surd`, nums is (A,) or (A, B), the real
-    (A + B*sqrt(d)) / den, with d = 0 when B = 0 as in a canonical `Surd`.
+    common width, and d is ignored.  Against a `Surd`, nums is (A,) or
+    (A, B), the real (A + B*sqrt(d)) / den; d is read only beside a nonzero
+    B, so a rational point may pass any radicand.
     """
     D2 = value.den
     if type(value) is _Prefix:
@@ -192,7 +193,7 @@ def _cmp(nums: Tuple[int, ...], den: int, d: int, value: _Value) -> int:
     B = nums[1] if len(nums) > 1 else 0
     a = nums[0] * D2 - value.A * den
     if d == value.d or not B or not value.B:
-        return quad_sign(a, B * D2 - value.B * den, d or value.d)
+        return quad_sign(a, B * D2 - value.B * den, d if B else value.d)
     # times den*D2 > 0: the sign of u - w with u = a + b*sqrt(d) and
     # w = c*sqrt(d'), where b, c are nonzero and d != d'
     b, c = B * D2, value.B * den
@@ -329,10 +330,8 @@ class Cut:
 
     def contains(self, x: _Element) -> bool:
         self._check_point(x)
-        # x's integers against the boundary, as `_value_of(x).cmp` compares
-        # them, so x's radicand is 0 unless it is a quadratic point with b != 0
-        nums, d = x.nums, self.descriptor
-        rel = _cmp(nums, x.den, d.param if d.kind == KIND_QUADRATIC and nums[1] else 0, self.value)
+        # x's integers against the boundary, as `_value_of(x).cmp` compares them
+        rel = _cmp(x.nums, x.den, self.descriptor.param, self.value)
         # on a short prefix the flag says which side of the rest x lies on
         return rel > 0 or (rel == 0 and self.inclusive)
 

@@ -20,7 +20,8 @@ slowly as the cut demands:
   sigma(m) - m has value at least v(m) plus the least tag in m, so sigma
   moves the ring no faster than the cut allows;
 * `conductor_limit_check` tests cut membership against the thresholds
-  p*e(i) read off the tag sequence, and never calls sigma.
+  p*e(i), which `build_defect_model` computes once from the tag sequence
+  and keeps on the model (``DefectModel.thresholds``); it never calls sigma.
 
 Neither shows that sigma moves as fast as the cut demands: a sigma whose
 step is doubled, sigma(x_i) = x_i + t^(2*e(i)), passes both.  That sharp
@@ -40,6 +41,7 @@ from .cuts import Cut, Surd, open_cut, principal_cut
 from .ordered_group import (
     GroupDescriptor,
     GroupElement,
+    _int_only,
     compare,
     divide_exact,
     element,
@@ -61,15 +63,16 @@ class DeltaBoundError(Exception):
 
 
 class DefectModel:
-    """A truncated defect extension with conductor cut `conductor`;
-    compares by identity."""
+    """A truncated defect extension with conductor cut `conductor` and
+    thresholds p*e(i); compares by identity."""
 
     def __init__(
         self, descriptor: GroupDescriptor, p: int, conductor: Cut, root_set: Cut, depth: int,
-        e_seq: Tuple[GroupElement, ...], field: CoeffField, sigma: SigmaSpec, swan: SwanData,
+        e_seq: Tuple[GroupElement, ...], thresholds: Tuple[GroupElement, ...],
+        field: CoeffField, sigma: SigmaSpec, swan: SwanData,
     ) -> None:
         self.descriptor, self.p, self.conductor, self.root_set, self.depth = descriptor, p, conductor, root_set, depth
-        self.e_seq, self.field, self.sigma, self.swan = e_seq, field, sigma, swan
+        self.e_seq, self.thresholds, self.field, self.sigma, self.swan = e_seq, thresholds, field, sigma, swan
 
 
 class PrincipalCase(NamedTuple):
@@ -171,15 +174,17 @@ def build_defect_model(
     if not descriptor.is_dense:
         raise ValueError("defect extensions need a dense value group")
     root_set = conductor.pth_root_set(p)
+    _int_only(depth)
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     e_seq = _grid_sequence(descriptor, p, root_set.value, depth)
-    for e in e_seq:
-        if not root_set.contains(e) or not conductor.contains(int_scale(p, e)):
+    thresholds = tuple(int_scale(p, e) for e in e_seq)
+    for e, th in zip(e_seq, thresholds):
+        if not root_set.contains(e) or not conductor.contains(th):
             raise RuntimeError("grid sequence escaped the root set")
-    # conductor_limit_check bisects the thresholds p*e(i), which needs them
+    # conductor_limit_check bisects the thresholds, which needs them
     # strictly decreasing
-    if any(compare(e, f) <= 0 for e, f in zip(e_seq, e_seq[1:])):
+    if any(compare(a, b) <= 0 for a, b in zip(thresholds, thresholds[1:])):
         raise RuntimeError("grid sequence does not strictly decrease")
     field = CoeffField(p, tags=e_seq)
     sigma = SigmaSpec(field, descriptor)
@@ -192,7 +197,7 @@ def build_defect_model(
         unramified=False,
         case=None,
     )
-    return DefectModel(descriptor, p, conductor, root_set, depth, e_seq, field, sigma, swan)
+    return DefectModel(descriptor, p, conductor, root_set, depth, e_seq, thresholds, field, sigma, swan)
 
 
 # -- sampled verification -------------------------------------------------------
@@ -221,6 +226,9 @@ def verify_delta_bounds(model: DefectModel, samples: int = 200, rng: Optional[ra
     sigma that is exact on monomials but not on sums (``_FastOnSums`` in
     the tests) fails it and nothing else.
     """
+    _int_only(samples)
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     if rng is None:
         rng = random.Random(0)
     # tags are stored in decreasing order, so the least tag occurring in a
@@ -299,7 +307,7 @@ def conductor_limit_check(model: DefectModel, queries: Sequence[GroupElement]) -
     least witness, where that suffix starts, is found by bisection in
     O(log depth) comparisons.
     """
-    thresholds = [int_scale(model.p, e) for e in model.e_seq]
+    thresholds = model.thresholds
     n = len(thresholds)
     entries = []
     ok = True
@@ -327,7 +335,7 @@ def conductor_limit_check(model: DefectModel, queries: Sequence[GroupElement]) -
 
 def limit_queries(model: DefectModel, rng: random.Random) -> List[GroupElement]:
     """The thresholds p*e(i) of `model`, filled out with random positive elements."""
-    qs = [int_scale(model.p, e) for e in model.e_seq]
+    qs = list(model.thresholds)
     while len(qs) < LIMIT_QUERIES:
         qs.append(random_positive_element(rng, model.descriptor, span=6))
     return qs

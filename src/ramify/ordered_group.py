@@ -72,10 +72,9 @@ def _int_only(n) -> None:
         raise TypeError(f"expected an integer, got {type(n).__name__}")
 
 
-# both tests are cached, so each distinct parameter is trial-divided once;
-# typed, so that 3.0 or True is not a hit for 3 or 1 and reaches the check
-@lru_cache(maxsize=256, typed=True)
-def _is_prime(n: int) -> bool:
+def _trial(n: int, square: bool) -> bool:
+    """Whether n >= 2 has no divisor k*k (``square``), else no divisor k,
+    for 2 <= k <= sqrt(n); refuses a non-int and an n above the cap."""
     _int_only(n)
     if n < 2:
         return False
@@ -83,25 +82,22 @@ def _is_prime(n: int) -> bool:
         raise ValueError(f"{echo(n)} exceeds the supported parameter cap 2**31")
     k = 2
     while k * k <= n:
-        if n % k == 0:
+        if n % (k * k if square else k) == 0:
             return False
         k += 1
     return True
+
+
+# both tests are cached, so each distinct parameter is trial-divided once;
+# typed, so that 3.0 or True is not a hit for 3 or 1 and reaches the check
+@lru_cache(maxsize=256, typed=True)
+def _is_prime(n: int) -> bool:
+    return _trial(n, False)
 
 
 @lru_cache(maxsize=256, typed=True)
 def _is_squarefree_nonsquare(d: int) -> bool:
-    _int_only(d)
-    if d < 2:
-        return False
-    if d > TRIAL_DIVISION_CAP:
-        raise ValueError(f"{echo(d)} exceeds the supported parameter cap 2**31")
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return _trial(d, True)
 
 
 _set = object.__setattr__
@@ -437,11 +433,16 @@ def in_group(h: HullElement) -> bool:
     return _den_in_group(h.descriptor, h.den)
 
 
+def _sign_of(descriptor: GroupDescriptor, nums: Tuple[int, ...]) -> int:
+    """The sign of nums / den for any den > 0: by ``quad_sign`` over
+    Q + Q*sqrt(d), else by the first nonzero numerator."""
+    if descriptor.kind == KIND_QUADRATIC:
+        return quad_sign(nums[0], nums[1], descriptor.param)
+    return next(((c > 0) - (c < 0) for c in nums if c), 0)
+
+
 def sign(x: _Element) -> int:
-    if x.descriptor.kind == KIND_QUADRATIC:
-        return quad_sign(x.nums[0], x.nums[1], x.descriptor.param)
-    # lexicographic (or a single numerator): the first nonzero entry decides
-    return next(((c > 0) - (c < 0) for c in x.nums if c), 0)
+    return _sign_of(x.descriptor, x.nums)
 
 
 def is_positive(x: _Element) -> bool:

@@ -9,11 +9,17 @@ Points are built once, from the drawn integers, with
 nothing: every draw lies in its space by construction, since its
 denominator is a power of q over Z[1/q], 1 over Z^n, and anything over
 Q + Q*sqrt(d) and in the hull.  ``random_positive_element`` reads the sign
-off the integers and builds only the draw it keeps.  Two samplers still
-pass rationals to a cut constructor: ``random_hull_ideal`` hands its
-fractional frontier prefixes to ``frontier_cut`` and
-``random_irrational_bound`` its parts to ``Surd``, because a cut bound is
-not a point and each constructor takes one input form.
+off the integers with ``ordered_group._sign_of``, the rule ``sign`` uses,
+and builds only the draw it keeps.  Two samplers still pass rationals to a
+cut constructor: ``random_hull_ideal`` hands its fractional frontier
+prefixes to ``frontier_cut`` and ``random_irrational_bound`` its parts to
+``Surd``, because a cut bound is not a point and each constructor takes
+one input form.
+
+No value is a float.  The cut samplers roll ``_roll``, the integer
+rng.random() * 2**53 drawn from the same two 32-bit words, against the
+integers their float thresholds stood for, so every draw is the one the
+float roll made.
 """
 
 from __future__ import annotations
@@ -28,9 +34,8 @@ from .ordered_group import (
     GroupDescriptor,
     KIND_INT_LEX,
     KIND_P_INVERTED,
-    KIND_QUADRATIC,
     _point,
-    quad_sign,
+    _sign_of,
 )
 from .series_field import Poly, SeriesElement, _merge
 
@@ -56,32 +61,31 @@ def _draw(rng: random.Random, descriptor: GroupDescriptor, hull: bool, span: int
     return (n * qb, m * qa), qa * qb
 
 
-def _positive(descriptor: GroupDescriptor, nums) -> bool:
-    """Whether nums / den > 0, for any den > 0: by ``quad_sign`` over
-    Q + Q*sqrt(d), else by the first nonzero numerator."""
-    if descriptor.kind == KIND_QUADRATIC:
-        return quad_sign(nums[0], nums[1], descriptor.param) > 0
-    for c in nums:
-        if c:
-            return c > 0
-    return False
-
-
-def random_element(
-    rng: random.Random, descriptor: GroupDescriptor, hull: bool = False, span: int = 12
-):
-    nums, den = _draw(rng, descriptor, hull, span)
-    return _point(descriptor, nums, den, hull)
-
-
 def random_positive_element(
     rng: random.Random, descriptor: GroupDescriptor, hull: bool = False, span: int = 12
 ):
     for _ in range(200):
         nums, den = _draw(rng, descriptor, hull, span)
-        if _positive(descriptor, nums):
+        if _sign_of(descriptor, nums) > 0:
             return _point(descriptor, nums, den, hull)
     raise RuntimeError("sampler failed to find a positive element")
+
+
+# rng.random() < c reads x < ceil(c * 2**53) for the float c, and
+# rng.random() > 0.9 reads x > floor(0.9 * 2**53); the float values, not the
+# exact decimals, which differ at 0.6 and 0.9
+_BELOW_008 = 720575940379280
+_BELOW_030 = 2702159776422298
+_BELOW_045 = 4053239664633447
+_BELOW_050 = 2 ** 52
+_BELOW_060 = 5404319552844595
+_ABOVE_090 = 8106479329266893
+
+
+def _roll(rng: random.Random) -> int:
+    """rng.random() * 2**53, an integer in [0, 2**53), from the two 32-bit
+    words that rng.random() consumes: (w1 >> 5) * 2**26 + (w2 >> 6)."""
+    return (rng.getrandbits(32) >> 5) * 67108864 + (rng.getrandbits(32) >> 6)
 
 
 def random_irrational_bound(rng: random.Random, descriptor: GroupDescriptor) -> Optional[Surd]:
@@ -98,21 +102,21 @@ def random_group_cut(
     rng: random.Random, descriptor: GroupDescriptor, allow_whole: bool = True
 ) -> Cut:
     """A cut over the group itself, covering every kind the group admits."""
-    roll = rng.random()
-    if allow_whole and roll < 0.08:
+    roll = _roll(rng)
+    if allow_whole and roll < _BELOW_008:
         return whole_cut(descriptor)
     if descriptor.kind == KIND_INT_LEX:
         n = descriptor.param
-        if n > 1 and roll < 0.45:
+        if n > 1 and roll < _BELOW_045:
             k = rng.randint(1, n - 1)
             prefix = [rng.randint(0, 4)] + [rng.randint(-4, 4) for _ in range(k - 1)]
             if prefix[0] == 0:
                 prefix = [prefix[0]] + [abs(c) for c in prefix[1:]]
             return frontier_cut(descriptor, tuple(prefix))
         return principal_cut(random_positive_element(rng, descriptor))
-    if roll < 0.5:
+    if roll < _BELOW_050:
         return principal_cut(random_positive_element(rng, descriptor))
-    if descriptor.kind == KIND_P_INVERTED and roll > 0.9:
+    if descriptor.kind == KIND_P_INVERTED and roll > _ABOVE_090:
         s = random_irrational_bound(rng, descriptor)
         if s is not None:
             return open_cut(descriptor, s)
@@ -121,15 +125,15 @@ def random_group_cut(
 
 def random_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
     """A proper nonzero ideal of the hull's valuation ring, as a cut."""
-    roll = rng.random()
-    if descriptor.kind == KIND_INT_LEX and descriptor.param > 1 and roll < 0.3:
+    roll = _roll(rng)
+    if descriptor.kind == KIND_INT_LEX and descriptor.param > 1 and roll < _BELOW_030:
         n = descriptor.param
         k = rng.randint(1, n - 1)
         prefix = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
         prefix[0] = abs(prefix[0]) + 1
         return frontier_cut(descriptor, tuple(prefix), over_hull=True)
     g = random_positive_element(rng, descriptor, hull=True)
-    if roll < 0.6:
+    if roll < _BELOW_060:
         return principal_cut(g)
     return open_cut(descriptor, g, over_hull=True)
 

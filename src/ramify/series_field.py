@@ -63,12 +63,12 @@ tagged variables and sigma = id on everything else.  A row holds the
 moving part sigma(m) - m of a tagged monomial m, as (key delta,
 coefficient) pairs written down from binomial coefficients mod p, one
 cached row per layout and tagged exponent pattern; sigma keeps the row
-tables of its last few layouts.  ``apply`` adds each key of f and then the
-keys of its row; ``delta`` runs the same loop without f's own keys, so it
-builds no sigma(f) and subtracts nothing, and its key order is not part of
-its result.  Both work in f's own layout, widened only where the image
-needs more room, so f is re-packed only then and the result shares its
-layout otherwise; ``trace`` runs on ``delta`` alone.  sigma preserves
+tables of its last few layouts.  ``apply`` starts from a copy of f's keys
+and adds the keys of each row; ``delta`` runs the same loop from nothing,
+so it builds no sigma(f) and subtracts nothing, and its key order is not
+part of its result.  Both work in f's own layout, widened only where the
+image needs more room, so f is re-packed only then and the result shares
+its layout otherwise; ``trace`` runs on ``delta`` alone.  sigma preserves
 valuations and satisfies sigma^p = id, and norm/trace along it produce
 sigma-fixed elements; all three facts are checked by the test suite rather
 than assumed.
@@ -621,6 +621,7 @@ class SeriesElement:
         divides v's numerators over the layout's den the root's keys are the
         lead's over p; each later root grows den by p, and the other terms
         are re-packed once."""
+        _int_only(n)
         if n < 1:
             return None, self, 0
         if not self._data:
@@ -941,8 +942,8 @@ class SigmaSpec:
         return tuple(row[1:])
 
     def _map(self, f: SeriesElement, moved_only: bool) -> SeriesElement:
-        """sigma(f): each key of f, then the keys its row adds; with
-        ``moved_only``, sigma(f) - f, the same loop without f's own keys."""
+        """sigma(f): f's keys, then the keys each row adds; with
+        ``moved_only``, sigma(f) - f, the same loop started from nothing."""
         # the image of x_i^e moves the lower t-coordinates of a monomial by
         # at most e times those of t^d_i, so widen f's layout once up front
         la = f._lay
@@ -960,11 +961,9 @@ class SigmaSpec:
         tables[lay] = rows
         tag_mask = lay.tag_mask
         data = f._data if lay is la else _repack(f._data, la, lay)
-        acc: Dict[int, int] = {}
+        acc: Dict[int, int] = {} if moved_only else dict(data)
         get = acc.get
         for key, c in data.items():
-            if not moved_only:
-                acc[key] = get(key, 0) + c
             tc = key & tag_mask
             if not tc:
                 continue

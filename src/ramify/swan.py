@@ -35,6 +35,7 @@ from .ordered_group import (
     KIND_INT_LEX,
     KIND_P_INVERTED,
     KIND_QUADRATIC,
+    _int_only,
     divide_exact,
     element,
     int_scale,
@@ -145,6 +146,7 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     only negative one, the terms of value >= 0 riding along, else one at a
     time.
     """
+    _int_only(max_iters)
     it = 0
     while True:
         # with budget left, a run that ends without a case takes a step

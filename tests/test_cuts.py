@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.cuts import Cut, Surd, _value_of, frontier_cut, open_cut, principal_cut, whole_cut
+from ramify.cuts import Cut, Surd, _cmp, _value_of, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import _surd_floor
 from ramify.ordered_group import (
     _is_squarefree_nonsquare,
@@ -724,3 +724,18 @@ def test_library_guards_raise_their_messages(guard):
     call, error, message = _GUARDS[guard]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_cmp_reads_a_radicand_only_beside_a_nonzero_b():
+    # Cut.contains passes the group's radicand for every point; a quad:2
+    # point with b = 0 is rational, so against a Surd over sqrt(3) its 2
+    # must not stand in for the bound's 3
+    bounds = [Surd(r, s, 3) for r in (0, Fraction(3, 2), 3, -2) for s in (1, -1, Fraction(1, 3))]
+    bounds += [Surd(r, s, 2) for r in (0, Fraction(3, 2)) for s in (1, -1)] + [Surd(3), Surd(Fraction(13, 4))]
+    for value in bounds:
+        for a in (Fraction(-3), 0, 1, 3, Fraction(13, 4), Fraction(7, 2), 5):
+            for b in (0, Fraction(1, 2), -1):
+                x = element(QD2, (a, b))
+                want = ref.point_cmp(x, value)
+                assert _cmp(x.nums, x.den, QD2.param, value) == want
+                assert _value_of(x).cmp(value) == want

@@ -558,3 +558,22 @@ def test_break_witness_validation():
         break_witness(ZP2, 2, Surd(Fraction(3, 2)), VARIANT_OPEN_IRRATIONAL)
     with pytest.raises(ValueError):
         break_witness(ZP2, 2, element(ZP2, 3), "closed-irrational")
+
+
+def test_the_model_keeps_its_thresholds_and_the_queries_start_with_them():
+    rng = random.Random(32)
+    for d in (ZP2, ZP3, p_inverted(5), p_inverted(7), QD2):
+        for p in (2, 3):
+            for bound in _limit_bounds(d, rng):
+                for depth in (1, 4, 9):
+                    model = build_defect_model(d, p, open_cut(d, bound), depth)
+                    assert model.thresholds == tuple(int_scale(p, e) for e in model.e_seq)
+                    queries = limit_queries(model, random.Random(depth))
+                    assert queries[: depth + 1] == list(model.thresholds) and len(queries) == 50
+
+
+def test_verify_delta_bounds_refuses_a_negative_sample_count():
+    model = canonical_model(2)
+    with pytest.raises(ValueError, match="^samples must be non-negative, got -3$"):
+        verify_delta_bounds(model, samples=-3)
+    assert verify_delta_bounds(model, samples=0) == DeltaReport(0, 0, 0)

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.cuts import frontier_cut
+from ramify.cuts import frontier_cut, open_cut
+from ramify.defect_lab import build_defect_model, verify_delta_bounds
 from ramify.ordered_group import (
+    TRIAL_DIVISION_CAP,
     GroupElement,
+    _is_prime,
+    _is_squarefree_nonsquare,
     HullElement,
     add,
     compare,
@@ -28,6 +32,7 @@ from ramify.ordered_group import (
     zero,
 )
 from ramify.series_field import CoeffField, t_term
+from ramify.swan import artin_schreier_reduce
 
 from . import group_reference as ref
 from .strategies import element_pairs, element_triples, elements
@@ -65,6 +70,16 @@ _INTEGER_GATES = {
     "divide_exact": lambda n: divide_exact(element(int_lex(1), 2), n),
     "Poly.__pow__": lambda n: CoeffField(3, units=("u",)).unit_gen("u") ** n,
     "SeriesElement.power": t_term(CoeffField(3), int_lex(1), element(int_lex(1), 1)).power,
+    "build_defect_model": lambda n: build_defect_model(
+        p_inverted(2), 2, open_cut(p_inverted(2), element(p_inverted(2), 1)), depth=n
+    ),
+    "verify_delta_bounds": lambda n: verify_delta_bounds(
+        build_defect_model(p_inverted(2), 2, open_cut(p_inverted(2), element(p_inverted(2), 1))), samples=n
+    ),
+    "artin_schreier_reduce": lambda n: artin_schreier_reduce(
+        t_term(CoeffField(2), p_inverted(2), element(p_inverted(2), -1)), n
+    ),
+    "SeriesElement.artin_schreier_run": t_term(CoeffField(2), p_inverted(2), element(p_inverted(2), -1)).artin_schreier_run,
 }
 
 
@@ -385,3 +400,24 @@ def test_membership_by_denominator_matches_the_division_loop(q, e, r):
     d = p_inverted(q)
     den = q ** e * r
     assert in_group(hull_element(d, Fraction(1, den))) == ref.in_group(d, Fraction(1, den))
+
+
+def test_trial_division_matches_the_definitions():
+    n_max = 5000
+    composite = [False] * (n_max + 1)
+    square_factor = [False] * (n_max + 1)
+    for k in range(2, n_max + 1):
+        for m in range(2 * k, n_max + 1, k):
+            composite[m] = True
+        for m in range(k * k, n_max + 1, k * k):
+            square_factor[m] = True
+    for n in range(n_max + 1):
+        assert _is_prime(n) == (n >= 2 and not composite[n])
+        # squarefree and >= 2 is never a square
+        assert _is_squarefree_nonsquare(n) == (n >= 2 and not square_factor[n])
+    # at the cap: 2**31 - 1 is prime, 2**31 is neither; above it is refused
+    assert _is_prime(TRIAL_DIVISION_CAP - 1) and _is_squarefree_nonsquare(TRIAL_DIVISION_CAP - 1)
+    assert not _is_prime(TRIAL_DIVISION_CAP) and not _is_squarefree_nonsquare(TRIAL_DIVISION_CAP)
+    for test in (_is_prime, _is_squarefree_nonsquare):
+        with pytest.raises(ValueError, match=r"^2147483649 exceeds the supported parameter cap 2\*\*31$"):
+            test(TRIAL_DIVISION_CAP + 1)

@@ -46,7 +46,7 @@ from ramify.series_field import (
 )
 
 from . import series_reference as ref
-from .strategies import descriptors, positive_elements
+from .strategies import ALL_DESCRIPTORS, descriptors, positive_elements
 
 ZP3 = p_inverted(3)
 Z2 = int_lex(2)
@@ -690,3 +690,29 @@ def test_copies_are_equal_and_keep_the_interned_layout():
         assert g == f and g._lay is f._lay
         assert sigma.apply(g) == image and sigma.delta(g) == image - f
     assert list(sigma._rows) == [f._lay]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("descriptor", ALL_DESCRIPTORS, ids=str)
+@given(data=st.data())
+@settings(deadline=None, max_examples=25)
+def test_apply_is_f_plus_delta_in_keys_layout_and_bounds(descriptor, p, data):
+    tags = data.draw(st.lists(positive_elements(descriptor), min_size=1, max_size=2, unique=True))
+    field = CoeffField(p, tags=tags, units=("u",))
+    sigma = SigmaSpec(field, descriptor)
+    rf = data.draw(reference_series(field, descriptor, exponents=(0, 1, 2, 15, 16, 17)))
+    # the same terms with every tagged exponent dropped: no tagged key
+    untagged = {}
+    for gamma, poly in rf.items():
+        acc = untagged.setdefault(gamma, {})
+        for e, c in poly.items():
+            key = (0,) * len(tags) + e[len(tags):]
+            acc[key] = acc.get(key, 0) + c
+    for r in (rf, ref.normalize(untagged, p)):
+        f = _series(field, descriptor, r)
+        got, want = sigma.apply(f), f + sigma.delta(f)
+        assert got._data == want._data
+        assert (got._lay, got._eb, got._tb) == (want._lay, want._eb, want._tb)
+        # apply's keys start with f's that survive, in f's order
+        kept = [k for k in _repack(f._data, f._lay, got._lay) if k in got._data]
+        assert list(got._data)[: len(kept)] == kept
