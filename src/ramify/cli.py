@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cuts import Cut, Surd, open_cut, principal_cut
 from .defect_lab import (
+    STATUS_BELOW_ALL,
+    STATUS_WITNESSED,
     DeltaBoundError,
     VARIANT_CLOSED,
     VARIANT_OPEN,
@@ -221,8 +223,8 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     limit = conductor_limit_check(model, queries)
     report.section("limit")
     report.kv("queries", len(queries))
-    report.kv("witnessed", sum(1 for e in limit.entries if e.status == "witnessed"))
-    report.kv("below_all", sum(1 for e in limit.entries if e.status == "below-all"))
+    report.kv("witnessed", sum(1 for e in limit.entries if e.status == STATUS_WITNESSED))
+    report.kv("below_all", sum(1 for e in limit.entries if e.status == STATUS_BELOW_ALL))
     report.kv("unresolved", limit.unresolved)
     report.kv("ok", limit.ok)
     return report, 0 if limit.ok else 1

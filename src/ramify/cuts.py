@@ -36,7 +36,6 @@ with the boundary's integers in one routine (`_cmp`, which `Surd.cmp` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .ordered_group import (
@@ -50,8 +49,8 @@ from .ordered_group import (
     _frozen,
     _int_only,
     _is_squarefree_nonsquare,
+    _lowest,
     _over_one_den,
-    _point,
     _set,
     quad_sign,
     zero,
@@ -129,9 +128,7 @@ def _fill(s: Surd, A: int, B: int, den: int, d: int) -> None:
     """Store (A + B*sqrt(d)) / den in s, in lowest terms; den != 0."""
     if den < 0:
         A, B, den = -A, -B, -den
-    g = gcd(A, B, den)
-    if g != 1:
-        A, B, den = A // g, B // g, den // g
+    (A, B), den = _lowest((A, B), den)
     _set(s, "A", A)
     _set(s, "B", B)
     _set(s, "den", den)
@@ -255,14 +252,10 @@ class Cut:
             if inclusive and not _surd_in_space(value, descriptor, over_hull):
                 inclusive = False
         else:
-            nums, den = value
+            nums, den = _lowest(*value)
             n = descriptor.param
             if not 1 <= len(nums) <= n:
                 raise ValueError(f"bound length {len(nums)} out of range for rank {n}")
-            if den != 1:
-                g = gcd(den, *nums)
-                if g != 1:
-                    nums, den = tuple(c // g for c in nums), den // g
             if not over_hull:
                 if inclusive and (len(nums) < n or den != 1):
                     # over Z^n a short integral prefix drops to the grid point
@@ -308,12 +301,13 @@ class Cut:
 
     def bound_point(self) -> Optional[_Element]:
         """The boundary as a point of the cut's space, when it is one."""
-        v, d = self.value, self.descriptor
+        # the boundary is in lowest terms, so its point needs no gcd
+        v, d, make = self.value, self.descriptor, HullElement if self.over_hull else GroupElement
         if type(v) is _Prefix:
-            return None if self._unfixed() else _point(d, v.nums, v.den, self.over_hull)
+            return None if self._unfixed() else make(d, v.nums, v.den)
         if not _surd_in_space(v, d, self.over_hull):
             return None
-        return _point(d, (v.A, v.B) if d.kind == KIND_QUADRATIC else (v.A,), v.den, self.over_hull)
+        return make(d, (v.A, v.B) if d.kind == KIND_QUADRATIC else (v.A,), v.den)
 
     def min_element(self) -> Optional[_Element]:
         """The least value in the cut, when one exists."""
@@ -390,7 +384,7 @@ class Cut:
             raise ValueError("conductor cuts live over the group, not the hull")
         if self.min_element() is not None:
             return True
-        if self.descriptor.kind != KIND_INT_LEX:
+        if self.descriptor.is_dense:
             return True
         nums = self.value.nums  # integral over the group
         succ = nums[:-1] + (nums[-1] + 1,)

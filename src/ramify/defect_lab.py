@@ -48,11 +48,10 @@ from .ordered_group import (
     int_scale,
     is_positive,
     neg,
-    to_hull,
 )
 from .sampling import _grid_base, random_model_series, random_positive_element
 from .series_field import CoeffField, SeriesElement, SigmaSpec, t_term
-from .swan import RESIDUE_TRIVIAL, SwanData, break_of, classify_equal_char
+from .swan import SwanData, _defect, break_of, classify_equal_char
 
 
 MAX_DEPTH = 256  # model cost grows steeply with the depth; deeper is refused
@@ -188,16 +187,7 @@ def build_defect_model(
         raise RuntimeError("grid sequence does not strictly decrease")
     field = CoeffField(p, tags=e_seq)
     sigma = SigmaSpec(field, descriptor)
-    swan = SwanData(
-        conductor=conductor,
-        rsw=None,
-        defect=True,
-        e_pred=1,
-        residue_pred=RESIDUE_TRIVIAL,
-        unramified=False,
-        case=None,
-    )
-    return DefectModel(descriptor, p, conductor, root_set, depth, e_seq, thresholds, field, sigma, swan)
+    return DefectModel(descriptor, p, conductor, root_set, depth, e_seq, thresholds, field, sigma, _defect(conductor))
 
 
 # -- sampled verification -------------------------------------------------------
@@ -386,8 +376,7 @@ def twin_pair(descriptor: GroupDescriptor, p: int, b: GroupElement, depth: int =
     pb = int_scale(p, b)
     ramified = build_principal_case(descriptor, p, pb)
     defect = build_defect_model(descriptor, p, open_cut(descriptor, pb), depth)
-    divergence = open_cut(descriptor, to_hull(pb), over_hull=True)
-    return TwinPair(ramified, defect, divergence)
+    return TwinPair(ramified, defect, break_of(defect.conductor))
 
 
 # -- one-stop break witnesses ---------------------------------------------------

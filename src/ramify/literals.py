@@ -228,7 +228,7 @@ def _parse_bound_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
         raise InputError("surd(a,b,d) takes three arguments")
     if vals[2].denominator != 1:
         raise InputError("the radicand of surd(a,b,d) is an integer")
-    if descriptor.kind == KIND_INT_LEX:
+    if not descriptor.is_dense:
         raise InputError(f"surd bounds live over dense groups, not {descriptor}")
     return Surd(vals[0], vals[1], int(vals[2]))
 

@@ -295,14 +295,17 @@ class HullElement(_Element):
     __slots__ = ()
 
 
+def _lowest(nums: Tuple[int, ...], den: int) -> Tuple[Tuple[int, ...], int]:
+    """nums / den (den > 0) in lowest terms; the arguments themselves when
+    they already are."""
+    g = 1 if den == 1 else gcd(den, *nums)
+    return (nums, den) if g == 1 else (tuple([c // g for c in nums]), den // g)
+
+
 def _point(descriptor: GroupDescriptor, nums: Tuple[int, ...], den: int, hull: bool = False) -> _Element:
     """The point nums / den (den > 0) in lowest terms, unchecked: the
     caller knows that it lies in the space."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums, den = tuple(c // g for c in nums), den // g
-    return (HullElement if hull else GroupElement)(descriptor, nums, den)
+    return (HullElement if hull else GroupElement)(descriptor, *_lowest(nums, den))
 
 
 def _make(descriptor: GroupDescriptor, raw, hull: bool) -> _Element:
@@ -355,12 +358,19 @@ def zero(descriptor: GroupDescriptor, hull: bool = False):
 
 def compare(x: _Element, y: _Element) -> int:
     """Three-way comparison; requires matching type and descriptor."""
-    x._check_peer(y)
+    if y.__class__ is not x.__class__ or y.descriptor is not x.descriptor:
+        x._check_peer(y)
     xs, ys = x.nums, y.nums
     if x.den != y.den:
         xs, ys = tuple(c * y.den for c in xs), tuple(c * x.den for c in ys)
-    if x.descriptor.kind == KIND_QUADRATIC:
-        return quad_sign(xs[0] - ys[0], xs[1] - ys[1], x.descriptor.param)
+    return _cmp_nums(x.descriptor, xs, ys)
+
+
+def _cmp_nums(descriptor: GroupDescriptor, xs, ys) -> int:
+    """The sign of xs - ys, numerators over one positive denominator: by
+    ``quad_sign`` over Q + Q*sqrt(d), else lexicographically."""
+    if descriptor.kind == KIND_QUADRATIC:
+        return quad_sign(xs[0] - ys[0], xs[1] - ys[1], descriptor.param)
     return (xs > ys) - (xs < ys)
 
 

@@ -105,21 +105,17 @@ def random_group_cut(
     roll = _roll(rng)
     if allow_whole and roll < _BELOW_008:
         return whole_cut(descriptor)
-    if descriptor.kind == KIND_INT_LEX:
-        n = descriptor.param
-        if n > 1 and roll < _BELOW_045:
-            k = rng.randint(1, n - 1)
-            prefix = [rng.randint(0, 4)] + [rng.randint(-4, 4) for _ in range(k - 1)]
-            if prefix[0] == 0:
-                prefix = [prefix[0]] + [abs(c) for c in prefix[1:]]
-            return frontier_cut(descriptor, tuple(prefix))
-        return principal_cut(random_positive_element(rng, descriptor))
-    if roll < _BELOW_050:
+    lex, n = descriptor.kind == KIND_INT_LEX, descriptor.param
+    if lex and n > 1 and roll < _BELOW_045:
+        k = rng.randint(1, n - 1)
+        prefix = [rng.randint(0, 4)] + [rng.randint(-4, 4) for _ in range(k - 1)]
+        if prefix[0] == 0:
+            prefix = [prefix[0]] + [abs(c) for c in prefix[1:]]
+        return frontier_cut(descriptor, tuple(prefix))
+    if lex or roll < _BELOW_050:
         return principal_cut(random_positive_element(rng, descriptor))
     if descriptor.kind == KIND_P_INVERTED and roll > _ABOVE_090:
-        s = random_irrational_bound(rng, descriptor)
-        if s is not None:
-            return open_cut(descriptor, s)
+        return open_cut(descriptor, random_irrational_bound(rng, descriptor))
     return open_cut(descriptor, random_positive_element(rng, descriptor))
 
 

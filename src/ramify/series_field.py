@@ -68,7 +68,9 @@ and adds the keys of each row; ``delta`` runs the same loop from nothing,
 so it builds no sigma(f) and subtracts nothing, and its key order is not
 part of its result.  Both work in f's own layout, widened only where the
 image needs more room, so f is re-packed only then and the result shares
-its layout otherwise; ``trace`` runs on ``delta`` alone.  sigma preserves
+its layout otherwise; ``trace`` runs on ``delta`` alone.  sigma refuses a
+series over another ring (another p or other variable names, the rule
+``Poly`` uses for coefficients) or another group.  sigma preserves
 valuations and satisfies sigma^p = id, and norm/trace along it produce
 sigma-fixed elements; all three facts are checked by the test suite rather
 than assumed.
@@ -82,10 +84,10 @@ from operator import add, lshift, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordered_group import (
-    KIND_INT_LEX,
     KIND_QUADRATIC,
     GroupDescriptor,
     GroupElement,
+    _cmp_nums,
     _den_in_group,
     _int_only,
     _is_prime,
@@ -504,12 +506,12 @@ class SeriesElement:
         if self.descriptor.kind != KIND_QUADRATIC:
             return min(self._data) >> S
         # one pass, decoding each distinct t-code once
-        d, t_coords = self.descriptor.param, self._lay.t_coords
+        descriptor, t_coords = self.descriptor, self._lay.t_coords
         best = None
         for T in {k >> S for k in self._data}:
-            a, b = t_coords(T)
-            if best is None or quad_sign(a - ba, b - bb, d) < 0:
-                best, ba, bb = T, a, b
+            ab = t_coords(T)
+            if best is None or _cmp_nums(descriptor, ab, best_ab) < 0:
+                best, best_ab = T, ab
         return best
 
     def _t_sign(self, T: int) -> int:
@@ -523,12 +525,12 @@ class SeriesElement:
     def support(self) -> Tuple[GroupElement, ...]:
         """The values of the terms in increasing order: the distinct t-parts
         of the keys, over Q + Q*sqrt(d) each decoded once and compared with
-        ``quad_sign``."""
+        ``_cmp_nums``, the order of ``compare``."""
         S = self._lay.shift
         codes = sorted({k >> S for k in self._data})
         if self.descriptor.kind == KIND_QUADRATIC:
-            d, ab = self.descriptor.param, {T: self._lay.t_coords(T) for T in codes}
-            codes.sort(key=cmp_to_key(lambda x, y: quad_sign(ab[x][0] - ab[y][0], ab[x][1] - ab[y][1], d)))
+            descriptor, ab = self.descriptor, {T: self._lay.t_coords(T) for T in codes}
+            codes.sort(key=cmp_to_key(lambda x, y: _cmp_nums(descriptor, ab[x], ab[y])))
         return tuple(self._t_element(T) for T in codes)
 
     def is_zero(self) -> bool:
@@ -564,8 +566,8 @@ class SeriesElement:
 
         The leading t-codes of both series and gap's numerators are brought
         over one common denominator and compared there: as integers over
-        Z[1/q] and Z^n, with ``quad_sign`` over Q + Q*sqrt(d).  Nothing is
-        decoded to a ``GroupElement``."""
+        Z[1/q], else with ``_cmp_nums``, the order of ``compare``.  Nothing
+        is decoded to a ``GroupElement``."""
         self._check_peer(base)
         if gap.descriptor is not self.descriptor and gap.descriptor != self.descriptor:
             raise ValueError("the gap lives over a different group")
@@ -578,9 +580,7 @@ class SeriesElement:
             return A * fa >= B * fb + gap.nums[0] * fg
         a = [c * fa for c in la.t_coords(A)]
         b = [c * fb + g * fg for c, g in zip(lb.t_coords(B), gap.nums)]
-        if self.descriptor.kind == KIND_INT_LEX:
-            return a >= b
-        return quad_sign(a[0] - b[0], a[1] - b[1], self.descriptor.param) >= 0
+        return _cmp_nums(self.descriptor, a, b) >= 0
 
     def _split_at(self, T: int) -> Tuple[Dict[int, int], Dict[int, int]]:
         """({monomial code: c} of the keys at t-code T, {key: c} of the rest)
@@ -622,7 +622,9 @@ class SeriesElement:
         lead's over p; each later root grows den by p, and the other terms
         are re-packed once."""
         _int_only(n)
-        if n < 1:
+        if n < 0:
+            raise ValueError(f"the substitution budget must be non-negative, got {n}")
+        if n == 0:
             return None, self, 0
         if not self._data:
             return "iii", self, 0
@@ -735,7 +737,9 @@ class SeriesElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesElement):
             return NotImplemented
-        if self.field != other.field or self.descriptor != other.descriptor:
+        if (other.field is not self.field and other.field != self.field) or (
+            other.descriptor is not self.descriptor and other.descriptor != self.descriptor
+        ):
             return False
         if self._lay is other._lay:
             return self._data == other._data
@@ -944,6 +948,10 @@ class SigmaSpec:
     def _map(self, f: SeriesElement, moved_only: bool) -> SeriesElement:
         """sigma(f): f's keys, then the keys each row adds; with
         ``moved_only``, sigma(f) - f, the same loop started from nothing."""
+        if (f.field is not self.field and not _same_ring(f.field, self.field)) or (
+            f.descriptor is not self.descriptor and f.descriptor != self.descriptor
+        ):
+            raise ValueError("sigma acts only on series over its own p, variables and group")
         # the image of x_i^e moves the lower t-coordinates of a monomial by
         # at most e times those of t^d_i, so widen f's layout once up front
         la = f._lay

@@ -13,10 +13,11 @@ root g: Frobenius is additive and fixes F_p, so g^p is exactly that term
 and f - (g^p - g) needs no power.  One routine makes them,
 `SeriesElement.artin_schreier_run`.  The case table:
 
-    conductor       form names       e   residue   cases
-    Principal(gen)  a value class    p   trivial   equal char i, Kummer i, iii
-    Principal(gen)  units only       1   insep-p   equal char ii, Kummer ii, iv
-    whole ring      nothing          1   trivial   equal char iii, Kummer v
+    conductor         form names       e   residue   cases
+    Principal(gen)    a value class    p   trivial   equal char i, Kummer i, iii
+    Principal(gen)    units only       1   insep-p   equal char ii, Kummer ii, iv
+    whole ring        nothing          1   trivial   equal char iii, Kummer v
+    no least element  nothing          1   trivial   defect models
 
 From the conductor cut everything else follows: `galois_image` evaluates
 which upper ramification groups surject onto the Galois group, `break_of`
@@ -36,7 +37,9 @@ from .ordered_group import (
     KIND_P_INVERTED,
     KIND_QUADRATIC,
     _int_only,
+    _is_prime,
     divide_exact,
+    echo,
     element,
     int_scale,
     is_positive,
@@ -144,7 +147,7 @@ def artin_schreier_reduce(f: SeriesElement, max_iters: int = 64) -> ReduceResult
     substitutions run on the packed keys (``SeriesElement.artin_schreier_run``):
     up to the remaining budget in closed form while the lead's value is the
     only negative one, the terms of value >= 0 riding along, else one at a
-    time.
+    time.  The run refuses a negative budget with ``ValueError``.
     """
     _int_only(max_iters)
     it = 0
@@ -171,6 +174,11 @@ def _unramified(case: str, descriptor: GroupDescriptor) -> SwanData:
     return SwanData(whole_cut(descriptor), None, False, 1, RESIDUE_TRIVIAL, True, case)
 
 
+def _defect(conductor: Cut) -> SwanData:
+    """Conductor with no least element: a defect extension, which no datum realizes."""
+    return SwanData(conductor, None, True, 1, RESIDUE_TRIVIAL, False)
+
+
 def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanData:
     """Conductor data of alpha^p - alpha = f.
 
@@ -193,6 +201,8 @@ def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanD
     if not isinstance(datum, EqualCharSymbolic):
         raise TypeError(f"cannot classify {type(datum).__name__}")
     desc = datum
+    if not _is_prime(desc.p):
+        raise ValueError(f"the residue characteristic must be prime, got {echo(desc.p)}")
     if desc.case == "iii":
         descriptor = desc.descriptor if desc.descriptor is not None else (
             desc.c.descriptor if desc.c is not None else None
@@ -222,6 +232,8 @@ def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanD
 
 def classify_kummer_symbolic(desc: KummerSymbolic) -> SwanData:
     """Conductor data of L = K(a^(1/p)) from a symbolic case descriptor."""
+    if not _is_prime(desc.p):
+        raise ValueError(f"the residue characteristic must be prime, got {echo(desc.p)}")
     if not is_positive(desc.e0):
         raise ValueError("e0 = v(zeta_p - 1) must be positive")
     pe0 = int_scale(desc.p, desc.e0)

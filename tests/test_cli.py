@@ -20,7 +20,7 @@ from ramify.defect_lab import DeltaBoundError, build_defect_model, build_princip
 from ramify.literals import format_cut, format_element, parse_cut, parse_element, parse_group, parse_series
 from ramify.ordered_group import MAX_RANK, divide_exact, element, hull_element, int_lex, p_inverted, quadratic
 from ramify.series_field import CoeffField, SeriesElement, t_term, variable_series
-from ramify.swan import artin_schreier_reduce, break_of
+from ramify.swan import RswSymbol, artin_schreier_reduce, break_of
 
 from . import scanner_reference
 from .test_defect_lab import _with_tags
@@ -298,6 +298,12 @@ def test_classify_unit_labels(p, literal, rsw):
     code, out, _ = run_cli(["classify", "--group", "zlex:1", "--p", p, "--as", literal])
     assert code == 0
     assert f"rsw: {rsw}\n" in out
+
+
+def test_a_form_with_no_terms_prints_as_zero():
+    # no case of the table yields one, so no command prints it
+    assert literals.format_rsw(RswSymbol(element(int_lex(1), 1), ())) == "0"
+    assert literals.format_rsw(None) == "none"
 
 
 @pytest.mark.parametrize(

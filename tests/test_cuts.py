@@ -739,3 +739,9 @@ def test_cmp_reads_a_radicand_only_beside_a_nonzero_b():
                 want = ref.point_cmp(x, value)
                 assert _cmp(x.nums, x.den, QD2.param, value) == want
                 assert _value_of(x).cmp(value) == want
+
+
+def test_surds_and_cuts_equal_only_their_own_type():
+    assert Surd(1).__eq__(1) is NotImplemented and Surd(1) != 1
+    cut = open_cut(ZP2, element(ZP2, 1))
+    assert cut.__eq__(object()) is NotImplemented and cut != object()

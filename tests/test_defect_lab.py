@@ -38,10 +38,11 @@ from ramify.ordered_group import (
     int_scale,
     p_inverted,
     quadratic,
+    to_hull,
 )
 from ramify.sampling import random_irrational_bound, random_model_series, random_positive_element
 from ramify.series_field import CoeffField, SigmaSpec
-from ramify.swan import FULL_IMAGE, TRIVIAL_IMAGE, break_of, galois_image
+from ramify.swan import FULL_IMAGE, RESIDUE_TRIVIAL, TRIVIAL_IMAGE, SwanData, break_of, galois_image
 
 from . import delta_reference as ref
 
@@ -577,3 +578,32 @@ def test_verify_delta_bounds_refuses_a_negative_sample_count():
     with pytest.raises(ValueError, match="^samples must be non-negative, got -3$"):
         verify_delta_bounds(model, samples=-3)
     assert verify_delta_bounds(model, samples=0) == DeltaReport(0, 0, 0)
+
+
+# -- the case table's defect row -----------------------------------------------------
+
+
+@pytest.mark.parametrize("descriptor, p, bound", [
+    (ZP2, 2, element(ZP2, 1)),
+    (ZP3, 3, element(ZP3, Fraction(2, 3))),
+    (QD2, 3, element(QD2, (1, 1))),
+    (ZP3, 2, Surd(1, 1, 2)),
+])
+def test_a_defect_model_reads_the_defect_row(descriptor, p, bound):
+    conductor = open_cut(descriptor, bound)
+    m = build_defect_model(descriptor, p, conductor, 2)
+    assert m.swan == SwanData(conductor, None, True, 1, RESIDUE_TRIVIAL, False, None)
+
+
+@pytest.mark.parametrize("descriptor, p, b", [
+    (ZP2, 2, element(ZP2, 1)),
+    (ZP2, 3, element(ZP2, Fraction(3, 4))),
+    (ZP3, 2, element(ZP3, Fraction(1, 9))),
+    (QD2, 3, element(QD2, (Fraction(1, 2), 1))),
+    (QD2, 2, element(QD2, (2, -1))),
+])
+def test_the_twins_diverge_at_the_break_of_the_defect_side(descriptor, p, b):
+    # the open hull cut above p*b, which is the hull closure of the defect conductor
+    pair = twin_pair(descriptor, p, b, depth=1)
+    assert pair.divergence == open_cut(descriptor, to_hull(int_scale(p, b)), over_hull=True)
+    assert pair.divergence == break_of(pair.defect.conductor)

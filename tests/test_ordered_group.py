@@ -9,6 +9,7 @@ from ramify.cuts import frontier_cut, open_cut
 from ramify.defect_lab import build_defect_model, verify_delta_bounds
 from ramify.ordered_group import (
     TRIAL_DIVISION_CAP,
+    GroupDescriptor,
     GroupElement,
     _is_prime,
     _is_squarefree_nonsquare,
@@ -421,3 +422,20 @@ def test_trial_division_matches_the_definitions():
     for test in (_is_prime, _is_squarefree_nonsquare):
         with pytest.raises(ValueError, match=r"^2147483649 exceeds the supported parameter cap 2\*\*31$"):
             test(TRIAL_DIVISION_CAP + 1)
+
+
+# -- rarely-run branches ---------------------------------------------------------------
+
+
+def test_descriptor_refuses_an_unknown_kind_and_compares_only_with_descriptors():
+    # parse_group answers first for text; the constructor refuses on its own
+    with pytest.raises(ValueError, match="^unknown group kind 'foo'$"):
+        GroupDescriptor("foo", 1)
+    assert p_inverted(2).__eq__("zp:2") is NotImplemented and p_inverted(2) != "zp:2"
+
+
+def test_points_order_with_greater_than_and_greater_or_equal():
+    d = p_inverted(2)
+    one, half = element(d, 1), element(d, Fraction(1, 2))
+    assert one >= one and one >= half and not half >= one
+    assert one > half and not one > one and not half > one

@@ -125,3 +125,13 @@ def test_no_module_holds_a_float_or_rolls_one():
             assert not (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))), (path.name, node.lineno)
             is_roll = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "random"
             assert not is_roll, (path.name, node.lineno)
+
+
+@pytest.mark.parametrize("descriptor", [d for d in GROUPS if d.kind != "zp"], ids=str)
+def test_irrational_bounds_exist_only_over_z_1_over_q(descriptor):
+    # random_group_cut draws one only over Z[1/q]; elsewhere the sampler says None
+    rng = random.Random(0)
+    assert sampling.random_irrational_bound(rng, descriptor) is None
+    assert rng.getstate() == random.Random(0).getstate()
+    bound = sampling.random_irrational_bound(rng, p_inverted(3))
+    assert not bound.is_rational and bound.sign() > 0

@@ -645,3 +645,72 @@ def test_pth_power_negatives():
     flag, root = is_pth_power(F2, x0 ** 2 * x1 ** 2)
     assert flag and root == x0 * x1
     assert is_pth_power(F2, F2.zero) == (True, F2.zero)
+
+
+# -- sigma refuses a series it does not act on -------------------------------------------
+
+
+def _sigma_and_foreign_series():
+    """(sigma, f) where f lies over another ring or group than sigma."""
+    zp3 = p_inverted(3)
+    half, one = element(ZP2, Fraction(1, 2)), element(ZP2, 1)
+    two_tags = CoeffField(2, tags=(one, half))
+    over_zp3 = CoeffField(2, tags=(element(zp3, 1),))
+    over_f2 = CoeffField(2, tags=(one,))
+    return [
+        # one tag against x1 of a two-tag field: no row for x1
+        (SigmaSpec(CoeffField(2, tags=(one,)), ZP2), variable_series(two_tags, ZP2, two_tags.gens[1])),
+        # Z[1/2] against Z[1/3]: x0 would move by t^(1/2), outside Z[1/3]
+        (SigmaSpec(CoeffField(2, tags=(half,)), ZP2), variable_series(over_zp3, zp3, over_zp3.gens[0])),
+        # F_3 against F_2: x0^2 would gain the coefficient 2
+        (SigmaSpec(CoeffField(3, tags=(one,)), ZP2), variable_series(over_f2, ZP2, over_f2.gens[0] ** 2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["tags", "group", "p"])
+def test_sigma_refuses_a_series_over_another_ring_or_group(case):
+    sigma, f = _sigma_and_foreign_series()[case]
+    for act in (sigma.apply, sigma.delta):
+        with pytest.raises(ValueError, match="^sigma acts only on series over its own p, variables and group$"):
+            act(f)
+
+
+# -- printing, equality and refused powers ------------------------------------------------
+
+
+def test_series_repr_lists_its_terms_in_increasing_value():
+    field = CoeffField(2, tags=(element(ZP2, Fraction(1, 2)),), units=("u",))
+    f = t_term(field, ZP2, element(ZP2, Fraction(3, 2)), field.unit_gen("u") + 1)
+    f = f + t_term(field, ZP2, element(ZP2, -1), field.gens[0])
+    assert repr(f) == "(x0)*t^-1 + (1 + u)*t^3/2"
+    assert repr(constant_series(field, ZP2, 0)) == "0"
+
+
+def test_series_equality_across_fields_groups_and_layouts():
+    field = CoeffField(2, tags=(element(ZP2, Fraction(1, 2)),))
+    other = CoeffField(2, tags=(element(ZP2, Fraction(1, 4)),))
+    f = t_term(field, ZP2, element(ZP2, -1), field.gens[0])
+    assert f != t_term(other, ZP2, element(ZP2, -1), other.gens[0])  # another field
+    plain = CoeffField(2)
+    assert constant_series(plain, Z1, 1) != constant_series(plain, ZP2, 1)  # another group
+    # another layout: a finer denominator, then another term count
+    fine = t_term(field, ZP2, element(ZP2, Fraction(1, 8)))
+    assert f + fine - fine == f
+    assert f + fine != f
+    assert f.__eq__(3) is NotImplemented and f != 3
+
+
+def test_poly_against_an_integer_and_refused_negative_powers():
+    x0 = F2.gens[0]
+    assert F2.one == 3 and x0 != 3  # 3 is 1 mod 2
+    with pytest.raises(ValueError, match="^polynomial powers need an integer n >= 0$"):
+        x0 ** -1
+    with pytest.raises(ValueError, match="^series powers need n >= 0$"):
+        variable_series(F2, ZP2, x0).power(-1)
+
+
+def test_coeff_field_names_repr_and_equality():
+    with pytest.raises(ValueError, match=r"^duplicate variable names in \['x0', 'x0'\]$"):
+        CoeffField(2, tags=(element(ZP2, 1),), units=("x0",))
+    assert repr(F2) == "CoeffField(p=2, tags=(2, 1/2), units=('u',))"
+    assert F2.__eq__(2) is NotImplemented and F2 != 2

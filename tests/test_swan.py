@@ -747,3 +747,47 @@ def test_enlarged_group_refuses_mixed_groups():
     # images of different groups live in different F_p-spaces
     with pytest.raises(ValueError):
         EnlargedGroup(2, (element(Z2, (1, 0)),)).in_p_multiples(element(Z1, 1))
+
+
+# -- refused inputs ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [4, 1])
+def test_symbolic_classifiers_refuse_a_p_that_is_not_prime(p):
+    # over Z/4 the table would answer e = 4, computing over a ring that is no field
+    one, two = element(Z1, 1), element(Z1, 2)
+    for datum in (
+        EqualCharSymbolic(p, "i", c=element(Z1, 3)),
+        EqualCharSymbolic(p, "ii", c=element(Z1, 4), unit_name="u"),
+        EqualCharSymbolic(p, "iii", descriptor=Z1),
+    ):
+        with pytest.raises(ValueError, match=f"^the residue characteristic must be prime, got {p}$"):
+            classify_equal_char(datum)
+    for datum in (
+        KummerSymbolic(p, "i", e0=one, v_a=one),
+        KummerSymbolic(p, "ii", e0=one, unit_name="u"),
+        KummerSymbolic(p, "iii", e0=two, v_b=one),
+        KummerSymbolic(p, "iv", e0=two, v_b=element(Z1, 4), unit_name="u"),
+        KummerSymbolic(p, "v", e0=one),
+    ):
+        with pytest.raises(ValueError, match=f"^the residue characteristic must be prime, got {p}$"):
+            classify_kummer_symbolic(datum)
+
+
+@pytest.mark.parametrize("p", [True, 2.0])
+def test_symbolic_classifiers_refuse_a_p_of_another_type(p):
+    with pytest.raises(TypeError):
+        classify_equal_char(EqualCharSymbolic(p, "i", c=element(Z1, 3)))
+    with pytest.raises(TypeError):
+        classify_kummer_symbolic(KummerSymbolic(p, "i", e0=element(Z1, 1), v_a=element(Z1, 1)))
+
+
+def test_reduction_refuses_a_negative_budget():
+    f = t_term(CoeffField(2), ZP2, element(ZP2, -1))
+    with pytest.raises(ValueError, match="^the substitution budget must be non-negative, got -3$"):
+        artin_schreier_reduce(f, -3)
+    with pytest.raises(ValueError, match="^the substitution budget must be non-negative, got -2$"):
+        f.artin_schreier_run(-2)
+    # a budget of 0 takes no step
+    assert artin_schreier_reduce(f, 0) == ReduceResult("exhausted", f, None, 0)
+    assert f.artin_schreier_run(0) == (None, f, 0)
