@@ -24,6 +24,7 @@ from ramify.defect_lab import (
 )
 from ramify.literals import format_cut, format_element
 from ramify.ordered_group import GroupDescriptor, element, hull_element, in_group, p_inverted
+from ramify.swan import break_of
 
 
 def sweep(descriptor: GroupDescriptor, p: int, depth: int, bounds: Tuple[Fraction, ...], irrational: bool) -> None:
@@ -49,16 +50,17 @@ def sweep(descriptor: GroupDescriptor, p: int, depth: int, bounds: Tuple[Fractio
         print(f"skipped bounds outside {descriptor}: {', '.join(map(str, outside))}")
     print(f"{'bound'.ljust(bw)}  {'variant'.ljust(vw)}  {'break'.ljust(16)}  principal  defect")
     for name, variant, w in rows:
+        brk = break_of(w.swan.conductor)
         print(
-            f"{name.ljust(bw)}  {variant.ljust(vw)}  {format_cut(w.break_cut).ljust(16)}"
-            f"  {str(w.break_cut.kind == 'principal').lower().ljust(9)}"
+            f"{name.ljust(bw)}  {variant.ljust(vw)}  {format_cut(brk).ljust(16)}"
+            f"  {str(brk.kind == 'principal').lower().ljust(9)}"
             f"  {str(w.swan.defect).lower()}"
         )
     print()
     for name, variant, w in rows:
         if not w.swan.defect:
             continue
-        seq = ", ".join(format_element(e) for e in w.source.e_seq)
+        seq = ", ".join(format_element(e) for e in w.e_seq)
         print(f"e-sequence at {name} ({variant}): {seq}")
 
 

@@ -179,12 +179,13 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
         raise InputError("--bound needs --variant")
     depth, p = 4 if args.depth is None else args.depth, 2 if args.p is None else args.p
     bound = parse_bound(args.bound, descriptor, hull=False)
-    witness = break_witness(descriptor, p, bound, args.variant, depth=depth)
-    report.kv("variant", witness.variant)
-    report.kv("H", format_cut(witness.swan.conductor))
-    report.kv("break", format_cut(witness.break_cut))
-    report.kv("principal", witness.break_cut.kind == "principal")
-    report.kv("defect", witness.swan.defect)
+    data = break_witness(descriptor, p, bound, args.variant, depth=depth).swan
+    br = break_of(data.conductor)
+    report.kv("variant", args.variant)
+    report.kv("H", format_cut(data.conductor))
+    report.kv("break", format_cut(br))
+    report.kv("principal", br.kind == "principal")
+    report.kv("defect", data.defect)
     return report, 0
 
 

@@ -216,41 +216,21 @@ def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) ->
 
 
 class Cut:
-    """An immutable cut; `Cut._make` and the constructors below build one."""
+    """An immutable cut: { x : x >= value } when ``inclusive``, else
+    { x : x > value }.  The constructor checks the boundary (a `Surd` over
+    a dense group, a coordinate `_Prefix` over Z^n) and normalizes it, so
+    equal sets get equal cuts and a normal boundary comes back unchanged."""
 
     __slots__ = ("descriptor", "over_hull", "value", "inclusive")
 
     def __init__(self, descriptor: GroupDescriptor, over_hull: bool, value: _Value, inclusive: bool) -> None:
-        _set(self, "descriptor", descriptor)
-        _set(self, "over_hull", over_hull)
-        _set(self, "value", value)
-        _set(self, "inclusive", inclusive)
-
-    __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Cut:
-            return NotImplemented
-        return (self.descriptor, self.over_hull, self.value, self.inclusive) == (other.descriptor, other.over_hull, other.value, other.inclusive)
-
-    def __hash__(self) -> int:
-        return hash((self.descriptor, self.over_hull, self.value, self.inclusive))
-
-    def __repr__(self) -> str:
-        return f"Cut(descriptor={self.descriptor!r}, over_hull={self.over_hull!r}, value={self.value!r}, inclusive={self.inclusive!r})"
-
-    def __reduce__(self):
-        return Cut, (self.descriptor, self.over_hull, self.value, self.inclusive)
-
-    @staticmethod
-    def _make(descriptor: GroupDescriptor, over_hull: bool, value: _Value, inclusive: bool) -> "Cut":
-        """The one constructor: checks the boundary and normalizes it, so
-        equal sets get equal cuts."""
-        if type(value) is Surd:
-            if descriptor.kind == KIND_INT_LEX:
-                raise TypeError("lexicographic cuts take coordinate bounds")
+        if descriptor.kind != KIND_INT_LEX:
+            if type(value) is not Surd:
+                raise TypeError(f"cuts over {descriptor} take Surd bounds, got {type(value).__name__}")
             if inclusive and not _surd_in_space(value, descriptor, over_hull):
                 inclusive = False
+        elif type(value) is not _Prefix:
+            raise TypeError("lexicographic cuts take coordinate bounds")
         else:
             nums, den = _lowest(*value)
             n = descriptor.param
@@ -273,11 +253,29 @@ class Cut:
                         nums, inclusive = nums[:-1] + (nums[-1] + 1,), True
             if nums is not value.nums:  # normalization built a new prefix
                 value = _Prefix(nums, den)
-        cut = Cut(descriptor, over_hull, value, inclusive)
+        _set(self, "descriptor", descriptor)
+        _set(self, "over_hull", over_hull)
+        _set(self, "value", value)
+        _set(self, "inclusive", inclusive)
         sign = value.sign()
-        if sign < 0 or (sign == 0 and inclusive and cut._unfixed()):
+        if sign < 0 or (sign == 0 and inclusive and self._unfixed()):
             raise ValueError("cut boundary must be >= 0")
-        return cut
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Cut:
+            return NotImplemented
+        return (self.descriptor, self.over_hull, self.value, self.inclusive) == (other.descriptor, other.over_hull, other.value, other.inclusive)
+
+    def __hash__(self) -> int:
+        return hash((self.descriptor, self.over_hull, self.value, self.inclusive))
+
+    def __repr__(self) -> str:
+        return f"Cut(descriptor={self.descriptor!r}, over_hull={self.over_hull!r}, value={self.value!r}, inclusive={self.inclusive!r})"
+
+    def __reduce__(self):
+        return Cut, (self.descriptor, self.over_hull, self.value, self.inclusive)
 
     # -- shape -------------------------------------------------------------
 
@@ -355,21 +353,21 @@ class Cut:
         u1, u2 = self._unfixed(), other._unfixed()
         # equal widths keep both flags; otherwise the shorter prefix's side wins
         inclusive = self.inclusive and other.inclusive if u1 == u2 else (self if u1 > u2 else other).inclusive
-        return Cut._make(self.descriptor, self.over_hull, self.value.add(other.value), inclusive)
+        return Cut(self.descriptor, self.over_hull, self.value.add(other.value), inclusive)
 
     def power(self, n: int) -> "Cut":
         if type(n) is not int or n < 1:
             _int_only(n)
             raise ValueError("ideal powers need n >= 1")
         # n-fold multiply scales the boundary and keeps its width and flag
-        return Cut._make(self.descriptor, self.over_hull, self.value.scale(n), self.inclusive)
+        return Cut(self.descriptor, self.over_hull, self.value.scale(n), self.inclusive)
 
     def pth_root_set(self, p: int) -> "Cut":
         """The cut { x : p*x in self }, boundary divided by p."""
         if type(p) is not int or p < 2:
             _int_only(p)
             raise ValueError("need p >= 2")
-        return Cut._make(self.descriptor, self.over_hull, self.value.divide(p), self.inclusive)
+        return Cut(self.descriptor, self.over_hull, self.value.divide(p), self.inclusive)
 
     def is_realizable_conductor(self, p: int) -> bool:
         """Whether the cut can occur as the conductor ideal of a degree-p
@@ -396,7 +394,7 @@ class Cut:
         """Intersection with the group, as a cut over the group."""
         if not self.over_hull:
             raise ValueError("already a group cut")
-        return Cut._make(self.descriptor, False, self.value, self.inclusive)
+        return Cut(self.descriptor, False, self.value, self.inclusive)
 
     def hull_closure(self) -> "Cut":
         """Upward closure inside the divisible hull; the least ideal of the
@@ -407,7 +405,7 @@ class Cut:
         if self._unfixed():
             # {x : trunc > c} over Z^n closes up to {h : trunc >= c + e_k} over Q^n
             value, inclusive = _Prefix(value.nums[:-1] + (value.nums[-1] + 1,), 1), True
-        return Cut._make(self.descriptor, True, value, inclusive)
+        return Cut(self.descriptor, True, value, inclusive)
 
 
 # -- public constructors -----------------------------------------------------
@@ -419,7 +417,7 @@ def whole_cut(descriptor: GroupDescriptor, over_hull: bool = False) -> Cut:
 
 def principal_cut(gamma: _Element) -> Cut:
     """The cut { x : x >= gamma }; gamma fixes group-vs-hull."""
-    return Cut._make(gamma.descriptor, isinstance(gamma, HullElement), _value_of(gamma), True)
+    return Cut(gamma.descriptor, isinstance(gamma, HullElement), _value_of(gamma), True)
 
 
 def open_cut(descriptor: GroupDescriptor, bound: Union[_Element, Surd], over_hull: bool = False) -> Cut:
@@ -434,12 +432,10 @@ def open_cut(descriptor: GroupDescriptor, bound: Union[_Element, Surd], over_hul
         value = bound
     else:
         raise TypeError(f"an open cut's bound is a point or a Surd, got {type(bound).__name__}")
-    return Cut._make(descriptor, over_hull, value, False)
+    return Cut(descriptor, over_hull, value, False)
 
 
 def frontier_cut(descriptor: GroupDescriptor, prefix, over_hull: bool = False, inclusive: bool = False) -> Cut:
     """Lexicographic truncation cut { x : (x_1..x_k) > prefix } (or >= with
     inclusive=True, which only survives over the hull)."""
-    if descriptor.kind != KIND_INT_LEX:
-        raise TypeError("frontier cuts only exist over lexicographic groups")
-    return Cut._make(descriptor, over_hull, _Prefix(*_over_one_den(prefix)), inclusive)
+    return Cut(descriptor, over_hull, _Prefix(*_over_one_den(prefix)), inclusive)

@@ -27,7 +27,8 @@ Neither shows that sigma moves as fast as the cut demands: a sigma whose
 step is doubled, sigma(x_i) = x_i + t^(2*e(i)), passes both.  That sharp
 side, v(sigma(x_i) - x_i) = e(i) for each generator, only the unit tests
 check (through `separation.model_gap` of each generator, among others);
-making these checks read it is item 2 of ROADMAP.md.
+the check that would close it compares v(sigma(x_i) - x_i) with e(i)
+for every generator of the model.
 """
 
 from __future__ import annotations
@@ -386,40 +387,30 @@ VARIANT_OPEN = "open"
 VARIANT_OPEN_IRRATIONAL = "open-irrational"
 
 
-class BreakWitness:
-    """A construction with its jump; compares by identity."""
-
-    def __init__(self, variant: str, swan: SwanData, break_cut: Cut, source: Union[PrincipalCase, DefectModel]) -> None:
-        self.variant, self.swan, self.break_cut, self.source = variant, swan, break_cut, source
-
-
 def break_witness(
     descriptor: GroupDescriptor,
     p: int,
     bound: Union[GroupElement, Surd],
     variant: str = VARIANT_CLOSED,
     depth: int = 4,
-) -> BreakWitness:
-    """A construction whose ramification jump sits exactly at `bound`.
+) -> Union[PrincipalCase, DefectModel]:
+    """A construction whose ramification jump, ``break_of(c.swan.conductor)``,
+    sits exactly at `bound`.
 
-    closed: principal datum, jump at the closed hull ideal at `bound`.
-    open: defect model, jump at the open hull ideal at `bound`.
+    closed: principal datum (`PrincipalCase`), jump at the closed hull ideal at `bound`.
+    open: defect model (`DefectModel`), jump at the open hull ideal at `bound`.
     open-irrational: defect model over an irrational bound given as a Surd.
     """
     if variant == VARIANT_CLOSED:
         if not isinstance(bound, GroupElement):
             raise ValueError("closed variant needs a group element")
-        case = build_principal_case(descriptor, p, bound)
-        return BreakWitness(variant, case.swan, break_of(case.swan.conductor), case)
+        return build_principal_case(descriptor, p, bound)
     if variant == VARIANT_OPEN:
         if not isinstance(bound, GroupElement):
             raise ValueError("open variant needs a group element")
-        cut = open_cut(descriptor, bound)
     elif variant == VARIANT_OPEN_IRRATIONAL:
         if not isinstance(bound, Surd) or bound.is_rational:
             raise ValueError("open-irrational variant needs an irrational Surd")
-        cut = open_cut(descriptor, bound)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    model = build_defect_model(descriptor, p, cut, depth)
-    return BreakWitness(variant, model.swan, break_of(model.swan.conductor), model)
+    return build_defect_model(descriptor, p, open_cut(descriptor, bound), depth)

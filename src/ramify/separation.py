@@ -17,7 +17,6 @@ from .defect_lab import DefectModel
 from .ordered_group import (
     GroupElement,
     HullElement,
-    compare,
     int_scale,
     is_positive,
     to_hull,
@@ -46,11 +45,7 @@ class GapDatum(_Gaps):
         return super().__new__(cls, degree, gaps)
 
     def max_gap(self) -> Union[GroupElement, HullElement]:
-        best = self.gaps[0]
-        for g in self.gaps[1:]:
-            if compare(g, best) > 0:
-                best = g
-        return best
+        return max(self.gaps)
 
 
 class ThresholdPair(NamedTuple):

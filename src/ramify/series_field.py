@@ -92,7 +92,6 @@ from .ordered_group import (
     _int_only,
     _is_prime,
     _point,
-    compare,
     echo,
     int_scale,
     is_positive,
@@ -256,13 +255,13 @@ class CoeffField:
     def __init__(self, p: int, tags: Sequence[GroupElement] = (), units: Sequence[str] = ()):
         if not _is_prime(p):
             raise ValueError(f"coefficient characteristic must be prime, got {p}")
-        tags = tuple(sorted(tags, key=cmp_to_key(compare), reverse=True))
-        if len(set(tags)) != len(tags):
-            raise ValueError("tagged variables must have distinct tags")
         for tag in tags:
             if not isinstance(tag, GroupElement) or not is_positive(tag):
                 shown = echo(tag.value if isinstance(tag, GroupElement) else tag)
                 raise ValueError(f"variable tags must be positive group elements, got {shown}")
+        tags = tuple(sorted(tags, reverse=True))
+        if len(set(tags)) != len(tags):
+            raise ValueError("tagged variables must have distinct tags")
         names = [f"x{i}" for i in range(len(tags))] + list(units)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")

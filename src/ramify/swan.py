@@ -203,16 +203,15 @@ def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanD
     desc = datum
     if not _is_prime(desc.p):
         raise ValueError(f"the residue characteristic must be prime, got {echo(desc.p)}")
+    d, c = desc.descriptor, desc.c
+    if d is not None and c is not None and c.descriptor is not d and c.descriptor != d:
+        raise ValueError(f"group mismatch: {d} vs {c.descriptor}")
     if desc.case == "iii":
-        descriptor = desc.descriptor if desc.descriptor is not None else (
-            desc.c.descriptor if desc.c is not None else None
-        )
-        if descriptor is None:
+        if d is None and c is None:
             raise ValueError("case iii needs a group descriptor")
-        return _unramified("iii", descriptor)
-    if desc.c is None or not is_positive(desc.c):
+        return _unramified("iii", d if d is not None else c.descriptor)
+    if c is None or not is_positive(c):
         raise ValueError(f"case {desc.case} needs a positive conductor value")
-    c = desc.c
     unit_terms: Tuple[DlogTerm, ...] = ()
     if desc.unit_name:
         unit_terms = ((1, UnitSymbol(desc.unit_name)),)
@@ -236,6 +235,9 @@ def classify_kummer_symbolic(desc: KummerSymbolic) -> SwanData:
         raise ValueError(f"the residue characteristic must be prime, got {echo(desc.p)}")
     if not is_positive(desc.e0):
         raise ValueError("e0 = v(zeta_p - 1) must be positive")
+    for v in (desc.v_a, desc.v_b):
+        if v is not None:
+            desc.e0._check_peer(v)
     pe0 = int_scale(desc.p, desc.e0)
     if desc.case == "i":
         if desc.v_a is None or divide_exact(desc.v_a, desc.p) is not None:
@@ -272,6 +274,8 @@ def value_group_image(
     """Image of the conductor form in k tensor Gamma', where Gamma' is Gamma
     enlarged by the targets' p-th divisions (``EnlargedGroup``): unit
     symbols vanish, classes in p*Gamma' vanish, equal classes combine mod p."""
+    if not _is_prime(p):
+        raise ValueError(f"the conductor form is read mod a prime p, got {echo(p)}")
     in_p_multiples = EnlargedGroup(p, targets).in_p_multiples
     combined = {}
     for coeff, term in rsw.dlog_terms:

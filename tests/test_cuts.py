@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramify.cuts import Cut, Surd, _cmp, _value_of, frontier_cut, open_cut, principal_cut, whole_cut
+from ramify.cuts import Cut, Surd, _Prefix, _cmp, _value_of, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import _surd_floor
 from ramify.ordered_group import (
     _is_squarefree_nonsquare,
@@ -204,7 +205,7 @@ def test_scalar_cuts_match_the_fraction_oracle(case):
     d, over_hull, bounds, points, p = case
     cuts, refs = [], []
     for args, inclusive in bounds:
-        got = _outcome(Cut._make, d, over_hull, Surd(*args), inclusive)
+        got = _outcome(Cut, d, over_hull, Surd(*args), inclusive)
         want = _outcome(ref.normalize_scalar, d, over_hull, FracSurd(*args), inclusive)
         assert (got is ValueError) == (want is ValueError)
         if got is not ValueError:
@@ -303,7 +304,7 @@ def _membership_case(draw):
     if d.is_dense:
         for r in (d.param, 3) if d.kind == "quad" else (2, 3):
             a, b, _ = draw(_surd_args((r,)))
-            cut = _outcome(Cut._make, d, over_hull, Surd(a, b, r), draw(st.booleans()))
+            cut = _outcome(Cut, d, over_hull, Surd(a, b, r), draw(st.booleans()))
             if cut is not ValueError:
                 cuts.append(cut)
     points = [draw(elements(d, hull=over_hull)) for _ in range(4)]
@@ -724,6 +725,39 @@ def test_library_guards_raise_their_messages(guard):
     call, error, message = _GUARDS[guard]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Cut(...) checks its boundary as the named constructors do
+_HOSTILE_CUTS = {
+    "a negative surd": (lambda: Cut(ZP2, False, Surd(-1), True), ValueError, "cut boundary must be >= 0"),
+    "a surd over zlex": (lambda: Cut(Z1, False, Surd(1), True), TypeError, "lexicographic cuts take coordinate bounds"),
+    "a raw int": (lambda: Cut(ZP2, False, 5, True), TypeError, "cuts over zp:2 take Surd bounds, got int"),
+    "a prefix over zp": (lambda: Cut(ZP2, False, _Prefix((1,), 1), True), TypeError, "cuts over zp:2 take Surd bounds, got _Prefix"),
+    "a prefix past the rank": (
+        lambda: Cut(Z2, False, _Prefix((1, 2, 3), 1), False), ValueError, "bound length 3 out of range for rank 2"),
+}
+
+
+@pytest.mark.parametrize("hostile", list(_HOSTILE_CUTS))
+def test_the_cut_constructor_refuses_a_bad_boundary(hostile):
+    call, error, message = _HOSTILE_CUTS[hostile]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_the_cut_constructor_normalizes_its_boundary():
+    assert Cut(Z2, False, _Prefix((2, 4), 2), False) == open_cut(Z2, element(Z2, (1, 2)))
+    assert Cut(Z2, False, _Prefix((1,), 1), True) == frontier_cut(Z2, (0,))
+    assert Cut(ZP2, False, Surd(0, 1, 2), True) == open_cut(ZP2, Surd(0, 1, 2))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_normal_boundary_comes_back_unchanged(data):
+    d = data.draw(st.sampled_from(ALL_DESCRIPTORS))
+    cut = data.draw(hull_ideals(d) if data.draw(st.booleans()) else group_cuts(d))
+    for copy in (Cut(cut.descriptor, cut.over_hull, cut.value, cut.inclusive), pickle.loads(pickle.dumps(cut))):
+        assert copy == cut and copy.value == cut.value and copy.inclusive == cut.inclusive
 
 
 def test_cmp_reads_a_radicand_only_beside_a_nonzero_b():

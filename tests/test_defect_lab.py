@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from ramify import defect_lab
 from ramify.cuts import Surd, frontier_cut, open_cut, principal_cut, whole_cut
 from ramify.defect_lab import (
-    BreakWitness,
     DeltaBoundError,
     DeltaReport,
     LimitEntry,
@@ -19,6 +18,7 @@ from ramify.defect_lab import (
     VARIANT_OPEN,
     VARIANT_OPEN_IRRATIONAL,
     MAX_DEPTH,
+    PrincipalCase,
     _grid_sequence,
     _surd_floor,
     break_witness,
@@ -41,7 +41,7 @@ from ramify.ordered_group import (
     to_hull,
 )
 from ramify.sampling import random_irrational_bound, random_model_series, random_positive_element
-from ramify.series_field import CoeffField, SigmaSpec
+from ramify.series_field import CoeffField, SigmaSpec, t_term
 from ramify.swan import FULL_IMAGE, RESIDUE_TRIVIAL, TRIVIAL_IMAGE, SwanData, break_of, galois_image
 
 from . import delta_reference as ref
@@ -293,6 +293,41 @@ def test_delta_bounds_check_the_element_floor(descriptor, p):
         verify_delta_bounds(m, samples=50)
 
 
+def _tag_free_sample(model, rng):
+    """t^1 + t^2: a ring element in which no tagged variable occurs."""
+    d, field = model.descriptor, model.field
+    return t_term(field, d, element(d, 1)) + t_term(field, d, element(d, 2))
+
+
+class _Bumped:
+    """A model's sigma, except that sigma(f) - f gains ``bump`` for every f
+    that ``moves`` picks."""
+
+    def __init__(self, sigma, bump, moves):
+        self.sigma, self.bump, self.moves = sigma, bump, moves
+
+    def delta(self, f):
+        d = self.sigma.delta(f)
+        return d + self.bump if self.moves(f) else d
+
+
+def test_delta_bounds_pass_tag_free_samples(monkeypatch):
+    monkeypatch.setattr(defect_lab, "random_model_series", _tag_free_sample)
+    assert verify_delta_bounds(canonical_model(3), samples=5) == DeltaReport(5, 0, 5)
+
+
+@pytest.mark.parametrize("moves, message", [
+    (lambda f: True, "sigma moved a tag-free monomial"),
+    (lambda f: f.num_terms() > 1, "sigma moved an element with no tagged variable"),
+])
+def test_delta_bounds_catch_a_sigma_that_moves_tag_free_elements(monkeypatch, moves, message):
+    monkeypatch.setattr(defect_lab, "random_model_series", _tag_free_sample)
+    m = canonical_model(3)
+    m.sigma = _Bumped(m.sigma, t_term(m.field, ZP2, element(ZP2, 1)), moves)
+    with pytest.raises(DeltaBoundError, match=f"^{message}$"):
+        verify_delta_bounds(m, samples=5)
+
+
 # -- the packed-key check against its decoding oracle -------------------------------------
 
 # every group and p the oracle comparison covers, each with a rational and an
@@ -533,21 +568,21 @@ def test_twin_pair_golden():
 
 def test_break_witness_variants():
     w1 = break_witness(ZP2, 2, element(ZP2, 3), VARIANT_CLOSED)
-    assert isinstance(w1, BreakWitness)
-    assert w1.break_cut == principal_cut(hull_element(ZP2, 3))
-    assert w1.break_cut.kind == "principal"
+    assert isinstance(w1, PrincipalCase)
+    assert break_of(w1.swan.conductor) == principal_cut(hull_element(ZP2, 3))
+    assert break_of(w1.swan.conductor).kind == "principal"
     assert not w1.swan.defect
 
     w2 = break_witness(ZP2, 2, element(ZP2, 3), VARIANT_OPEN, depth=3)
-    assert w2.break_cut == open_cut(ZP2, hull_element(ZP2, 3), over_hull=True)
-    assert w2.break_cut.kind != "principal"
+    assert break_of(w2.swan.conductor) == open_cut(ZP2, hull_element(ZP2, 3), over_hull=True)
+    assert break_of(w2.swan.conductor).kind != "principal"
     assert w2.swan.defect
 
     w3 = break_witness(ZP2, 2, Surd(0, 1, 2), VARIANT_OPEN_IRRATIONAL, depth=3)
-    assert w3.break_cut.kind == "open"
-    assert not w3.break_cut.value.is_rational
+    assert break_of(w3.swan.conductor).kind == "open"
+    assert not break_of(w3.swan.conductor).value.is_rational
     assert w3.swan.defect
-    assert w3.break_cut == break_of(w3.source.conductor)
+    assert break_of(w3.swan.conductor) == break_of(w3.conductor)
 
 
 def test_break_witness_validation():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ramify.literals as literals
-from ramify.ordered_group import element, int_lex, int_scale, p_inverted, quadratic, zero
+from ramify.ordered_group import element, hull_element, int_lex, int_scale, p_inverted, quadratic, zero
 from ramify.series_field import (
     CoeffField,
     FieldElement,
@@ -120,6 +120,12 @@ def test_field_construction():
     # no variables at all is a legal (constant) coefficient field
     empty = CoeffField(5)
     assert empty.one * 7 == empty.one * 2
+
+
+@pytest.mark.parametrize("tags, shown", [((1,), "1"), ((1, 2), "1"), ((E0, 2), "2"), ((E0, hull_element(ZP2, 1)), ".*HullElement")])
+def test_field_checks_its_tags_before_it_orders_them(tags, shown):
+    with pytest.raises(ValueError, match=f"positive group elements, got {shown}"):
+        CoeffField(2, tags=tags)
 
 
 def test_import_leaves_sympy_unloaded():

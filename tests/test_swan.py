@@ -517,7 +517,34 @@ def test_kummer_validation():
         classify_kummer_symbolic(KummerSymbolic(p=2, case="x", e0=e0))
 
 
+def test_symbolic_descriptors_take_every_value_from_one_group():
+    e0, other = element(Z1, 1), element(p_inverted(3), 1)
+    for desc in (
+        KummerSymbolic(2, "i", e0=e0, v_a=other),
+        KummerSymbolic(2, "iii", e0=e0, v_b=other),
+        KummerSymbolic(2, "v", e0=e0, v_a=other),
+    ):
+        with pytest.raises(ValueError, match="^group mismatch: zlex:1 vs zp:3$"):
+            classify_kummer_symbolic(desc)
+    for case in ("i", "iii"):
+        with pytest.raises(ValueError, match="^group mismatch: zlex:1 vs zp:3$"):
+            classify_equal_char(EqualCharSymbolic(2, case, c=other, descriptor=Z1))
+    # an equal descriptor agrees, not only the same object
+    got = classify_equal_char(EqualCharSymbolic(2, "i", c=element(Z1, 3), descriptor=int_lex(1)))
+    assert got.conductor == principal_cut(element(Z1, 3))
+    got = classify_kummer_symbolic(KummerSymbolic(2, "i", e0=e0, v_a=element(int_lex(1), 1)))
+    assert got.conductor == principal_cut(element(Z1, 2))
+
+
 # -- the conductor form in the value group --------------------------------------------
+
+
+@pytest.mark.parametrize("p, error", [(0, ValueError), (1, ValueError), (True, TypeError)])
+def test_the_conductor_form_is_read_mod_a_prime(p, error):
+    rsw = RswSymbol(element(Z1, 3), ((1, ValueClass(element(Z1, -3))),))
+    for call in (value_group_image, plan_log_smooth, lambda r, q: transported_value_image(r, q, ())):
+        with pytest.raises(error):
+            call(rsw, p)
 
 
 def test_value_group_image_rules():
