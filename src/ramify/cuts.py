@@ -30,7 +30,10 @@ A cut knows whether it lives over the group or over its divisible hull
 (``over_hull``); membership expects a ``GroupElement`` or ``HullElement``
 accordingly.  Membership compares the point's numerators and denominator
 with the boundary's integers in one routine (`_cmp`, which `Surd.cmp` and
-`_Prefix.cmp` call too) and builds nothing.
+`_Prefix.cmp` call too) and builds nothing.  Against a prefix it walks
+the two coordinate lists together up to the shorter width, multiplying
+each pair across the denominators, and stops at the first pair that
+differs.
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ from .ordered_group import (
     _den_in_group,
     _frozen,
     _int_only,
+    _is_prime,
     _is_squarefree_nonsquare,
     _lowest,
     _over_one_den,
     _set,
+    echo,
     quad_sign,
     zero,
 )
@@ -159,7 +164,7 @@ class _Prefix(NamedTuple):
 
     def add(self, other: "_Prefix") -> "_Prefix":
         D1, D2 = self.den, other.den
-        return _Prefix(tuple(x * D2 + y * D1 for x, y in zip(self.nums, other.nums)), D1 * D2)
+        return _Prefix(tuple([x * D2 + y * D1 for x, y in zip(self.nums, other.nums)]), D1 * D2)
 
     def scale(self, n: int) -> "_Prefix":
         return _Prefix(tuple(c * n for c in self.nums), self.den)
@@ -182,11 +187,12 @@ def _cmp(nums: Tuple[int, ...], den: int, d: int, value: _Value) -> int:
     """
     D2 = value.den
     if type(value) is _Prefix:
-        m = min(len(nums), len(value.nums))
-        xs, ys = nums[:m], value.nums[:m]
-        if den != D2:
-            xs, ys = tuple(c * D2 for c in xs), tuple(c * den for c in ys)
-        return (xs > ys) - (xs < ys)
+        # the first coordinate that differs decides; zip stops at the common width
+        for x, y in zip(nums, value.nums):
+            x, y = x * D2, y * den
+            if x != y:
+                return 1 if x > y else -1
+        return 0
     B = nums[1] if len(nums) > 1 else 0
     a = nums[0] * D2 - value.A * den
     if d == value.d or not B or not value.B:
@@ -232,7 +238,9 @@ class Cut:
         elif type(value) is not _Prefix:
             raise TypeError("lexicographic cuts take coordinate bounds")
         else:
-            nums, den = _lowest(*value)
+            nums, den = value
+            if den != 1:
+                nums, den = _lowest(nums, den)
             n = descriptor.param
             if not 1 <= len(nums) <= n:
                 raise ValueError(f"bound length {len(nums)} out of range for rank {n}")
@@ -247,8 +255,13 @@ class Cut:
                     # exclusive over the integers: cut at the first fractional entry,
                     # floor it, then a full-width integral bound gains its successor
                     if den != 1:
-                        idx = next(i for i, c in enumerate(nums) if c % den)
-                        nums, den = tuple(c // den for c in nums[: idx + 1]), 1
+                        floored = []
+                        for c in nums:
+                            q, r = divmod(c, den)
+                            floored.append(q)
+                            if r:
+                                break
+                        nums, den = tuple(floored), 1
                     if len(nums) == n:
                         nums, inclusive = nums[:-1] + (nums[-1] + 1,), True
             if nums is not value.nums:  # normalization built a new prefix
@@ -295,7 +308,8 @@ class Cut:
 
     @property
     def is_whole(self) -> bool:
-        return self.kind == "whole"
+        # the constructor refuses an inclusive zero boundary on a short prefix
+        return self.inclusive and self.value.sign() == 0
 
     def bound_point(self) -> Optional[_Element]:
         """The boundary as a point of the cut's space, when it is one."""
@@ -328,6 +342,8 @@ class Cut:
         return rel > 0 or (rel == 0 and self.inclusive)
 
     def _check_peer(self, other: "Cut") -> None:
+        if other.__class__ is Cut and other.descriptor is self.descriptor and other.over_hull == self.over_hull:
+            return
         if not isinstance(other, Cut):
             raise TypeError(f"expected a Cut, got {type(other).__name__}")
         if (other.descriptor is not self.descriptor and other.descriptor != self.descriptor) or other.over_hull != self.over_hull:
@@ -380,6 +396,8 @@ class Cut:
             raise ValueError("the unit ideal is not a conductor cut")
         if self.over_hull:
             raise ValueError("conductor cuts live over the group, not the hull")
+        if not _is_prime(p):
+            raise ValueError(f"the residue characteristic must be prime, got {echo(p)}")
         if self.min_element() is not None:
             return True
         if self.descriptor.is_dense:

@@ -36,8 +36,10 @@ from .ordered_group import (
     KIND_INT_LEX,
     KIND_P_INVERTED,
     KIND_QUADRATIC,
+    _frozen,
     _int_only,
     _is_prime,
+    _set,
     divide_exact,
     echo,
     element,
@@ -295,7 +297,7 @@ def galois_image(conductor: Cut, ideal: Cut) -> str:
         raise ValueError("the conductor cut lives over the group")
     if not ideal.over_hull:
         raise ValueError("test ideals live over the divisible hull")
-    if ideal.descriptor != conductor.descriptor:
+    if ideal.descriptor is not conductor.descriptor and ideal.descriptor != conductor.descriptor:
         raise ValueError("conductor and ideal live over different groups")
     if ideal.is_whole:
         raise ValueError("the unit ideal is not a test ideal")
@@ -374,37 +376,55 @@ class Type2Move(NamedTuple):
     target: GroupElement
 
 
-class EnlargedGroup(NamedTuple):
+class EnlargedGroup:
     """The value group after type-2 moves: Gamma plus the targets' p-th
     divisions, Gamma' = Gamma + sum Z*t/p.  Only membership in p*Gamma' =
     p*Gamma + sum Z*t is ever needed, and Gamma/p*Gamma is an F_p-vector
     space, so gamma lies in p*Gamma' exactly when its image there lies in
-    the F_p-span of the targets' images."""
+    the F_p-span of the targets' images.  The targets' images are reduced
+    to echelon form once, when the group is made, so a membership test
+    reduces only gamma's image.  Immutable."""
 
-    p: int
-    targets: Tuple[GroupElement, ...]
+    __slots__ = ("p", "targets", "_echelon")
+
+    def __init__(self, p: int, targets: Sequence[GroupElement]) -> None:
+        if not _is_prime(p):
+            raise ValueError(f"an enlarged group divides by a prime p, got {echo(p)}")
+        targets = tuple(targets)
+        # echelon rows: each has a 1 at its pivot and 0 at every earlier pivot;
+        # targets over several groups get none, as every query refuses them
+        echelon: List[Tuple[int, List[int]]] = []
+        if len({t.descriptor for t in targets}) == 1:
+            for t in targets:
+                row = _reduce(echelon, mod_p_image(t, p), p)
+                pivot = next((i for i, c in enumerate(row) if c), None)
+                if pivot is not None:
+                    inverse = pow(row[pivot], -1, p)
+                    echelon.append((pivot, [c * inverse % p for c in row]))
+        _set(self, "p", p)
+        _set(self, "targets", targets)
+        _set(self, "_echelon", echelon)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __repr__(self) -> str:
+        return f"EnlargedGroup(p={self.p!r}, targets={self.targets!r})"
 
     def in_p_multiples(self, gamma: GroupElement) -> bool:
-        p = self.p
-        # echelon rows: each has a 1 at its pivot and 0 at every earlier pivot
-        echelon: List[Tuple[int, List[int]]] = []
-
-        def reduce(row: List[int]) -> List[int]:
-            for pivot, basis_row in echelon:
-                c = row[pivot]
-                if c:
-                    row = [(a - c * b) % p for a, b in zip(row, basis_row)]
-            return row
-
+        d = gamma.descriptor
         for t in self.targets:
-            if t.descriptor != gamma.descriptor:
-                raise ValueError(f"group mismatch: {gamma.descriptor} vs {t.descriptor}")
-            row = reduce(mod_p_image(t, p))
-            pivot = next((i for i, c in enumerate(row) if c), None)
-            if pivot is not None:
-                inverse = pow(row[pivot], -1, p)
-                echelon.append((pivot, [c * inverse % p for c in row]))
-        return not any(reduce(mod_p_image(gamma, p)))
+            if t.descriptor is not d and t.descriptor != d:
+                raise ValueError(f"group mismatch: {d} vs {t.descriptor}")
+        return not any(_reduce(self._echelon, mod_p_image(gamma, self.p), self.p))
+
+
+def _reduce(echelon: List[Tuple[int, List[int]]], row: List[int], p: int) -> List[int]:
+    """A row of F_p^n minus its components along the echelon rows."""
+    for pivot, basis_row in echelon:
+        c = row[pivot]
+        if c:
+            row = [(a - c * b) % p for a, b in zip(row, basis_row)]
+    return row
 
 
 def plan_log_smooth(rsw: RswSymbol, p: int) -> Tuple[Type2Move, ...]:
@@ -418,5 +438,14 @@ def plan_log_smooth(rsw: RswSymbol, p: int) -> Tuple[Type2Move, ...]:
 def transported_value_image(
     rsw: RswSymbol, p: int, moves: Sequence[Type2Move]
 ) -> Tuple[Tuple[int, GroupElement], ...]:
-    """The conductor form's value classes after enlarging the group."""
-    return value_group_image(rsw, p, tuple(m.target for m in moves))
+    """The conductor form's value classes after enlarging the group.  The
+    enlarged group adds t/p for each move, so every move must adjoin a p-th
+    root."""
+    targets = []
+    for m in moves:
+        if not isinstance(m, Type2Move):
+            raise TypeError(f"expected a Type2Move, got {type(m).__name__}")
+        if type(m.e) is not int or m.e != p:
+            raise ValueError(f"only degree-p moves transport, got e = {echo(m.e)} for p = {echo(p)}")
+        targets.append(m.target)
+    return value_group_image(rsw, p, tuple(targets))

@@ -672,6 +672,17 @@ def test_realizability():
         whole_cut(Z2).is_realizable_conductor(2)
 
 
+@pytest.mark.parametrize("p, error", [(0, ValueError), (1, ValueError), (4, ValueError), (True, TypeError), (2.0, TypeError)])
+def test_realizability_reads_p_as_a_prime(p, error):
+    # p = 0 divided by zero, p = 4 and 2.0 passed and a principal cut passed any p
+    for cut in (frontier_cut(Z2, (0,)), frontier_cut(Z2, (1,)), principal_cut(element(Z2, (1, 1))), open_cut(ZP2, Surd(0, 1, 2))):
+        with pytest.raises(error):
+            cut.is_realizable_conductor(p)
+    if error is ValueError:
+        with pytest.raises(ValueError, match=f"^the residue characteristic must be prime, got {p}$"):
+            principal_cut(element(Z2, (1, 1))).is_realizable_conductor(p)
+
+
 # -- type discipline -----------------------------------------------------------------
 
 

@@ -224,6 +224,9 @@ def test_build_refusals():
         build_defect_model(ZP2, 2, open_cut(ZP2, element(ZP2, 1)), depth=0)
     with pytest.raises(ValueError, match="depth"):
         build_defect_model(ZP2, 2, open_cut(ZP2, element(ZP2, 1)), depth=MAX_DEPTH + 1)
+    # the realizability test reads p first, so it refuses a p that is not prime
+    with pytest.raises(ValueError, match="^the residue characteristic must be prime, got 4$"):
+        build_defect_model(ZP2, 4, open_cut(ZP2, element(ZP2, 1)))
 
 
 # -- sampled verification -----------------------------------------------------------

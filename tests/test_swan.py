@@ -776,6 +776,55 @@ def test_enlarged_group_refuses_mixed_groups():
         EnlargedGroup(2, (element(Z2, (1, 0)),)).in_p_multiples(element(Z1, 1))
 
 
+@st.composite
+def _queried_enlarged_groups(draw):
+    group, gamma = draw(_enlarged_groups())
+    descriptor = gamma.descriptor
+    return group, [gamma] + draw(st.lists(elements(descriptor), max_size=4))
+
+
+@settings(max_examples=200)
+@given(_queried_enlarged_groups())
+def test_one_enlarged_group_serves_many_queries(case):
+    # the targets are reduced once; every later query must still see all of them
+    group, gammas = case
+    for gamma in gammas:
+        fresh = EnlargedGroup(group.p, group.targets).in_p_multiples(gamma)
+        assert group.in_p_multiples(gamma) == fresh == _searched_in_p_multiples(group, gamma)
+
+
+def test_enlarged_group_refuses_another_group_after_queries():
+    group = EnlargedGroup(3, (element(Z2, (1, 0)), element(Z2, (0, 3))))
+    assert group.in_p_multiples(element(Z2, (4, 3)))
+    assert not group.in_p_multiples(element(Z2, (0, 1)))
+    with pytest.raises(ValueError, match="^group mismatch: zlex:1 vs zlex:2$"):
+        group.in_p_multiples(element(Z1, 1))
+
+
+@pytest.mark.parametrize("p, error", [(4, ValueError), (1, ValueError), (0, ValueError), (True, TypeError)])
+def test_enlarged_group_divides_by_a_prime(p, error):
+    with pytest.raises(error):
+        EnlargedGroup(p, (element(Z1, 1),))
+
+
+@pytest.mark.parametrize("e", [3, True, -7, 4])
+def test_transport_refuses_a_move_of_another_degree(e):
+    # adjoining a cube root makes (1/3)Z, and 1 is not in (2/3)Z, yet the
+    # enlarged group would add 1/2 and report the class killed
+    t = element(Z1, 1)
+    rsw = RswSymbol(t, ((1, ValueClass(t)),))
+    with pytest.raises(ValueError, match=f"^only degree-p moves transport, got e = {e} for p = 2$"):
+        transported_value_image(rsw, 2, (Type2Move(e, t),))
+    assert transported_value_image(rsw, 2, (Type2Move(2, t),)) == ()
+
+
+def test_transport_refuses_a_bare_point():
+    t = element(Z1, 1)
+    rsw = RswSymbol(t, ((1, ValueClass(t)),))
+    with pytest.raises(TypeError, match="^expected a Type2Move, got GroupElement$"):
+        transported_value_image(rsw, 2, (t,))
+
+
 # -- refused inputs ---------------------------------------------------------------------
 
 
