@@ -32,7 +32,6 @@ from .swan import (
     Type2Move,
     UndeterminedError,
     artin_schreier_reduce,
-    base_change,
     break_of,
     classify_equal_char,
     classify_kummer_symbolic,

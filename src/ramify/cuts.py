@@ -42,8 +42,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .ordered_group import (
-    KIND_INT_LEX,
-    KIND_QUADRATIC,
     GroupDescriptor,
     GroupElement,
     HullElement,
@@ -210,13 +208,13 @@ def _cmp(nums: Tuple[int, ...], den: int, d: int, value: _Value) -> int:
 def _value_of(x: _Element) -> _Value:
     """A point as a boundary value: a full-width prefix or a real."""
     d = x.descriptor
-    if d.kind == KIND_INT_LEX:
+    if not d.is_dense:
         return _Prefix(x.nums, x.den)
-    return _surd(x.nums[0], x.nums[1] if d.kind == KIND_QUADRATIC else 0, x.den, d.param)
+    return _surd(x.nums[0], x.nums[1] if d.radicand else 0, x.den, d.radicand)
 
 
 def _surd_in_space(value: Surd, descriptor: GroupDescriptor, over_hull: bool) -> bool:
-    if value.B and (descriptor.kind != KIND_QUADRATIC or value.d != descriptor.param):
+    if value.B and value.d != descriptor.radicand:
         return False
     return over_hull or _den_in_group(descriptor, value.den)
 
@@ -230,7 +228,7 @@ class Cut:
     __slots__ = ("descriptor", "over_hull", "value", "inclusive")
 
     def __init__(self, descriptor: GroupDescriptor, over_hull: bool, value: _Value, inclusive: bool) -> None:
-        if descriptor.kind != KIND_INT_LEX:
+        if descriptor.is_dense:
             if type(value) is not Surd:
                 raise TypeError(f"cuts over {descriptor} take Surd bounds, got {type(value).__name__}")
             if inclusive and not _surd_in_space(value, descriptor, over_hull):
@@ -241,7 +239,7 @@ class Cut:
             nums, den = value
             if den != 1:
                 nums, den = _lowest(nums, den)
-            n = descriptor.param
+            n = descriptor.width
             if not 1 <= len(nums) <= n:
                 raise ValueError(f"bound length {len(nums)} out of range for rank {n}")
             if not over_hull:
@@ -296,7 +294,7 @@ class Cut:
         """Coordinates the boundary leaves free: those past a short prefix,
         none for a full-width prefix or a real."""
         v = self.value
-        return self.descriptor.param - len(v.nums) if type(v) is _Prefix else 0
+        return self.descriptor.width - len(v.nums) if type(v) is _Prefix else 0
 
     @property
     def kind(self) -> str:
@@ -319,7 +317,7 @@ class Cut:
             return None if self._unfixed() else make(d, v.nums, v.den)
         if not _surd_in_space(v, d, self.over_hull):
             return None
-        return make(d, (v.A, v.B) if d.kind == KIND_QUADRATIC else (v.A,), v.den)
+        return make(d, (v.A, v.B) if d.radicand else (v.A,), v.den)
 
     def min_element(self) -> Optional[_Element]:
         """The least value in the cut, when one exists."""
@@ -337,7 +335,7 @@ class Cut:
     def contains(self, x: _Element) -> bool:
         self._check_point(x)
         # x's integers against the boundary, as `_value_of(x).cmp` compares them
-        rel = _cmp(x.nums, x.den, self.descriptor.param, self.value)
+        rel = _cmp(x.nums, x.den, self.descriptor.radicand, self.value)
         # on a short prefix the flag says which side of the rest x lies on
         return rel > 0 or (rel == 0 and self.inclusive)
 

@@ -13,22 +13,22 @@ value group:
 The model ring is F_p[x_0, ..., x_N] tensored with the group algebra of
 Gamma, with sigma(x_i) = x_i + t^{e(i)} for a strictly decreasing sequence
 e(0) > e(1) > ... > e(N) inside the p-th root set of the target cut.  Two
-checks test one side each of the claim that sigma moves the ring exactly as
+checks test the two sides of the claim that sigma moves the ring exactly as
 slowly as the cut demands:
 
+* `build_defect_model` measures v(sigma(x_i) - x_i) for each generator,
+  refuses a sigma under which it is not e(i), and keeps p times the
+  measured steps as the thresholds (``DefectModel.thresholds``), which
+  `conductor_limit_check` tests cut membership against: sigma moves the
+  ring as fast as the cut demands;
 * `verify_delta_bounds` tests the displacement floor on sampled elements:
   sigma(m) - m has value at least v(m) plus the least tag in m, so sigma
-  moves the ring no faster than the cut allows;
-* `conductor_limit_check` tests cut membership against the thresholds
-  p*e(i), which `build_defect_model` computes once from the tag sequence
-  and keeps on the model (``DefectModel.thresholds``); it never calls sigma.
+  moves the ring no faster than the cut allows.
 
-Neither shows that sigma moves as fast as the cut demands: a sigma whose
-step is doubled, sigma(x_i) = x_i + t^(2*e(i)), passes both.  That sharp
-side, v(sigma(x_i) - x_i) = e(i) for each generator, only the unit tests
-check (through `separation.model_gap` of each generator, among others);
-the check that would close it compares v(sigma(x_i) - x_i) with e(i)
-for every generator of the model.
+The generators are enough for the first: sigma is a ring map, fixed by its
+values on them, and the floor bounds every other element's displacement by
+its value plus its least tag, the step of a generator.  A sigma whose step
+is doubled or halved is refused before any sample is drawn.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .ordered_group import (
     neg,
 )
 from .sampling import _grid_base, random_model_series, random_positive_element
-from .series_field import CoeffField, SeriesElement, SigmaSpec, t_term
+from .series_field import CoeffField, SeriesElement, SigmaSpec, t_term, variable_series
 from .swan import SwanData, _defect, break_of, classify_equal_char
 
 
@@ -59,7 +59,8 @@ MAX_DEPTH = 256  # model cost grows steeply with the depth; deeper is refused
 
 
 class DeltaBoundError(Exception):
-    """A sampled element moved faster under sigma than the model allows."""
+    """Sigma moved an element other than the model allows: a generator by
+    more or less than its step, or a sampled element faster than its floor."""
 
 
 class DefectModel:
@@ -178,17 +179,26 @@ def build_defect_model(
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     e_seq = _grid_sequence(descriptor, p, root_set.value, depth)
-    thresholds = tuple(int_scale(p, e) for e in e_seq)
-    for e, th in zip(e_seq, thresholds):
-        if not root_set.contains(e) or not conductor.contains(th):
-            raise RuntimeError("grid sequence escaped the root set")
-    # conductor_limit_check bisects the thresholds, which needs them
-    # strictly decreasing
-    if any(compare(a, b) <= 0 for a, b in zip(thresholds, thresholds[1:])):
+    # conductor_limit_check bisects the thresholds p*e(i), which needs the
+    # steps strictly decreasing
+    if any(compare(a, b) <= 0 for a, b in zip(e_seq, e_seq[1:])):
         raise RuntimeError("grid sequence does not strictly decrease")
     field = CoeffField(p, tags=e_seq)
     sigma = SigmaSpec(field, descriptor)
-    return DefectModel(descriptor, p, conductor, root_set, depth, e_seq, thresholds, field, sigma, _defect(conductor))
+    # the sharp side: each threshold is p times a measured step, which must
+    # be the generator's own tag
+    thresholds = []
+    for i, e in enumerate(e_seq):
+        delta = sigma.delta(variable_series(field, descriptor, field.gens[i]))
+        if delta.is_zero():
+            raise DeltaBoundError(f"sigma fixes x{i}, whose step e({i}) is {e.value}")
+        step = delta.valuation()
+        if step != e:
+            raise DeltaBoundError(f"x{i} moved by {step.value}, not by its step e({i}) = {e.value}")
+        thresholds.append(int_scale(p, step))
+        if not root_set.contains(e) or not conductor.contains(thresholds[-1]):
+            raise RuntimeError("grid sequence escaped the root set")
+    return DefectModel(descriptor, p, conductor, root_set, depth, e_seq, tuple(thresholds), field, sigma, _defect(conductor))
 
 
 # -- sampled verification -------------------------------------------------------

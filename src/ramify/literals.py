@@ -168,12 +168,11 @@ _ELEMENT_FORMS = {
 _RESERVED = frozenset(("t", "x", "surd", *_ELEMENT_FORMS))
 
 
-def element_form(text: str) -> Optional[Tuple[str, str]]:
-    """The head and group kind of the element form that ``text`` starts
-    with, such as ``("q", "zp")`` for ``q(3/4)``; None for a bare rational."""
+def element_form(text: str) -> Optional[str]:
+    """The head of the element form that ``text`` starts with, such as
+    ``"q"`` for ``q(3/4)``; None for a bare rational."""
     head = _Tokens(text).peek()
-    form = _ELEMENT_FORMS.get(head)
-    return None if form is None else (head, form[0])
+    return head if head in _ELEMENT_FORMS else None
 
 
 def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool):
@@ -192,10 +191,10 @@ def _parse_element_tokens(toks: _Tokens, descriptor: GroupDescriptor, hull: bool
                 raise InputError(arity_error)
             if descriptor.kind != kind:
                 raise InputError(f"{tok}(...) element does not live in {descriptor}")
-            return build(descriptor, vals[0] if kind == KIND_P_INVERTED else tuple(vals))
+            return build(descriptor, vals[0] if arity == 1 else tuple(vals))
         # bare rational shorthand for scalar groups
         value = _parse_fraction(toks.next(), toks.text)
-        if descriptor.kind == KIND_INT_LEX and descriptor.param != 1:
+        if not descriptor.is_dense and descriptor.width != 1:
             raise InputError(f"bare value {echo(tok, quote=True)} is ambiguous over {descriptor}; use lex(...)")
         return build(descriptor, value)
     except ValueError as e:
@@ -264,7 +263,7 @@ def parse_cut(text: str, descriptor: GroupDescriptor, hull: bool = False) -> Cut
     if head in ("frontier", "frontier_ge"):
         vals = _parse_fraction_list(toks)
         toks.done()
-        if descriptor.kind != KIND_INT_LEX:
+        if descriptor.is_dense:
             raise InputError(f"frontier cuts live over lex groups, not {descriptor}")
         return frontier_cut(descriptor, tuple(vals), over_hull=hull, inclusive=head == "frontier_ge")
     raise InputError(f"unknown cut form {echo(head, quote=True)} (use whole, ge, gt, frontier, frontier_ge)")
@@ -399,11 +398,11 @@ class _SeriesReader:
 
 def format_element(g: Union[GroupElement, HullElement]) -> str:
     d = g.descriptor
-    if d.kind == KIND_INT_LEX:
-        if d.param == 1:
+    if not d.is_dense:
+        if d.width == 1:
             return str(g.value[0])
         return "lex(" + ",".join(map(str, g.value)) + ")"
-    if d.kind == KIND_P_INVERTED:
+    if d.prime:
         return f"q({g.value})"
     a, b = g.value
     return f"quad({a},{b})"

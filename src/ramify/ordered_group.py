@@ -112,28 +112,40 @@ class GroupDescriptor:
     """Names one ordered group.
 
     ``param`` is the rank for ``zlex``, the inverted prime for ``zp`` and
-    the radicand for ``quad``.  Immutable.
+    the radicand for ``quad``.  The constructor decodes it once into four
+    facts, which every other module reads instead of testing the kind:
+    ``width``, the numerators of a point (n, 1 or 2); ``prime``, q for
+    Z[1/q] and else 0; ``radicand``, d for Q + Q*sqrt(d) and else 0; and
+    ``is_dense``, false only for Z^n.  Immutable; equality, hashing and
+    pickling read (kind, param) alone, and the facts follow from those.
     """
 
-    __slots__ = ("kind", "param")
+    __slots__ = ("kind", "param", "width", "prime", "radicand", "is_dense")
 
     def __init__(self, kind: str, param: int) -> None:
         if kind == KIND_INT_LEX:
             if type(param) is not int or not 1 <= param <= MAX_RANK:
                 _int_only(param)
                 raise ValueError(f"lexicographic rank must be between 1 and {MAX_RANK}, got {echo(param)}")
+            width, prime, radicand = param, 0, 0
         elif kind == KIND_P_INVERTED:
             if not _is_prime(param):
                 raise ValueError(f"inverted denominator must be prime, got {echo(param)}")
+            width, prime, radicand = 1, param, 0
         elif kind == KIND_QUADRATIC:
             if not _is_squarefree_nonsquare(param):
                 raise ValueError(
                     f"radicand must be a squarefree non-square >= 2, got {echo(param)}"
                 )
+            width, prime, radicand = 2, 0, param
         else:
             raise ValueError(f"unknown group kind {kind!r}")
         _set(self, "kind", kind)
         _set(self, "param", param)
+        _set(self, "width", width)
+        _set(self, "prime", prime)
+        _set(self, "radicand", radicand)
+        _set(self, "is_dense", kind != KIND_INT_LEX)
 
     __setattr__ = __delattr__ = _frozen
 
@@ -150,10 +162,6 @@ class GroupDescriptor:
 
     def __reduce__(self):
         return GroupDescriptor, (self.kind, self.param)
-
-    @property
-    def is_dense(self) -> bool:
-        return self.kind != KIND_INT_LEX
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.param}"
@@ -206,11 +214,11 @@ def _over_one_den(values) -> Tuple[Tuple[int, ...], int]:
 def _den_in_group(descriptor: GroupDescriptor, den: int) -> bool:
     """Whether a hull point with this lowest-terms denominator lies in the
     group: Z^n needs 1, Z[1/p] a power of p, Q + Q*sqrt(d) anything."""
-    if descriptor.kind == KIND_P_INVERTED:
+    if descriptor.prime:
         # p^L with L the bit length of den exceeds den, and it is a multiple
         # of den exactly when den is a power of the prime p
-        return pow(descriptor.param, den.bit_length(), den) == 0
-    return den == 1 or descriptor.kind == KIND_QUADRATIC
+        return pow(descriptor.prime, den.bit_length(), den) == 0
+    return den == 1 or descriptor.is_dense
 
 
 class _Element:
@@ -351,8 +359,7 @@ def zero(descriptor: GroupDescriptor, hull: bool = False):
     kind, param = descriptor.kind, descriptor.param
     got = _ZEROS.get((kind, param, hull))
     if got is None:
-        n = param if kind == KIND_INT_LEX else 1 if kind == KIND_P_INVERTED else 2
-        got = _ZEROS[kind, param, hull] = (HullElement if hull else GroupElement)(descriptor, (0,) * n, 1)
+        got = _ZEROS[kind, param, hull] = (HullElement if hull else GroupElement)(descriptor, (0,) * descriptor.width, 1)
     return got
 
 
@@ -369,8 +376,8 @@ def compare(x: _Element, y: _Element) -> int:
 def _cmp_nums(descriptor: GroupDescriptor, xs, ys) -> int:
     """The sign of xs - ys, numerators over one positive denominator: by
     ``quad_sign`` over Q + Q*sqrt(d), else lexicographically."""
-    if descriptor.kind == KIND_QUADRATIC:
-        return quad_sign(xs[0] - ys[0], xs[1] - ys[1], descriptor.param)
+    if descriptor.radicand:
+        return quad_sign(xs[0] - ys[0], xs[1] - ys[1], descriptor.radicand)
     return (xs > ys) - (xs < ys)
 
 
@@ -446,8 +453,8 @@ def in_group(h: HullElement) -> bool:
 def _sign_of(descriptor: GroupDescriptor, nums: Tuple[int, ...]) -> int:
     """The sign of nums / den for any den > 0: by ``quad_sign`` over
     Q + Q*sqrt(d), else by the first nonzero numerator."""
-    if descriptor.kind == KIND_QUADRATIC:
-        return quad_sign(nums[0], nums[1], descriptor.param)
+    if descriptor.radicand:
+        return quad_sign(nums[0], nums[1], descriptor.radicand)
     return next(((c > 0) - (c < 0) for c in nums if c), 0)
 
 

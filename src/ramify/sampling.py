@@ -30,13 +30,7 @@ from math import lcm
 from typing import Optional
 
 from .cuts import Cut, Surd, frontier_cut, open_cut, principal_cut, whole_cut
-from .ordered_group import (
-    GroupDescriptor,
-    KIND_INT_LEX,
-    KIND_P_INVERTED,
-    _point,
-    _sign_of,
-)
+from .ordered_group import GroupDescriptor, _point, _sign_of
 from .series_field import Poly, SeriesElement, _merge
 
 
@@ -44,15 +38,15 @@ def _draw(rng: random.Random, descriptor: GroupDescriptor, hull: bool, span: int
     """The integers of one draw, as numerators over one positive
     denominator, not yet in lowest terms."""
     randint = rng.randint
-    if descriptor.kind == KIND_INT_LEX:
+    if not descriptor.is_dense:
         if not hull:
-            return tuple(randint(-span, span) for _ in range(descriptor.param)), 1
-        pairs = [(randint(-span, span), randint(1, 6)) for _ in range(descriptor.param)]
+            return tuple(randint(-span, span) for _ in range(descriptor.width)), 1
+        pairs = [(randint(-span, span), randint(1, 6)) for _ in range(descriptor.width)]
         den = lcm(*(m for _, m in pairs))
         return tuple(n * (den // m) for n, m in pairs), den
-    if descriptor.kind == KIND_P_INVERTED:
+    if descriptor.prime:
         n = randint(-span, span)
-        return (n,), (randint(1, 9) if hull else descriptor.param ** randint(0, 4))
+        return (n,), (randint(1, 9) if hull else descriptor.prime ** randint(0, 4))
     # a = n / 2^i and b = m / 3^j, over the common denominator 2^i * 3^j
     n = randint(-span, span)
     qa = 2 ** randint(0, 2)
@@ -91,7 +85,7 @@ def _roll(rng: random.Random) -> int:
 def random_irrational_bound(rng: random.Random, descriptor: GroupDescriptor) -> Optional[Surd]:
     """A positive irrational Surd usable as a cut bound over Z[1/q], or None
     over every other group (lex products and Q + Q*sqrt(d))."""
-    if descriptor.kind != KIND_P_INVERTED:
+    if not descriptor.prime:
         return None
     a = Fraction(rng.randint(0, 6), rng.randint(1, 4))
     b = Fraction(rng.randint(1, 5), rng.randint(1, 4))
@@ -105,7 +99,7 @@ def random_group_cut(
     roll = _roll(rng)
     if allow_whole and roll < _BELOW_008:
         return whole_cut(descriptor)
-    lex, n = descriptor.kind == KIND_INT_LEX, descriptor.param
+    lex, n = not descriptor.is_dense, descriptor.width
     if lex and n > 1 and roll < _BELOW_045:
         k = rng.randint(1, n - 1)
         prefix = [rng.randint(0, 4)] + [rng.randint(-4, 4) for _ in range(k - 1)]
@@ -114,7 +108,7 @@ def random_group_cut(
         return frontier_cut(descriptor, tuple(prefix))
     if lex or roll < _BELOW_050:
         return principal_cut(random_positive_element(rng, descriptor))
-    if descriptor.kind == KIND_P_INVERTED and roll > _ABOVE_090:
+    if descriptor.prime and roll > _ABOVE_090:
         return open_cut(descriptor, random_irrational_bound(rng, descriptor))
     return open_cut(descriptor, random_positive_element(rng, descriptor))
 
@@ -122,8 +116,8 @@ def random_group_cut(
 def random_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
     """A proper nonzero ideal of the hull's valuation ring, as a cut."""
     roll = _roll(rng)
-    if descriptor.kind == KIND_INT_LEX and descriptor.param > 1 and roll < _BELOW_030:
-        n = descriptor.param
+    n = descriptor.width
+    if not descriptor.is_dense and n > 1 and roll < _BELOW_030:
         k = rng.randint(1, n - 1)
         prefix = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
         prefix[0] = abs(prefix[0]) + 1
@@ -137,9 +131,7 @@ def random_hull_ideal(rng: random.Random, descriptor: GroupDescriptor) -> Cut:
 def _grid_base(descriptor: GroupDescriptor, p: int) -> int:
     """The base q of a defect model's grid levels (1/q^j) * Z: the prime that
     Z[1/q] inverts, else p."""
-    if descriptor.kind == KIND_P_INVERTED:
-        return descriptor.param
-    return p
+    return descriptor.prime or p
 
 
 def random_model_series(model, rng: random.Random) -> SeriesElement:
@@ -155,7 +147,7 @@ def random_model_series(model, rng: random.Random) -> SeriesElement:
     descriptor, field = model.descriptor, model.field
     q = _grid_base(descriptor, model.p)
     p, n, ngens = field.p, len(field.tags), field.ngens
-    rank_one = descriptor.kind == KIND_P_INVERTED
+    rank_one = descriptor.width == 1
     terms = {}
     for _ in range(rng.randint(1, 3)):
         j = rng.randint(0, model.depth + 3)

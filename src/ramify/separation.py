@@ -17,6 +17,9 @@ from .defect_lab import DefectModel
 from .ordered_group import (
     GroupElement,
     HullElement,
+    _int_only,
+    _is_prime,
+    echo,
     int_scale,
     is_positive,
     to_hull,
@@ -35,6 +38,7 @@ class GapDatum(_Gaps):
     __slots__ = ()
 
     def __new__(cls, degree: int, gaps: Tuple[Union[GroupElement, HullElement], ...]) -> "GapDatum":
+        _int_only(degree)
         if degree < 2:
             raise ValueError("degree must be at least 2")
         if not gaps:
@@ -65,6 +69,8 @@ def connectivity_threshold(gap: Union[GroupElement, HullElement], p: int) -> Thr
     one below it separates them."""
     if not is_positive(gap):
         raise ValueError("the gap is a positive value")
+    if not _is_prime(p):
+        raise ValueError(f"the residue characteristic must be prime, got {echo(p)}")
     pg = int_scale(p, _as_hull(gap))
     return ThresholdPair(
         connected_at=principal_cut(pg),

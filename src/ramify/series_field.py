@@ -84,7 +84,6 @@ from operator import add, lshift, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordered_group import (
-    KIND_QUADRATIC,
     GroupDescriptor,
     GroupElement,
     _cmp_nums,
@@ -408,7 +407,7 @@ def _base_layout(field: CoeffField, descriptor: GroupDescriptor) -> _Layout:
             raise ValueError("variable tags live in a different group")
         den = lcm(1, *(tag.den for tag in field.tags))
         got = field._layouts[descriptor] = _layout(
-            len(zero(descriptor).nums) - 1, field.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
+            descriptor.width - 1, field.ngens, len(field.tags), den, _MIN_EXP_BITS, _MIN_T_BITS
         )
     return got
 
@@ -502,7 +501,7 @@ class SeriesElement:
         if not self._data:
             raise ValueError("the zero series has no valuation")
         S = self._lay.shift
-        if self.descriptor.kind != KIND_QUADRATIC:
+        if not self.descriptor.radicand:
             return min(self._data) >> S
         # one pass, decoding each distinct t-code once
         descriptor, t_coords = self.descriptor, self._lay.t_coords
@@ -517,8 +516,8 @@ class SeriesElement:
         """The sign of the value at t-code T: over Z[1/q] and Z^n T's own
         sign (balanced lower digits keep the lexicographic sign), over
         Q + Q*sqrt(d) ``quad_sign`` of its coordinates."""
-        if self.descriptor.kind == KIND_QUADRATIC:
-            return quad_sign(*self._lay.t_coords(T), self.descriptor.param)
+        if self.descriptor.radicand:
+            return quad_sign(*self._lay.t_coords(T), self.descriptor.radicand)
         return (T > 0) - (T < 0)
 
     def support(self) -> Tuple[GroupElement, ...]:
@@ -527,7 +526,7 @@ class SeriesElement:
         ``_cmp_nums``, the order of ``compare``."""
         S = self._lay.shift
         codes = sorted({k >> S for k in self._data})
-        if self.descriptor.kind == KIND_QUADRATIC:
+        if self.descriptor.radicand:
             descriptor, ab = self.descriptor, {T: self._lay.t_coords(T) for T in codes}
             codes.sort(key=cmp_to_key(lambda x, y: _cmp_nums(descriptor, ab[x], ab[y])))
         return tuple(self._t_element(T) for T in codes)

@@ -33,16 +33,12 @@ from .cuts import Cut, open_cut, principal_cut, whole_cut
 from .ordered_group import (
     GroupDescriptor,
     GroupElement,
-    KIND_INT_LEX,
-    KIND_P_INVERTED,
-    KIND_QUADRATIC,
     _frozen,
     _int_only,
     _is_prime,
     _set,
     divide_exact,
     echo,
-    element,
     int_scale,
     is_positive,
     mod_p_image,
@@ -339,34 +335,7 @@ def wild_inertia_check(data: SwanData) -> bool:
     return galois_image(data.conductor, maximal_test) == FULL_IMAGE
 
 
-# -- base change and the log-smooth planner -----------------------------------
-
-
-def base_change(conductor: Cut, target: GroupDescriptor) -> Cut:
-    """Transport a conductor cut along a supported value-group extension.
-
-    Supported embeddings: identity, int_lex(1) into a dense group, and
-    rational inclusion of p_inverted into quadratic.  Conductor cuts only
-    scale like ideals (generators map to generators), so the bound value is
-    preserved.  Over Z every group cut is whole or principal.
-    """
-    if conductor.over_hull:
-        raise ValueError("the conductor cut lives over the group")
-    src = conductor.descriptor
-    if target == src:
-        return conductor
-    if src.kind == KIND_INT_LEX and src.param == 1 and target.kind in (KIND_P_INVERTED, KIND_QUADRATIC):
-        if conductor.kind == "whole":
-            return whole_cut(target)
-        return principal_cut(element(target, conductor.bound_point().value[0]))
-    if src.kind == KIND_P_INVERTED and target.kind == KIND_QUADRATIC:
-        if conductor.kind == "whole":
-            return whole_cut(target)
-        if not conductor.value.is_rational:
-            raise ValueError("irrational bounds do not embed rationally")
-        lifted = element(target, (conductor.value.a, 0))
-        return principal_cut(lifted) if conductor.inclusive else open_cut(target, lifted)
-    raise ValueError(f"unsupported base change {src} -> {target}")
+# -- the log-smooth planner ---------------------------------------------------
 
 
 class Type2Move(NamedTuple):

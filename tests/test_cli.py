@@ -1379,3 +1379,23 @@ def test_seed_reproducibility():
     base = run_cli(args + ["--seed", "7"])
     again = run_cli(args + ["--seed", "7"])
     assert base == again
+
+
+DOUBLED_STEP_ARGVS = [
+    ["verify", "--suite", "claim2", "--p", "2", "--cut", "gt q(1)", "--samples", "5"],
+    ["verify", "--suite", "limits", "--p", "2", "--seed", "0"],
+    ["verify", "--suite", "series", "--p", "2", "--samples", "2"],
+    ["construct-defect", "--group", "zp:2", "--cut", "gt q(1)", "--p", "2", "--samples", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", DOUBLED_STEP_ARGVS, ids=lambda argv: " ".join(argv[:3]))
+def test_a_doubled_step_sigma_fails_verification(monkeypatch, argv):
+    # sigma(x_i) = x_i + t^(2*e(i)) passes every floor; build_defect_model's
+    # measured steps refuse it, and each command reports a failed check
+    from .test_defect_lab import _stepped_sigma
+
+    monkeypatch.setattr("ramify.defect_lab.SigmaSpec", _stepped_sigma(lambda t: t + t))
+    code, out, err = run_cli(argv)
+    assert (code, err) == (1, "")
+    assert re.search(r"^failures: 1\ndetail: x0 moved by \S+, not by its step e\(0\) = \S+\n\Z", out, re.M), out

@@ -645,3 +645,36 @@ def test_the_twins_diverge_at_the_break_of_the_defect_side(descriptor, p, b):
     pair = twin_pair(descriptor, p, b, depth=1)
     assert pair.divergence == open_cut(descriptor, to_hull(int_scale(p, b)), over_hull=True)
     assert pair.divergence == break_of(pair.defect.conductor)
+
+
+def _stepped_sigma(scale):
+    """A stand-in for ``SigmaSpec`` whose sigma moves x_i by t^(scale(e(i))):
+    a field with the model's p and variable names, but scaled tags."""
+    def make(field, descriptor):
+        return SigmaSpec(CoeffField(field.p, tags=[scale(t) for t in field.tags]), descriptor)
+    return make
+
+
+@pytest.mark.parametrize(
+    "scale, step",
+    [(lambda t: int_scale(2, t), "2"), (lambda t: divide_exact(t, 2), "1/2")],
+    ids=["doubled", "halved"],
+)
+def test_build_defect_model_refuses_a_sigma_whose_steps_are_not_the_tags(monkeypatch, scale, step):
+    # the floor lets a slower sigma through; the measured steps do not
+    monkeypatch.setattr(defect_lab, "SigmaSpec", _stepped_sigma(scale))
+    with pytest.raises(DeltaBoundError, match=rf"^x0 moved by {step}, not by its step e\(0\) = 1$"):
+        canonical_model(3)
+    with pytest.raises(DeltaBoundError, match=r"^x0 moved by "):
+        build_defect_model(QD2, 3, open_cut(QD2, element(QD2, (1, 1))), 3)
+
+
+def test_build_defect_model_refuses_a_sigma_that_fixes_a_generator(monkeypatch):
+    class Fixing(SigmaSpec):
+        def delta(self, f):
+            return f - f
+
+    monkeypatch.setattr(defect_lab, "SigmaSpec", Fixing)
+    with pytest.raises(DeltaBoundError, match=r"^sigma fixes x0, whose step e\(0\) is 1$"):
+        canonical_model(3)
+

@@ -160,3 +160,21 @@ def test_model_gap_chain_approaches_the_break():
     for lo, hi in zip(pairs, pairs[1:]):
         assert lo.connected_at.subset(hi.connected_at)
         assert lo.connected_at != hi.connected_at
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_connectivity_threshold_refuses_a_p_that_is_not_prime(p):
+    with pytest.raises(ValueError, match=f"^the residue characteristic must be prime, got {p}$"):
+        connectivity_threshold(element(ZP2, 1), p)
+
+
+@pytest.mark.parametrize("p", [True, 2.0])
+def test_connectivity_threshold_refuses_a_p_that_is_not_an_int(p):
+    with pytest.raises(TypeError, match="^expected an integer, got "):
+        connectivity_threshold(element(ZP2, 1), p)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, True])
+def test_gap_datum_refuses_a_degree_that_is_not_an_int(degree):
+    with pytest.raises(TypeError, match="^expected an integer, got "):
+        GapDatum(degree, (element(Z1, 1),))

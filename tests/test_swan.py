@@ -33,7 +33,6 @@ from ramify.swan import (
     UnitSymbol,
     ValueClass,
     artin_schreier_reduce,
-    base_change,
     break_of,
     classify_equal_char,
     classify_kummer_symbolic,
@@ -648,57 +647,6 @@ def test_wild_inertia_matches_ramification():
         classify_kummer_symbolic(KummerSymbolic(p=2, case="v", e0=element(Z1, 1))),
     ]:
         assert wild_inertia_check(data) == (not data.unramified)
-
-
-# -- base change ------------------------------------------------------------------------
-
-
-def test_base_change_golden():
-    h = principal_cut(element(Z1, 3))
-    assert base_change(h, Z1) is h
-    moved = base_change(h, ZP2)
-    assert moved == principal_cut(element(ZP2, 3))
-    assert moved.contains(element(ZP2, Fraction(7, 2)))
-    assert not moved.contains(element(ZP2, Fraction(5, 2)))
-    # over Z the cut {x > 2} is {x >= 3}; transport follows the normal form
-    assert base_change(open_cut(Z1, element(Z1, 2)), ZP2) == principal_cut(element(ZP2, 3))
-    assert base_change(whole_cut(Z1), QD2) == whole_cut(QD2)
-    lifted = base_change(principal_cut(element(ZP2, Fraction(3, 2))), QD2)
-    assert lifted == principal_cut(element(QD2, (Fraction(3, 2), 0)))
-
-
-def test_base_change_takes_the_whole_cut_from_zp_to_quad():
-    assert base_change(whole_cut(ZP2), QD2) == whole_cut(QD2)
-
-
-def test_base_change_unsupported():
-    with pytest.raises(ValueError):
-        base_change(principal_cut(element(Z2, (1, 0))), ZP2)
-    with pytest.raises(ValueError):
-        base_change(principal_cut(element(ZP2, 1)), Z1)
-    from ramify.cuts import Surd
-
-    irr = open_cut(ZP2, Surd(0, 1, 2))
-    with pytest.raises(ValueError):
-        base_change(irr, QD2)
-
-
-@pytest.mark.parametrize(
-    "cut, target",
-    [
-        (open_cut(Z1, hull_element(Z1, Fraction(5, 2)), over_hull=True), ZP2),
-        (principal_cut(hull_element(ZP2, Fraction(1, 3))), QD2),
-    ],
-)
-def test_base_change_refuses_a_hull_cut(cut, target):
-    with pytest.raises(ValueError, match="the conductor cut lives over the group"):
-        base_change(cut, target)
-
-
-def test_base_change_transports_break():
-    h = principal_cut(element(Z1, 3))
-    moved = break_of(base_change(h, ZP2))
-    assert moved == principal_cut(hull_element(ZP2, 3))
 
 
 # -- the log-smooth planner ---------------------------------------------------------------
