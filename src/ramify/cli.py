@@ -179,7 +179,11 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
         raise InputError("--bound needs --variant")
     depth, p = 4 if args.depth is None else args.depth, 2 if args.p is None else args.p
     bound = parse_bound(args.bound, descriptor, hull=False)
-    data = break_witness(descriptor, p, bound, args.variant, depth=depth).swan
+    # an open variant builds a defect model, whose sigma checks may fail
+    try:
+        data = break_witness(descriptor, p, bound, args.variant, depth=depth).swan
+    except DeltaBoundError as e:
+        return report, _sigma_failure(report, e)
     br = break_of(data.conductor)
     report.kv("variant", args.variant)
     report.kv("H", format_cut(data.conductor))
@@ -211,9 +215,7 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
         delta_report = verify_delta_bounds(model, samples=args.samples, rng=rng)
     except DeltaBoundError as e:
         report.section("verify")
-        report.kv("failures", 1)
-        report.kv("detail", str(e))
-        return report, 1
+        return report, _sigma_failure(report, e)
     report.section("verify")
     report.kv("samples", delta_report.samples)
     report.kv("monomials", delta_report.monomials_checked)
@@ -235,12 +237,16 @@ def _cmd_demo_br10(args) -> Tuple[Report, int]:
     _refuse_unread(args, {"table_rows": ("plain",)}, [args.format], f"--format {args.format}")
     descriptor = parse_group(args.group)
     b = parse_element(args.b, descriptor)
-    pair = twin_pair(descriptor, args.p, b, depth=args.depth)
+    report = Report()
+    report.section("br10")
+    # the pair's defect side is a defect model, whose sigma checks may fail
+    try:
+        pair = twin_pair(descriptor, args.p, b, depth=args.depth)
+    except DeltaBoundError as e:
+        return report, _sigma_failure(report, e)
     H1 = pair.ramified.swan.conductor
     H2 = pair.defect.swan.conductor
     rng = random.Random(args.seed)
-    report = Report()
-    report.section("br10")
     report.kv("H1", format_cut(H1))
     report.kv("H2", format_cut(H2))
     rows = []
@@ -388,6 +394,14 @@ def _suite_series(args, report: Report) -> int:
     return _conclude(report, failures)
 
 
+def _sigma_failure(report: Report, e: DeltaBoundError) -> int:
+    """Report a defect model's failed sigma check as one failure; the exit
+    code is 1."""
+    report.kv("failures", 1)
+    report.kv("detail", str(e))
+    return 1
+
+
 def _conclude(report: Report, failures: List[str]) -> int:
     report.kv("failures", len(failures))
     return 1 if failures else 0
@@ -435,9 +449,7 @@ def _cmd_verify(args) -> Tuple[Report, int]:
         try:
             code = max(code, _SUITES[name](args, report))
         except DeltaBoundError as e:
-            report.kv("failures", 1)
-            report.kv("detail", str(e))
-            code = 1
+            code = _sigma_failure(report, e)
     return report, code
 
 

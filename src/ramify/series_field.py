@@ -62,8 +62,10 @@ the one key directly.
 tagged variables and sigma = id on everything else.  A row holds the
 moving part sigma(m) - m of a tagged monomial m, as (key delta,
 coefficient) pairs written down from binomial coefficients mod p, one
-cached row per layout and tagged exponent pattern; sigma keeps the row
-tables of its last few layouts.  ``apply`` starts from a copy of f's keys
+cached row per layout and tagged exponent pattern; the rows of one layout
+share one tuple per distinct pair, since most rows repeat the same pairs,
+and sigma keeps the row tables (and their pair pools) of its last few
+layouts.  ``apply`` starts from a copy of f's keys
 and adds the keys of each row; ``delta`` runs the same loop from nothing,
 so it builds no sigma(f) and subtracts nothing, and its key order is not
 part of its result.  Both work in f's own layout, widened only where the
@@ -904,9 +906,10 @@ def as_field_element(x, like: FieldElement) -> FieldElement:
     raise TypeError(f"cannot treat {type(x).__name__} as a field element")
 
 
-# the row tables one SigmaSpec keeps, one per layout; a series, its norm's
-# conjugates and its trace's passes meet a handful of layouts, and a sigma
-# that meets more drops the table it used least recently instead of growing
+# the row tables one SigmaSpec keeps, one per layout, each with the pool of
+# pairs its rows share; a series, its norm's conjugates and its trace's
+# passes meet a handful of layouts, and a sigma that meets more drops the
+# table and pool it used least recently instead of growing
 _SIGMA_TABLES = 8
 
 
@@ -925,8 +928,12 @@ class SigmaSpec:
         # exponents: the (key delta, coefficient) pairs of sigma(m) - m, which
         # turn a monomial's key into the keys it adds; tagged exponent
         # patterns recur constantly, so rows are cached, and the tables of
-        # the _SIGMA_TABLES layouts used last are kept, least recent first
+        # the _SIGMA_TABLES layouts used last are kept, least recent first;
+        # the rows of one table share each pair they repeat
         self._rows: Dict[_Layout, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
+        # per layout in _rows, the pool of its rows' pairs, each held once,
+        # so that rows repeating a pair hold one tuple, not a copy each
+        self._pools: Dict[_Layout, Dict[Tuple[int, int], Tuple[int, int]]] = {}
 
     def _row(self, lay: _Layout, tc: int) -> Tuple[Tuple[int, int], ...]:
         """The row of tagged monomial ``tc`` by the binomial theorem:
@@ -957,13 +964,16 @@ class SigmaSpec:
         tb = f._tb * (den // la.den) + sum(map(mul, f._eb, self._tag_bounds)) * (den // self._den0)
         lay = _widen(la, den, max(f._eb, default=0), tb)
         # the table moves to the end on every use, so the first is the one
-        # used least recently, which a new layout's table replaces
+        # used least recently, which a new layout's table replaces; its pair
+        # pool goes with it
         tables = self._rows
         rows = tables.pop(lay, None)
         if rows is None:
-            rows = {}
+            rows, pools = {}, self._pools
             if len(tables) == _SIGMA_TABLES:
-                del tables[next(iter(tables))]
+                old = next(iter(tables))
+                del tables[old], pools[old]
+            pools[lay] = {}
         tables[lay] = rows
         tag_mask = lay.tag_mask
         data = f._data if lay is la else _repack(f._data, la, lay)
@@ -975,7 +985,9 @@ class SigmaSpec:
                 continue
             row = rows.get(tc)
             if row is None:
-                row = rows[tc] = self._row(lay, tc)
+                # a pair that another row of this layout holds is shared
+                fresh = self._row(lay, tc)
+                row = rows[tc] = tuple(map(self._pools[lay].setdefault, fresh, fresh))
             for delta, c2 in row:
                 k = key + delta
                 acc[k] = get(k, 0) + c * c2

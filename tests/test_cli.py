@@ -1386,6 +1386,8 @@ DOUBLED_STEP_ARGVS = [
     ["verify", "--suite", "limits", "--p", "2", "--seed", "0"],
     ["verify", "--suite", "series", "--p", "2", "--samples", "2"],
     ["construct-defect", "--group", "zp:2", "--cut", "gt q(1)", "--p", "2", "--samples", "5"],
+    ["breaks", "--group", "zp:2", "--bound", "q(1)", "--variant", "open"],
+    ["demo-br10", "--group", "zp:2", "--p", "2", "--b", "1"],
 ]
 
 

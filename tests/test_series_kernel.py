@@ -588,6 +588,31 @@ def test_sigma_keeps_the_table_it_used_last_over_an_older_one():
     assert list(sigma._rows) == [g._lay for g in others[1:-1]] + [a._lay, others[-1]._lay]
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_rows_of_one_layout_share_each_pair_and_drop_them_with_the_table(p):
+    # the rows of x0^a * x1^b repeat (key delta, coefficient) pairs: within
+    # one layout's table equal pairs are one object, and sigma keeps a
+    # layout's pairs exactly as long as it keeps that layout's table
+    field = _field(p, ZP3)
+    f = SeriesElement(
+        field, ZP3, {element(ZP3, b): field.ring.from_dict({(a, b, 0): 1 for a in range(p + 2)}) for b in range(3)}
+    )
+    sigma = SigmaSpec(field, ZP3)
+    image = sigma.apply(f)
+    copies = [_wider(f, 1, 0, k) for k in range(1, _SIGMA_TABLES + 2)]
+    for g in copies:
+        assert sigma.apply(g) == image
+    for lay, rows in sigma._rows.items():
+        held = [pair for row in rows.values() for pair in row]
+        assert len(set(held)) < len(held)
+        first = {}
+        assert all(first.setdefault(pair, pair) is pair for pair in held)
+        # the pool holds the pairs of this table's rows and no others
+        assert {id(pair) for pair in held} == {id(pair) for pair in sigma._pools[lay].values()}
+    # _SIGMA_TABLES + 1 layouts met: the first one's table went, and its pool
+    assert list(sigma._pools) == list(sigma._rows) == [g._lay for g in copies[-_SIGMA_TABLES:]]
+
+
 def test_delta_where_an_image_lands_on_a_key_of_f():
     # sigma(x0^2) = x0^2 + 2*x0*t + t^2 lands on t^2, which f stores first,
     # and delta adds the moved monomials alone
