@@ -12,9 +12,9 @@ Run from the repository root:
 """
 
 import argparse
-from fractions import Fraction
-from typing import Tuple
+import sys
 
+from ramify.cli import Report, finish
 from ramify.cuts import Surd
 from ramify.defect_lab import (
     VARIANT_CLOSED,
@@ -22,46 +22,47 @@ from ramify.defect_lab import (
     VARIANT_OPEN_IRRATIONAL,
     break_witness,
 )
-from ramify.literals import format_cut, format_element
-from ramify.ordered_group import GroupDescriptor, element, hull_element, in_group, p_inverted
+from ramify.literals import format_cut, format_element, parse_elements
+from ramify.ordered_group import element, in_group, p_inverted
 from ramify.swan import break_of
 
 
-def sweep(descriptor: GroupDescriptor, p: int, depth: int, bounds: Tuple[Fraction, ...], irrational: bool) -> None:
+def sweep(args, report: Report) -> int:
+    p, depth = args.p, args.depth
+    descriptor = p_inverted(p)
+    bounds = parse_elements(args.bounds, descriptor, hull=True)
     rows = []
     # a bound outside the group has no witness; it is named once and skipped
-    outside = [b for b in bounds if not in_group(hull_element(descriptor, b))]
-    for b in bounds:
-        if b in outside:
-            continue
-        g = element(descriptor, b)
+    outside = [b.value for b in bounds if not in_group(b)]
+    for g in (element(descriptor, b.value) for b in bounds if in_group(b)):
         for variant in (VARIANT_CLOSED, VARIANT_OPEN):
             w = break_witness(descriptor, p, g, variant, depth=depth)
             rows.append((format_element(g), variant, w))
-    if irrational:
+    if not args.no_irrational:
         s = Surd(0, 1, 2)
         w = break_witness(descriptor, p, s, VARIANT_OPEN_IRRATIONAL, depth=depth)
         rows.append(("sqrt(2)", VARIANT_OPEN_IRRATIONAL, w))
 
     bw = max((len(r[0]) for r in rows), default=len("bound"))
     vw = max((len(r[1]) for r in rows), default=len("variant"))
-    print(f"group {descriptor}, p = {p}, depth = {depth}")
+    report.raw(f"group {descriptor}, p = {p}, depth = {depth}")
     if outside:
-        print(f"skipped bounds outside {descriptor}: {', '.join(map(str, outside))}")
-    print(f"{'bound'.ljust(bw)}  {'variant'.ljust(vw)}  {'break'.ljust(16)}  principal  defect")
+        report.raw(f"skipped bounds outside {descriptor}: {', '.join(map(str, outside))}")
+    report.raw(f"{'bound'.ljust(bw)}  {'variant'.ljust(vw)}  {'break'.ljust(16)}  principal  defect")
     for name, variant, w in rows:
         brk = break_of(w.swan.conductor)
-        print(
+        report.raw(
             f"{name.ljust(bw)}  {variant.ljust(vw)}  {format_cut(brk).ljust(16)}"
             f"  {str(brk.kind == 'principal').lower().ljust(9)}"
             f"  {str(w.swan.defect).lower()}"
         )
-    print()
+    report.raw("")
     for name, variant, w in rows:
         if not w.swan.defect:
             continue
         seq = ", ".join(format_element(e) for e in w.e_seq)
-        print(f"e-sequence at {name} ({variant}): {seq}")
+        report.raw(f"e-sequence at {name} ({variant}): {seq}")
+    return 0
 
 
 def main() -> None:
@@ -70,14 +71,7 @@ def main() -> None:
     parser.add_argument("--depth", type=int, default=4)
     parser.add_argument("--bounds", default="1,2,3/2", help="comma-separated rational bounds")
     parser.add_argument("--no-irrational", action="store_true")
-    args = parser.parse_args()
-    # every ValueError from the work is bad input: a usage error, exit 2
-    try:
-        descriptor = p_inverted(args.p)
-        bounds = tuple(Fraction(b) for b in args.bounds.split(","))
-        sweep(descriptor, args.p, args.depth, bounds, not args.no_irrational)
-    except ValueError as e:
-        parser.error(str(e))
+    sys.exit(finish(sweep, parser.parse_args()))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 The commands read and print values in the literal syntax of
 ``ramify.literals``.  Exit codes: 0 success, 2 malformed input (the
 diagnostic names the offending token), 1 a theorem-level check failed.
+``finish`` is the one place where exceptions become exit codes, for the
+subcommands and for the scripts alike.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import random
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cuts import Cut, Surd, open_cut, principal_cut
 from .defect_lab import (
@@ -105,13 +107,12 @@ def _emit_swan(report: Report, data: SwanData, p: int) -> None:
 # -- subcommands --------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> Tuple[Report, int]:
+def _cmd_classify(args, report: Report) -> int:
     mode = "as" if args.artin_schreier is not None else "case" if args.case is not None else "kummer"
     kummer = ("kummer",)
     readers = {"c": ("case",), "e0": kummer, "va": kummer, "vb": kummer, "unit": ("case", "kummer")}
     _refuse_unread(args, readers, [mode], f"--{mode}")
     descriptor = parse_group(args.group)
-    report = Report()
     if mode == "as":
         f, _ = parse_series(args.artin_schreier, descriptor, args.p)
         try:
@@ -120,14 +121,14 @@ def _cmd_classify(args) -> Tuple[Report, int]:
             report.section("swan")
             report.kv("status", "undetermined")
             report.kv("detail", str(e))
-            return report, 0
+            return 0
         _emit_swan(report, data, args.p)
-        return report, 0
+        return 0
     if mode == "case":
         c = parse_element(args.c, descriptor) if args.c else None
         desc = EqualCharSymbolic(args.p, args.case, c=c, unit_name=args.unit, descriptor=descriptor)
         _emit_swan(report, classify_equal_char(desc), args.p)
-        return report, 0
+        return 0
     if args.e0 is None:
         raise InputError("--kummer needs --e0, the value of zeta_p - 1")
     desc = KummerSymbolic(
@@ -146,27 +147,25 @@ def _cmd_classify(args) -> Tuple[Report, int]:
         report.kv("moves", len(moves))
         for i, mv in enumerate(moves):
             report.kv(f"move{i}", f"adjoin degree-{mv.e} root at {format_element(mv.target)}")
-    return report, 0
+    return 0
 
 
-def _cmd_eval(args) -> Tuple[Report, int]:
+def _cmd_eval(args, report: Report) -> int:
     descriptor = parse_group(args.group)
     H = parse_cut(args.conductor, descriptor, hull=False)
     I = parse_cut(args.ideal, descriptor, hull=True)
     image = galois_image(H, I)
-    report = Report()
     report.section("eval")
     report.kv("H", format_cut(H))
     report.kv("I", format_cut(I))
     report.kv("image", image)
-    return report, 0
+    return 0
 
 
-def _cmd_breaks(args) -> Tuple[Report, int]:
+def _cmd_breaks(args, report: Report) -> int:
     mode = "H" if args.conductor is not None else "bound"
     _refuse_unread(args, {"variant": ("bound",), "depth": ("bound",), "p": ("bound",)}, [mode], f"--{mode}")
     descriptor = parse_group(args.group)
-    report = Report()
     report.section("break")
     if mode == "H":
         H = parse_cut(args.conductor, descriptor, hull=False)
@@ -174,31 +173,27 @@ def _cmd_breaks(args) -> Tuple[Report, int]:
         report.kv("H", format_cut(H))
         report.kv("break", format_cut(br))
         report.kv("principal", br.kind == "principal")
-        return report, 0
+        return 0
     if args.variant is None:
         raise InputError("--bound needs --variant")
     depth, p = 4 if args.depth is None else args.depth, 2 if args.p is None else args.p
     bound = parse_bound(args.bound, descriptor, hull=False)
-    # an open variant builds a defect model, whose sigma checks may fail
-    try:
-        data = break_witness(descriptor, p, bound, args.variant, depth=depth).swan
-    except DeltaBoundError as e:
-        return report, _sigma_failure(report, e)
+    data = break_witness(descriptor, p, bound, args.variant, depth=depth).swan
     br = break_of(data.conductor)
     report.kv("variant", args.variant)
     report.kv("H", format_cut(data.conductor))
     report.kv("break", format_cut(br))
     report.kv("principal", br.kind == "principal")
     report.kv("defect", data.defect)
-    return report, 0
+    return 0
 
 
-def _cmd_construct_defect(args) -> Tuple[Report, int]:
+def _cmd_construct_defect(args, report: Report) -> int:
     descriptor = parse_group(args.group)
     cut = parse_cut(args.cut, descriptor, hull=False)
-    report = Report()
     rng = random.Random(args.seed)
-    # build_defect_model checks each generator's step, the sampler every floor
+    # build_defect_model checks each generator's step, the sampler every
+    # floor; a failed check is reported under [verify]
     try:
         model = build_defect_model(descriptor, args.p, cut, depth=args.depth)
         report.section("model")
@@ -213,9 +208,9 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
         report.kv("defect", model.swan.defect)
         report.kv("break", format_cut(break_of(model.swan.conductor)))
         delta_report = verify_delta_bounds(model, samples=args.samples, rng=rng)
-    except DeltaBoundError as e:
+    except DeltaBoundError:
         report.section("verify")
-        return report, _sigma_failure(report, e)
+        raise
     report.section("verify")
     report.kv("samples", delta_report.samples)
     report.kv("monomials", delta_report.monomials_checked)
@@ -230,20 +225,15 @@ def _cmd_construct_defect(args) -> Tuple[Report, int]:
     report.kv("below_all", sum(1 for e in limit.entries if e.status == STATUS_BELOW_ALL))
     report.kv("unresolved", limit.unresolved)
     report.kv("ok", limit.ok)
-    return report, 0 if limit.ok else 1
+    return 0 if limit.ok else 1
 
 
-def _cmd_demo_br10(args) -> Tuple[Report, int]:
+def _cmd_demo_br10(args, report: Report) -> int:
     _refuse_unread(args, {"table_rows": ("plain",)}, [args.format], f"--format {args.format}")
     descriptor = parse_group(args.group)
     b = parse_element(args.b, descriptor)
-    report = Report()
     report.section("br10")
-    # the pair's defect side is a defect model, whose sigma checks may fail
-    try:
-        pair = twin_pair(descriptor, args.p, b, depth=args.depth)
-    except DeltaBoundError as e:
-        return report, _sigma_failure(report, e)
+    pair = twin_pair(descriptor, args.p, b, depth=args.depth)
     H1 = pair.ramified.swan.conductor
     H2 = pair.defect.swan.conductor
     rng = random.Random(args.seed)
@@ -273,14 +263,13 @@ def _cmd_demo_br10(args) -> Tuple[Report, int]:
     if agreements != args.samples or im1 == im2:
         code = 1
         report.kv("check", "FAILED")
-    return report, code
+    return code
 
 
-def _cmd_separation(args) -> Tuple[Report, int]:
+def _cmd_separation(args, report: Report) -> int:
     mode = "gaps" if args.gaps is not None else "gap"
     _refuse_unread(args, {"degree": ("gaps",)}, [mode], f"--{mode}")
     descriptor = _group_for_separation(args)
-    report = Report()
     report.section("separation")
     if args.gaps is not None:
         gaps = parse_elements(args.gaps, descriptor, hull=args.hull)
@@ -290,14 +279,14 @@ def _cmd_separation(args) -> Tuple[Report, int]:
         report.kv("degree", degree)
         report.kv("gaps", ",".join(format_element(g) for g in gaps))
         report.kv("bound", format_cut(bound))
-        return report, 0
+        return 0
     gap = parse_element(args.gap, descriptor, hull=args.hull)
     pair = connectivity_threshold(gap, args.p)
     report.kv("gap", format_element(gap))
     report.kv("p", args.p)
     report.kv("connected_at", format_cut(pair.connected_at))
     report.kv("separated_at", format_cut(pair.separated_at))
-    return report, 0
+    return 0
 
 
 def _refuse_long_numbers(cut: Cut) -> None:
@@ -430,7 +419,7 @@ def _refuse_unread(args, readers, modes: Sequence[str], selected: str) -> None:
             raise InputError(f"--{flag.replace('_', '-')} is not read by {selected}")
 
 
-def _cmd_verify(args) -> Tuple[Report, int]:
+def _cmd_verify(args, report: Report) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     _refuse_unread(args, _FLAG_READERS, names, f"suite {args.suite}")
     if args.depth is None:
@@ -439,18 +428,17 @@ def _cmd_verify(args) -> Tuple[Report, int]:
         raise InputError(f"suite series takes --p at most {SERIES_MAX_P}, since each sample multiplies p conjugates")
     if "limits" in names and args.depth < 2:
         raise InputError("suite limits builds models at --depth - 1 and --depth + 1, so it needs --depth >= 2")
-    report = Report()
     code = 0
     for name in names:
         report.section("verify")
         report.kv("suite", name)
         # a defect model that fails a sigma check, where it is built or
-        # sampled, fails the suite
+        # sampled, fails the suite, and the next suite still runs
         try:
             code = max(code, _SUITES[name](args, report))
         except DeltaBoundError as e:
             code = _sigma_failure(report, e)
-    return report, code
+    return code
 
 
 # -- argument wiring -----------------------------------------------------------------
@@ -618,13 +606,25 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "separation": _cmd_separation,
         "verify": _cmd_verify,
     }
-    # the one rule for bad input: every ValueError a handler lets through,
-    # library validation included, is malformed input and exits 2
+    return finish(handlers[args.subcommand], args)
+
+
+def finish(handler: Callable[[argparse.Namespace, Report], int], args: argparse.Namespace) -> int:
+    """Run ``handler(args, report)`` on a new report and end the run: the one
+    place where exceptions become exit codes.  An ``InputError`` or
+    ``ValueError`` the handler lets through, library validation included, is
+    malformed input: ``error: ...`` on stderr, nothing on stdout, exit 2.  A
+    ``DeltaBoundError`` is a failed check: ``failures: 1`` and ``detail: ...``
+    after what the report holds, exit 1.  Otherwise the report is printed
+    and the handler's code returned."""
+    report = Report()
     try:
-        report, code = handlers[args.subcommand](args)
+        code = handler(args, report)
     except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except DeltaBoundError as e:
+        code = _sigma_failure(report, e)
     sys.stdout.write(report.text())
     return code
 

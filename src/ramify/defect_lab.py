@@ -46,6 +46,7 @@ from .ordered_group import (
     compare,
     divide_exact,
     element,
+    format_point,
     int_scale,
     is_positive,
     neg,
@@ -191,10 +192,10 @@ def build_defect_model(
     for i, e in enumerate(e_seq):
         delta = sigma.delta(variable_series(field, descriptor, field.gens[i]))
         if delta.is_zero():
-            raise DeltaBoundError(f"sigma fixes x{i}, whose step e({i}) is {e.value}")
+            raise DeltaBoundError(f"sigma fixes x{i}, whose step e({i}) is {format_point(e)}")
         step = delta.valuation()
         if step != e:
-            raise DeltaBoundError(f"x{i} moved by {step.value}, not by its step e({i}) = {e.value}")
+            raise DeltaBoundError(f"x{i} moved by {format_point(step)}, not by its step e({i}) = {format_point(e)}")
         thresholds.append(int_scale(p, step))
         if not root_set.contains(e) or not conductor.contains(thresholds[-1]):
             raise RuntimeError("grid sequence escaped the root set")
@@ -253,8 +254,8 @@ def verify_delta_bounds(model: DefectModel, samples: int = 200, rng: Optional[ra
             if not delta.is_zero() and not delta.valuation_at_least(mono, tags[i]):
                 gamma = mono.valuation()
                 raise DeltaBoundError(
-                    f"monomial at value {gamma.value} moved by {delta.valuation().value}, "
-                    f"below the floor {(gamma + tags[i]).value}"
+                    f"monomial at value {format_point(gamma)} moved by {format_point(delta.valuation())}, "
+                    f"below the floor {format_point(gamma + tags[i])}"
                 )
             checked += 1
         delta_f = sigma.delta(f)
@@ -265,8 +266,8 @@ def verify_delta_bounds(model: DefectModel, samples: int = 200, rng: Optional[ra
             raise DeltaBoundError("sigma moved an element with no tagged variable")
         if not delta_f.valuation_at_least(f, tags[least]):
             raise DeltaBoundError(
-                f"element with value {f.valuation().value} moved by "
-                f"{delta_f.valuation().value}"
+                f"element with value {format_point(f.valuation())} moved by "
+                f"{format_point(delta_f.valuation())}"
             )
     return DeltaReport(samples, checked, fixed)
 

@@ -34,6 +34,7 @@ from .ordered_group import (
     KIND_QUADRATIC,
     echo,
     element,
+    format_point,
     hull_element,
     is_positive,
 )
@@ -397,15 +398,7 @@ class _SeriesReader:
 
 
 def format_element(g: Union[GroupElement, HullElement]) -> str:
-    d = g.descriptor
-    if not d.is_dense:
-        if d.width == 1:
-            return str(g.value[0])
-        return "lex(" + ",".join(map(str, g.value)) + ")"
-    if d.prime:
-        return f"q({g.value})"
-    a, b = g.value
-    return f"quad({a},{b})"
+    return format_point(g)
 
 
 def format_surd(s: Surd) -> str:

@@ -14,7 +14,9 @@ for ``int_lex``, one for ``p_inverted`` and (a, b) for a + b*sqrt(d) over
 floating point; the sign of a + b*sqrt(d) is decided by comparing a^2
 against d*b^2, which is conclusive because sqrt(d) is irrational.  This
 module is the only one that converts between Fractions and the stored
-form; ``.value`` reads a point back as Fractions (integers for Z^n).
+form; ``.value`` reads a point back as Fractions (integers for Z^n), and
+``format_point`` writes it as a ``ramify.literals`` literal, as every
+message that names a point prints it.
 
 Each group sits inside its divisible hull (Q^n lex, Q, Q + Q*sqrt(d)).
 Hull points get their own type: a ``HullElement`` never compares equal to a
@@ -301,6 +303,20 @@ class HullElement(_Element):
     """A point of the divisible hull (rational coordinates throughout)."""
 
     __slots__ = ()
+
+
+def format_point(x: _Element) -> str:
+    """The literal of a point: a bare value over Z, ``lex(...)`` over Z^n,
+    ``q(...)`` over Z[1/p] and ``quad(a,b)`` over Q + Q*sqrt(d)."""
+    d = x.descriptor
+    if not d.is_dense:
+        if d.width == 1:
+            return str(x.value[0])
+        return "lex(" + ",".join(map(str, x.value)) + ")"
+    if d.prime:
+        return f"q({x.value})"
+    a, b = x.value
+    return f"quad({a},{b})"
 
 
 def _lowest(nums: Tuple[int, ...], den: int) -> Tuple[Tuple[int, ...], int]:

@@ -94,6 +94,7 @@ from .ordered_group import (
     _is_prime,
     _point,
     echo,
+    format_point,
     int_scale,
     is_positive,
     quad_sign,
@@ -258,7 +259,7 @@ class CoeffField:
             raise ValueError(f"coefficient characteristic must be prime, got {p}")
         for tag in tags:
             if not isinstance(tag, GroupElement) or not is_positive(tag):
-                shown = echo(tag.value if isinstance(tag, GroupElement) else tag)
+                shown = echo(format_point(tag) if isinstance(tag, GroupElement) else tag)
                 raise ValueError(f"variable tags must be positive group elements, got {shown}")
         tags = tuple(sorted(tags, reverse=True))
         if len(set(tags)) != len(tags):

@@ -39,6 +39,7 @@ from .ordered_group import (
     _set,
     divide_exact,
     echo,
+    format_point,
     int_scale,
     is_positive,
     mod_p_image,
@@ -215,12 +216,12 @@ def classify_equal_char(datum: Union[SeriesElement, EqualCharSymbolic]) -> SwanD
         unit_terms = ((1, UnitSymbol(desc.unit_name)),)
     if desc.case == "i":
         if divide_exact(c, desc.p) is not None:
-            raise ValueError(f"case i needs a non-p-divisible value, got {c.value}")
+            raise ValueError(f"case i needs a non-p-divisible value, got {format_point(c)}")
         return _principal("i", c, desc.p, unit_terms + ((1, ValueClass(neg(c))),))
     if desc.case == "ii":
         # the value part of dlog(f) is p-divisible, hence invisible
         if divide_exact(c, desc.p) is None:
-            raise ValueError(f"case ii needs a p-divisible value, got {c.value}")
+            raise ValueError(f"case ii needs a p-divisible value, got {format_point(c)}")
         if not desc.unit_name:
             raise ValueError("case ii needs the residue unit's name")
         return _principal("ii", c, desc.p, unit_terms)

@@ -24,7 +24,7 @@ from ramify.defect_lab import (
     LimitEntry,
     LimitReport,
 )
-from ramify.ordered_group import KIND_P_INVERTED, compare, element, int_scale
+from ramify.ordered_group import KIND_P_INVERTED, compare, element, format_point, int_scale
 from ramify.sampling import _grid_base
 from ramify.series_field import SeriesElement
 
@@ -75,8 +75,8 @@ def verify_delta_bounds(model, samples: int = 200, rng: Optional[random.Random] 
                 floor = gamma + tags[i]
                 if not delta.is_zero() and compare(delta.valuation(), floor) < 0:
                     raise DeltaBoundError(
-                        f"monomial at value {gamma.value} moved by {delta.valuation().value}, "
-                        f"below the floor {floor.value}"
+                        f"monomial at value {format_point(gamma)} moved by {format_point(delta.valuation())}, "
+                        f"below the floor {format_point(floor)}"
                     )
                 checked += 1
         delta_f = model.sigma.apply(f) - f
@@ -87,8 +87,8 @@ def verify_delta_bounds(model, samples: int = 200, rng: Optional[random.Random] 
             raise DeltaBoundError("sigma moved an element with no tagged variable")
         if compare(delta_f.valuation(), f.valuation() + tags[least]) < 0:
             raise DeltaBoundError(
-                f"element with value {f.valuation().value} moved by "
-                f"{delta_f.valuation().value}"
+                f"element with value {format_point(f.valuation())} moved by "
+                f"{format_point(delta_f.valuation())}"
             )
     return DeltaReport(samples, checked, fixed)
 

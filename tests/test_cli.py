@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -878,6 +879,8 @@ def test_exit_2_on_any_malformed_input(argv):
         ("demo_breaks.py", ["--depth", "300"]),
         ("demo_breaks.py", ["--bounds", "0"]),
         ("demo_breaks.py", ["--bounds", "-1"]),
+        ("separation_sweep.py", ["--bound", "1/0"]),
+        ("demo_breaks.py", ["--bounds", "1/0"]),
     ],
 )
 def test_scripts_exit_2_on_bad_input(script, flags):
@@ -972,7 +975,7 @@ def test_breaks_with_a_400_digit_surd_bound():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["classify", "--group", "zp:3", "--p", "2", "--case", "i", "--c", "q(2)"], "case i needs a non-p-divisible value, got 2"),
+        (["classify", "--group", "zp:3", "--p", "2", "--case", "i", "--c", "q(2)"], "case i needs a non-p-divisible value, got q(2)"),
         (["classify", "--group", "zp:3", "--p", "2", "--kummer", "i", "--va", "q(1)"], "--kummer needs --e0, the value of zeta_p - 1"),
         (["breaks", "--group", "zp:2", "--bound", "q(1)"], "--bound needs --variant"),
         (["separation", "--p", "2", "--gap", "quad(1,0)"], "quad gaps need an explicit --group quad:d"),
@@ -1050,7 +1053,7 @@ def test_verify_claim2_reports_a_broken_floor(monkeypatch):
     )
     argv = ["verify", "--suite", "claim2", "--p", "2", "--cut", "gt q(1)", "--samples", "5"]
     assert run_cli(argv) == (
-        1, "[verify]\nsuite: claim2\nfailures: 1\ndetail: monomial at value -1/2 moved by 0, below the floor 1/4\n", ""
+        1, "[verify]\nsuite: claim2\nfailures: 1\ndetail: monomial at value q(-1/2) moved by q(0), below the floor q(1/4)\n", ""
     )
 
 
@@ -1381,6 +1384,9 @@ def test_seed_reproducibility():
     assert base == again
 
 
+# how a command that built a model under the doubled-step sigma ends
+DOUBLED_STEP_TAIL = r"^failures: 1\ndetail: x0 moved by \S+, not by its step e\(0\) = \S+\n\Z"
+
 DOUBLED_STEP_ARGVS = [
     ["verify", "--suite", "claim2", "--p", "2", "--cut", "gt q(1)", "--samples", "5"],
     ["verify", "--suite", "limits", "--p", "2", "--seed", "0"],
@@ -1400,4 +1406,35 @@ def test_a_doubled_step_sigma_fails_verification(monkeypatch, argv):
     monkeypatch.setattr("ramify.defect_lab.SigmaSpec", _stepped_sigma(lambda t: t + t))
     code, out, err = run_cli(argv)
     assert (code, err) == (1, "")
-    assert re.search(r"^failures: 1\ndetail: x0 moved by \S+, not by its step e\(0\) = \S+\n\Z", out, re.M), out
+    assert re.search(DOUBLED_STEP_TAIL, out, re.M), out
+
+
+def test_a_doubled_step_sigma_fails_each_suite_of_verify_all(monkeypatch):
+    # each suite that builds a model reports the failed check, and the next
+    # suite still runs
+    from .test_defect_lab import _stepped_sigma
+
+    monkeypatch.setattr("ramify.defect_lab.SigmaSpec", _stepped_sigma(lambda t: t + t))
+    code, out, err = run_cli(["verify", "--suite", "all", "--p", "2", "--samples", "2"])
+    assert (code, err) == (1, "")
+    names = ("claim2", "limits", "theorem1", "series")
+    sections = out.split("[verify]\n")[1:]
+    assert [s.splitlines()[0] for s in sections] == [f"suite: {name}" for name in names]
+    for name, section in zip(names, sections):
+        tail = r"^failures: 0\n\Z" if name == "theorem1" else DOUBLED_STEP_TAIL
+        assert re.search(tail, section, re.M), section
+
+
+@pytest.mark.parametrize("script", ["demo_breaks.py", "separation_sweep.py"])
+def test_a_doubled_step_sigma_fails_each_script(monkeypatch, capsys, script):
+    # the scripts end the run by cli.finish, so a refused sigma is a failed
+    # check, not a traceback
+    from .test_defect_lab import _stepped_sigma
+
+    monkeypatch.setattr("ramify.defect_lab.SigmaSpec", _stepped_sigma(lambda t: t + t))
+    path = os.path.join(_ROOT, "scripts", script)
+    monkeypatch.setattr(sys, "argv", [path, "--p", "2", "--depth", "3"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(path, run_name="__main__")
+    assert exit_.value.code == 1
+    assert capsys.readouterr() == ("failures: 1\ndetail: x0 moved by q(2), not by its step e(0) = q(1)\n", "")

@@ -657,13 +657,13 @@ def _stepped_sigma(scale):
 
 @pytest.mark.parametrize(
     "scale, step",
-    [(lambda t: int_scale(2, t), "2"), (lambda t: divide_exact(t, 2), "1/2")],
+    [(lambda t: int_scale(2, t), r"q\(2\)"), (lambda t: divide_exact(t, 2), r"q\(1/2\)")],
     ids=["doubled", "halved"],
 )
 def test_build_defect_model_refuses_a_sigma_whose_steps_are_not_the_tags(monkeypatch, scale, step):
     # the floor lets a slower sigma through; the measured steps do not
     monkeypatch.setattr(defect_lab, "SigmaSpec", _stepped_sigma(scale))
-    with pytest.raises(DeltaBoundError, match=rf"^x0 moved by {step}, not by its step e\(0\) = 1$"):
+    with pytest.raises(DeltaBoundError, match=rf"^x0 moved by {step}, not by its step e\(0\) = q\(1\)$"):
         canonical_model(3)
     with pytest.raises(DeltaBoundError, match=r"^x0 moved by "):
         build_defect_model(QD2, 3, open_cut(QD2, element(QD2, (1, 1))), 3)
@@ -675,6 +675,6 @@ def test_build_defect_model_refuses_a_sigma_that_fixes_a_generator(monkeypatch):
             return f - f
 
     monkeypatch.setattr(defect_lab, "SigmaSpec", Fixing)
-    with pytest.raises(DeltaBoundError, match=r"^sigma fixes x0, whose step e\(0\) is 1$"):
+    with pytest.raises(DeltaBoundError, match=r"^sigma fixes x0, whose step e\(0\) is q\(1\)$"):
         canonical_model(3)
 
